@@ -18,6 +18,7 @@ from .constraints import (
 from .corpus import (
     CandidateStructure,
     Corpus,
+    CorpusColumns,
     GenderCount,
     GenderTag,
     Instance,
@@ -31,6 +32,7 @@ from .corpus import (
 )
 from .distribution import (
     InstancePosterior,
+    PosteriorTable,
     instance_posterior,
     kl_divergence,
     map_predict,
@@ -77,6 +79,7 @@ __all__ = [
     "CandidateStructure",
     "ConstraintSet",
     "Corpus",
+    "CorpusColumns",
     "CorpusFormatError",
     "DegenerateDistributionError",
     "DualState",
@@ -86,6 +89,7 @@ __all__ = [
     "Instance",
     "InstancePosterior",
     "OracleSizeError",
+    "PosteriorTable",
     "SolverConfig",
     "SolverDivergenceError",
     "SynthConfig",

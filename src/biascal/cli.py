@@ -27,7 +27,7 @@ from .corpus import (
     load_corpus,
     load_training_stats,
 )
-from .distribution import InstancePosterior, instance_posterior, kl_divergence, map_predict
+from .distribution import PosteriorTable, instance_posterior, kl_divergence, map_predict
 from .errors import (
     BiasCalError,
     CorpusFormatError,
@@ -63,7 +63,6 @@ class RunConfig:
     lr_decay: float = 0.998
     seed: int = 0
     mode: str = "stochastic"
-    threads: int = 1
     convergence_tol: float = 1e-8
     max_steps: int = 20000
     resolution: int = 11
@@ -97,8 +96,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(config, f.name, value)
-    if config.threads < 1:
-        raise ValidationError("--threads must be at least 1")
     return config
 
 
@@ -123,17 +120,19 @@ def _write_report_files(out_dir: Path, tag: str, report) -> None:
         report.write_scatter_csv(handle)
 
 
-def _write_posteriors(path: Path, corpus: Corpus, posteriors: Sequence[InstancePosterior]) -> None:
+def _write_posteriors(path: Path, corpus: Corpus, table: PosteriorTable) -> None:
     """Calibrated posteriors in the corpus JSONL schema, probs in place of scores."""
     names = corpus.activity_names
+    # zip stops at the end of each candidate list before drawing from probs
+    probs = iter(table.probs.tolist())
     with open(path, "w", encoding="utf-8") as handle:
-        for inst, post in zip(corpus.instances, posteriors):
+        for inst in corpus.instances:
             record: dict = {"id": inst.id}
             if inst.gold is not None:
                 record["gold"] = inst.gold
             record["candidates"] = [
-                {"activity": names[c.activity_id], "gender": c.gender.value, "prob": float(p)}
-                for c, p in zip(inst.candidates, post.probs)
+                {"activity": names[c.activity_id], "gender": c.gender.value, "prob": p}
+                for c, p in zip(inst.candidates, probs)
             ]
             handle.write(json.dumps(record) + "\n")
 
@@ -158,8 +157,8 @@ def cmd_report(config: RunConfig) -> int:
     _note_exclusions(corpus, stats)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    posteriors = [instance_posterior(inst) for inst in corpus.instances]
-    predictions = [map_predict(p) for p in posteriors]
+    posteriors = instance_posterior(corpus)
+    predictions = map_predict(posteriors)
     report = build_report(corpus, stats, posteriors, predictions, config.gamma_eval)
     _write_report_files(out_dir, "", report)
     print(
@@ -175,15 +174,15 @@ def cmd_calibrate(config: RunConfig) -> int:
     _note_exclusions(corpus, stats)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    posteriors = [instance_posterior(inst) for inst in corpus.instances]
-    predictions = [map_predict(p) for p in posteriors]
+    posteriors = instance_posterior(corpus)
+    predictions = map_predict(posteriors)
     before = build_report(corpus, stats, posteriors, predictions, config.gamma_eval)
 
     cs = ConstraintSet.from_stats(corpus, stats, config.gamma_solve)
     solver_config = config.solver_config()
     state = solve(corpus, posteriors, cs, solver_config)
     calibrated = calibrate(corpus, posteriors, cs, state.lam)
-    predictions_after = [map_predict(p) for p in calibrated]
+    predictions_after = map_predict(calibrated)
     after = build_report(corpus, stats, calibrated, predictions_after, config.gamma_eval)
 
     _write_report_files(out_dir, "_before", before)
@@ -223,7 +222,7 @@ def cmd_oracle(config: RunConfig) -> int:
     corpus, stats = _load_inputs(config)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    posteriors = [instance_posterior(inst) for inst in corpus.instances]
+    posteriors = instance_posterior(corpus)
     cs = ConstraintSet.from_stats(corpus, stats, config.gamma_solve)
     oracle_q, oracle_lam = brute_force_project(corpus, posteriors, cs, resolution=config.resolution)
 
@@ -264,7 +263,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lr-decay", dest="lr_decay", type=float)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--mode", choices=["stochastic", "full-batch"])
-    parser.add_argument("--threads", type=int, help="worker cap (current build is vectorized single-threaded)")
     parser.add_argument("--convergence-tol", dest="convergence_tol", type=float)
     parser.add_argument("--max-steps", dest="max_steps", type=int)
     parser.add_argument("--resolution", type=int, help="oracle grid points per axis")

@@ -26,10 +26,20 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import CandidateStructure, Corpus, GenderTag, TrainingStats, constrained_activities
-from .distribution import InstancePosterior, check_posteriors
+from .corpus import (
+    GENDER_CODES,
+    MALE_CODE,
+    UNGENDERED_CODE,
+    CandidateStructure,
+    Corpus,
+    CorpusColumns,
+    Instance,
+    TrainingStats,
+    constrained_activities,
+)
+from .distribution import InstancePosterior, as_table
 from .errors import UndefinedBiasError, ValidationError
-from .metrics import dataset_bias
+from .metrics import activity_mass, dataset_bias
 
 __all__ = [
     "ConstraintSet",
@@ -95,6 +105,30 @@ class ConstraintSet:
         return self._slot.get(activity_id)
 
 
+def row_features(
+    activity: np.ndarray, gender: np.ndarray, cs: ConstraintSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint features of candidate rows given their activity ids and gender codes.
+
+    Returns ``(slot, values)``. ``slot[r]`` is the constraint slot j of row
+    r, or -1 for an ungendered row or an activity outside the constraint
+    set; the row's features are ``values[r, 0]`` at coordinate 2j and
+    ``values[r, 1]`` at 2j+1, and both are zero on rows without features.
+    """
+    size = max(int(activity.max(initial=-1)), max(cs.activity_ids, default=-1)) + 1
+    lookup = np.full(size, -1, dtype=np.int64)
+    lookup[list(cs.activity_ids)] = np.arange(cs.n_constraints)
+    slot = np.where(gender != UNGENDERED_CODE, lookup[activity], -1)
+    featured = slot >= 0
+    r = cs.b_star[slot[featured]]
+    g = cs.gamma
+    male = gender[featured] == MALE_CODE
+    values = np.zeros((activity.size, 2))
+    values[featured, 0] = np.where(male, 1.0 - r - g, -r - g)
+    values[featured, 1] = np.where(male, -1.0 + r - g, r - g)
+    return slot, values
+
+
 def feature_vector(
     candidate: CandidateStructure, cs: ConstraintSet
 ) -> list[tuple[int, float]]:
@@ -104,36 +138,51 @@ def feature_vector(
     constraint set; otherwise exactly the two coordinates of the
     candidate's activity.
     """
-    j = cs.slot(candidate.activity_id)
-    if j is None or not candidate.gender.is_gendered:
+    slot, values = row_features(
+        np.array([candidate.activity_id]), np.array([GENDER_CODES[candidate.gender]]), cs
+    )
+    j = int(slot[0])
+    if j < 0:
         return []
-    r = float(cs.b_star[j])
-    g = cs.gamma
-    if candidate.gender is GenderTag.MALE:
-        return [(2 * j, 1.0 - r - g), (2 * j + 1, -1.0 + r - g)]
-    return [(2 * j, -r - g), (2 * j + 1, r - g)]
+    return [(2 * j, float(values[0, 0])), (2 * j + 1, float(values[0, 1]))]
+
+
+def _expectation(columns: CorpusColumns, probs: np.ndarray, cs: ConstraintSet) -> np.ndarray:
+    """Sum over instances, in instance order, of each instance's expected features.
+
+    Each instance's expectation is summed on its own first, candidate by
+    candidate, and the per-instance vectors are then added in instance
+    order; the solver's gradient instead sums all rows in one pass.
+    """
+    slot, values = row_features(columns.activity, columns.gender, cs)
+    rows = np.flatnonzero(slot >= 0)
+    out = np.zeros(cs.dimension)
+    for side in (0, 1):
+        coordinate = 2 * slot[rows] + side
+        key = columns.segment_ids[rows] * cs.dimension + coordinate
+        keys, per_key = np.unique(key, return_inverse=True)
+        partial = np.bincount(per_key, weights=probs[rows] * values[rows, side])
+        out += np.bincount(keys % cs.dimension, weights=partial, minlength=cs.dimension)
+    return out
 
 
 def instance_expectation(
-    instance, posterior: InstancePosterior, cs: ConstraintSet
+    instance: Instance, posterior: InstancePosterior, cs: ConstraintSet
 ) -> np.ndarray:
     """Expected feature vector of one instance under its posterior (dense 2n)."""
-    out = np.zeros(cs.dimension)
-    for prob, cand in zip(posterior.probs, instance.candidates):
-        for idx, value in feature_vector(cand, cs):
-            out[idx] += prob * value
-    return out
+    if len(posterior) != len(instance.candidates):
+        raise ValidationError(
+            f"instance {instance.id!r}: {len(posterior)} probabilities for "
+            f"{len(instance.candidates)} candidates"
+        )
+    return _expectation(CorpusColumns.from_instances((instance,)), posterior.probs, cs)
 
 
 def corpus_expectation(
     corpus: Corpus, posteriors: Sequence[InstancePosterior], cs: ConstraintSet
 ) -> np.ndarray:
     """Sum of instance expectations over the corpus, in instance order."""
-    check_posteriors(corpus, posteriors)
-    out = np.zeros(cs.dimension)
-    for inst, post in zip(corpus.instances, posteriors):
-        out += instance_expectation(inst, post, cs)
-    return out
+    return _expectation(corpus.columns, as_table(corpus, posteriors).probs, cs)
 
 
 class EquivalenceCheck(NamedTuple):
@@ -172,22 +221,17 @@ def check_equivalence(
     j = cs.slot(activity_id)
     if j is None:
         raise ValidationError(f"activity id {activity_id} is not constrained")
-    male_mass = 0.0
-    gendered_mass = 0.0
-    for inst, post in zip(corpus.instances, posteriors):
-        for prob, cand in zip(post.probs, inst.candidates):
-            if cand.activity_id != activity_id or not cand.gender.is_gendered:
-                continue
-            gendered_mass += float(prob)
-            if cand.gender is GenderTag.MALE:
-                male_mass += float(prob)
+    table = as_table(corpus, posteriors)
+    male, gendered = activity_mass(corpus, table)
+    male_mass = float(male[activity_id])
+    gendered_mass = float(gendered[activity_id])
     if gendered_mass <= 0.0:
         raise UndefinedBiasError(
             f"activity {corpus.activity_name(activity_id)!r} has no gendered mass"
         )
     ratio = male_mass / gendered_mass
     r = float(cs.b_star[j])
-    expectation = corpus_expectation(corpus, posteriors, cs)
+    expectation = corpus_expectation(corpus, table, cs)
     residual_minus = ratio - (r + cs.gamma)
     residual_plus = (r - cs.gamma) - ratio
     minus_ok = abs(expectation[2 * j] - residual_minus * gendered_mass) <= slack

@@ -19,7 +19,18 @@ counts::
     {"cooking": {"male": 30, "female": 70}}
 
 Activity ids are assigned in order of first appearance in the corpus file.
-All loaded objects are immutable and safe for concurrent read access.
+All loaded objects are immutable and safe for concurrent read access: the
+flat column arrays of `CorpusColumns` are created read-only
+(``writeable=False``).
+
+Columnar view
+-------------
+
+`Corpus.columns` lays every candidate of the corpus out as one row of flat
+arrays, CSR style: instance i owns rows ``offsets[i]:offsets[i + 1]`` in
+candidate order. Numeric code downstream (posteriors, bias reports,
+constraint features, the solver) works on these rows with numpy segment
+reductions; the `Instance` objects stay the parsed, public form.
 """
 
 from __future__ import annotations
@@ -31,7 +42,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import IO, NamedTuple
+from typing import IO, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import CorpusFormatError, ValidationError
 
@@ -39,6 +52,7 @@ __all__ = [
     "GenderTag",
     "CandidateStructure",
     "Instance",
+    "CorpusColumns",
     "Corpus",
     "GenderCount",
     "TrainingStats",
@@ -105,6 +119,85 @@ class Instance:
             )
 
 
+# Codes of the GenderTag values in `CorpusColumns.gender`.
+UNGENDERED_CODE, MALE_CODE, FEMALE_CODE = 0, 1, 2
+GENDER_CODES = {
+    GenderTag.UNGENDERED: UNGENDERED_CODE,
+    GenderTag.MALE: MALE_CODE,
+    GenderTag.FEMALE: FEMALE_CODE,
+}
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class CorpusColumns:
+    """Read-only flat columns over every candidate of a list of instances.
+
+    Instance i owns rows ``offsets[i]:offsets[i + 1]``; row r holds the
+    candidate's ``activity`` id, ``gender`` code (0 ungendered, 1 male,
+    2 female) and ``score``. ``gold`` holds one index per instance, -1
+    where the instance has none.
+    """
+
+    ids: tuple[str, ...]
+    offsets: np.ndarray
+    activity: np.ndarray
+    gender: np.ndarray
+    score: np.ndarray
+    gold: np.ndarray
+
+    @classmethod
+    def from_instances(cls, instances: Sequence[Instance]) -> "CorpusColumns":
+        sizes = np.fromiter((len(inst.candidates) for inst in instances), np.int64, len(instances))
+        offsets = np.zeros(len(instances) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        n_rows = int(offsets[-1])
+        candidates = [cand for inst in instances for cand in inst.candidates]
+
+        def column(values, dtype, count=n_rows):
+            return _read_only(np.fromiter(values, dtype, count))
+
+        return cls(
+            ids=tuple(inst.id for inst in instances),
+            offsets=_read_only(offsets),
+            activity=column((c.activity_id for c in candidates), np.int64),
+            gender=column((GENDER_CODES[c.gender] for c in candidates), np.int8),
+            score=column((c.score for c in candidates), np.float64),
+            gold=column((-1 if i.gold is None else i.gold for i in instances), np.int64,
+                        len(instances)),
+        )
+
+    @property
+    def n_instances(self) -> int:
+        return len(self.ids)
+
+    @property
+    def n_rows(self) -> int:
+        return self.score.size
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Candidate count of each instance."""
+        return _read_only(np.diff(self.offsets))
+
+    @cached_property
+    def segment_ids(self) -> np.ndarray:
+        """Instance index of each row."""
+        return _read_only(np.repeat(np.arange(self.n_instances), self.sizes))
+
+    @cached_property
+    def male(self) -> np.ndarray:
+        return _read_only(self.gender == MALE_CODE)
+
+    @cached_property
+    def gendered(self) -> np.ndarray:
+        return _read_only(self.gender != UNGENDERED_CODE)
+
+
 @dataclass(frozen=True)
 class Corpus:
     """An immutable set of instances plus the activity vocabulary (name -> id)."""
@@ -139,6 +232,11 @@ class Corpus:
 
     def activity_name(self, activity_id: int) -> str:
         return self.activity_names[activity_id]
+
+    @cached_property
+    def columns(self) -> CorpusColumns:
+        """The flat per-candidate columns, built on first use."""
+        return CorpusColumns.from_instances(self.instances)
 
     @property
     def n_activities(self) -> int:
@@ -343,15 +441,13 @@ def constrained_activities(stats: TrainingStats, corpus: Corpus) -> list[int]:
     else is excluded (callers can report exclusions by diffing against the
     vocabulary).
     """
-    has_gendered_mass: set[int] = set()
-    for inst in corpus.instances:
-        for cand in inst.candidates:
-            if cand.gender.is_gendered:
-                has_gendered_mass.add(cand.activity_id)
+    columns = corpus.columns
+    has_gendered_mass = np.zeros(corpus.n_activities, dtype=bool)
+    has_gendered_mass[columns.activity[columns.gendered]] = True
     eligible = [
         aid
         for name, aid in corpus.activities.items()
-        if stats.is_constrained(name) and aid in has_gendered_mass
+        if stats.is_constrained(name) and has_gendered_mass[aid]
     ]
     return sorted(eligible)
 

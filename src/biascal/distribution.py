@@ -6,26 +6,34 @@ materialized as float64 arrays summing to one. Instances are mutually
 independent: the joint distribution over a corpus is the product of the
 per-instance posteriors, and corpus-level reductions here always accumulate
 in instance order so repeated runs are bitwise identical.
+
+Every kernel works on flat rows split into segments by an ``offsets``
+array (see `CorpusColumns`). A `PosteriorTable` holds the posteriors of a
+whole corpus that way; the functions taking one `Instance` or
+`InstancePosterior` run the same kernels on a single segment.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-from scipy.special import log_softmax, rel_entr
 
 from .corpus import Corpus, Instance
 from .errors import DegenerateDistributionError, ValidationError
 
 __all__ = [
     "InstancePosterior",
+    "PosteriorTable",
     "instance_posterior",
     "reweighted_posterior",
     "map_predict",
     "kl_divergence",
 ]
+
+SUM_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,14 +49,7 @@ class InstancePosterior:
             raise ValidationError(
                 f"posterior for {self.instance_id!r} must be a nonempty 1-D vector"
             )
-        if not np.all(np.isfinite(probs)):
-            raise ValidationError(f"posterior for {self.instance_id!r} has non-finite entries")
-        if np.any(probs < 0.0) or np.any(probs > 1.0 + 1e-12):
-            raise ValidationError(f"posterior for {self.instance_id!r} has entries outside [0, 1]")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValidationError(
-                f"posterior for {self.instance_id!r} sums to {probs.sum()!r}, expected 1"
-            )
+        _check_probs((self.instance_id,), np.array([0, probs.size]), probs)
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
@@ -61,12 +62,167 @@ class InstancePosterior:
         return self.probs.size
 
 
-def instance_posterior(instance: Instance) -> InstancePosterior:
-    """Softmax of the candidate scores: probs[k] = exp(score_k - logsumexp(scores))."""
-    scores = np.array([c.score for c in instance.candidates], dtype=np.float64)
-    probs = np.exp(log_softmax(scores))
-    probs /= probs.sum()
-    return InstancePosterior(instance.id, probs)
+def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sum of each segment, bit-identical to the segment's own ``.sum()``.
+
+    ``np.add.reduceat`` adds left to right, whereas ``.sum()`` sums
+    pairwise, so the two differ in the last bit on many segments. Summing
+    the rows of a (segments, length) matrix per distinct length goes
+    through the same routine as ``.sum()``.
+    """
+    sizes = offsets[1:] - offsets[:-1]
+    if sizes.size and sizes.min() == sizes.max():
+        return values.reshape(sizes.size, -1).sum(axis=1)
+    out = np.empty(sizes.size)
+    for size in np.unique(sizes):
+        which = np.flatnonzero(sizes == size)
+        out[which] = values[offsets[which, None] + np.arange(size)].sum(axis=1)
+    return out
+
+
+def _segment_of(offsets: np.ndarray, row: int) -> int:
+    return int(np.searchsorted(offsets, row, side="right")) - 1
+
+
+def _check_probs(ids: Sequence[str], offsets: np.ndarray, probs: np.ndarray) -> None:
+    """Each segment must be a probability vector; a failing one is named."""
+    with np.errstate(invalid="ignore"):
+        for bad, what in (
+            (~np.isfinite(probs), "has non-finite entries"),
+            ((probs < 0.0) | (probs > 1.0 + SUM_TOLERANCE), "has entries outside [0, 1]"),
+        ):
+            if bad.any():
+                first = _segment_of(offsets, int(np.argmax(bad)))
+                raise ValidationError(f"posterior for {ids[first]!r} {what}")
+    sums = segment_sum(probs, offsets)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOLERANCE)
+    if bad.size:
+        raise ValidationError(
+            f"posterior for {ids[bad[0]]!r} sums to {sums[bad[0]]!r}, expected 1"
+        )
+
+
+class PosteriorTable(Sequence):
+    """Posteriors of every instance of a corpus as one flat probability array.
+
+    Instance i owns ``probs[offsets[i]:offsets[i + 1]]``, in the row order of
+    the corpus's `CorpusColumns`. Every segment is checked on construction
+    as `InstancePosterior` checks one vector, and ``probs`` is read-only.
+    Indexing yields the `InstancePosterior` of one instance.
+    """
+
+    __slots__ = ("ids", "offsets", "probs")
+
+    def __init__(self, ids: Sequence[str], offsets: np.ndarray, probs: np.ndarray):
+        probs = np.asarray(probs, dtype=np.float64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if offsets.shape != (len(ids) + 1,) or probs.shape != (offsets[-1],):
+            raise ValidationError("posterior table offsets do not match its ids and rows")
+        _check_probs(ids, offsets, probs)
+        probs.flags.writeable = False
+        self.ids = tuple(ids)
+        self.offsets = offsets
+        self.probs = probs
+
+    @classmethod
+    def from_posteriors(cls, posteriors: Sequence[InstancePosterior]) -> "PosteriorTable":
+        if isinstance(posteriors, PosteriorTable):
+            return posteriors
+        offsets = np.zeros(len(posteriors) + 1, dtype=np.int64)
+        np.cumsum([len(p) for p in posteriors], out=offsets[1:])
+        probs = np.concatenate([p.probs for p in posteriors]) if posteriors else np.zeros(0)
+        return cls([p.instance_id for p in posteriors], offsets, probs)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index: int) -> InstancePosterior:
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("posterior table index out of range")
+        return InstancePosterior(self.ids[i], self.probs[self.offsets[i] : self.offsets[i + 1]])
+
+
+def as_table(corpus: Corpus, posteriors: Sequence[InstancePosterior]) -> PosteriorTable:
+    """The posteriors as a table, after checking once that they align with the corpus."""
+    columns = corpus.columns
+    if len(posteriors) != columns.n_instances:
+        raise ValidationError(
+            f"{len(posteriors)} posteriors for {columns.n_instances} instances"
+        )
+    table = PosteriorTable.from_posteriors(posteriors)
+    if table.ids != columns.ids or not np.array_equal(table.offsets, columns.offsets):
+        for inst, post_id, size in zip(corpus.instances, table.ids, np.diff(table.offsets)):
+            if post_id != inst.id:
+                raise ValidationError(
+                    f"posterior {post_id!r} does not match instance {inst.id!r}"
+                )
+            if size != len(inst.candidates):
+                raise ValidationError(
+                    f"instance {inst.id!r}: {size} probabilities for "
+                    f"{len(inst.candidates)} candidates"
+                )
+    return table
+
+
+def _one_segment(size: int) -> np.ndarray:
+    return np.array([0, size], dtype=np.int64)
+
+
+def _softmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per-segment softmax, by the steps of ``scipy.special.log_softmax``.
+
+    Max-shift, exp, sum, log and subtract give the log probabilities; their
+    exp is then renormalized by its own sum.
+    """
+    sizes = offsets[1:] - offsets[:-1]
+    shifted = scores - np.repeat(np.maximum.reduceat(scores, offsets[:-1]), sizes)
+    log_norm = np.log(segment_sum(np.exp(shifted), offsets))
+    probs = np.exp(shifted - np.repeat(log_norm, sizes))
+    probs /= np.repeat(segment_sum(probs, offsets), sizes)
+    return probs
+
+
+def instance_posterior(source: Instance | Corpus) -> InstancePosterior | PosteriorTable:
+    """Softmax of the candidate scores: probs[k] = exp(score_k - logsumexp(scores)).
+
+    Given one `Instance`, returns its `InstancePosterior`; given a `Corpus`,
+    returns the `PosteriorTable` of all its instances.
+    """
+    if isinstance(source, Corpus):
+        columns = source.columns
+        return PosteriorTable(columns.ids, columns.offsets,
+                              _softmax(columns.score, columns.offsets))
+    scores = np.array([c.score for c in source.candidates], dtype=np.float64)
+    return InstancePosterior(source.id, _softmax(scores, _one_segment(scores.size)))
+
+
+def reweight(
+    probs: np.ndarray, penalty: np.ndarray, offsets: np.ndarray, ids: Sequence[str]
+) -> np.ndarray:
+    """Rows reweighted by exp(-penalty) and renormalized within each segment.
+
+    Computed in log space; zero-mass rows stay at zero for any finite
+    penalty. Raises for the first segment with a non-finite penalty or
+    with no mass left.
+    """
+    nonfinite = ~np.isfinite(penalty)
+    if nonfinite.any():
+        first = _segment_of(offsets, int(np.argmax(nonfinite)))
+        raise ValidationError(f"instance {ids[first]!r}: penalty entries must be finite")
+    with np.errstate(divide="ignore"):
+        log_q = np.log(probs) - penalty
+    shift = np.maximum.reduceat(log_q, offsets[:-1])
+    degenerate = np.flatnonzero(~np.isfinite(shift))
+    if degenerate.size:
+        raise DegenerateDistributionError(
+            f"instance {ids[degenerate[0]]!r}: reweighting left no mass on the support"
+        )
+    sizes = offsets[1:] - offsets[:-1]
+    weights = np.exp(log_q - np.repeat(shift, sizes))
+    return weights / np.repeat(segment_sum(weights, offsets), sizes)
 
 
 def reweighted_posterior(
@@ -84,65 +240,76 @@ def reweighted_posterior(
             f"instance {instance.id!r}: penalty length {penalty.size} does not match "
             f"{base.probs.size} candidates"
         )
-    if not np.all(np.isfinite(penalty)):
-        raise ValidationError(f"instance {instance.id!r}: penalty entries must be finite")
-    with np.errstate(divide="ignore"):
-        log_q = np.log(base.probs) - penalty
-    shift = log_q.max()
-    if not np.isfinite(shift):
-        raise DegenerateDistributionError(
-            f"instance {instance.id!r}: reweighting left no mass on the support"
-        )
-    weights = np.exp(log_q - shift)
-    probs = weights / weights.sum()
+    probs = reweight(base.probs, penalty, _one_segment(penalty.size), (instance.id,))
     return InstancePosterior(instance.id, probs)
 
 
-def map_predict(posterior: InstancePosterior) -> int:
-    """Index of the most probable candidate; ties break toward the lowest index."""
-    return int(np.argmax(posterior.probs))
+def segment_argmax(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Index within each segment of its first maximum, as ``np.argmax`` breaks ties."""
+    starts = offsets[:-1]
+    sizes = offsets[1:] - offsets[:-1]
+    peak = np.repeat(np.maximum.reduceat(values, starts), sizes)
+    within = np.arange(values.size) - np.repeat(starts, sizes)
+    return np.minimum.reduceat(np.where(values == peak, within, values.size), starts)
 
 
-def _check_aligned(q: Sequence[InstancePosterior], p: Sequence[InstancePosterior]) -> None:
+def map_predict(posterior: InstancePosterior | PosteriorTable) -> int | np.ndarray:
+    """Index of the most probable candidate; ties break toward the lowest index.
+
+    Given a `PosteriorTable`, returns the index array over its instances.
+    """
+    if isinstance(posterior, PosteriorTable):
+        return segment_argmax(posterior.probs, posterior.offsets)
+    return int(segment_argmax(posterior.probs, _one_segment(posterior.probs.size))[0])
+
+
+def _check_aligned(q: PosteriorTable, p: PosteriorTable) -> None:
     if len(q) != len(p):
         raise ValidationError(f"posterior lists differ in length: {len(q)} vs {len(p)}")
-    for qi, pi in zip(q, p):
-        if qi.instance_id != pi.instance_id:
+    if q.ids == p.ids and np.array_equal(q.offsets, p.offsets):
+        return
+    for q_id, p_id, q_size, p_size in zip(q.ids, p.ids, np.diff(q.offsets), np.diff(p.offsets)):
+        if q_id != p_id:
+            raise ValidationError(f"posterior lists misaligned: {q_id!r} vs {p_id!r}")
+        if q_size != p_size:
             raise ValidationError(
-                f"posterior lists misaligned: {qi.instance_id!r} vs {pi.instance_id!r}"
+                f"instance {q_id!r}: posterior lengths differ ({q_size} vs {p_size})"
             )
-        if len(qi) != len(pi):
-            raise ValidationError(
-                f"instance {qi.instance_id!r}: posterior lengths differ ({len(qi)} vs {len(pi)})"
-            )
+
+
+def _rel_entr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise x log(x / y) by the branches of ``scipy.special.rel_entr``.
+
+    0 where x = 0 and y >= 0, inf where x > 0 and y = 0; log1p when x and y
+    are close, and a difference of logs when x / y would under- or overflow.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        ratio = x / y
+        value = np.where(
+            (ratio > 0.5) & (ratio < 2.0),
+            x * np.log1p((x - y) / y),
+            np.where(
+                (ratio > np.finfo(np.float64).tiny) & (ratio < np.inf),
+                x * np.log(ratio),
+                x * (np.log(x) - np.log(y)),
+            ),
+        )
+    return np.where((x > 0.0) & (y > 0.0), value,
+                    np.where((x == 0.0) & (y >= 0.0), 0.0, np.inf))
 
 
 def kl_divergence(q: Sequence[InstancePosterior], p: Sequence[InstancePosterior]) -> float:
     """KL(q || p) summed over instances, with the 0 log 0 = 0 convention.
 
     Returns inf when q puts mass where p has none (q not absolutely
-    continuous w.r.t. p on the candidate support).
+    continuous w.r.t. p on the candidate support). Accepts lists of
+    `InstancePosterior` or `PosteriorTable` objects.
     """
-    _check_aligned(q, p)
-    total = 0.0
-    for qi, pi in zip(q, p):
-        total += float(rel_entr(qi.probs, pi.probs).sum())
-    return total
-
-
-def check_posteriors(corpus: Corpus, posteriors: Sequence[InstancePosterior]) -> None:
-    """Validate that a posterior list is aligned with a corpus, instance by instance."""
-    if len(posteriors) != len(corpus.instances):
-        raise ValidationError(
-            f"{len(posteriors)} posteriors for {len(corpus.instances)} instances"
-        )
-    for inst, post in zip(corpus.instances, posteriors):
-        if post.instance_id != inst.id:
-            raise ValidationError(
-                f"posterior {post.instance_id!r} does not match instance {inst.id!r}"
-            )
-        if len(post) != len(inst.candidates):
-            raise ValidationError(
-                f"instance {inst.id!r}: {len(post)} probabilities for "
-                f"{len(inst.candidates)} candidates"
-            )
+    q_table = PosteriorTable.from_posteriors(q)
+    p_table = PosteriorTable.from_posteriors(p)
+    _check_aligned(q_table, p_table)
+    if len(q_table) == 0:
+        return 0.0
+    per_instance = segment_sum(_rel_entr(q_table.probs, p_table.probs), q_table.offsets)
+    # accumulate is a left-to-right running sum, the order of adding instance by instance
+    return float(np.add.accumulate(per_instance)[-1])

@@ -15,8 +15,8 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, GenderTag, TrainingStats, constrained_activities
-from .distribution import InstancePosterior, check_posteriors
+from .corpus import Corpus, TrainingStats, constrained_activities
+from .distribution import InstancePosterior, PosteriorTable, as_table
 from .errors import UndefinedBiasError, ValidationError
 
 __all__ = [
@@ -42,19 +42,56 @@ def dataset_bias(stats: TrainingStats, corpus: Corpus, activity_id: int) -> floa
     return count.male / count.total
 
 
-def _activity_mass(
-    posteriors: Sequence[InstancePosterior], corpus: Corpus, activity_id: int
-) -> tuple[float, float]:
-    male = 0.0
-    gendered = 0.0
-    for inst, post in zip(corpus.instances, posteriors):
-        for prob, cand in zip(post.probs, inst.candidates):
-            if cand.activity_id != activity_id or not cand.gender.is_gendered:
-                continue
-            gendered += float(prob)
-            if cand.gender is GenderTag.MALE:
-                male += float(prob)
-    return male, gendered
+def activity_mass(corpus: Corpus, table: PosteriorTable) -> tuple[np.ndarray, np.ndarray]:
+    """Male and gendered posterior mass of every activity, indexed by activity id.
+
+    ``np.bincount`` adds the rows in corpus order, so each entry is the
+    same float as a candidate-by-candidate running sum.
+    """
+    columns = corpus.columns
+
+    def mass(rows: np.ndarray) -> np.ndarray:
+        return np.bincount(columns.activity[rows], weights=table.probs[rows],
+                           minlength=corpus.n_activities)
+
+    return mass(columns.male), mass(columns.gendered)
+
+
+def _check_predictions(corpus: Corpus, predictions: Sequence[int]) -> np.ndarray:
+    columns = corpus.columns
+    if len(predictions) != columns.n_instances:
+        raise ValidationError(
+            f"{len(predictions)} predictions for {columns.n_instances} instances"
+        )
+    predictions = np.asarray(predictions, dtype=np.int64)
+    if np.any((predictions < 0) | (predictions >= columns.sizes)):
+        raise ValidationError("prediction index out of range for its candidate list")
+    return predictions
+
+
+def top_counts(corpus: Corpus, predictions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Male and gendered MAP-prediction counts of every activity, indexed by activity id."""
+    columns = corpus.columns
+    rows = columns.offsets[:-1] + predictions
+
+    def count(chosen: np.ndarray) -> np.ndarray:
+        return np.bincount(columns.activity[rows[chosen[rows]]], minlength=corpus.n_activities)
+
+    return count(columns.male), count(columns.gendered)
+
+
+def _distribution_ratio(corpus: Corpus, male: np.ndarray, gendered: np.ndarray, aid: int) -> float:
+    if gendered[aid] <= 0.0:
+        raise UndefinedBiasError(
+            f"activity {corpus.activity_name(aid)!r} has no gendered posterior mass"
+        )
+    return float(male[aid] / gendered[aid])
+
+
+def _top_ratio(male: np.ndarray, gendered: np.ndarray, aid: int) -> float | None:
+    if gendered[aid] == 0:
+        return None
+    return int(male[aid]) / int(gendered[aid])
 
 
 def bias_in_distribution(
@@ -64,13 +101,8 @@ def bias_in_distribution(
 
     Ungendered candidates contribute to neither numerator nor denominator.
     """
-    check_posteriors(corpus, posteriors)
-    male, gendered = _activity_mass(posteriors, corpus, activity_id)
-    if gendered <= 0.0:
-        raise UndefinedBiasError(
-            f"activity {corpus.activity_name(activity_id)!r} has no gendered posterior mass"
-        )
-    return male / gendered
+    male, gendered = activity_mass(corpus, as_table(corpus, posteriors))
+    return _distribution_ratio(corpus, male, gendered, activity_id)
 
 
 def bias_in_top_predictions(
@@ -81,22 +113,8 @@ def bias_in_top_predictions(
     Returns None when no instance has a gendered MAP prediction of this
     activity (the ratio is then not evaluable, as opposed to an error).
     """
-    if len(predictions) != len(corpus.instances):
-        raise ValidationError(
-            f"{len(predictions)} predictions for {len(corpus.instances)} instances"
-        )
-    male = 0
-    gendered = 0
-    for inst, k in zip(corpus.instances, predictions):
-        cand = inst.candidates[k]
-        if cand.activity_id != activity_id or not cand.gender.is_gendered:
-            continue
-        gendered += 1
-        if cand.gender is GenderTag.MALE:
-            male += 1
-    if gendered == 0:
-        return None
-    return male / gendered
+    male, gendered = top_counts(corpus, _check_predictions(corpus, predictions))
+    return _top_ratio(male, gendered, activity_id)
 
 
 def amplification(bias: float, b_star: float) -> float:
@@ -207,16 +225,19 @@ def build_report(
     gold-match rate of the MAP predictions, present only when every
     instance carries a gold label.
     """
-    check_posteriors(corpus, posteriors)
+    table = as_table(corpus, posteriors)
+    predictions = _check_predictions(corpus, predictions)
     activity_ids = constrained_activities(stats, corpus)
     if not activity_ids:
         raise UndefinedBiasError("no constrained activities")
 
+    male, gendered = activity_mass(corpus, table)
+    top_male, top_gendered = top_counts(corpus, predictions)
     entries = []
     for aid in activity_ids:
         b_star = dataset_bias(stats, corpus, aid)
-        bias_dist = bias_in_distribution(posteriors, corpus, aid)
-        bias_top = bias_in_top_predictions(predictions, corpus, aid)
+        bias_dist = _distribution_ratio(corpus, male, gendered, aid)
+        bias_top = _top_ratio(top_male, top_gendered, aid)
         amp_dist = amplification(bias_dist, b_star)
         amp_top = None if bias_top is None else amplification(bias_top, b_star)
         entries.append(
@@ -235,9 +256,9 @@ def build_report(
 
     top_amps = [e.amp_top for e in entries if e.amp_top is not None]
     accuracy = None
-    if all(inst.gold is not None for inst in corpus.instances):
-        hits = sum(1 for inst, k in zip(corpus.instances, predictions) if k == inst.gold)
-        accuracy = hits / len(corpus.instances)
+    gold = corpus.columns.gold
+    if np.all(gold >= 0):
+        accuracy = int(np.count_nonzero(predictions == gold)) / gold.size
 
     return BiasReport(
         entries=tuple(entries),

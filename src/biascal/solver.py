@@ -33,9 +33,9 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSet, feature_vector
-from .corpus import Corpus, GenderTag
-from .distribution import InstancePosterior, check_posteriors, reweighted_posterior
+from .constraints import ConstraintSet, row_features
+from .corpus import Corpus
+from .distribution import InstancePosterior, PosteriorTable, as_table, reweight
 from .errors import (
     DegenerateDistributionError,
     OracleSizeError,
@@ -162,44 +162,28 @@ def featurize(
     corpus: Corpus, posteriors: Sequence[InstancePosterior], cs: ConstraintSet
 ) -> FeaturizedCorpus:
     """Precompute features and log base probabilities once per solve."""
-    check_posteriors(corpus, posteriors)
-    sizes = np.array([len(inst.candidates) for inst in corpus.instances], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    n_rows = int(offsets[-1])
-    seg_ids = np.repeat(np.arange(len(sizes)), sizes)
-    log_p = np.empty(n_rows)
-    cols = np.zeros((n_rows, 2), dtype=np.int64)
-    vals = np.zeros((n_rows, 2))
-    slot_of_row = np.full(n_rows, -1, dtype=np.int64)
-    male = np.zeros(n_rows, dtype=bool)
-    row = 0
+    table = as_table(corpus, posteriors)
+    columns = corpus.columns
+    slot, vals = row_features(columns.activity, columns.gender, cs)
+    cols = np.where(slot[:, None] >= 0, 2 * slot[:, None] + np.arange(2), 0)
     with np.errstate(divide="ignore"):
-        for inst, post in zip(corpus.instances, posteriors):
-            log_p[row : row + len(post)] = np.log(post.probs)
-            for cand in inst.candidates:
-                for idx, value in feature_vector(cand, cs):
-                    slot = idx // 2
-                    cols[row, idx % 2] = idx
-                    vals[row, idx % 2] = value
-                    slot_of_row[row] = slot
-                male[row] = cand.gender is GenderTag.MALE
-                row += 1
+        log_p = np.log(table.probs)
     return FeaturizedCorpus(
-        offsets=offsets,
-        seg_ids=seg_ids,
+        offsets=columns.offsets,
+        seg_ids=columns.segment_ids,
         log_p=log_p,
         cols=cols,
         vals=vals,
-        slot_of_row=slot_of_row,
-        male=male,
+        slot_of_row=slot,
+        male=columns.male,
         dim=cs.dimension,
-        n_instances=len(corpus.instances),
+        n_instances=columns.n_instances,
     )
 
 
-def _subset(fc: FeaturizedCorpus, indices: np.ndarray) -> FeaturizedCorpus:
-    sizes = np.diff(fc.offsets)
-    lens = sizes[indices]
+def _gather(fc: FeaturizedCorpus, indices: np.ndarray) -> FeaturizedCorpus:
+    """The instances at ``indices``, in that order, as a new flat corpus."""
+    lens = np.diff(fc.offsets)[indices]
     new_offsets = np.concatenate([[0], np.cumsum(lens)])
     total = int(new_offsets[-1])
     within = np.arange(total) - np.repeat(new_offsets[:-1], lens)
@@ -217,10 +201,26 @@ def _subset(fc: FeaturizedCorpus, indices: np.ndarray) -> FeaturizedCorpus:
     )
 
 
+def _slice(fc: FeaturizedCorpus, start: int, stop: int) -> FeaturizedCorpus:
+    """Instances ``start:stop`` as a flat corpus of views into ``fc``."""
+    lo, hi = fc.offsets[start], fc.offsets[stop]
+    return FeaturizedCorpus(
+        offsets=fc.offsets[start : stop + 1] - lo,
+        seg_ids=fc.seg_ids[lo:hi] - start,
+        log_p=fc.log_p[lo:hi],
+        cols=fc.cols[lo:hi],
+        vals=fc.vals[lo:hi],
+        slot_of_row=fc.slot_of_row[lo:hi],
+        male=fc.male[lo:hi],
+        dim=fc.dim,
+        n_instances=stop - start,
+    )
+
+
 def _penalties(fc: FeaturizedCorpus, lam: np.ndarray) -> np.ndarray:
     if fc.dim == 0:
         return np.zeros(fc.n_rows)
-    return (fc.vals * lam[fc.cols]).sum(axis=1)
+    return fc.vals[:, 0] * lam[fc.cols[:, 0]] + fc.vals[:, 1] * lam[fc.cols[:, 1]]
 
 
 def _log_z(fc: FeaturizedCorpus, weights: np.ndarray) -> np.ndarray:
@@ -285,7 +285,7 @@ def dual_gradient(
         probs, _ = _reweighted(fc, lam)
         return _expectation(fc, probs)
     indices = np.asarray(batch, dtype=np.int64)
-    sub = _subset(fc, indices)
+    sub = _gather(fc, indices)
     probs, _ = _reweighted(sub, lam)
     return (fc.n_instances / len(indices)) * _expectation(sub, probs)
 
@@ -401,12 +401,13 @@ def solve(
     rng = np.random.default_rng(config.seed)
     n = fc.n_instances
     for _ in range(config.epochs):
-        order = rng.permutation(n)
+        # gather the shuffled corpus once; each mini-batch is then a
+        # contiguous run of its instances
+        shuffled = _gather(fc, rng.permutation(n))
         for start in range(0, n, config.batch_size):
-            indices = order[start : start + config.batch_size]
-            sub = _subset(fc, indices)
+            sub = _slice(shuffled, start, min(start + config.batch_size, n))
             probs, _ = _reweighted(sub, state.lam)
-            gradient = (n / len(indices)) * _expectation(sub, probs)
+            gradient = (n / sub.n_instances) * _expectation(sub, probs)
             _check_finite(state, gradient)
             _adam_step(state, gradient, config.lr_decay)
     return state
@@ -417,23 +418,35 @@ def calibrate(
     posteriors: Sequence[InstancePosterior],
     cs: ConstraintSet,
     lam: np.ndarray,
-) -> list[InstancePosterior]:
-    """Closed-form calibrated posteriors q(. | i) for a fixed dual vector."""
-    check_posteriors(corpus, posteriors)
+) -> list[InstancePosterior] | PosteriorTable:
+    """Closed-form calibrated posteriors q(. | i) for a fixed dual vector.
+
+    Returns a `PosteriorTable` for a table and a list for a list. Instances
+    without a nonzero penalty keep their posterior bit for bit; in a list
+    they are the very objects passed in.
+    """
+    table = as_table(corpus, posteriors)
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (cs.dimension,):
         raise ValidationError(f"lam has shape {lam.shape}, expected ({cs.dimension},)")
-    out = []
-    for inst, post in zip(corpus.instances, posteriors):
-        penalty = np.zeros(len(inst.candidates))
-        for k, cand in enumerate(inst.candidates):
-            for idx, value in feature_vector(cand, cs):
-                penalty[k] += lam[idx] * value
-        if np.any(penalty):
-            out.append(reweighted_posterior(inst, post, penalty))
-        else:
-            # untouched instances keep their posterior bit for bit
-            out.append(post)
+    columns = corpus.columns
+    slot, vals = row_features(columns.activity, columns.gender, cs)
+    rows = np.flatnonzero(slot >= 0)
+    penalty = np.zeros(columns.n_rows)
+    penalty[rows] += lam[2 * slot[rows]] * vals[rows, 0]
+    penalty[rows] += lam[2 * slot[rows] + 1] * vals[rows, 1]
+    touched = np.flatnonzero(penalty != 0.0)
+    if touched.size == 0:
+        return posteriors if isinstance(posteriors, PosteriorTable) else list(posteriors)
+    reweighted = reweight(table.probs, penalty, columns.offsets, columns.ids)
+    is_touched = np.zeros(columns.n_instances, dtype=bool)
+    is_touched[columns.segment_ids[touched]] = True
+    probs = np.where(np.repeat(is_touched, columns.sizes), reweighted, table.probs)
+    if isinstance(posteriors, PosteriorTable):
+        return PosteriorTable(table.ids, table.offsets, probs)
+    out = list(posteriors)
+    for i in np.flatnonzero(is_touched):
+        out[i] = InstancePosterior(table.ids[i], probs[table.offsets[i] : table.offsets[i + 1]])
     return out
 
 

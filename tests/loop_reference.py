@@ -1,0 +1,207 @@
+"""Candidate-by-candidate reference implementations of the flat kernels.
+
+These are the package's original per-instance loops, kept so the
+vectorized paths can be required to match them exactly. Posteriors use
+``scipy.special.log_softmax`` as the original did.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.special import log_softmax
+
+import biascal as bc
+from biascal.solver import _adam_step, _check_finite, featurize
+
+
+def posterior(instance):
+    scores = np.array([c.score for c in instance.candidates], dtype=np.float64)
+    probs = np.exp(log_softmax(scores))
+    probs /= probs.sum()
+    return bc.InstancePosterior(instance.id, probs)
+
+
+def map_predict(post):
+    return int(np.argmax(post.probs))
+
+
+def activity_mass(posteriors, corpus, activity_id):
+    male = 0.0
+    gendered = 0.0
+    for inst, post in zip(corpus.instances, posteriors):
+        for prob, cand in zip(post.probs, inst.candidates):
+            if cand.activity_id != activity_id or not cand.gender.is_gendered:
+                continue
+            gendered += float(prob)
+            if cand.gender is bc.GenderTag.MALE:
+                male += float(prob)
+    return male, gendered
+
+
+def bias_in_top_predictions(predictions, corpus, activity_id):
+    male = 0
+    gendered = 0
+    for inst, k in zip(corpus.instances, predictions):
+        cand = inst.candidates[k]
+        if cand.activity_id != activity_id or not cand.gender.is_gendered:
+            continue
+        gendered += 1
+        if cand.gender is bc.GenderTag.MALE:
+            male += 1
+    return None if gendered == 0 else male / gendered
+
+
+def constrained_activities(stats, corpus):
+    has_gendered_mass = set()
+    for inst in corpus.instances:
+        for cand in inst.candidates:
+            if cand.gender.is_gendered:
+                has_gendered_mass.add(cand.activity_id)
+    return sorted(
+        aid
+        for name, aid in corpus.activities.items()
+        if stats.is_constrained(name) and aid in has_gendered_mass
+    )
+
+
+def build_report(corpus, stats, posteriors, predictions, gamma_eval):
+    ids = constrained_activities(stats, corpus)
+    if not ids:
+        raise bc.UndefinedBiasError("no constrained activities")
+    entries = []
+    for aid in ids:
+        b_star = bc.dataset_bias(stats, corpus, aid)
+        male, gendered = activity_mass(posteriors, corpus, aid)
+        if gendered <= 0.0:
+            raise bc.UndefinedBiasError("no gendered posterior mass")
+        bias_dist = male / gendered
+        bias_top = bias_in_top_predictions(predictions, corpus, aid)
+        amp_dist = bc.amplification(bias_dist, b_star)
+        amp_top = None if bias_top is None else bc.amplification(bias_top, b_star)
+        entries.append(
+            bc.ActivityBias(
+                activity_id=aid,
+                activity=corpus.activity_name(aid),
+                b_star=b_star,
+                bias_dist=bias_dist,
+                bias_top=bias_top,
+                amp_dist=amp_dist,
+                amp_top=amp_top,
+                violated_dist=bool(abs(amp_dist) > gamma_eval),
+                violated_top=bool(amp_top is not None and abs(amp_top) > gamma_eval),
+            )
+        )
+    top_amps = [e.amp_top for e in entries if e.amp_top is not None]
+    accuracy = None
+    if all(inst.gold is not None for inst in corpus.instances):
+        hits = sum(1 for inst, k in zip(corpus.instances, predictions) if k == inst.gold)
+        accuracy = hits / len(corpus.instances)
+    return bc.BiasReport(
+        entries=tuple(entries),
+        gamma_eval=gamma_eval,
+        mean_amp_dist=bc.mean_amplification(e.amp_dist for e in entries),
+        mean_amp_top=bc.mean_amplification(top_amps) if top_amps else None,
+        n_violations_dist=sum(e.violated_dist for e in entries),
+        n_violations_top=sum(e.violated_top for e in entries),
+        n_not_evaluable_top=sum(e.bias_top is None for e in entries),
+        n_bstar_at_half=sum(e.b_star == 0.5 for e in entries),
+        accuracy=accuracy,
+    )
+
+
+def feature_vector(candidate, cs):
+    j = cs.slot(candidate.activity_id)
+    if j is None or not candidate.gender.is_gendered:
+        return []
+    r = float(cs.b_star[j])
+    g = cs.gamma
+    if candidate.gender is bc.GenderTag.MALE:
+        return [(2 * j, 1.0 - r - g), (2 * j + 1, -1.0 + r - g)]
+    return [(2 * j, -r - g), (2 * j + 1, r - g)]
+
+
+def instance_expectation(instance, post, cs):
+    out = np.zeros(cs.dimension)
+    for prob, cand in zip(post.probs, instance.candidates):
+        for idx, value in feature_vector(cand, cs):
+            out[idx] += prob * value
+    return out
+
+
+def corpus_expectation(corpus, posteriors, cs):
+    out = np.zeros(cs.dimension)
+    for inst, post in zip(corpus.instances, posteriors):
+        out += instance_expectation(inst, post, cs)
+    return out
+
+
+def reweighted_posterior(instance, base, penalty):
+    with np.errstate(divide="ignore"):
+        log_q = np.log(base.probs) - penalty
+    weights = np.exp(log_q - log_q.max())
+    return bc.InstancePosterior(instance.id, weights / weights.sum())
+
+
+def calibrate(corpus, posteriors, cs, lam):
+    out = []
+    for inst, post in zip(corpus.instances, posteriors):
+        penalty = np.zeros(len(inst.candidates))
+        for k, cand in enumerate(inst.candidates):
+            for idx, value in feature_vector(cand, cs):
+                penalty[k] += lam[idx] * value
+        out.append(reweighted_posterior(inst, post, penalty) if np.any(penalty) else post)
+    return out
+
+
+def _subset(fc, indices):
+    """One mini-batch gathered from the whole featurized corpus."""
+    sizes = np.diff(fc.offsets)
+    lens = sizes[indices]
+    new_offsets = np.concatenate([[0], np.cumsum(lens)])
+    total = int(new_offsets[-1])
+    within = np.arange(total) - np.repeat(new_offsets[:-1], lens)
+    rows = np.repeat(fc.offsets[indices], lens) + within
+    return type(fc)(
+        offsets=new_offsets,
+        seg_ids=np.repeat(np.arange(len(indices)), lens),
+        log_p=fc.log_p[rows],
+        cols=fc.cols[rows],
+        vals=fc.vals[rows],
+        slot_of_row=fc.slot_of_row[rows],
+        male=fc.male[rows],
+        dim=fc.dim,
+        n_instances=len(indices),
+    )
+
+
+def _reweighted(fc, lam):
+    weights = fc.log_p - (fc.vals * lam[fc.cols]).sum(axis=1)
+    starts = fc.offsets[:-1]
+    shift = np.maximum.reduceat(weights, starts)
+    log_z = shift + np.log(np.add.reduceat(np.exp(weights - shift[fc.seg_ids]), starts))
+    return np.exp(weights - log_z[fc.seg_ids])
+
+
+def _expectation(fc, probs):
+    out = np.zeros(fc.dim)
+    for s in (0, 1):
+        out += np.bincount(fc.cols[:, s], weights=probs * fc.vals[:, s], minlength=fc.dim)
+    return out
+
+
+def stochastic_solve(corpus, posteriors, cs, config):
+    """The mini-batch dual ascent, gathering every batch from the whole corpus."""
+    fc = featurize(corpus, posteriors, cs)
+    state = bc.DualState.zeros(cs.dimension, config.initial_lr)
+    rng = np.random.default_rng(config.seed)
+    n = fc.n_instances
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            indices = order[start : start + config.batch_size]
+            sub = _subset(fc, indices)
+            probs = _reweighted(sub, state.lam)
+            gradient = (n / len(indices)) * _expectation(sub, probs)
+            _check_finite(state, gradient)
+            _adam_step(state, gradient, config.lr_decay)
+    return state

@@ -1,12 +1,19 @@
 """Command line behavior: outputs, exit codes, determinism, config precedence."""
 
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import biascal as bc
+import biascal.cli as cli
 from biascal.cli import main
+
+BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def run(*argv):
@@ -63,8 +70,7 @@ class TestReportCommand:
             tmp_path, n_activities=4, instances_per_activity=50, boost=1.0, seed=2
         )
         out = tmp_path / "rep"
-        assert run("report", "--corpus", corpus_path, "--stats", stats_path,
-                   "--out", out, "--threads", 2) == 0
+        assert run("report", "--corpus", corpus_path, "--stats", stats_path, "--out", out) == 0
         payload = json.loads((out / "report.json").read_text())
         assert payload["schema_version"] == 1
         assert len(payload["activities"]) == 4
@@ -237,3 +243,29 @@ class TestConfigPrecedence:
         config_path.write_text(json.dumps({"not_a_key": 1}))
         assert run("report", "--corpus", corpus_path, "--stats", stats_path,
                    "--out", tmp_path / "rep", "--config", config_path) == 1
+
+
+class TestProcess:
+    def test_import_leaves_scipy_unloaded(self):
+        src = str(Path(bc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, biascal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True, timeout=60)
+        assert result.stdout.strip() == "[]"
+
+    def test_benchmark_traced_names_are_called(self, tmp_path):
+        # the benchmark's traced run wraps these names in biascal.cli and
+        # fails when a subcommand stops calling one of them
+        spec = importlib.util.spec_from_file_location("bench_tracing", BENCH_TRACING)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        corpus_path, stats_path = synth_files(
+            tmp_path, n_activities=3, instances_per_activity=10, boost=1.0, seed=21
+        )
+        for subcommand in ("report", "calibrate"):
+            tracer = tracing.Tracer()
+            with tracing.installed(cli, tracer):
+                assert cli.main([subcommand, "--corpus", str(corpus_path), "--stats",
+                                 str(stats_path), "--out", str(tmp_path / subcommand)]) == 0
+            tracer.check_called(subcommand)

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import rel_entr
 
 import biascal as bc
+from biascal.distribution import _rel_entr
 from conftest import make_corpus, make_instance, posteriors_of, random_constraints, random_corpus
 
 
@@ -127,6 +129,36 @@ class TestKLDivergence:
         p = [bc.InstancePosterior("b", np.array([1.0]))]
         with pytest.raises(bc.ValidationError):
             bc.kl_divergence(q, p)
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_scipy_rel_entr(self, seed):
+        # numpy's vectorized log may round differently from the C library
+        # log that scipy calls, so each term may differ by a few units in
+        # the last place; zeros and infinities must match exactly
+        rng = np.random.default_rng(seed)
+        q, p = [], []
+        for i in range(int(rng.integers(1, 20))):
+            k = int(rng.integers(1, 13))
+            # high powers spread the ratios q/p far enough to under- and overflow
+            pair = rng.random((2, k)) ** rng.uniform(1.0, 300.0, (2, 1))
+            pair[rng.random((2, k)) < 0.2] = 0.0
+            pair[:, 0] = np.maximum(pair[:, 0], 1e-3)
+            pair /= pair.sum(axis=1, keepdims=True)
+            q.append(bc.InstancePosterior(f"i{i}", pair[0]))
+            p.append(bc.InstancePosterior(f"i{i}", pair[1]))
+        terms = [rel_entr(qi.probs, pi.probs) for qi, pi in zip(q, p)]
+        expected = 0.0
+        for term in terms:
+            expected += float(term.sum())
+        ours = _rel_entr(np.concatenate([qi.probs for qi in q]), np.concatenate([pi.probs for pi in p]))
+        np.testing.assert_array_max_ulp(ours, np.concatenate(terms), maxulp=4)
+        kl = bc.kl_divergence(q, p)
+        if np.isinf(expected):
+            assert kl == expected
+        else:
+            scale = sum(float(np.abs(t).sum()) for t in terms)
+            assert abs(kl - expected) <= 64 * np.finfo(float).eps * scale
 
     @settings(deadline=None, max_examples=80, derandomize=True)
     @given(

@@ -1,0 +1,163 @@
+"""The flat column kernels must reproduce the per-instance loops bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import biascal as bc
+import loop_reference as ref
+from biascal.metrics import activity_mass
+from biascal.solver import featurize
+from conftest import feasible_single_activity_corpus, make_corpus
+
+# Tied scores come from a small pool; 1 to 12 candidates straddle the length
+# at which numpy switches to pairwise summation.
+SCORES = st.one_of(st.sampled_from([0.0, 0.5, -1.25]), st.floats(-30.0, 30.0))
+
+
+@st.composite
+def corpora(draw):
+    """Random corpus and stats: mixed candidate counts, ungendered rows, and
+    activities missing from stats, with zero counts, or without gendered rows."""
+    n_activities = draw(st.integers(1, 5))
+    n_instances = draw(st.integers(1, 12))
+    all_gold = draw(st.booleans())
+    specs = []
+    for i in range(n_instances):
+        triples = draw(st.lists(
+            st.tuples(st.integers(0, n_activities - 1), st.sampled_from("MW-"), SCORES),
+            min_size=1, max_size=12,
+        ))
+        gold = draw(st.integers(0, len(triples) - 1)) if all_gold or draw(st.booleans()) else None
+        specs.append((f"i{i}", triples, gold))
+    corpus = make_corpus(specs, n_activities=n_activities)
+    counts = {}
+    for name in corpus.activities:
+        kind = draw(st.sampled_from(["missing", "zero", "counts"]))
+        if kind == "zero":
+            counts[name] = bc.GenderCount(0, 0)
+        elif kind == "counts":
+            counts[name] = bc.GenderCount(draw(st.integers(0, 9)), draw(st.integers(1, 9)))
+    return corpus, bc.TrainingStats(counts)
+
+
+def random_constraint_set(data, corpus):
+    ids = data.draw(st.lists(st.integers(0, corpus.n_activities - 1), unique=True))
+    b_star = [data.draw(st.floats(0.0, 1.0)) for _ in ids]
+    return bc.ConstraintSet(tuple(sorted(ids)), np.array(b_star), data.draw(st.floats(0.0, 0.1)))
+
+
+def assert_rows_equal(table, posteriors):
+    assert len(table) == len(posteriors)
+    for row, post in zip(table, posteriors):
+        assert row.instance_id == post.instance_id
+        assert np.array_equal(row.probs, post.probs)
+
+
+PROPERTY = settings(deadline=None, max_examples=80, derandomize=True)
+
+
+@PROPERTY
+@given(case=corpora())
+def test_posteriors_map_and_masses(case):
+    corpus, _ = case
+    table = bc.instance_posterior(corpus)
+    expected = [ref.posterior(inst) for inst in corpus.instances]
+    assert_rows_equal(table, expected)
+    for inst, post in zip(corpus.instances, expected):
+        assert np.array_equal(bc.instance_posterior(inst).probs, post.probs)
+        assert bc.map_predict(post) == ref.map_predict(post)
+    assert bc.map_predict(table).tolist() == [ref.map_predict(p) for p in expected]
+    male, gendered = activity_mass(corpus, table)
+    for aid in range(corpus.n_activities):
+        assert (male[aid], gendered[aid]) == ref.activity_mass(expected, corpus, aid)
+
+
+@PROPERTY
+@given(case=corpora(), gamma_eval=st.sampled_from([0.0, 0.05, 0.2]))
+def test_bias_report(case, gamma_eval):
+    corpus, stats = case
+    expected_posteriors = [ref.posterior(inst) for inst in corpus.instances]
+    predictions = [ref.map_predict(p) for p in expected_posteriors]
+    try:
+        expected = ref.build_report(corpus, stats, expected_posteriors, predictions, gamma_eval)
+    except bc.UndefinedBiasError:
+        with pytest.raises(bc.UndefinedBiasError):
+            bc.build_report(corpus, stats, bc.instance_posterior(corpus), predictions, gamma_eval)
+        return
+    table = bc.instance_posterior(corpus)
+    assert bc.build_report(corpus, stats, table, bc.map_predict(table), gamma_eval) == expected
+    assert bc.build_report(corpus, stats, expected_posteriors, predictions, gamma_eval) == expected
+    for aid in range(corpus.n_activities):
+        assert bc.bias_in_top_predictions(predictions, corpus, aid) == (
+            ref.bias_in_top_predictions(predictions, corpus, aid)
+        )
+
+
+@PROPERTY
+@given(case=corpora(), data=st.data())
+def test_features_and_expectations(case, data):
+    corpus, _ = case
+    cs = random_constraint_set(data, corpus)
+    posteriors = [ref.posterior(inst) for inst in corpus.instances]
+    fc = featurize(corpus, posteriors, cs)
+    row = 0
+    for inst, post in zip(corpus.instances, posteriors):
+        expected = ref.instance_expectation(inst, post, cs)
+        assert np.array_equal(bc.instance_expectation(inst, post, cs), expected)
+        for cand in inst.candidates:
+            features = ref.feature_vector(cand, cs)
+            assert bc.feature_vector(cand, cs) == features
+            # rows without features point at coordinate 0 with value 0
+            assert fc.cols[row].tolist() == ([c for c, _ in features] or [0, 0])
+            assert fc.vals[row].tolist() == ([v for _, v in features] or [0.0, 0.0])
+            assert fc.slot_of_row[row] == (features[0][0] // 2 if features else -1)
+            assert fc.male[row] == (cand.gender is bc.GenderTag.MALE)
+            row += 1
+    expected = ref.corpus_expectation(corpus, posteriors, cs)
+    assert np.array_equal(bc.corpus_expectation(corpus, posteriors, cs), expected)
+    assert np.array_equal(bc.corpus_expectation(corpus, bc.instance_posterior(corpus), cs), expected)
+
+
+@PROPERTY
+@given(case=corpora(), data=st.data())
+def test_calibrated_posteriors(case, data):
+    corpus, _ = case
+    cs = random_constraint_set(data, corpus)
+    lam = np.array([data.draw(st.sampled_from([0.0, 0.3, 2.5])) for _ in range(cs.dimension)])
+    posteriors = [ref.posterior(inst) for inst in corpus.instances]
+    expected = ref.calibrate(corpus, posteriors, cs, lam)
+
+    out = bc.calibrate(corpus, posteriors, cs, lam)
+    assert_rows_equal(out, expected)
+    for got, want, base in zip(out, expected, posteriors):
+        if want is base:
+            assert got is base
+
+    table = bc.instance_posterior(corpus)
+    calibrated = bc.calibrate(corpus, table, cs, lam)
+    assert isinstance(calibrated, bc.PosteriorTable)
+    assert_rows_equal(calibrated, expected)
+
+
+def test_stochastic_solve_matches_per_batch_gather():
+    rng = np.random.default_rng(7)
+    corpus, _ = feasible_single_activity_corpus(rng, gamma=0.01, max_instances=5)
+    wide = make_corpus(
+        [(f"w{i}", [(a % 3, "MW-"[(a + i) % 3], float(rng.normal())) for a in range(1 + i % 11)])
+         for i in range(97)],
+        n_activities=3,
+    )
+    cases = [
+        (corpus, bc.ConstraintSet((0,), np.array([0.3]), 0.01), 2),
+        (wide, bc.ConstraintSet((0, 1, 2), np.array([0.2, 0.5, 0.8]), 0.001), 39),
+    ]
+    for corpus, cs, batch_size in cases:
+        posteriors = bc.instance_posterior(corpus)
+        config = bc.SolverConfig(mode="stochastic", batch_size=batch_size, epochs=4, seed=3)
+        state = bc.solve(corpus, posteriors, cs, config)
+        expected = ref.stochastic_solve(corpus, posteriors, cs, config)
+        assert state.step == expected.step
+        assert np.array_equal(state.lam, expected.lam)
+        assert np.array_equal(state.first_moment, expected.first_moment)
