@@ -22,12 +22,13 @@ from .constraints import ConstraintSet
 from .corpus import (
     Corpus,
     dump_corpus,
+    dump_posteriors,
     dump_training_stats,
     excluded_activities,
     load_corpus,
     load_training_stats,
 )
-from .distribution import PosteriorTable, instance_posterior, kl_divergence, map_predict
+from .distribution import instance_posterior, kl_divergence, map_predict
 from .errors import (
     BiasCalError,
     CorpusFormatError,
@@ -80,6 +81,13 @@ class RunConfig:
         )
 
 
+# JSON value types accepted for each annotation in `RunConfig`; an integer
+# is accepted where a float is expected, a boolean nowhere.
+_CONFIG_TYPES = {
+    "str | None": (str, type(None)), "str": (str,), "float": (int, float), "int": (int,)
+}
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if getattr(args, "config", None):
@@ -87,10 +95,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             file_values = json.load(handle)
         if not isinstance(file_values, dict):
             raise ValidationError("config file must be a JSON object")
-        known = {f.name for f in fields(RunConfig)}
+        known = {f.name: f.type for f in fields(RunConfig)}
         for key, value in file_values.items():
             if key not in known:
                 raise ValidationError(f"unknown config key {key!r}")
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[known[key]]):
+                raise ValidationError(
+                    f"config key {key!r} must be of type {known[key]}, got {value!r}"
+                )
             setattr(config, key, value)
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
@@ -118,23 +130,6 @@ def _write_report_files(out_dir: Path, tag: str, report) -> None:
         report.write_json(handle)
     with open(out_dir / f"scatter{tag}.csv", "w", encoding="utf-8") as handle:
         report.write_scatter_csv(handle)
-
-
-def _write_posteriors(path: Path, corpus: Corpus, table: PosteriorTable) -> None:
-    """Calibrated posteriors in the corpus JSONL schema, probs in place of scores."""
-    names = corpus.activity_names
-    # zip stops at the end of each candidate list before drawing from probs
-    probs = iter(table.probs.tolist())
-    with open(path, "w", encoding="utf-8") as handle:
-        for inst in corpus.instances:
-            record: dict = {"id": inst.id}
-            if inst.gold is not None:
-                record["gold"] = inst.gold
-            record["candidates"] = [
-                {"activity": names[c.activity_id], "gender": c.gender.value, "prob": p}
-                for c, p in zip(inst.candidates, probs)
-            ]
-            handle.write(json.dumps(record) + "\n")
 
 
 def _fmt(value: float | None) -> str:
@@ -187,7 +182,7 @@ def cmd_calibrate(config: RunConfig) -> int:
 
     _write_report_files(out_dir, "_before", before)
     _write_report_files(out_dir, "_after", after)
-    _write_posteriors(out_dir / "calibrated.jsonl", corpus, calibrated)
+    dump_posteriors(corpus, calibrated.probs, out_dir / "calibrated.jsonl")
     save_checkpoint(out_dir / "checkpoint.json", state, solver_config, cs)
     print(
         f"A_dist {before.mean_amp_dist:.4f} -> {after.mean_amp_dist:.4f} | "

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import IO, NamedTuple, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,6 +58,7 @@ __all__ = [
     "TrainingStats",
     "load_corpus",
     "dump_corpus",
+    "dump_posteriors",
     "load_training_stats",
     "dump_training_stats",
     "constrained_activities",
@@ -371,23 +372,39 @@ def load_corpus(source) -> Corpus:
     return Corpus(tuple(instances), vocab)
 
 
-def dump_corpus(corpus: Corpus, sink) -> None:
-    """Write a corpus back to JSONL; round-trips exactly through load_corpus."""
+def _write_records(corpus: Corpus, key: str, values: Iterable, sink) -> None:
+    """One corpus-schema JSONL record per instance, ``key`` holding each candidate's value."""
+    names = corpus.activity_names
+    # zip stops at the end of each candidate list before drawing from values
+    values = iter(values)
     stream, owned = _open_for_write(sink)
     try:
-        names = corpus.activity_names
         for inst in corpus.instances:
             record: dict = {"id": inst.id}
             if inst.gold is not None:
                 record["gold"] = inst.gold
             record["candidates"] = [
-                {"activity": names[c.activity_id], "gender": c.gender.value, "score": c.score}
-                for c in inst.candidates
+                {"activity": names[c.activity_id], "gender": c.gender.value, key: v}
+                for c, v in zip(inst.candidates, values)
             ]
             stream.write(json.dumps(record) + "\n")
     finally:
         if owned:
             stream.close()
+
+
+def dump_corpus(corpus: Corpus, sink) -> None:
+    """Write a corpus back to JSONL; round-trips exactly through load_corpus."""
+    scores = (c.score for inst in corpus.instances for c in inst.candidates)
+    _write_records(corpus, "score", scores, sink)
+
+
+def dump_posteriors(corpus: Corpus, probs: np.ndarray, sink) -> None:
+    """Per-candidate probabilities in the corpus JSONL schema, "prob" in place of "score"."""
+    probs = np.asarray(probs)
+    if probs.shape != (corpus.columns.n_rows,):
+        raise ValidationError(f"{probs.shape} probabilities for {corpus.columns.n_rows} candidates")
+    _write_records(corpus, "prob", probs.tolist(), sink)
 
 
 def load_training_stats(source) -> TrainingStats:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -113,6 +113,8 @@ class DualState:
         self.lam = np.asarray(self.lam, dtype=np.float64)
         self.first_moment = np.asarray(self.first_moment, dtype=np.float64)
         self.second_moment = np.asarray(self.second_moment, dtype=np.float64)
+        if not (self.first_moment.shape == self.second_moment.shape == self.lam.shape):
+            raise ValidationError(f"Adam moments must match the shape {self.lam.shape} of lam")
         if np.any(self.lam < 0.0):
             raise ValidationError("dual vector must be nonnegative")
         if not (
@@ -139,8 +141,7 @@ class FeaturizedCorpus:
 
     ``cols``/``vals`` hold each candidate's two feature coordinates; rows
     with no features point at coordinate 0 with value 0 so scatter-adds are
-    harmless. ``slot_of_row`` is the constraint slot of gendered rows (-1
-    elsewhere) and ``male`` flags male rows, for fast ratio checks.
+    harmless.
     """
 
     offsets: np.ndarray
@@ -148,8 +149,6 @@ class FeaturizedCorpus:
     log_p: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    slot_of_row: np.ndarray
-    male: np.ndarray
     dim: int
     n_instances: int
 
@@ -174,8 +173,6 @@ def featurize(
         log_p=log_p,
         cols=cols,
         vals=vals,
-        slot_of_row=slot,
-        male=columns.male,
         dim=cs.dimension,
         n_instances=columns.n_instances,
     )
@@ -194,8 +191,6 @@ def _gather(fc: FeaturizedCorpus, indices: np.ndarray) -> FeaturizedCorpus:
         log_p=fc.log_p[rows],
         cols=fc.cols[rows],
         vals=fc.vals[rows],
-        slot_of_row=fc.slot_of_row[rows],
-        male=fc.male[rows],
         dim=fc.dim,
         n_instances=len(indices),
     )
@@ -210,39 +205,38 @@ def _slice(fc: FeaturizedCorpus, start: int, stop: int) -> FeaturizedCorpus:
         log_p=fc.log_p[lo:hi],
         cols=fc.cols[lo:hi],
         vals=fc.vals[lo:hi],
-        slot_of_row=fc.slot_of_row[lo:hi],
-        male=fc.male[lo:hi],
         dim=fc.dim,
         n_instances=stop - start,
     )
 
 
 def _penalties(fc: FeaturizedCorpus, lam: np.ndarray) -> np.ndarray:
+    """Per-candidate lam . phi; a leading axis of ``lam`` (a grid) is kept."""
     if fc.dim == 0:
-        return np.zeros(fc.n_rows)
-    return fc.vals[:, 0] * lam[fc.cols[:, 0]] + fc.vals[:, 1] * lam[fc.cols[:, 1]]
+        return np.zeros(lam.shape[:-1] + (fc.n_rows,))
+    cols, vals = fc.cols, fc.vals
+    return vals[:, 0] * lam.take(cols[:, 0], axis=-1) + vals[:, 1] * lam.take(cols[:, 1], axis=-1)
 
 
 def _log_z(fc: FeaturizedCorpus, weights: np.ndarray) -> np.ndarray:
-    """Per-instance log partition values from per-candidate log weights."""
+    """Per-instance log partition values of per-candidate log weights (last axis)."""
     if fc.n_instances == 0:
-        return np.zeros(0)
+        return np.zeros(weights.shape[:-1] + (0,))
     starts = fc.offsets[:-1]
-    shift = np.maximum.reduceat(weights, starts)
+    shift = np.maximum.reduceat(weights, starts, axis=-1)
     if not np.all(np.isfinite(shift)):
-        bad = int(np.flatnonzero(~np.isfinite(shift))[0])
+        bad = int(np.argwhere(~np.isfinite(shift))[0, -1])
         raise DegenerateDistributionError(
             f"instance index {bad}: no probability mass left on the support"
         )
-    sums = np.add.reduceat(np.exp(weights - shift[fc.seg_ids]), starts)
+    sums = np.add.reduceat(np.exp(weights - shift.take(fc.seg_ids, axis=-1)), starts, axis=-1)
     return shift + np.log(sums)
 
 
-def _reweighted(fc: FeaturizedCorpus, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-candidate reweighted probabilities and per-instance log Z."""
+def _reweighted(fc: FeaturizedCorpus, lam: np.ndarray) -> np.ndarray:
+    """Per-candidate probabilities reweighted by exp(-lam . phi)."""
     weights = fc.log_p - _penalties(fc, lam)
-    log_z = _log_z(fc, weights)
-    return np.exp(weights - log_z[fc.seg_ids]), log_z
+    return np.exp(weights - _log_z(fc, weights)[fc.seg_ids])
 
 
 def _expectation(fc: FeaturizedCorpus, probs: np.ndarray) -> np.ndarray:
@@ -282,20 +276,22 @@ def dual_gradient(
     fc = featurize(corpus, posteriors, cs)
     lam = np.asarray(lam, dtype=np.float64)
     if batch is None:
-        probs, _ = _reweighted(fc, lam)
-        return _expectation(fc, probs)
+        return _expectation(fc, _reweighted(fc, lam))
     indices = np.asarray(batch, dtype=np.int64)
     sub = _gather(fc, indices)
-    probs, _ = _reweighted(sub, lam)
-    return (fc.n_instances / len(indices)) * _expectation(sub, probs)
+    return (fc.n_instances / len(indices)) * _expectation(sub, _reweighted(sub, lam))
 
 
-def _adam_step(state: DualState, gradient: np.ndarray, lr_decay: float) -> None:
+def _adam_step(
+    state: DualState, gradient: np.ndarray, lr_decay: float, restart_step: int = 0
+) -> None:
+    """One projected Adam step; bias correction counts from ``restart_step``."""
     state.step += 1
+    t = state.step - restart_step
     state.first_moment = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * gradient
     state.second_moment = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * gradient**2
-    m_hat = state.first_moment / (1.0 - ADAM_BETA1**state.step)
-    v_hat = state.second_moment / (1.0 - ADAM_BETA2**state.step)
+    m_hat = state.first_moment / (1.0 - ADAM_BETA1**t)
+    v_hat = state.second_moment / (1.0 - ADAM_BETA2**t)
     state.lam = np.maximum(
         0.0, state.lam + state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     )
@@ -332,15 +328,17 @@ def solve(
 ) -> DualState:
     """Maximize the dual by projected Adam ascent from lam = 0.
 
-    Deterministic given (inputs, config). Stochastic mode reshuffles the
-    instance order each epoch from ``config.seed``, decays the rate by
-    ``lr_decay`` after every mini-batch, and runs exactly
-    epochs * ceil(n / batch_size) steps. Full-batch mode ignores
-    ``lr_decay`` in favor of a reduce-on-plateau schedule and stops at the
-    stationarity tolerance or at ``config.max_steps``. If the constraint
-    system is infeasible (for example an activity whose corpus candidates
-    are all one gender with the training ratio bounded away from it), the
-    dual is unbounded and full-batch mode returns the step-cap iterate.
+    Both modes take the same Adam step (`_adam_step`). Deterministic given
+    (inputs, config). Stochastic mode reshuffles the instance order each
+    epoch from ``config.seed``, decays the rate by ``lr_decay`` after every
+    mini-batch, and runs exactly epochs * ceil(n / batch_size) steps.
+    Full-batch mode ignores ``lr_decay`` in favor of a reduce-on-plateau
+    schedule and stops at the stationarity tolerance or at
+    ``config.max_steps``; a plateau halves the rate, zeroes the moments and
+    restarts bias correction. If the constraint system is infeasible (for
+    example an activity whose corpus candidates are all one gender with the
+    training ratio bounded away from it), the dual is unbounded and
+    full-batch mode returns the step-cap iterate.
     """
     fc = featurize(corpus, posteriors, cs)
     state = initial_state
@@ -359,14 +357,11 @@ def solve(
         # of the objective before it reaches the stationarity tolerance,
         # whereas restarting the moments re-normalizes Adam's step to the
         # current gradient scale.
-        first = state.first_moment
-        second = state.second_moment
-        correction_step = state.step
+        restart_step = 0
         best_norm = np.inf
         since_improved = 0
         for _ in range(config.max_steps):
-            probs, _ = _reweighted(fc, state.lam)
-            gradient = _expectation(fc, probs)
+            gradient = _expectation(fc, _reweighted(fc, state.lam))
             _check_finite(state, gradient)
             norm = _projected_gradient_norm(state.lam, gradient, config.convergence_tol)
             if norm <= config.convergence_tol:
@@ -378,24 +373,14 @@ def solve(
                 since_improved += 1
                 if since_improved >= PLATEAU_WINDOW:
                     state.learning_rate *= PLATEAU_SHRINK
-                    first = np.zeros_like(first)
-                    second = np.zeros_like(second)
-                    correction_step = 0
+                    state.first_moment = np.zeros_like(state.first_moment)
+                    state.second_moment = np.zeros_like(state.second_moment)
+                    restart_step = state.step
                     best_norm = norm
                     since_improved = 0
                     if state.learning_rate < 1e-30:
                         break
-            correction_step += 1
-            first = ADAM_BETA1 * first + (1.0 - ADAM_BETA1) * gradient
-            second = ADAM_BETA2 * second + (1.0 - ADAM_BETA2) * gradient**2
-            m_hat = first / (1.0 - ADAM_BETA1**correction_step)
-            v_hat = second / (1.0 - ADAM_BETA2**correction_step)
-            state.lam = np.maximum(
-                0.0, state.lam + state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            )
-            state.step += 1
-        state.first_moment = first
-        state.second_moment = second
+            _adam_step(state, gradient, 1.0, restart_step)
         return state
 
     rng = np.random.default_rng(config.seed)
@@ -406,8 +391,7 @@ def solve(
         shuffled = _gather(fc, rng.permutation(n))
         for start in range(0, n, config.batch_size):
             sub = _slice(shuffled, start, min(start + config.batch_size, n))
-            probs, _ = _reweighted(sub, state.lam)
-            gradient = (n / sub.n_instances) * _expectation(sub, probs)
+            gradient = (n / sub.n_instances) * _expectation(sub, _reweighted(sub, state.lam))
             _check_finite(state, gradient)
             _adam_step(state, gradient, config.lr_decay)
     return state
@@ -430,11 +414,7 @@ def calibrate(
     if lam.shape != (cs.dimension,):
         raise ValidationError(f"lam has shape {lam.shape}, expected ({cs.dimension},)")
     columns = corpus.columns
-    slot, vals = row_features(columns.activity, columns.gender, cs)
-    rows = np.flatnonzero(slot >= 0)
-    penalty = np.zeros(columns.n_rows)
-    penalty[rows] += lam[2 * slot[rows]] * vals[rows, 0]
-    penalty[rows] += lam[2 * slot[rows] + 1] * vals[rows, 1]
+    penalty = _penalties(featurize(corpus, table, cs), lam)
     touched = np.flatnonzero(penalty != 0.0)
     if touched.size == 0:
         return posteriors if isinstance(posteriors, PosteriorTable) else list(posteriors)
@@ -455,27 +435,30 @@ MAX_ORACLE_CANDIDATES = 64
 
 
 def _evaluate_grid(
-    fc: FeaturizedCorpus, cs: ConstraintSet, lam_grid: np.ndarray
+    fc: FeaturizedCorpus,
+    cs: ConstraintSet,
+    slot: np.ndarray,
+    male: np.ndarray,
+    lam_grid: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """KL, dual objective, and feasibility of every grid point at once."""
-    penalties = (lam_grid[:, fc.cols] * fc.vals).sum(axis=2)
+    """KL, dual objective, and feasibility of every grid point at once.
+
+    ``slot`` and ``male`` are the rows' `row_features` slots and male flags.
+    """
+    penalties = _penalties(fc, lam_grid)
     weights = fc.log_p - penalties
-    starts = fc.offsets[:-1]
-    shift = np.maximum.reduceat(weights, starts, axis=1)
-    if not np.all(np.isfinite(shift)):
-        raise DegenerateDistributionError("an instance has no probability mass on its support")
-    sums = np.add.reduceat(np.exp(weights - shift[:, fc.seg_ids]), starts, axis=1)
-    log_z = shift + np.log(sums)
-    probs = np.exp(weights - log_z[:, fc.seg_ids])
+    log_z = _log_z(fc, weights)
+    log_z_rows = log_z[:, fc.seg_ids]
+    probs = np.exp(weights - log_z_rows)
     objective = -log_z.sum(axis=1)
-    kl = (probs * (-penalties - log_z[:, fc.seg_ids])).sum(axis=1)
+    kl = (probs * (-penalties - log_z_rows)).sum(axis=1)
     feasible = np.ones(lam_grid.shape[0], dtype=bool)
     for j in range(cs.n_constraints):
-        rows = fc.slot_of_row == j
+        rows = slot == j
         gendered = probs[:, rows].sum(axis=1)
-        male = probs[:, rows & fc.male].sum(axis=1)
+        male_mass = probs[:, rows & male].sum(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = male / gendered
+            ratio = male_mass / gendered
         feasible &= (gendered > 0.0) & (
             np.abs(ratio - float(cs.b_star[j])) <= cs.gamma + 1e-12
         )
@@ -489,7 +472,7 @@ def brute_force_project(
     resolution: int = 11,
     lam_max: float = 50.0,
     refine_passes: int = 18,
-) -> tuple[list[InstancePosterior], np.ndarray]:
+) -> tuple[list[InstancePosterior] | PosteriorTable, np.ndarray]:
     """Independent oracle: grid-search the dual vector for the KL projection.
 
     Scans lam over [0, lam_max]^dim at ``resolution`` points per axis and
@@ -497,7 +480,8 @@ def brute_force_project(
     Refinement re-centers each pass on the grid argmax of the dual
     objective, which is concave in lam and therefore free of spurious local
     basins (the feasible set itself is a thin shell that a KL-guided search
-    can get stuck on). Returns (posteriors, lam). Refuses problems with
+    can get stuck on). Returns (posteriors, lam), the posteriors of the
+    kind `calibrate` returns for the input. Refuses problems with
     more than two constrained activities or more than 64 total candidates.
     If no grid point is ever feasible (infeasible constraint system), falls
     back to the dual-argmax point.
@@ -517,7 +501,9 @@ def brute_force_project(
         raise ValidationError("grid resolution must be at least 3")
     dim = cs.dimension
     if dim == 0 or fc.n_instances == 0:
-        return list(posteriors), np.zeros(dim)
+        return calibrate(corpus, posteriors, cs, np.zeros(dim)), np.zeros(dim)
+    columns = corpus.columns
+    slot, _ = row_features(columns.activity, columns.gender, cs)
 
     lo = np.zeros(dim)
     hi = np.full(dim, float(lam_max))
@@ -533,7 +519,7 @@ def brute_force_project(
         total_passes += 1
         axes = [np.linspace(lo[d], hi[d], resolution) for d in range(dim)]
         lam_grid = np.array(list(itertools.product(*axes)))
-        kl, objective, feasible = _evaluate_grid(fc, cs, lam_grid)
+        kl, objective, feasible = _evaluate_grid(fc, cs, slot, columns.male, lam_grid)
         arg_dual = int(np.argmax(objective))
         center = lam_grid[arg_dual]
         if objective[arg_dual] > dual_best_objective:
@@ -572,14 +558,7 @@ def brute_force_project(
 
 def _config_hash(config: SolverConfig, cs: ConstraintSet) -> str:
     payload = {
-        "batch_size": config.batch_size,
-        "epochs": config.epochs,
-        "initial_lr": config.initial_lr,
-        "lr_decay": config.lr_decay,
-        "seed": config.seed,
-        "mode": config.mode,
-        "convergence_tol": config.convergence_tol,
-        "max_steps": config.max_steps,
+        **asdict(config),
         "activities": list(cs.activity_ids),
         "b_star": [repr(float(b)) for b in cs.b_star],
         "gamma": repr(cs.gamma),
@@ -612,6 +591,9 @@ def load_checkpoint(
     """Load a checkpoint; verifies the config hash when config and cs are given."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    version = payload.get("schema_version") if isinstance(payload, dict) else None
+    if isinstance(version, bool) or version != 1:
+        raise ValidationError(f"unsupported checkpoint schema_version {version!r}, expected 1")
     if config is not None and cs is not None:
         expected = _config_hash(config, cs)
         if payload.get("config_hash") != expected:

@@ -11,7 +11,17 @@ import numpy as np
 from scipy.special import log_softmax
 
 import biascal as bc
-from biascal.solver import _adam_step, _check_finite, featurize
+from biascal.solver import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    PLATEAU_SHRINK,
+    PLATEAU_WINDOW,
+    _adam_step,
+    _check_finite,
+    _projected_gradient_norm,
+    featurize,
+)
 
 
 def posterior(instance):
@@ -167,8 +177,6 @@ def _subset(fc, indices):
         log_p=fc.log_p[rows],
         cols=fc.cols[rows],
         vals=fc.vals[rows],
-        slot_of_row=fc.slot_of_row[rows],
-        male=fc.male[rows],
         dim=fc.dim,
         n_instances=len(indices),
     )
@@ -204,4 +212,50 @@ def stochastic_solve(corpus, posteriors, cs, config):
             gradient = (n / len(indices)) * _expectation(sub, probs)
             _check_finite(state, gradient)
             _adam_step(state, gradient, config.lr_decay)
+    return state
+
+
+def full_batch_solve(corpus, posteriors, cs, config, initial_state=None):
+    """The full-batch ascent with its own inline Adam update and plateau restarts."""
+    fc = featurize(corpus, posteriors, cs)
+    state = initial_state
+    if state is None:
+        state = bc.DualState.zeros(cs.dimension, config.initial_lr)
+    first = state.first_moment
+    second = state.second_moment
+    correction_step = state.step
+    best_norm = np.inf
+    since_improved = 0
+    for _ in range(config.max_steps):
+        probs = _reweighted(fc, state.lam)
+        gradient = _expectation(fc, probs)
+        _check_finite(state, gradient)
+        norm = _projected_gradient_norm(state.lam, gradient, config.convergence_tol)
+        if norm <= config.convergence_tol:
+            break
+        if norm < 0.999 * best_norm:
+            best_norm = norm
+            since_improved = 0
+        else:
+            since_improved += 1
+            if since_improved >= PLATEAU_WINDOW:
+                state.learning_rate *= PLATEAU_SHRINK
+                first = np.zeros_like(first)
+                second = np.zeros_like(second)
+                correction_step = 0
+                best_norm = norm
+                since_improved = 0
+                if state.learning_rate < 1e-30:
+                    break
+        correction_step += 1
+        first = ADAM_BETA1 * first + (1.0 - ADAM_BETA1) * gradient
+        second = ADAM_BETA2 * second + (1.0 - ADAM_BETA2) * gradient**2
+        m_hat = first / (1.0 - ADAM_BETA1**correction_step)
+        v_hat = second / (1.0 - ADAM_BETA2**correction_step)
+        state.lam = np.maximum(
+            0.0, state.lam + state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        )
+        state.step += 1
+    state.first_moment = first
+    state.second_moment = second
     return state

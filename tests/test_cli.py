@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, determinism, config precedence."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import biascal as bc
 import biascal.cli as cli
@@ -243,6 +245,33 @@ class TestConfigPrecedence:
         config_path.write_text(json.dumps({"not_a_key": 1}))
         assert run("report", "--corpus", corpus_path, "--stats", stats_path,
                    "--out", tmp_path / "rep", "--config", config_path) == 1
+
+    @pytest.mark.parametrize("values", [
+        {"epochs": "10"}, {"gamma_eval": None}, {"max_steps": True}, {"seed": 1.5},
+        {"corpus": 3}, {"mode": None},
+    ])
+    def test_mistyped_config_value_fails(self, tmp_path, capsys, values):
+        corpus_path, stats_path = synth_files(tmp_path, n_activities=2,
+                                              instances_per_activity=5, seed=20)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(values))
+        assert run("calibrate", "--corpus", corpus_path, "--stats", stats_path,
+                   "--out", tmp_path / "cal", "--config", config_path) == 1
+        [key] = values
+        assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be of type")
+
+    def test_every_config_field_type_is_checked(self):
+        assert {f.type for f in dataclasses.fields(cli.RunConfig)} <= set(cli._CONFIG_TYPES)
+
+    def test_integer_accepted_for_float_key(self, tmp_path):
+        corpus_path, stats_path = synth_files(tmp_path, n_activities=2,
+                                              instances_per_activity=5, seed=20)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"lr": 1, "gamma_eval": 0}))
+        out = tmp_path / "cal"
+        assert run("calibrate", "--corpus", corpus_path, "--stats", stats_path,
+                   "--out", out, "--config", config_path) == 0
+        assert json.loads((out / "report_before.json").read_text())["gamma_eval"] == 0
 
 
 class TestProcess:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import biascal as bc
+from biascal.corpus import dump_posteriors
 from conftest import make_corpus
 
 def corpus_of(*lines):
@@ -116,6 +117,23 @@ class TestRoundTrip:
         bc.dump_corpus(corpus, buffer)
         again = bc.load_corpus(io.StringIO(buffer.getvalue()))
         assert again == corpus
+
+    def test_posteriors_written_in_corpus_schema(self):
+        corpus = corpus_of(
+            '{"id":"a","gold":0,"candidates":[{"activity":"x","gender":"M","score":1.25},'
+            '{"activity":"y","gender":"W","score":0.0}]}',
+            '{"id":"b","candidates":[{"activity":"y","gender":"-","score":-0.5}]}',
+        )
+        buffer = io.StringIO()
+        dump_posteriors(corpus, [0.75, 0.25, 1.0], buffer)
+        assert [json.loads(line) for line in buffer.getvalue().splitlines()] == [
+            {"id": "a", "gold": 0, "candidates": [
+                {"activity": "x", "gender": "M", "prob": 0.75},
+                {"activity": "y", "gender": "W", "prob": 0.25}]},
+            {"id": "b", "candidates": [{"activity": "y", "gender": "-", "prob": 1.0}]},
+        ]
+        with pytest.raises(bc.ValidationError, match="3 candidates"):
+            dump_posteriors(corpus, [0.75, 0.25], io.StringIO())
 
     def test_generated_corpora(self):
         # serialize(load(x)) must reload equal to load(x): activity ids are

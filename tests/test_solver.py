@@ -1,5 +1,6 @@
 """Dual objective and gradient, projected Adam ascent, and the oracle."""
 
+import json
 import math
 
 import numpy as np
@@ -228,6 +229,12 @@ class TestSolve:
         with pytest.raises(bc.ValidationError):
             bc.solve(corpus, posteriors, cs, full_batch_config(), initial_state=bad_state)
 
+    def test_moment_shape_mismatch_rejected(self):
+        with pytest.raises(bc.ValidationError, match="moments"):
+            bc.DualState(np.zeros(2), np.zeros(1), np.zeros(2))
+        with pytest.raises(bc.ValidationError, match="moments"):
+            bc.DualState(np.zeros(2), np.zeros(2), np.zeros((2, 1)))
+
     def test_non_finite_gradient_diagnosed(self):
         state = bc.DualState.zeros(3, 0.1)
         gradient = np.array([0.0, float("nan"), 1.0])
@@ -288,6 +295,22 @@ class TestBruteForce:
         gap = bc.kl_divergence(solver_q, posteriors) - bc.kl_divergence(oracle_q, posteriors)
         assert gap <= 1e-4
 
+    @pytest.mark.parametrize("empty", ["constraints", "corpus"])
+    def test_trivial_problem_returns_input_kind(self, empty):
+        corpus, _, cs = half_toy(male_prob=0.7)
+        if empty == "constraints":
+            cs = bc.ConstraintSet((), np.zeros(0), 0.01)
+        else:
+            corpus = bc.Corpus((), corpus.activities)
+        posteriors = posteriors_of(corpus)
+        projected, lam = brute_force_project(corpus, posteriors, cs)
+        assert np.array_equal(lam, np.zeros(cs.dimension))
+        assert isinstance(projected, list) and projected == posteriors
+        table = bc.instance_posterior(corpus)
+        projected, _ = brute_force_project(corpus, table, cs)
+        assert isinstance(projected, bc.PosteriorTable)
+        assert np.array_equal(projected.probs, table.probs)
+
     def test_refuses_three_activities(self):
         corpus = make_corpus(
             [("i", [(0, "M", 0.0), (1, "W", 0.0), (2, "M", 0.0)])],
@@ -329,6 +352,29 @@ class TestCheckpoint:
         other = full_batch_config(seed=99)
         with pytest.raises(bc.ValidationError, match="hash"):
             bc.load_checkpoint(path, other, cs)
+
+    @pytest.mark.parametrize("version", [7, None, True, "1"])
+    def test_unknown_schema_version_rejected(self, tmp_path, version):
+        corpus, posteriors, cs = half_toy(male_prob=0.7)
+        config = full_batch_config()
+        path = tmp_path / "checkpoint.json"
+        bc.save_checkpoint(path, bc.solve(corpus, posteriors, cs, config), config, cs)
+        payload = json.loads(path.read_text())
+        payload["schema_version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(bc.ValidationError, match="schema_version"):
+            bc.load_checkpoint(path)
+
+    def test_moment_shape_mismatch_in_file_rejected(self, tmp_path):
+        corpus, posteriors, cs = half_toy(male_prob=0.7)
+        config = full_batch_config()
+        path = tmp_path / "checkpoint.json"
+        bc.save_checkpoint(path, bc.solve(corpus, posteriors, cs, config), config, cs)
+        payload = json.loads(path.read_text())
+        payload["first_moment"] = payload["first_moment"][:1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(bc.ValidationError, match="moments"):
+            bc.load_checkpoint(path, config, cs)
 
     def test_resume_continues(self, tmp_path):
         rng = np.random.default_rng(111)
