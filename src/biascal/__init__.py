@@ -18,7 +18,6 @@ from .constraints import (
 from .corpus import (
     CandidateStructure,
     Corpus,
-    CorpusColumns,
     GenderCount,
     GenderTag,
     Instance,
@@ -79,7 +78,6 @@ __all__ = [
     "CandidateStructure",
     "ConstraintSet",
     "Corpus",
-    "CorpusColumns",
     "CorpusFormatError",
     "DegenerateDistributionError",
     "DualState",

@@ -28,7 +28,7 @@ from .corpus import (
     load_corpus,
     load_training_stats,
 )
-from .distribution import instance_posterior, kl_divergence, map_predict
+from .distribution import instance_posterior, kl_divergence, map_predict, segment_sum
 from .errors import (
     BiasCalError,
     CorpusFormatError,
@@ -226,9 +226,8 @@ def cmd_oracle(config: RunConfig) -> int:
     state = solve(corpus, posteriors, cs, solver_config)
     solver_q = calibrate(corpus, posteriors, cs, state.lam)
 
-    max_tv = 0.0
-    for a, b in zip(solver_q, oracle_q):
-        max_tv = max(max_tv, 0.5 * float(np.abs(a.probs - b.probs).sum()))
+    tv = 0.5 * segment_sum(np.abs(solver_q.probs - oracle_q.probs), corpus.offsets)
+    max_tv = float(tv.max(initial=0.0))
     payload = {
         "schema_version": 1,
         "kl_solver": kl_divergence(solver_q, posteriors),

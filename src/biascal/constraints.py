@@ -27,12 +27,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import (
-    GENDER_CODES,
+    GENDER_TAGS,
     MALE_CODE,
     UNGENDERED_CODE,
     CandidateStructure,
     Corpus,
-    CorpusColumns,
     Instance,
     TrainingStats,
     constrained_activities,
@@ -139,7 +138,7 @@ def feature_vector(
     candidate's activity.
     """
     slot, values = row_features(
-        np.array([candidate.activity_id]), np.array([GENDER_CODES[candidate.gender]]), cs
+        np.array([candidate.activity_id]), np.array([GENDER_TAGS.index(candidate.gender)]), cs
     )
     j = int(slot[0])
     if j < 0:
@@ -147,19 +146,25 @@ def feature_vector(
     return [(2 * j, float(values[0, 0])), (2 * j + 1, float(values[0, 1]))]
 
 
-def _expectation(columns: CorpusColumns, probs: np.ndarray, cs: ConstraintSet) -> np.ndarray:
+def _expectation(
+    activity: np.ndarray,
+    gender: np.ndarray,
+    segment_ids: np.ndarray,
+    probs: np.ndarray,
+    cs: ConstraintSet,
+) -> np.ndarray:
     """Sum over instances, in instance order, of each instance's expected features.
 
     Each instance's expectation is summed on its own first, candidate by
     candidate, and the per-instance vectors are then added in instance
     order; the solver's gradient instead sums all rows in one pass.
     """
-    slot, values = row_features(columns.activity, columns.gender, cs)
+    slot, values = row_features(activity, gender, cs)
     rows = np.flatnonzero(slot >= 0)
     out = np.zeros(cs.dimension)
     for side in (0, 1):
         coordinate = 2 * slot[rows] + side
-        key = columns.segment_ids[rows] * cs.dimension + coordinate
+        key = segment_ids[rows] * cs.dimension + coordinate
         keys, per_key = np.unique(key, return_inverse=True)
         partial = np.bincount(per_key, weights=probs[rows] * values[rows, side])
         out += np.bincount(keys % cs.dimension, weights=partial, minlength=cs.dimension)
@@ -175,14 +180,17 @@ def instance_expectation(
             f"instance {instance.id!r}: {len(posterior)} probabilities for "
             f"{len(instance.candidates)} candidates"
         )
-    return _expectation(CorpusColumns.from_instances((instance,)), posterior.probs, cs)
+    activity = np.array([c.activity_id for c in instance.candidates], dtype=np.int64)
+    gender = np.array([GENDER_TAGS.index(c.gender) for c in instance.candidates])
+    return _expectation(activity, gender, np.zeros_like(activity), posterior.probs, cs)
 
 
 def corpus_expectation(
     corpus: Corpus, posteriors: Sequence[InstancePosterior], cs: ConstraintSet
 ) -> np.ndarray:
     """Sum of instance expectations over the corpus, in instance order."""
-    return _expectation(corpus.columns, as_table(corpus, posteriors).probs, cs)
+    probs = as_table(corpus, posteriors).probs
+    return _expectation(corpus.activity, corpus.gender, corpus.segment_ids, probs, cs)
 
 
 class EquivalenceCheck(NamedTuple):

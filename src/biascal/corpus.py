@@ -19,30 +19,33 @@ counts::
     {"cooking": {"male": 30, "female": 70}}
 
 Activity ids are assigned in order of first appearance in the corpus file.
-All loaded objects are immutable and safe for concurrent read access: the
-flat column arrays of `CorpusColumns` are created read-only
-(``writeable=False``).
 
-Columnar view
--------------
+Flat rows
+---------
 
-`Corpus.columns` lays every candidate of the corpus out as one row of flat
-arrays, CSR style: instance i owns rows ``offsets[i]:offsets[i + 1]`` in
-candidate order. Numeric code downstream (posteriors, bias reports,
-constraint features, the solver) works on these rows with numpy segment
-reductions; the `Instance` objects stay the parsed, public form.
+A `Corpus` is stored as its rows: every candidate is one row of flat
+arrays, CSR style, and instance i owns rows ``offsets[i]:offsets[i + 1]``
+in candidate order. `load_corpus` and `synth.generate` fill the arrays
+directly while parsing or generating; numeric code downstream (posteriors,
+bias reports, constraint features, the solver) works on them with numpy
+segment reductions. `Instance` and `CandidateStructure` are the object form
+at the public edges: `Corpus(instances, activities)` turns them into rows,
+and `Corpus.instances` builds them from the rows on first use. Loaded
+objects are immutable and safe for concurrent read access; every array is
+created read-only (``writeable=False``).
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,7 +55,6 @@ __all__ = [
     "GenderTag",
     "CandidateStructure",
     "Instance",
-    "CorpusColumns",
     "Corpus",
     "GenderCount",
     "TrainingStats",
@@ -120,30 +122,31 @@ class Instance:
             )
 
 
-# Codes of the GenderTag values in `CorpusColumns.gender`.
-UNGENDERED_CODE, MALE_CODE, FEMALE_CODE = 0, 1, 2
-GENDER_CODES = {
-    GenderTag.UNGENDERED: UNGENDERED_CODE,
-    GenderTag.MALE: MALE_CODE,
-    GenderTag.FEMALE: FEMALE_CODE,
-}
+# The GenderTag of each gender code in `Corpus.gender`; the one table between the two.
+GENDER_TAGS = (GenderTag.UNGENDERED, GenderTag.MALE, GenderTag.FEMALE)
+UNGENDERED_CODE, MALE_CODE, FEMALE_CODE = range(len(GENDER_TAGS))
+_CODE_OF_VALUE = {tag.value: code for code, tag in enumerate(GENDER_TAGS)}
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
+def _read_only(values, dtype=None) -> np.ndarray:
+    array = np.asarray(values, dtype=dtype)
     array.flags.writeable = False
     return array
 
 
-@dataclass(frozen=True, eq=False)
-class CorpusColumns:
-    """Read-only flat columns over every candidate of a list of instances.
+@dataclass(frozen=True, eq=False, init=False)
+class Corpus:
+    """An immutable corpus: one flat row per candidate plus the activity vocabulary.
 
-    Instance i owns rows ``offsets[i]:offsets[i + 1]``; row r holds the
-    candidate's ``activity`` id, ``gender`` code (0 ungendered, 1 male,
-    2 female) and ``score``. ``gold`` holds one index per instance, -1
-    where the instance has none.
+    Instance i, named ``ids[i]``, owns rows ``offsets[i]:offsets[i + 1]``;
+    row r holds the candidate's ``activity`` id, ``gender`` code (0
+    ungendered, 1 male, 2 female; see `GENDER_TAGS`) and ``score``.
+    ``gold`` holds one index per instance, -1 where the instance has none.
+    ``activities`` maps activity name to id. Every array is read-only, and
+    two corpora are equal when their vocabularies and arrays are.
     """
 
+    activities: dict[str, int]
     ids: tuple[str, ...]
     offsets: np.ndarray
     activity: np.ndarray
@@ -151,26 +154,81 @@ class CorpusColumns:
     score: np.ndarray
     gold: np.ndarray
 
-    @classmethod
-    def from_instances(cls, instances: Sequence[Instance]) -> "CorpusColumns":
-        sizes = np.fromiter((len(inst.candidates) for inst in instances), np.int64, len(instances))
-        offsets = np.zeros(len(instances) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        n_rows = int(offsets[-1])
-        candidates = [cand for inst in instances for cand in inst.candidates]
-
-        def column(values, dtype, count=n_rows):
-            return _read_only(np.fromiter(values, dtype, count))
-
-        return cls(
-            ids=tuple(inst.id for inst in instances),
-            offsets=_read_only(offsets),
-            activity=column((c.activity_id for c in candidates), np.int64),
-            gender=column((GENDER_CODES[c.gender] for c in candidates), np.int8),
-            score=column((c.score for c in candidates), np.float64),
-            gold=column((-1 if i.gold is None else i.gold for i in instances), np.int64,
-                        len(instances)),
+    def __init__(self, instances: Sequence[Instance], activities: dict[str, int]):
+        built = Corpus._from_rows(
+            activities,
+            [(inst.id, len(inst.candidates), -1 if inst.gold is None else inst.gold)
+             for inst in instances],
+            [(c.activity_id, GENDER_TAGS.index(c.gender), c.score)
+             for inst in instances for c in inst.candidates],
         )
+        self.__dict__.update(built.__dict__)
+
+    @classmethod
+    def _from_rows(cls, activities: dict[str, int], instances: list[tuple[str, int, int]],
+                   rows: list[tuple[int, int, float]]) -> "Corpus":
+        """Corpus from per-instance (id, candidate count, gold or -1) tuples and
+        per-row (activity id, gender code, score) tuples, checked once as arrays."""
+        ids, sizes, gold = zip(*instances) if instances else ((), (), ())
+        activity, gender, score = zip(*rows) if rows else ((), (), ())
+        corpus = cls.__new__(cls)
+        corpus.__dict__.update(
+            activities=activities,
+            ids=ids,
+            offsets=_read_only((0, *itertools.accumulate(sizes)), np.int64),
+            activity=_read_only(activity, np.int64),
+            gender=_read_only(gender, np.int8),
+            score=_read_only(score, np.float64),
+            gold=_read_only(gold, np.int64),
+        )
+        n = len(activities)
+        if sorted(activities.values()) != list(range(n)):
+            raise ValidationError("activity ids must be exactly 0..n-1")
+        seen: set[str] = set()
+        for inst_id in ids:
+            if inst_id in seen:
+                raise ValidationError(f"duplicate instance id {inst_id!r}")
+            seen.add(inst_id)
+        outside = np.flatnonzero(corpus.activity >= n)
+        if outside.size:
+            row = outside[0]
+            raise ValidationError(
+                f"instance {ids[corpus.segment_ids[row]]!r}: activity_id "
+                f"{corpus.activity[row]} not in vocabulary of size {n}"
+            )
+        return corpus
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (self.activities == other.activities and self.ids == other.ids
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ("offsets", "activity", "gender", "score", "gold")))
+
+    @cached_property
+    def instances(self) -> tuple[Instance, ...]:
+        """The instances as objects, built from the rows on first use."""
+        candidates = [
+            CandidateStructure(a, GENDER_TAGS[g], s)
+            for a, g, s in zip(self.activity.tolist(), self.gender.tolist(), self.score.tolist())
+        ]
+        bounds = self.offsets.tolist()
+        return tuple(
+            Instance(inst_id, tuple(candidates[lo:hi]), None if gold < 0 else gold)
+            for inst_id, lo, hi, gold in zip(self.ids, bounds, bounds[1:], self.gold.tolist())
+        )
+
+    @cached_property
+    def activity_names(self) -> tuple[str, ...]:
+        """Vocabulary ordered by activity id."""
+        return tuple(sorted(self.activities, key=self.activities.__getitem__))
+
+    def activity_name(self, activity_id: int) -> str:
+        return self.activity_names[activity_id]
+
+    @property
+    def n_activities(self) -> int:
+        return len(self.activities)
 
     @property
     def n_instances(self) -> int:
@@ -179,6 +237,9 @@ class CorpusColumns:
     @property
     def n_rows(self) -> int:
         return self.score.size
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -197,54 +258,6 @@ class CorpusColumns:
     @cached_property
     def gendered(self) -> np.ndarray:
         return _read_only(self.gender != UNGENDERED_CODE)
-
-
-@dataclass(frozen=True)
-class Corpus:
-    """An immutable set of instances plus the activity vocabulary (name -> id)."""
-
-    instances: tuple[Instance, ...]
-    activities: dict[str, int]
-
-    def __post_init__(self):
-        n = len(self.activities)
-        ids = sorted(self.activities.values())
-        if ids != list(range(n)):
-            raise ValidationError("activity ids must be exactly 0..n-1")
-        seen: set[str] = set()
-        for inst in self.instances:
-            if inst.id in seen:
-                raise ValidationError(f"duplicate instance id {inst.id!r}")
-            seen.add(inst.id)
-            for cand in inst.candidates:
-                if cand.activity_id >= n:
-                    raise ValidationError(
-                        f"instance {inst.id!r}: activity_id {cand.activity_id} "
-                        f"not in vocabulary of size {n}"
-                    )
-
-    @cached_property
-    def activity_names(self) -> tuple[str, ...]:
-        """Vocabulary ordered by activity id."""
-        names = [""] * len(self.activities)
-        for name, aid in self.activities.items():
-            names[aid] = name
-        return tuple(names)
-
-    def activity_name(self, activity_id: int) -> str:
-        return self.activity_names[activity_id]
-
-    @cached_property
-    def columns(self) -> CorpusColumns:
-        """The flat per-candidate columns, built on first use."""
-        return CorpusColumns.from_instances(self.instances)
-
-    @property
-    def n_activities(self) -> int:
-        return len(self.activities)
-
-    def __len__(self) -> int:
-        return len(self.instances)
 
 
 class GenderCount(NamedTuple):
@@ -297,10 +310,8 @@ def _open_for_write(sink) -> tuple[IO[str], bool]:
     raise TypeError(f"unsupported sink type {type(sink)!r}")
 
 
-_GENDER_CODES = {tag.value: tag for tag in GenderTag}
-
-
-def _parse_candidate(raw, vocab: dict[str, int], where: str) -> CandidateStructure:
+def _parse_candidate(raw, vocab: dict[str, int], where: str) -> tuple[int, int, float]:
+    """(activity id, gender code, score) of one raw candidate record."""
     if not isinstance(raw, dict):
         raise CorpusFormatError(f"{where}: candidate must be an object, got {type(raw).__name__}")
     try:
@@ -311,7 +322,7 @@ def _parse_candidate(raw, vocab: dict[str, int], where: str) -> CandidateStructu
         raise CorpusFormatError(f"{where}: candidate missing key {exc.args[0]!r}") from None
     if not isinstance(activity, str) or not activity:
         raise CorpusFormatError(f"{where}: activity must be a nonempty string")
-    if gender not in _GENDER_CODES:
+    if gender not in _CODE_OF_VALUE:
         raise CorpusFormatError(f"{where}: gender must be one of 'M', 'W', '-', got {gender!r}")
     if isinstance(score, bool) or not isinstance(score, (int, float)):
         raise ValidationError(f"{where}: score must be a number, got {score!r}")
@@ -320,7 +331,7 @@ def _parse_candidate(raw, vocab: dict[str, int], where: str) -> CandidateStructu
         raise ValidationError(f"{where}: score must be finite, got {score!r}")
     if activity not in vocab:
         vocab[activity] = len(vocab)
-    return CandidateStructure(vocab[activity], _GENDER_CODES[gender], score)
+    return vocab[activity], _CODE_OF_VALUE[gender], score
 
 
 def load_corpus(source) -> Corpus:
@@ -331,8 +342,8 @@ def load_corpus(source) -> Corpus:
     """
     stream = _open_for_read(source)
     vocab: dict[str, int] = {}
-    instances: list[Instance] = []
-    seen_ids: set[str] = set()
+    instances: list[tuple[str, int, int]] = []
+    rows: list[tuple[int, int, float]] = []
     try:
         for lineno, line in enumerate(stream, start=1):
             if not line.strip():
@@ -346,46 +357,45 @@ def load_corpus(source) -> Corpus:
             inst_id = record.get("id")
             if not isinstance(inst_id, str) or not inst_id:
                 raise CorpusFormatError(f"line {lineno}: 'id' must be a nonempty string")
-            if inst_id in seen_ids:
-                raise ValidationError(f"line {lineno}: duplicate instance id {inst_id!r}")
-            seen_ids.add(inst_id)
             raw_candidates = record.get("candidates")
             if not isinstance(raw_candidates, list) or not raw_candidates:
                 raise ValidationError(
                     f"line {lineno}: instance {inst_id!r} has no candidates"
                 )
             where = f"line {lineno}: instance {inst_id!r}"
-            candidates = tuple(_parse_candidate(c, vocab, where) for c in raw_candidates)
+            rows.extend(_parse_candidate(c, vocab, where) for c in raw_candidates)
+            size = len(raw_candidates)
             gold = record.get("gold")
             if gold is not None:
                 if isinstance(gold, bool) or not isinstance(gold, int):
                     raise CorpusFormatError(f"{where}: gold must be an integer index")
-                if not (0 <= gold < len(candidates)):
+                if not (0 <= gold < size):
                     raise ValidationError(
-                        f"{where}: gold index {gold} out of range for "
-                        f"{len(candidates)} candidates"
+                        f"{where}: gold index {gold} out of range for {size} candidates"
                     )
-            instances.append(Instance(inst_id, candidates, gold))
+            instances.append((inst_id, size, -1 if gold is None else gold))
     finally:
         if stream is not source:
             stream.close()
-    return Corpus(tuple(instances), vocab)
+    return Corpus._from_rows(vocab, instances, rows)
 
 
-def _write_records(corpus: Corpus, key: str, values: Iterable, sink) -> None:
-    """One corpus-schema JSONL record per instance, ``key`` holding each candidate's value."""
+def _write_records(corpus: Corpus, key: str, values: list, sink) -> None:
+    """One corpus-schema JSONL record per instance, ``key`` holding each row's value."""
     names = corpus.activity_names
-    # zip stops at the end of each candidate list before drawing from values
-    values = iter(values)
+    tags = [tag.value for tag in GENDER_TAGS]
+    activity = corpus.activity.tolist()
+    gender = corpus.gender.tolist()
+    bounds = corpus.offsets.tolist()
     stream, owned = _open_for_write(sink)
     try:
-        for inst in corpus.instances:
-            record: dict = {"id": inst.id}
-            if inst.gold is not None:
-                record["gold"] = inst.gold
+        for inst_id, lo, hi, gold in zip(corpus.ids, bounds, bounds[1:], corpus.gold.tolist()):
+            record: dict = {"id": inst_id}
+            if gold >= 0:
+                record["gold"] = gold
             record["candidates"] = [
-                {"activity": names[c.activity_id], "gender": c.gender.value, key: v}
-                for c, v in zip(inst.candidates, values)
+                {"activity": names[activity[r]], "gender": tags[gender[r]], key: values[r]}
+                for r in range(lo, hi)
             ]
             stream.write(json.dumps(record) + "\n")
     finally:
@@ -395,15 +405,14 @@ def _write_records(corpus: Corpus, key: str, values: Iterable, sink) -> None:
 
 def dump_corpus(corpus: Corpus, sink) -> None:
     """Write a corpus back to JSONL; round-trips exactly through load_corpus."""
-    scores = (c.score for inst in corpus.instances for c in inst.candidates)
-    _write_records(corpus, "score", scores, sink)
+    _write_records(corpus, "score", corpus.score.tolist(), sink)
 
 
 def dump_posteriors(corpus: Corpus, probs: np.ndarray, sink) -> None:
     """Per-candidate probabilities in the corpus JSONL schema, "prob" in place of "score"."""
     probs = np.asarray(probs)
-    if probs.shape != (corpus.columns.n_rows,):
-        raise ValidationError(f"{probs.shape} probabilities for {corpus.columns.n_rows} candidates")
+    if probs.shape != (corpus.n_rows,):
+        raise ValidationError(f"{probs.shape} probabilities for {corpus.n_rows} candidates")
     _write_records(corpus, "prob", probs.tolist(), sink)
 
 
@@ -458,15 +467,12 @@ def constrained_activities(stats: TrainingStats, corpus: Corpus) -> list[int]:
     else is excluded (callers can report exclusions by diffing against the
     vocabulary).
     """
-    columns = corpus.columns
     has_gendered_mass = np.zeros(corpus.n_activities, dtype=bool)
-    has_gendered_mass[columns.activity[columns.gendered]] = True
-    eligible = [
-        aid
-        for name, aid in corpus.activities.items()
+    has_gendered_mass[corpus.activity[corpus.gendered]] = True
+    return [
+        aid for aid, name in enumerate(corpus.activity_names)
         if stats.is_constrained(name) and has_gendered_mass[aid]
     ]
-    return sorted(eligible)
 
 
 def excluded_activities(stats: TrainingStats, corpus: Corpus) -> list[str]:
@@ -476,4 +482,4 @@ def excluded_activities(stats: TrainingStats, corpus: Corpus) -> list[str]:
     report exclusions instead of dropping them silently.
     """
     keep = set(constrained_activities(stats, corpus))
-    return [name for name, aid in sorted(corpus.activities.items(), key=lambda kv: kv[1]) if aid not in keep]
+    return [name for aid, name in enumerate(corpus.activity_names) if aid not in keep]

@@ -8,7 +8,7 @@ per-instance posteriors, and corpus-level reductions here always accumulate
 in instance order so repeated runs are bitwise identical.
 
 Every kernel works on flat rows split into segments by an ``offsets``
-array (see `CorpusColumns`). A `PosteriorTable` holds the posteriors of a
+array (see `Corpus`). A `PosteriorTable` holds the posteriors of a
 whole corpus that way; the functions taking one `Instance` or
 `InstancePosterior` run the same kernels on a single segment.
 """
@@ -106,8 +106,8 @@ class PosteriorTable(Sequence):
     """Posteriors of every instance of a corpus as one flat probability array.
 
     Instance i owns ``probs[offsets[i]:offsets[i + 1]]``, in the row order of
-    the corpus's `CorpusColumns`. Every segment is checked on construction
-    as `InstancePosterior` checks one vector, and ``probs`` is read-only.
+    its `Corpus`. Every segment is checked on construction as
+    `InstancePosterior` checks one vector, and ``probs`` is read-only.
     Indexing yields the `InstancePosterior` of one instance.
     """
 
@@ -147,23 +147,8 @@ class PosteriorTable(Sequence):
 
 def as_table(corpus: Corpus, posteriors: Sequence[InstancePosterior]) -> PosteriorTable:
     """The posteriors as a table, after checking once that they align with the corpus."""
-    columns = corpus.columns
-    if len(posteriors) != columns.n_instances:
-        raise ValidationError(
-            f"{len(posteriors)} posteriors for {columns.n_instances} instances"
-        )
     table = PosteriorTable.from_posteriors(posteriors)
-    if table.ids != columns.ids or not np.array_equal(table.offsets, columns.offsets):
-        for inst, post_id, size in zip(corpus.instances, table.ids, np.diff(table.offsets)):
-            if post_id != inst.id:
-                raise ValidationError(
-                    f"posterior {post_id!r} does not match instance {inst.id!r}"
-                )
-            if size != len(inst.candidates):
-                raise ValidationError(
-                    f"instance {inst.id!r}: {size} probabilities for "
-                    f"{len(inst.candidates)} candidates"
-                )
+    _check_aligned(table, corpus)
     return table
 
 
@@ -192,9 +177,7 @@ def instance_posterior(source: Instance | Corpus) -> InstancePosterior | Posteri
     returns the `PosteriorTable` of all its instances.
     """
     if isinstance(source, Corpus):
-        columns = source.columns
-        return PosteriorTable(columns.ids, columns.offsets,
-                              _softmax(columns.score, columns.offsets))
+        return PosteriorTable(source.ids, source.offsets, _softmax(source.score, source.offsets))
     scores = np.array([c.score for c in source.candidates], dtype=np.float64)
     return InstancePosterior(source.id, _softmax(scores, _one_segment(scores.size)))
 
@@ -263,18 +246,22 @@ def map_predict(posterior: InstancePosterior | PosteriorTable) -> int | np.ndarr
     return int(segment_argmax(posterior.probs, _one_segment(posterior.probs.size))[0])
 
 
-def _check_aligned(q: PosteriorTable, p: PosteriorTable) -> None:
+def _check_aligned(q: PosteriorTable, p: PosteriorTable | Corpus) -> None:
+    """``q`` must list the instances of ``p`` (a table or a corpus) with their candidate counts.
+
+    The first instance out of line is named.
+    """
     if len(q) != len(p):
-        raise ValidationError(f"posterior lists differ in length: {len(q)} vs {len(p)}")
+        raise ValidationError(f"{len(q)} posteriors for {len(p)} instances")
     if q.ids == p.ids and np.array_equal(q.offsets, p.offsets):
         return
-    for q_id, p_id, q_size, p_size in zip(q.ids, p.ids, np.diff(q.offsets), np.diff(p.offsets)):
+    for q_id, p_id, q_size, p_size in zip(
+        q.ids, p.ids, np.diff(q.offsets).tolist(), np.diff(p.offsets).tolist()
+    ):
         if q_id != p_id:
-            raise ValidationError(f"posterior lists misaligned: {q_id!r} vs {p_id!r}")
+            raise ValidationError(f"posterior {q_id!r} does not match instance {p_id!r}")
         if q_size != p_size:
-            raise ValidationError(
-                f"instance {q_id!r}: posterior lengths differ ({q_size} vs {p_size})"
-            )
+            raise ValidationError(f"instance {p_id!r}: {q_size} probabilities for {p_size} candidates")
 
 
 def _rel_entr(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -48,36 +48,32 @@ def activity_mass(corpus: Corpus, table: PosteriorTable) -> tuple[np.ndarray, np
     ``np.bincount`` adds the rows in corpus order, so each entry is the
     same float as a candidate-by-candidate running sum.
     """
-    columns = corpus.columns
-
     def mass(rows: np.ndarray) -> np.ndarray:
-        return np.bincount(columns.activity[rows], weights=table.probs[rows],
+        return np.bincount(corpus.activity[rows], weights=table.probs[rows],
                            minlength=corpus.n_activities)
 
-    return mass(columns.male), mass(columns.gendered)
+    return mass(corpus.male), mass(corpus.gendered)
 
 
 def _check_predictions(corpus: Corpus, predictions: Sequence[int]) -> np.ndarray:
-    columns = corpus.columns
-    if len(predictions) != columns.n_instances:
+    if len(predictions) != corpus.n_instances:
         raise ValidationError(
-            f"{len(predictions)} predictions for {columns.n_instances} instances"
+            f"{len(predictions)} predictions for {corpus.n_instances} instances"
         )
     predictions = np.asarray(predictions, dtype=np.int64)
-    if np.any((predictions < 0) | (predictions >= columns.sizes)):
+    if np.any((predictions < 0) | (predictions >= corpus.sizes)):
         raise ValidationError("prediction index out of range for its candidate list")
     return predictions
 
 
 def top_counts(corpus: Corpus, predictions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Male and gendered MAP-prediction counts of every activity, indexed by activity id."""
-    columns = corpus.columns
-    rows = columns.offsets[:-1] + predictions
+    rows = corpus.offsets[:-1] + predictions
 
     def count(chosen: np.ndarray) -> np.ndarray:
-        return np.bincount(columns.activity[rows[chosen[rows]]], minlength=corpus.n_activities)
+        return np.bincount(corpus.activity[rows[chosen[rows]]], minlength=corpus.n_activities)
 
-    return count(columns.male), count(columns.gendered)
+    return count(corpus.male), count(corpus.gendered)
 
 
 def _distribution_ratio(corpus: Corpus, male: np.ndarray, gendered: np.ndarray, aid: int) -> float:
@@ -256,7 +252,7 @@ def build_report(
 
     top_amps = [e.amp_top for e in entries if e.amp_top is not None]
     accuracy = None
-    gold = corpus.columns.gold
+    gold = corpus.gold
     if np.all(gold >= 0):
         accuracy = int(np.count_nonzero(predictions == gold)) / gold.size
 

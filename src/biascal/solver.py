@@ -24,6 +24,7 @@ independent oracle on problems small enough to afford it.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -162,19 +163,18 @@ def featurize(
 ) -> FeaturizedCorpus:
     """Precompute features and log base probabilities once per solve."""
     table = as_table(corpus, posteriors)
-    columns = corpus.columns
-    slot, vals = row_features(columns.activity, columns.gender, cs)
+    slot, vals = row_features(corpus.activity, corpus.gender, cs)
     cols = np.where(slot[:, None] >= 0, 2 * slot[:, None] + np.arange(2), 0)
     with np.errstate(divide="ignore"):
         log_p = np.log(table.probs)
     return FeaturizedCorpus(
-        offsets=columns.offsets,
-        seg_ids=columns.segment_ids,
+        offsets=corpus.offsets,
+        seg_ids=corpus.segment_ids,
         log_p=log_p,
         cols=cols,
         vals=vals,
         dim=cs.dimension,
-        n_instances=columns.n_instances,
+        n_instances=corpus.n_instances,
     )
 
 
@@ -328,10 +328,12 @@ def solve(
 ) -> DualState:
     """Maximize the dual by projected Adam ascent from lam = 0.
 
-    Both modes take the same Adam step (`_adam_step`). Deterministic given
-    (inputs, config). Stochastic mode reshuffles the instance order each
-    epoch from ``config.seed``, decays the rate by ``lr_decay`` after every
-    mini-batch, and runs exactly epochs * ceil(n / batch_size) steps.
+    ``initial_state`` resumes from a saved state; ascent runs on a copy, so
+    the state passed in is left as it was. Both modes take the same Adam
+    step (`_adam_step`). Deterministic given (inputs, config). Stochastic
+    mode reshuffles the instance order each epoch from ``config.seed``,
+    decays the rate by ``lr_decay`` after every mini-batch, and runs
+    exactly epochs * ceil(n / batch_size) steps.
     Full-batch mode ignores ``lr_decay`` in favor of a reduce-on-plateau
     schedule and stops at the stationarity tolerance or at
     ``config.max_steps``; a plateau halves the rate, zeroes the moments and
@@ -341,9 +343,10 @@ def solve(
     full-batch mode returns the step-cap iterate.
     """
     fc = featurize(corpus, posteriors, cs)
-    state = initial_state
-    if state is None:
+    if initial_state is None:
         state = DualState.zeros(cs.dimension, config.initial_lr)
+    else:
+        state = copy.deepcopy(initial_state)
     if state.lam.shape != (cs.dimension,):
         raise ValidationError(
             f"initial state has dimension {state.lam.size}, constraints need {cs.dimension}"
@@ -413,15 +416,14 @@ def calibrate(
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (cs.dimension,):
         raise ValidationError(f"lam has shape {lam.shape}, expected ({cs.dimension},)")
-    columns = corpus.columns
     penalty = _penalties(featurize(corpus, table, cs), lam)
     touched = np.flatnonzero(penalty != 0.0)
     if touched.size == 0:
         return posteriors if isinstance(posteriors, PosteriorTable) else list(posteriors)
-    reweighted = reweight(table.probs, penalty, columns.offsets, columns.ids)
-    is_touched = np.zeros(columns.n_instances, dtype=bool)
-    is_touched[columns.segment_ids[touched]] = True
-    probs = np.where(np.repeat(is_touched, columns.sizes), reweighted, table.probs)
+    reweighted = reweight(table.probs, penalty, corpus.offsets, corpus.ids)
+    is_touched = np.zeros(corpus.n_instances, dtype=bool)
+    is_touched[corpus.segment_ids[touched]] = True
+    probs = np.where(np.repeat(is_touched, corpus.sizes), reweighted, table.probs)
     if isinstance(posteriors, PosteriorTable):
         return PosteriorTable(table.ids, table.offsets, probs)
     out = list(posteriors)
@@ -502,8 +504,7 @@ def brute_force_project(
     dim = cs.dimension
     if dim == 0 or fc.n_instances == 0:
         return calibrate(corpus, posteriors, cs, np.zeros(dim)), np.zeros(dim)
-    columns = corpus.columns
-    slot, _ = row_features(columns.activity, columns.gender, cs)
+    slot, _ = row_features(corpus.activity, corpus.gender, cs)
 
     lo = np.zeros(dim)
     hi = np.full(dim, float(lam_max))
@@ -519,7 +520,7 @@ def brute_force_project(
         total_passes += 1
         axes = [np.linspace(lo[d], hi[d], resolution) for d in range(dim)]
         lam_grid = np.array(list(itertools.product(*axes)))
-        kl, objective, feasible = _evaluate_grid(fc, cs, slot, columns.male, lam_grid)
+        kl, objective, feasible = _evaluate_grid(fc, cs, slot, corpus.male, lam_grid)
         arg_dual = int(np.argmax(objective))
         center = lam_grid[arg_dual]
         if objective[arg_dual] > dual_best_objective:
@@ -601,9 +602,20 @@ def load_checkpoint(
                 "checkpoint config hash mismatch: refusing to resume with different settings"
             )
     return DualState(
-        lam=np.array(payload["lambda"], dtype=np.float64),
-        first_moment=np.array(payload["first_moment"], dtype=np.float64),
-        second_moment=np.array(payload["second_moment"], dtype=np.float64),
-        step=int(payload["step"]),
-        learning_rate=float(payload["learning_rate"]),
+        lam=np.array(_checked(payload, "lambda", list), dtype=np.float64),
+        first_moment=np.array(_checked(payload, "first_moment", list), dtype=np.float64),
+        second_moment=np.array(_checked(payload, "second_moment", list), dtype=np.float64),
+        step=_checked(payload, "step", int),
+        learning_rate=float(_checked(payload, "learning_rate", (int, float))),
     )
+
+
+def _checked(payload: dict, key: str, kind: type | tuple[type, ...]):
+    """``payload[key]`` if it is a ``kind`` holding JSON numbers (never booleans)."""
+    if key not in payload:
+        raise ValidationError(f"checkpoint is missing {key!r}")
+    value = payload[key]
+    items = value if isinstance(value, list) else [value]
+    if not isinstance(value, kind) or not all(type(x) in (int, float) for x in items):
+        raise ValidationError(f"checkpoint {key!r} has the wrong type: {value!r}")
+    return value

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CandidateStructure, Corpus, GenderCount, GenderTag, Instance, TrainingStats
+from .corpus import FEMALE_CODE, MALE_CODE, UNGENDERED_CODE, Corpus, GenderCount, TrainingStats
 from .errors import ValidationError
 
 __all__ = ["SynthConfig", "generate"]
@@ -84,7 +84,8 @@ def generate(config: SynthConfig) -> tuple[Corpus, TrainingStats]:
     filler_prob = (1.0 - gendered_mass) / n_fillers if n_fillers > 0 else 0.0
 
     counts: dict[str, GenderCount] = {}
-    instances: list[Instance] = []
+    instances: list[tuple[str, int, int]] = []
+    rows: list[tuple[int, int, float]] = []
     m = config.instances_per_activity
     for a, name in enumerate(names):
         drawn = rng.uniform(config.bias_range[0], config.bias_range[1])
@@ -100,26 +101,16 @@ def generate(config: SynthConfig) -> tuple[Corpus, TrainingStats]:
                 rng.beta(BETA_CONCENTRATION * target, BETA_CONCENTRATION * (1.0 - target))
             )
             share = min(max(share, _LOGIT_CLIP), 1.0 - _LOGIT_CLIP)
-            candidates = [
-                CandidateStructure(a, GenderTag.MALE, math.log(gendered_mass * share)),
-                CandidateStructure(a, GenderTag.FEMALE, math.log(gendered_mass * (1.0 - share))),
-            ]
+            rows.append((a, MALE_CODE, math.log(gendered_mass * share)))
+            rows.append((a, FEMALE_CODE, math.log(gendered_mass * (1.0 - share))))
             for _ in range(n_fillers):
                 filler_activity = int(rng.integers(config.n_activities))
-                candidates.append(
-                    CandidateStructure(
-                        filler_activity, GenderTag.UNGENDERED, math.log(filler_prob)
-                    )
-                )
+                rows.append((filler_activity, UNGENDERED_CODE, math.log(filler_prob)))
             gold_is_male = bool(rng.random() < b_star)
             if rng.random() < config.gold_noise:
                 gold_is_male = not gold_is_male
             instances.append(
-                Instance(
-                    id=f"{name}_{i:04d}",
-                    candidates=tuple(candidates),
-                    gold=0 if gold_is_male else 1,
-                )
+                (f"{name}_{i:04d}", config.candidates_per_instance, 0 if gold_is_male else 1)
             )
 
-    return Corpus(tuple(instances), vocab), TrainingStats(counts)
+    return Corpus._from_rows(vocab, instances, rows), TrainingStats(counts)

@@ -298,3 +298,17 @@ class TestProcess:
                 assert cli.main([subcommand, "--corpus", str(corpus_path), "--stats",
                                  str(stats_path), "--out", str(tmp_path / subcommand)]) == 0
             tracer.check_called(subcommand)
+
+    def test_synth_report_and_calibrate_build_no_instance_objects(self, tmp_path, monkeypatch):
+        # the CLI runs on the corpus rows; Instance objects are only built on request
+        def forbidden(self):
+            raise AssertionError(f"{type(self).__name__} constructed")
+
+        monkeypatch.setattr(bc.Instance, "__post_init__", forbidden)
+        monkeypatch.setattr(bc.CandidateStructure, "__post_init__", forbidden)
+        corpus_path, stats_path = synth_files(
+            tmp_path, n_activities=3, instances_per_activity=10, boost=1.0, seed=21
+        )
+        for subcommand in ("report", "calibrate"):
+            assert cli.main([subcommand, "--corpus", str(corpus_path), "--stats",
+                             str(stats_path), "--out", str(tmp_path / subcommand)]) == 0

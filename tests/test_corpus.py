@@ -1,13 +1,20 @@
 """Loading, validation, and round-trip of corpora and training stats."""
 
+import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import biascal as bc
 from biascal.corpus import dump_posteriors
 from conftest import make_corpus
+from test_flat_reference import corpora
+
+ARRAYS = ("offsets", "activity", "gender", "score", "gold", "sizes", "segment_ids", "male",
+          "gendered")
 
 def corpus_of(*lines):
     return bc.load_corpus(io.StringIO("\n".join(lines)))
@@ -155,6 +162,23 @@ class TestRoundTrip:
             assert bc.load_training_stats(io.StringIO(stats_buffer.getvalue())) == stats
 
 
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(case=corpora())
+    def test_random_corpora(self, case):
+        corpus, _ = case
+        text = io.StringIO()
+        bc.dump_corpus(corpus, text)
+        loaded = bc.load_corpus(io.StringIO(text.getvalue()))
+        again = io.StringIO()
+        bc.dump_corpus(loaded, again)
+        assert again.getvalue() == text.getvalue()
+        rebuilt = bc.Corpus(loaded.instances, loaded.activities)
+        assert rebuilt.ids == loaded.ids
+        for name in ARRAYS:
+            assert np.array_equal(getattr(rebuilt, name), getattr(loaded, name))
+            assert getattr(rebuilt, name).dtype == getattr(loaded, name).dtype
+
+
 class TestLoadTrainingStats:
     def test_single_activity(self):
         stats = stats_of({"cooking": {"male": 30, "female": 70}})
@@ -235,3 +259,55 @@ class TestInvariants:
         inst = bc.Instance("a", (bc.CandidateStructure(3, bc.GenderTag.MALE, 0.0),))
         with pytest.raises(bc.ValidationError, match="vocabulary"):
             bc.Corpus((inst,), {"only": 0})
+
+    def test_corpus_rejects_activity_ids_not_a_range(self):
+        with pytest.raises(bc.ValidationError, match="0..n-1"):
+            bc.Corpus((), {"x": 1})
+
+    def test_corpus_checks_duplicate_ids_before_activity_range(self):
+        first = bc.Instance("a", (bc.CandidateStructure(3, bc.GenderTag.MALE, 0.0),))
+        second = bc.Instance("a", (bc.CandidateStructure(0, bc.GenderTag.MALE, 0.0),))
+        with pytest.raises(bc.ValidationError, match="duplicate instance id 'a'"):
+            bc.Corpus((first, second), {"only": 0})
+
+    def test_corpus_is_immutable(self):
+        corpus = corpus_of(
+            '{"id":"a","gold":1,"candidates":[{"activity":"x","gender":"M","score":1.0},'
+            '{"activity":"y","gender":"-","score":0.0}]}'
+        )
+        for name in ("activities", "ids", "instances", *ARRAYS):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(corpus, name, None)
+        for name in ARRAYS:
+            array = getattr(corpus, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_corpus_equality_compares_rows_not_objects(self):
+        text = (
+            '{"id":"a","gold":0,"candidates":[{"activity":"x","gender":"W","score":-0.5}]}\n'
+            '{"id":"b","candidates":[{"activity":"y","gender":"M","score":2.0},'
+            '{"activity":"x","gender":"-","score":1.0}]}\n'
+        )
+        first, second = bc.load_corpus(io.StringIO(text)), bc.load_corpus(io.StringIO(text))
+        assert first == second
+        assert "instances" not in vars(first) and "instances" not in vars(second)
+        assert first == bc.Corpus(first.instances, first.activities)
+        renamed = bc.Corpus(first.instances, {"y": 0, "x": 1})
+        assert renamed != first
+        assert first != bc.load_corpus(io.StringIO(text.replace("2.0", "2.5")))
+        assert first != bc.load_corpus(io.StringIO(text.replace('"gold":0,', "")))
+
+    def test_instances_built_from_rows(self):
+        corpus = corpus_of(
+            '{"id":"a","gold":1,"candidates":[{"activity":"x","gender":"M","score":1},'
+            '{"activity":"y","gender":"W","score":-2.5}]}',
+            '{"id":"b","candidates":[{"activity":"y","gender":"-","score":0.25}]}',
+        )
+        assert corpus.instances == (
+            bc.Instance("a", (bc.CandidateStructure(0, bc.GenderTag.MALE, 1.0),
+                              bc.CandidateStructure(1, bc.GenderTag.FEMALE, -2.5)), 1),
+            bc.Instance("b", (bc.CandidateStructure(1, bc.GenderTag.UNGENDERED, 0.25),)),
+        )
+        assert corpus.instances is corpus.instances

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.special import rel_entr
 
 import biascal as bc
-from biascal.distribution import _rel_entr
+from biascal.distribution import _rel_entr, as_table
 from conftest import make_corpus, make_instance, posteriors_of, random_constraints, random_corpus
 
 
@@ -179,6 +179,32 @@ class TestKLDivergence:
             assert_allclose(q_probs, p_probs, atol=1e-5)
         if np.abs(q_probs - p_probs).max() > 1e-6:
             assert kl > 0.0
+
+
+class TestAlignment:
+    """Posteriors must list a corpus's (or another list's) instances with their sizes."""
+
+    CORPUS_SPECS = [("a", [(0, "M", 0.0), (0, "W", 1.0)]), ("b", [(0, "-", 0.0)])]
+
+    @pytest.mark.parametrize("posteriors, message", [
+        ([("a", [0.5, 0.5])], "1 posteriors for 2 instances"),
+        ([("b", [1.0]), ("a", [0.5, 0.5])], "posterior 'b' does not match instance 'a'"),
+        ([("a", [0.5, 0.5]), ("b", [0.5, 0.5])], "instance 'b': 2 probabilities for 1 candidates"),
+    ])
+    def test_first_offender_named(self, posteriors, message):
+        corpus = make_corpus(self.CORPUS_SPECS, names=["act"])
+        posteriors = [bc.InstancePosterior(i, np.array(p)) for i, p in posteriors]
+        with pytest.raises(bc.ValidationError, match=message):
+            as_table(corpus, posteriors)
+        with pytest.raises(bc.ValidationError, match=message):
+            bc.kl_divergence(posteriors, bc.instance_posterior(corpus))
+
+    def test_aligned_table_passes_through(self):
+        corpus = make_corpus(self.CORPUS_SPECS, names=["act"])
+        table = bc.instance_posterior(corpus)
+        assert as_table(corpus, table) is table
+        rebuilt = as_table(corpus, list(table))
+        assert rebuilt.ids == ("a", "b") and np.array_equal(rebuilt.probs, table.probs)
 
 
 class TestJointFactorization:

@@ -36,6 +36,13 @@ def full_batch_config(**kwargs):
     return bc.SolverConfig(**defaults)
 
 
+def assert_same_state(state, expected):
+    assert np.array_equal(state.lam, expected.lam)
+    assert np.array_equal(state.first_moment, expected.first_moment)
+    assert np.array_equal(state.second_moment, expected.second_moment)
+    assert (state.step, state.learning_rate) == (expected.step, expected.learning_rate)
+
+
 class TestDualObjective:
     def test_zero_at_origin(self):
         corpus, posteriors, cs = half_toy()
@@ -375,6 +382,51 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(bc.ValidationError, match="moments"):
             bc.load_checkpoint(path, config, cs)
+
+    @pytest.mark.parametrize("key", ["lambda", "first_moment", "second_moment", "step",
+                                     "learning_rate"])
+    def test_missing_key_rejected(self, tmp_path, key):
+        corpus, posteriors, cs = half_toy(male_prob=0.7)
+        config = full_batch_config()
+        path = tmp_path / "checkpoint.json"
+        bc.save_checkpoint(path, bc.solve(corpus, posteriors, cs, config), config, cs)
+        payload = json.loads(path.read_text())
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(bc.ValidationError, match=f"missing '{key}'"):
+            bc.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda", "0.5"), ("lambda", [0.0, None]), ("first_moment", [[0.0], [0.0]]),
+        ("second_moment", [True, 0.0]), ("step", "3"), ("step", 2.5), ("step", True),
+        ("learning_rate", None), ("learning_rate", "0.1"),
+    ])
+    def test_mistyped_value_rejected(self, tmp_path, key, value):
+        corpus, posteriors, cs = half_toy(male_prob=0.7)
+        config = full_batch_config()
+        path = tmp_path / "checkpoint.json"
+        bc.save_checkpoint(path, bc.solve(corpus, posteriors, cs, config), config, cs)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(bc.ValidationError, match=f"'{key}'"):
+            bc.load_checkpoint(path)
+
+    @pytest.mark.parametrize("mode", ["stochastic", "full_batch"])
+    def test_resume_leaves_the_given_state_unchanged(self, tmp_path, mode):
+        rng = np.random.default_rng(111)
+        corpus, cs = feasible_single_activity_corpus(rng, gamma=0.001)
+        posteriors = posteriors_of(corpus)
+        config = bc.SolverConfig(mode=mode, epochs=2, batch_size=2, seed=3, max_steps=50)
+        path = tmp_path / "checkpoint.json"
+        bc.save_checkpoint(path, bc.solve(corpus, posteriors, cs, config), config, cs)
+        loaded = bc.load_checkpoint(path, config, cs)
+        first = bc.solve(corpus, posteriors, cs, config, initial_state=loaded)
+        second = bc.solve(corpus, posteriors, cs, config, initial_state=loaded)
+        assert first is not loaded and second is not loaded
+        assert_same_state(loaded, bc.load_checkpoint(path, config, cs))
+        assert_same_state(second, first)
+        assert first.step > loaded.step
 
     def test_resume_continues(self, tmp_path):
         rng = np.random.default_rng(111)
