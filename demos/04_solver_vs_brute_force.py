@@ -1,8 +1,8 @@
 """Check the dual solver against exhaustive grid search.
 
 On a problem small enough to enumerate, the projected posterior found by
-Adam ascent on the dual must coincide with the feasible minimum-divergence
-point found by brute force over the dual grid. The script also traces the
+the full-batch (projected Newton) ascent on the dual must coincide with the
+feasible minimum-divergence point found by brute force over the dual grid. The script also traces the
 dual objective along the active coordinate so the maximum is visible.
 """
 

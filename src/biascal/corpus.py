@@ -277,11 +277,11 @@ class TrainingStats:
 
     def __post_init__(self):
         for name, count in self.counts.items():
-            for value in count:
-                if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                    raise ValidationError(
-                        f"activity {name!r}: counts must be nonnegative integers, got {count}"
-                    )
+            for key, value in zip(GenderCount._fields, count):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValidationError(f"activity {name!r}: {key} count must be an integer")
+                if value < 0:
+                    raise ValidationError(f"activity {name!r}: {key} count must be nonnegative")
 
     def is_constrained(self, name: str) -> bool:
         """True when the activity has at least one gendered training label."""
@@ -436,11 +436,6 @@ def load_training_stats(source) -> TrainingStats:
         for key in ("male", "female"):
             if key not in entry:
                 raise CorpusFormatError(f"activity {name!r}: missing {key!r} count")
-            value = entry[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"activity {name!r}: {key} count must be an integer")
-            if value < 0:
-                raise ValidationError(f"activity {name!r}: {key} count must be nonnegative")
         counts[name] = GenderCount(entry["male"], entry["female"])
     return TrainingStats(counts)
 

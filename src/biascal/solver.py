@@ -13,11 +13,13 @@ The partition function factorizes over instances because instances are
 independent and the features add across instances, which is what makes the
 per-instance reweighting above exact.
 
-`solve` runs projected Adam ascent on J, clipping lam to the nonnegative
-orthant after every step. Stochastic mode shuffles instances each epoch and
-scales each mini-batch gradient by corpus_size / batch_size so it estimates
-the full gradient; full-batch mode iterates to a per-coordinate
-stationarity tolerance and is the verification-grade path.
+`solve` has two modes. Stochastic mode is the paper's protocol: projected
+Adam ascent that shuffles instances each epoch and scales each mini-batch
+gradient by corpus_size / batch_size so it estimates the full gradient.
+Full-batch mode is the verification-grade path: projected Newton ascent
+(Bertsekas 1982) to a per-coordinate stationarity tolerance. Its curvature
+is the 2x2 block of -Hessian(J) of each activity's coordinate pair, summed
+over the whole corpus in a few segment sums.
 `brute_force_project` searches the lam grid directly and serves as an
 independent oracle on problems small enough to afford it.
 """
@@ -62,8 +64,19 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-PLATEAU_WINDOW = 200
-PLATEAU_SHRINK = 0.5
+# Projected Newton (full-batch mode).
+ACTIVE_EPS = 1e-3  # largest eps of the active set
+ARMIJO_FRACTION = 1e-4  # share of the first-order gain a step must reach
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 60
+# A line search starts from a step that moves no candidate's log weight by
+# more than this: its exponentials stay finite, and nearly flat coordinates,
+# whose Newton steps are huge, start from a step of sensible size.
+MAX_LOG_WEIGHT_STEP = 30.0
+# A curvature below this share of its second moment is rounding noise; the
+# second moments also scale the determinant a 2x2 block must exceed.
+CURVATURE_FLOOR = 1e-12
+PAIR_DET_MIN = 1e-10
 
 
 @dataclass
@@ -72,10 +85,10 @@ class SolverConfig:
 
     The stochastic defaults are batch 39, 10 epochs, initial rate 0.1 with
     multiplicative decay 0.998 applied after every mini-batch. Full-batch
-    mode treats the whole corpus as one batch per step, holds the rate
-    constant between plateau-triggered halvings, and stops once every
-    coordinate satisfies the stationarity test at ``convergence_tol`` (or
-    at ``max_steps``).
+    mode takes projected Newton steps over the whole corpus, ignores the
+    batch, epoch, rate and seed settings, and stops once every coordinate
+    satisfies the stationarity test at ``convergence_tol`` (or at
+    ``max_steps``).
     """
 
     batch_size: int = 39
@@ -282,16 +295,13 @@ def dual_gradient(
     return (fc.n_instances / len(indices)) * _expectation(sub, _reweighted(sub, lam))
 
 
-def _adam_step(
-    state: DualState, gradient: np.ndarray, lr_decay: float, restart_step: int = 0
-) -> None:
-    """One projected Adam step; bias correction counts from ``restart_step``."""
+def _adam_step(state: DualState, gradient: np.ndarray, lr_decay: float) -> None:
+    """One projected Adam step of the stochastic protocol."""
     state.step += 1
-    t = state.step - restart_step
     state.first_moment = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * gradient
     state.second_moment = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * gradient**2
-    m_hat = state.first_moment / (1.0 - ADAM_BETA1**t)
-    v_hat = state.second_moment / (1.0 - ADAM_BETA2**t)
+    m_hat = state.first_moment / (1.0 - ADAM_BETA1**state.step)
+    v_hat = state.second_moment / (1.0 - ADAM_BETA2**state.step)
     state.lam = np.maximum(
         0.0, state.lam + state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     )
@@ -319,6 +329,168 @@ def _projected_gradient_norm(lam: np.ndarray, gradient: np.ndarray, tol: float) 
     return float(projected.max()) if projected.size else 0.0
 
 
+def _featured_rows(fc: FeaturizedCorpus) -> tuple[np.ndarray, FeaturizedCorpus]:
+    """The rows carrying a nonzero feature, and those rows as a corpus.
+
+    Featureless rows enter the Newton step only through each instance's
+    total probability on them. The returned corpus keeps every instance,
+    so some of its segments may be empty; it serves `_penalties`,
+    `_hessian_blocks` and `_objective_gain`, which sum by instance id, not
+    by segment.
+    """
+    rows = np.flatnonzero(np.any(fc.vals != 0.0, axis=1))
+    seg_ids = fc.seg_ids[rows]
+    return rows, FeaturizedCorpus(
+        offsets=np.searchsorted(seg_ids, np.arange(fc.n_instances + 1)),
+        seg_ids=seg_ids,
+        log_p=fc.log_p[rows],
+        cols=fc.cols[rows],
+        vals=fc.vals[rows],
+        dim=fc.dim,
+        n_instances=fc.n_instances,
+    )
+
+
+def _pair_groups(fc: FeaturizedCorpus) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's (instance, constraint pair) group, and each group's pair."""
+    n_pairs = fc.dim // 2
+    keys, group = np.unique(fc.seg_ids * n_pairs + fc.cols[:, 0] // 2, return_inverse=True)
+    return group, keys % n_pairs
+
+
+def _hessian_blocks(
+    fc: FeaturizedCorpus, probs: np.ndarray, group: np.ndarray, group_pair: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each pair's 2x2 block of -Hessian(J), and the diagonal second moments.
+
+    -Hessian(J) is the summed per-instance feature covariance. A row's
+    features sit on its own activity's pair, so the block of pair j is
+    sum_r q_r v_a v_b over its rows minus sum_i mu_ia mu_ib over the
+    per-(instance, pair) means mu. Covariances across pairs, which arise
+    only in instances with gendered candidates of several activities, are
+    left out. Returns (h00, h01, h11, second) with ``second`` the sum_r
+    q_r v_a^2 of every coordinate, the scale below which a curvature is
+    rounding noise.
+    """
+    n_pairs = fc.dim // 2
+    pair = fc.cols[:, 0] // 2
+    weighted = probs[:, None] * fc.vals
+    mean = [np.bincount(group, weights=weighted[:, a]) for a in (0, 1)]
+    second = np.empty(fc.dim)
+    blocks = []
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        moment = np.bincount(pair, weights=weighted[:, a] * fc.vals[:, b], minlength=n_pairs)
+        blocks.append(
+            moment - np.bincount(group_pair, weights=mean[a] * mean[b], minlength=n_pairs)
+        )
+        if a == b:
+            second[a::2] = moment
+    return blocks[0], blocks[1], blocks[2], second
+
+
+def _newton_direction(
+    gradient: np.ndarray,
+    free: np.ndarray,
+    h00: np.ndarray,
+    h01: np.ndarray,
+    h11: np.ndarray,
+    second: np.ndarray,
+) -> np.ndarray:
+    """Ascent direction: the 2x2 block Newton step on pairs whose two
+    coordinates are free, a diagonally scaled step everywhere else.
+
+    The two features of a pair sum to -2 gamma on every gendered row, so a
+    block is near singular along (1, 1) for small gamma and singular at
+    gamma = 0; the block step is taken only while its determinant is
+    safely positive. Curvatures below the rounding level of their second
+    moment are raised to it, so a flat (unbounded) coordinate takes a long
+    but finite step.
+    """
+    diag = np.empty(gradient.size)
+    diag[0::2], diag[1::2] = h00, h11
+    diag = np.maximum(diag, CURVATURE_FLOOR * second)
+    direction = np.divide(gradient, diag, out=np.zeros(gradient.size), where=diag > 0.0)
+    d00, d11 = diag[0::2], diag[1::2]
+    det = d00 * d11 - h01 * h01
+    safe = det > PAIR_DET_MIN * second[0::2] * second[1::2]
+    pairs = np.flatnonzero(free[0::2] & free[1::2] & safe)
+    g0, g1 = gradient[2 * pairs], gradient[2 * pairs + 1]
+    direction[2 * pairs] = (d11[pairs] * g0 - h01[pairs] * g1) / det[pairs]
+    direction[2 * pairs + 1] = (d00[pairs] * g1 - h01[pairs] * g0) / det[pairs]
+    return direction
+
+
+def _objective_gain(
+    fc: FeaturizedCorpus, probs: np.ndarray, plain: np.ndarray, delta: np.ndarray
+) -> float:
+    """J(lam + delta) - J(lam), given the probabilities reweighted at lam.
+
+    ``fc`` and ``probs`` are the featured rows and their probabilities,
+    ``plain`` each instance's probability on its featureless rows. With
+    w = -delta . phi per row and c_i the mean of w under q_i,
+    log Z_i(lam + delta) - log Z_i(lam) = c_i + log1p(sum_k q_ik expm1(w_ik - c_i)),
+    and the log1p term is nonnegative and second order in delta. The gain
+    is therefore accurate to its own size, far below the rounding level of
+    J itself, which the line search needs near convergence.
+    """
+    w = -_penalties(fc, delta)
+    mean = np.bincount(fc.seg_ids, weights=probs * w, minlength=fc.n_instances)
+    spread = plain * np.expm1(-mean) + np.bincount(
+        fc.seg_ids, weights=probs * np.expm1(w - mean[fc.seg_ids]), minlength=fc.n_instances
+    )
+    return float(-mean.sum() - np.log1p(spread).sum())
+
+
+def _newton_ascent(fc: FeaturizedCorpus, state: DualState, config: SolverConfig) -> None:
+    """Projected Newton ascent on J (Bertsekas 1982) from ``state.lam``.
+
+    Coordinates within eps of zero whose gradient points below zero form the
+    active set and take a diagonally scaled step; the rest take the block
+    Newton step of `_newton_direction`. The step is backtracked along the
+    projection arc P(lam + alpha d) until it gains an Armijo fraction of
+    its first-order prediction. Stops at the stationarity tolerance, after
+    ``config.max_steps`` steps, or when no step gains anything at working
+    precision. Each step adds one to ``state.step``.
+    """
+    rows, featured = _featured_rows(fc)
+    is_plain = np.ones(fc.n_rows)
+    is_plain[rows] = 0.0
+    group, group_pair = _pair_groups(featured)
+    for _ in range(config.max_steps):
+        probs = _reweighted(fc, state.lam)
+        gradient = _expectation(fc, probs)
+        _check_finite(state, gradient)
+        if _projected_gradient_norm(state.lam, gradient, config.convergence_tol) <= (
+            config.convergence_tol
+        ):
+            return
+        residual = np.abs(state.lam - np.maximum(0.0, state.lam + gradient)).max()
+        active = (state.lam <= min(ACTIVE_EPS, residual)) & (gradient <= 0.0)
+        q = probs[rows]
+        blocks = _hessian_blocks(featured, q, group, group_pair)
+        direction = _newton_direction(gradient, ~active, *blocks)
+        free_rate = float(gradient[~active] @ direction[~active])
+        # bound every candidate's log-weight change along the whole arc, so
+        # the exponentials of the gain stay finite
+        reach = (np.abs(featured.vals) * np.abs(direction)[featured.cols]).sum(axis=1)
+        largest = float(reach.max(initial=0.0))
+        alpha = min(1.0, MAX_LOG_WEIGHT_STEP / largest) if largest > 0.0 else 1.0
+        plain = np.bincount(fc.seg_ids, weights=probs * is_plain, minlength=fc.n_instances)
+        for _ in range(MAX_BACKTRACKS):
+            trial = np.maximum(0.0, state.lam + alpha * direction)
+            predicted = alpha * free_rate + float(
+                gradient[active] @ (trial[active] - state.lam[active])
+            )
+            gain = _objective_gain(featured, q, plain, trial - state.lam)
+            if gain >= ARMIJO_FRACTION * predicted:
+                break
+            alpha *= BACKTRACK
+        else:
+            return
+        state.lam = trial
+        state.step += 1
+
+
 def solve(
     corpus: Corpus,
     posteriors: Sequence[InstancePosterior],
@@ -326,21 +498,22 @@ def solve(
     config: SolverConfig,
     initial_state: DualState | None = None,
 ) -> DualState:
-    """Maximize the dual by projected Adam ascent from lam = 0.
+    """Maximize the dual by projected ascent from lam = 0.
 
     ``initial_state`` resumes from a saved state; ascent runs on a copy, so
-    the state passed in is left as it was. Both modes take the same Adam
-    step (`_adam_step`). Deterministic given (inputs, config). Stochastic
-    mode reshuffles the instance order each epoch from ``config.seed``,
-    decays the rate by ``lr_decay`` after every mini-batch, and runs
-    exactly epochs * ceil(n / batch_size) steps.
-    Full-batch mode ignores ``lr_decay`` in favor of a reduce-on-plateau
-    schedule and stops at the stationarity tolerance or at
-    ``config.max_steps``; a plateau halves the rate, zeroes the moments and
-    restarts bias correction. If the constraint system is infeasible (for
-    example an activity whose corpus candidates are all one gender with the
-    training ratio bounded away from it), the dual is unbounded and
-    full-batch mode returns the step-cap iterate.
+    the state passed in is left as it was. Deterministic given (inputs,
+    config). Stochastic mode takes projected Adam steps (`_adam_step`),
+    reshuffles the instance order each epoch from ``config.seed``, decays
+    the rate by ``lr_decay`` after every mini-batch, and runs exactly
+    epochs * ceil(n / batch_size) steps.
+    Full-batch mode takes projected Newton steps (`_newton_ascent`); its
+    ``step`` counts Newton iterations, and it leaves the moments and the
+    learning rate as they were. It stops at the stationarity tolerance, at
+    ``config.max_steps``, or when the line search can no longer gain
+    anything at working precision. If the constraint system is infeasible
+    (for example an activity whose corpus candidates are all one gender with
+    the training ratio bounded away from it), the dual has no maximum and
+    full-batch mode returns the last iterate, finite but possibly large.
     """
     fc = featurize(corpus, posteriors, cs)
     if initial_state is None:
@@ -355,35 +528,7 @@ def solve(
         return state
 
     if config.mode == "full_batch":
-        # Constant learning rate with reduce-on-plateau and moment restarts:
-        # per-batch geometric decay can freeze the iterate in the flat tail
-        # of the objective before it reaches the stationarity tolerance,
-        # whereas restarting the moments re-normalizes Adam's step to the
-        # current gradient scale.
-        restart_step = 0
-        best_norm = np.inf
-        since_improved = 0
-        for _ in range(config.max_steps):
-            gradient = _expectation(fc, _reweighted(fc, state.lam))
-            _check_finite(state, gradient)
-            norm = _projected_gradient_norm(state.lam, gradient, config.convergence_tol)
-            if norm <= config.convergence_tol:
-                break
-            if norm < 0.999 * best_norm:
-                best_norm = norm
-                since_improved = 0
-            else:
-                since_improved += 1
-                if since_improved >= PLATEAU_WINDOW:
-                    state.learning_rate *= PLATEAU_SHRINK
-                    state.first_moment = np.zeros_like(state.first_moment)
-                    state.second_moment = np.zeros_like(state.second_moment)
-                    restart_step = state.step
-                    best_norm = norm
-                    since_improved = 0
-                    if state.learning_rate < 1e-30:
-                        break
-            _adam_step(state, gradient, 1.0, restart_step)
+        _newton_ascent(fc, state, config)
         return state
 
     rng = np.random.default_rng(config.seed)

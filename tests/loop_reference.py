@@ -2,7 +2,9 @@
 
 These are the package's original per-instance loops, kept so the
 vectorized paths can be required to match them exactly. Posteriors use
-``scipy.special.log_softmax`` as the original did.
+``scipy.special.log_softmax`` as the original did. `full_batch_solve` is
+the exception: a slow first-order ascent that the Newton full-batch solve
+must match in optimum, not step for step.
 """
 
 from __future__ import annotations
@@ -15,13 +17,17 @@ from biascal.solver import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    PLATEAU_SHRINK,
-    PLATEAU_WINDOW,
     _adam_step,
     _check_finite,
     _projected_gradient_norm,
     featurize,
 )
+
+# The full-batch reference's reduce-on-plateau schedule: after this many
+# steps without a 0.1% drop in the projected-gradient norm, the rate is
+# multiplied by the shrink factor and the Adam moments restart.
+PLATEAU_WINDOW = 200
+PLATEAU_SHRINK = 0.5
 
 
 def posterior(instance):
@@ -163,6 +169,19 @@ def calibrate(corpus, posteriors, cs, lam):
     return out
 
 
+def dual_hessian(corpus, posteriors, cs, lam):
+    """-Hessian of the dual at lam: the summed per-instance feature covariance."""
+    out = np.zeros((cs.dimension, cs.dimension))
+    for inst, post in zip(corpus.instances, calibrate(corpus, posteriors, cs, lam)):
+        phi = np.zeros((len(inst.candidates), cs.dimension))
+        for k, cand in enumerate(inst.candidates):
+            for idx, value in feature_vector(cand, cs):
+                phi[k, idx] = value
+        mean = post.probs @ phi
+        out += (phi * post.probs[:, None]).T @ phi - np.outer(mean, mean)
+    return out
+
+
 def _subset(fc, indices):
     """One mini-batch gathered from the whole featurized corpus."""
     sizes = np.diff(fc.offsets)
@@ -216,7 +235,7 @@ def stochastic_solve(corpus, posteriors, cs, config):
 
 
 def full_batch_solve(corpus, posteriors, cs, config, initial_state=None):
-    """The full-batch ascent with its own inline Adam update and plateau restarts."""
+    """Projected Adam ascent to the full-batch tolerance, with plateau restarts."""
     fc = featurize(corpus, posteriors, cs)
     state = initial_state
     if state is None:

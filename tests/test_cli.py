@@ -123,6 +123,25 @@ class TestCalibrateCommand:
         checkpoint = json.loads((out / "checkpoint.json").read_text())
         assert checkpoint["lambda"] == [0.0, 0.0]
 
+    def test_unbounded_dual_exits_zero(self, tmp_path):
+        # male-only "cook" against a 3/7 training ratio: the dual is unbounded
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(
+            '{"id":"a","candidates":['
+            '{"activity":"cook","gender":"M","score":1.0},'
+            '{"activity":"other","gender":"-","score":0.0}]}\n'
+            '{"id":"b","candidates":['
+            '{"activity":"cook","gender":"M","score":0.5},'
+            '{"activity":"other","gender":"-","score":0.2}]}\n'
+        )
+        stats_path = tmp_path / "stats.json"
+        stats_path.write_text('{"cook": {"male": 3, "female": 7}}\n')
+        out = tmp_path / "cal"
+        assert run("calibrate", "--corpus", corpus_path, "--stats", stats_path,
+                   "--out", out, "--mode", "full-batch") == 0
+        checkpoint = json.loads((out / "checkpoint.json").read_text())
+        assert all(np.isfinite(checkpoint["lambda"]))
+
     def test_full_batch_removes_violations(self, tmp_path):
         corpus_path, stats_path = synth_files(
             tmp_path, n_activities=10, instances_per_activity=100, boost=1.0, seed=12

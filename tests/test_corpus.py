@@ -201,6 +201,18 @@ class TestLoadTrainingStats:
         with pytest.raises(bc.CorpusFormatError, match="female"):
             stats_of({"cooking": {"male": 1}})
 
+    @pytest.mark.parametrize("female, message", [
+        (True, "female count must be an integer"),
+        (5.0, "female count must be an integer"),
+        (-2, "female count must be nonnegative"),
+    ])
+    def test_count_checked_once_with_the_same_message(self, female, message):
+        # the loader and the constructor share one check, in TrainingStats
+        with pytest.raises(bc.ValidationError, match=f"^activity 'cooking': {message}$"):
+            stats_of({"cooking": {"male": 1, "female": female}})
+        with pytest.raises(bc.ValidationError, match=f"^activity 'cooking': {message}$"):
+            bc.TrainingStats({"cooking": bc.GenderCount(1, female)})
+
 
 class TestConstrainedActivities:
     def test_gendered_candidate_present(self):

@@ -30,6 +30,16 @@ def half_toy(male_prob=0.5, b_star=0.5, gamma=0.0):
     return corpus, posteriors_of(corpus), cs
 
 
+def one_gender_corpus():
+    """Two instances whose only gendered candidates are male "cook"s, with a
+    training ratio of 3/7: no reweighting reaches it, so the dual is unbounded."""
+    corpus = make_corpus(
+        [("a", [(0, "M", 1.0), (1, "-", 0.0)]), ("b", [(0, "M", 0.5), (1, "-", 0.2)])],
+        names=["cook", "other"],
+    )
+    return corpus, bc.TrainingStats({"cook": bc.GenderCount(3, 7)})
+
+
 def full_batch_config(**kwargs):
     defaults = dict(mode="full_batch", convergence_tol=1e-9)
     defaults.update(kwargs)
@@ -219,6 +229,22 @@ class TestSolve:
             calibrated = bc.calibrate(corpus, posteriors, cs, state.lam)
             ratio = bc.bias_in_distribution(calibrated, corpus, 0)
             assert abs(ratio - float(cs.b_star[0])) <= gamma + 1e-6
+
+    @pytest.mark.parametrize("case", ["one_gender_activity", "random_seed_3"])
+    def test_unbounded_dual_returns_a_finite_state(self, case):
+        # both constraint systems are infeasible, so the dual has no maximum;
+        # full-batch must still stop within max_steps with a finite vector
+        if case == "one_gender_activity":
+            corpus, stats = one_gender_corpus()
+            cs = bc.ConstraintSet.from_stats(corpus, stats, 0.001)
+        else:
+            rng = np.random.default_rng(3)
+            corpus = random_corpus(rng, 3, max_instances=8)
+            cs = random_constraints(rng, corpus, 0.01)
+        config = full_batch_config()
+        state = bc.solve(corpus, posteriors_of(corpus), cs, config)
+        assert 0 < state.step <= config.max_steps
+        assert np.all(np.isfinite(state.lam)) and state.lam.max() > 10.0
 
     def test_stochastic_deterministic_given_seed(self):
         rng = np.random.default_rng(101)
@@ -417,7 +443,8 @@ class TestCheckpoint:
         rng = np.random.default_rng(111)
         corpus, cs = feasible_single_activity_corpus(rng, gamma=0.001)
         posteriors = posteriors_of(corpus)
-        config = bc.SolverConfig(mode=mode, epochs=2, batch_size=2, seed=3, max_steps=50)
+        # full-batch converges in a few Newton steps; two stop short of it
+        config = bc.SolverConfig(mode=mode, epochs=2, batch_size=2, seed=3, max_steps=2)
         path = tmp_path / "checkpoint.json"
         bc.save_checkpoint(path, bc.solve(corpus, posteriors, cs, config), config, cs)
         loaded = bc.load_checkpoint(path, config, cs)
@@ -427,6 +454,20 @@ class TestCheckpoint:
         assert_same_state(loaded, bc.load_checkpoint(path, config, cs))
         assert_same_state(second, first)
         assert first.step > loaded.step
+
+    def test_resuming_a_converged_full_batch_state_takes_no_step(self, tmp_path):
+        rng = np.random.default_rng(111)
+        corpus, cs = feasible_single_activity_corpus(rng, gamma=0.001)
+        posteriors = posteriors_of(corpus)
+        config = full_batch_config()
+        state = bc.solve(corpus, posteriors, cs, config)
+        assert state.step < config.max_steps
+        path = tmp_path / "checkpoint.json"
+        bc.save_checkpoint(path, state, config, cs)
+        resumed = bc.solve(corpus, posteriors, cs, config,
+                           initial_state=bc.load_checkpoint(path, config, cs))
+        assert resumed.step == state.step
+        assert np.array_equal(resumed.lam, state.lam)
 
     def test_resume_continues(self, tmp_path):
         rng = np.random.default_rng(111)
