@@ -21,6 +21,7 @@ import numpy as np
 from .constraints import ConstraintSet
 from .corpus import (
     Corpus,
+    atomic_write,
     dump_corpus,
     dump_posteriors,
     dump_training_stats,
@@ -120,15 +121,15 @@ def _load_inputs(config: RunConfig):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 
 
 def _write_report_files(out_dir: Path, tag: str, report) -> None:
-    with open(out_dir / f"report{tag}.json", "w", encoding="utf-8") as handle:
+    with atomic_write(out_dir / f"report{tag}.json") as handle:
         report.write_json(handle)
-    with open(out_dir / f"scatter{tag}.csv", "w", encoding="utf-8") as handle:
+    with atomic_write(out_dir / f"scatter{tag}.csv") as handle:
         report.write_scatter_csv(handle)
 
 

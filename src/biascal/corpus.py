@@ -33,6 +33,16 @@ at the public edges: `Corpus(instances, activities)` turns them into rows,
 and `Corpus.instances` builds them from the rows on first use. Loaded
 objects are immutable and safe for concurrent read access; every array is
 created read-only (``writeable=False``).
+
+`load_corpus` reads `CHUNK_LINES` lines at a time. It decodes each line on
+its own, makes every record check once over the whole chunk, and turns the
+chunk into numpy columns before it reads the next; the columns are joined
+once at the end. So besides the arrays themselves, a load holds one chunk's
+decoded records, never a Python object per row of the corpus. When a chunk
+fails a check, its lines are checked again one record at a time, which
+raises the first bad record's error with its line number. The JSONL writers
+format `CHUNK_LINES` instances at a time, and a path sink is written to a
+temporary file that replaces it only when complete (`atomic_write`).
 """
 
 from __future__ import annotations
@@ -41,11 +51,17 @@ import io
 import itertools
 import json
 import math
+import operator
+import os
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
+from json.scanner import make_scanner
 from pathlib import Path
-from typing import IO, NamedTuple, Sequence
+from typing import IO, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -126,6 +142,15 @@ class Instance:
 GENDER_TAGS = (GenderTag.UNGENDERED, GenderTag.MALE, GenderTag.FEMALE)
 UNGENDERED_CODE, MALE_CODE, FEMALE_CODE = range(len(GENDER_TAGS))
 _CODE_OF_VALUE = {tag.value: code for code, tag in enumerate(GENDER_TAGS)}
+_CANDIDATE_FIELDS = tuple(map(operator.itemgetter, ("activity", "gender", "score")))
+# json.loads is this scanner plus whitespace skipping around the value.
+_SCAN_JSON = make_scanner(json.JSONDecoder())
+_JSON_WHITESPACE = " \t\n\r"
+
+# Lines `load_corpus` decodes and checks at a time, and instances the JSONL
+# writers format at a time. Large enough that per-chunk numpy calls cost
+# little, small enough that one chunk's Python objects stay a few MB.
+CHUNK_LINES = 256
 
 
 def _read_only(values, dtype=None) -> np.ndarray:
@@ -155,27 +180,29 @@ class Corpus:
     gold: np.ndarray
 
     def __init__(self, instances: Sequence[Instance], activities: dict[str, int]):
+        candidates = [c for inst in instances for c in inst.candidates]
         built = Corpus._from_rows(
             activities,
-            [(inst.id, len(inst.candidates), -1 if inst.gold is None else inst.gold)
-             for inst in instances],
-            [(c.activity_id, GENDER_TAGS.index(c.gender), c.score)
-             for inst in instances for c in inst.candidates],
+            tuple(inst.id for inst in instances),
+            [len(inst.candidates) for inst in instances],
+            [-1 if inst.gold is None else inst.gold for inst in instances],
+            [c.activity_id for c in candidates],
+            [GENDER_TAGS.index(c.gender) for c in candidates],
+            [c.score for c in candidates],
         )
         self.__dict__.update(built.__dict__)
 
     @classmethod
-    def _from_rows(cls, activities: dict[str, int], instances: list[tuple[str, int, int]],
-                   rows: list[tuple[int, int, float]]) -> "Corpus":
-        """Corpus from per-instance (id, candidate count, gold or -1) tuples and
-        per-row (activity id, gender code, score) tuples, checked once as arrays."""
-        ids, sizes, gold = zip(*instances) if instances else ((), (), ())
-        activity, gender, score = zip(*rows) if rows else ((), (), ())
+    def _from_rows(cls, activities: dict[str, int], ids: tuple[str, ...], sizes, gold,
+                   activity, gender, score) -> "Corpus":
+        """Corpus from its columns, checked once as arrays: per instance the id,
+        candidate count and gold (-1 for none), per row the activity id, gender
+        code and score."""
         corpus = cls.__new__(cls)
         corpus.__dict__.update(
             activities=activities,
             ids=ids,
-            offsets=_read_only((0, *itertools.accumulate(sizes)), np.int64),
+            offsets=_read_only(np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))),
             activity=_read_only(activity, np.int64),
             gender=_read_only(gender, np.int8),
             score=_read_only(score, np.float64),
@@ -302,16 +329,40 @@ def _open_for_read(source) -> IO[str]:
     raise TypeError(f"unsupported source type {type(source)!r}")
 
 
-def _open_for_write(sink) -> tuple[IO[str], bool]:
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[IO[str]]:
+    """A text stream whose contents replace ``path`` only if the block completes.
+
+    The stream is a fresh file next to ``path``, renamed over it by
+    `os.replace` on success and removed on failure, so a reader sees either
+    the previous file or the whole new one, never a partial write.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    stream = open(temporary, "x", encoding="utf-8")
+    try:
+        with stream:
+            yield stream
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
+def _open_for_write(sink) -> Iterator[IO[str]]:
+    """A path sink is written atomically; a stream sink is written and left open."""
     if isinstance(sink, (str, Path)):
-        return open(sink, "w", encoding="utf-8"), True
-    if hasattr(sink, "write"):
-        return sink, False
-    raise TypeError(f"unsupported sink type {type(sink)!r}")
+        with atomic_write(sink) as stream:
+            yield stream
+    elif hasattr(sink, "write"):
+        yield sink
+    else:
+        raise TypeError(f"unsupported sink type {type(sink)!r}")
 
 
-def _parse_candidate(raw, vocab: dict[str, int], where: str) -> tuple[int, int, float]:
-    """(activity id, gender code, score) of one raw candidate record."""
+def _check_candidate(raw, where: str) -> None:
+    """Raise the error of one raw candidate record, if it has one."""
     if not isinstance(raw, dict):
         raise CorpusFormatError(f"{where}: candidate must be an object, got {type(raw).__name__}")
     try:
@@ -322,16 +373,108 @@ def _parse_candidate(raw, vocab: dict[str, int], where: str) -> tuple[int, int, 
         raise CorpusFormatError(f"{where}: candidate missing key {exc.args[0]!r}") from None
     if not isinstance(activity, str) or not activity:
         raise CorpusFormatError(f"{where}: activity must be a nonempty string")
-    if gender not in _CODE_OF_VALUE:
+    if not isinstance(gender, str) or gender not in _CODE_OF_VALUE:
         raise CorpusFormatError(f"{where}: gender must be one of 'M', 'W', '-', got {gender!r}")
     if isinstance(score, bool) or not isinstance(score, (int, float)):
         raise ValidationError(f"{where}: score must be a number, got {score!r}")
-    score = float(score)
+    try:
+        score = float(score)
+    except OverflowError:  # an integer beyond the float range
+        score = math.inf
     if not math.isfinite(score):
         raise ValidationError(f"{where}: score must be finite, got {score!r}")
-    if activity not in vocab:
-        vocab[activity] = len(vocab)
-    return vocab[activity], _CODE_OF_VALUE[gender], score
+
+
+def _check_record(line: str, lineno: int) -> None:
+    """Raise the error of one nonblank corpus line, if it has one."""
+    try:
+        record = json.loads(line)
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        message = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+        raise CorpusFormatError(f"line {lineno}: invalid JSON ({message})") from None
+    if not isinstance(record, dict):
+        raise CorpusFormatError(f"line {lineno}: instance must be an object")
+    inst_id = record.get("id")
+    if not isinstance(inst_id, str) or not inst_id:
+        raise CorpusFormatError(f"line {lineno}: 'id' must be a nonempty string")
+    raw_candidates = record.get("candidates")
+    if not isinstance(raw_candidates, list) or not raw_candidates:
+        raise ValidationError(f"line {lineno}: instance {inst_id!r} has no candidates")
+    where = f"line {lineno}: instance {inst_id!r}"
+    for raw in raw_candidates:
+        _check_candidate(raw, where)
+    gold = record.get("gold")
+    if gold is not None:
+        if isinstance(gold, bool) or not isinstance(gold, int):
+            raise CorpusFormatError(f"{where}: gold must be an integer index")
+        if not (0 <= gold < len(raw_candidates)):
+            raise ValidationError(
+                f"{where}: gold index {gold} out of range for {len(raw_candidates)} candidates"
+            )
+
+
+def _raise_first_error(lines: list[str], first_lineno: int) -> NoReturn:
+    """Raise the error of the first bad record among a chunk's lines."""
+    for lineno, line in enumerate(lines, start=first_lineno):
+        if line.strip():
+            _check_record(line, lineno)
+    raise RuntimeError(f"lines {first_lineno}+: a chunk check failed but no record check did")
+
+
+def _decoded(lines: list[str]) -> list | None:
+    """The JSON value of each nonblank line, or None when a line is not exactly
+    one JSON value: what ``json.loads`` accepts, without its per-call cost."""
+    values = []
+    for line in lines:
+        text = line.strip(_JSON_WHITESPACE)
+        if text and not text.isspace():
+            try:
+                value, end = _SCAN_JSON(text, 0)
+            except (StopIteration, ValueError):  # also an integer past the digit limit
+                return None
+            if end != len(text):
+                return None
+            values.append(value)
+    return values
+
+
+def _chunk_columns(lines: list[str], vocab: dict[str, int]) -> tuple | None:
+    """(ids, sizes, gold, activity, gender, score) of a chunk of corpus lines.
+
+    Every check of `_check_record` is made on the whole chunk at once; the
+    result is None when any record fails one. New activity names join
+    ``vocab`` in order of first appearance, and only once the chunk passed.
+    """
+    records = _decoded(lines)
+    if records is None or not set(map(type, records)) <= {dict}:
+        return None
+    ids = [record.get("id") for record in records]
+    raw_candidates = [record.get("candidates") for record in records]
+    golds = [record.get("gold") for record in records]
+    if not (set(map(type, ids)) <= {str} and all(ids)
+            and set(map(type, raw_candidates)) <= {list} and all(raw_candidates)
+            and set(map(type, golds)) <= {int, type(None)}):
+        return None
+    candidates = list(itertools.chain.from_iterable(raw_candidates))
+    if not set(map(type, candidates)) <= {dict}:
+        return None
+    try:
+        names, genders, scores = (list(map(field, candidates)) for field in _CANDIDATE_FIELDS)
+        if not (set(map(type, names)) <= {str} and all(names)
+                and set(map(type, scores)) <= {int, float}):
+            return None
+        gender = np.array(list(map(_CODE_OF_VALUE.__getitem__, genders)), np.int8)
+        score = np.array(scores, np.float64)
+        gold = np.array(golds, np.float64)  # None becomes NaN, which no range test fails
+    except (KeyError, TypeError, OverflowError):  # missing key, bad gender, huge integer
+        return None
+    sizes = np.array(list(map(len, raw_candidates)), np.int64)
+    if not np.isfinite(score).all() or ((gold < 0) | (gold >= sizes)).any():
+        return None
+    vocab.update(zip([name for name in dict.fromkeys(names) if name not in vocab],
+                     itertools.count(len(vocab))))
+    activity = np.array(list(map(vocab.__getitem__, names)), np.int64)
+    return ids, sizes, np.nan_to_num(gold, nan=-1).astype(np.int64), activity, gender, score
 
 
 def load_corpus(source) -> Corpus:
@@ -342,78 +485,75 @@ def load_corpus(source) -> Corpus:
     """
     stream = _open_for_read(source)
     vocab: dict[str, int] = {}
-    instances: list[tuple[str, int, int]] = []
-    rows: list[tuple[int, int, float]] = []
+    chunks = []
+    first_lineno = 1
     try:
-        for lineno, line in enumerate(stream, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise CorpusFormatError(f"line {lineno}: instance must be an object")
-            inst_id = record.get("id")
-            if not isinstance(inst_id, str) or not inst_id:
-                raise CorpusFormatError(f"line {lineno}: 'id' must be a nonempty string")
-            raw_candidates = record.get("candidates")
-            if not isinstance(raw_candidates, list) or not raw_candidates:
-                raise ValidationError(
-                    f"line {lineno}: instance {inst_id!r} has no candidates"
-                )
-            where = f"line {lineno}: instance {inst_id!r}"
-            rows.extend(_parse_candidate(c, vocab, where) for c in raw_candidates)
-            size = len(raw_candidates)
-            gold = record.get("gold")
-            if gold is not None:
-                if isinstance(gold, bool) or not isinstance(gold, int):
-                    raise CorpusFormatError(f"{where}: gold must be an integer index")
-                if not (0 <= gold < size):
-                    raise ValidationError(
-                        f"{where}: gold index {gold} out of range for {size} candidates"
-                    )
-            instances.append((inst_id, size, -1 if gold is None else gold))
+        while lines := list(itertools.islice(stream, CHUNK_LINES)):
+            columns = _chunk_columns(lines, vocab)
+            if columns is None:
+                _raise_first_error(lines, first_lineno)
+            chunks.append(columns)
+            first_lineno += len(lines)
     finally:
         if stream is not source:
             stream.close()
-    return Corpus._from_rows(vocab, instances, rows)
+    ids, *columns = zip(*chunks) if chunks else ((),) * 6
+    return Corpus._from_rows(vocab, tuple(itertools.chain.from_iterable(ids)),
+                             *(np.concatenate(parts) if parts else () for parts in columns))
 
 
-def _write_records(corpus: Corpus, key: str, values: list, sink) -> None:
-    """One corpus-schema JSONL record per instance, ``key`` holding each row's value."""
-    names = corpus.activity_names
-    tags = [tag.value for tag in GENDER_TAGS]
-    activity = corpus.activity.tolist()
-    gender = corpus.gender.tolist()
-    bounds = corpus.offsets.tolist()
-    stream, owned = _open_for_write(sink)
-    try:
-        for inst_id, lo, hi, gold in zip(corpus.ids, bounds, bounds[1:], corpus.gold.tolist()):
-            record: dict = {"id": inst_id}
-            if gold >= 0:
-                record["gold"] = gold
-            record["candidates"] = [
-                {"activity": names[activity[r]], "gender": tags[gender[r]], key: values[r]}
-                for r in range(lo, hi)
-            ]
-            stream.write(json.dumps(record) + "\n")
-    finally:
-        if owned:
-            stream.close()
+def _write_records(corpus: Corpus, key: str, values: np.ndarray, sink) -> None:
+    """One corpus-schema JSONL record per instance, ``key`` holding each row's value.
+
+    The bytes are those of one ``json.dumps`` per record: each candidate is
+    its (activity, gender) prefix, escaped by ``json.dumps``, followed by the
+    value's ``float.__repr__``, which is how ``json.dumps`` writes a finite
+    float; ids are escaped by the function ``json.dumps`` uses for a str.
+    """
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        row = bad[0]
+        raise ValidationError(f"instance {corpus.ids[corpus.segment_ids[row]]!r}: "
+                              f"{key} must be finite, got {float(values[row])!r}")
+    prefixes = [
+        f'{{"activity": {json.dumps(name)}, "gender": {json.dumps(tag.value)}, '
+        f'{json.dumps(key)}: '
+        for name in corpus.activity_names for tag in GENDER_TAGS
+    ]
+    prefix_of_row = corpus.activity * len(GENDER_TAGS) + corpus.gender
+    with _open_for_write(sink) as stream:
+        for start in range(0, corpus.n_instances, CHUNK_LINES):
+            chunk = slice(start, start + CHUNK_LINES)
+            bounds = corpus.offsets[start:start + CHUNK_LINES + 1]
+            rows = slice(bounds[0], bounds[-1])
+            cells = list(map(str.__add__, map(prefixes.__getitem__, prefix_of_row[rows].tolist()),
+                             map(float.__repr__, values[rows].tolist())))
+            bounds = (bounds - bounds[0]).tolist()
+            pieces = []
+            for inst_id, gold, lo, hi in zip(map(encode_basestring_ascii, corpus.ids[chunk]),
+                                             corpus.gold[chunk].tolist(), bounds, bounds[1:]):
+                pieces.append(f'{{"id": {inst_id}, "gold": {gold}, "candidates": [' if gold >= 0
+                              else f'{{"id": {inst_id}, "candidates": [')
+                pieces.append("}, ".join(cells[lo:hi]))
+                pieces.append("}]}\n")
+            stream.write("".join(pieces))
 
 
 def dump_corpus(corpus: Corpus, sink) -> None:
     """Write a corpus back to JSONL; round-trips exactly through load_corpus."""
-    _write_records(corpus, "score", corpus.score.tolist(), sink)
+    _write_records(corpus, "score", corpus.score, sink)
 
 
 def dump_posteriors(corpus: Corpus, probs: np.ndarray, sink) -> None:
-    """Per-candidate probabilities in the corpus JSONL schema, "prob" in place of "score"."""
-    probs = np.asarray(probs)
+    """Per-candidate probabilities in the corpus JSONL schema, "prob" in place of "score".
+
+    Raises ValidationError when the probabilities do not match the rows or
+    one is not finite.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != (corpus.n_rows,):
         raise ValidationError(f"{probs.shape} probabilities for {corpus.n_rows} candidates")
-    _write_records(corpus, "prob", probs.tolist(), sink)
+    _write_records(corpus, "prob", probs, sink)
 
 
 def load_training_stats(source) -> TrainingStats:
@@ -441,16 +581,12 @@ def load_training_stats(source) -> TrainingStats:
 
 
 def dump_training_stats(stats: TrainingStats, sink) -> None:
-    stream, owned = _open_for_write(sink)
-    try:
-        payload = {
-            name: {"male": count.male, "female": count.female}
-            for name, count in stats.counts.items()
-        }
+    payload = {
+        name: {"male": count.male, "female": count.female}
+        for name, count in stats.counts.items()
+    }
+    with _open_for_write(sink) as stream:
         stream.write(json.dumps(payload, indent=2) + "\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def constrained_activities(stats: TrainingStats, corpus: Corpus) -> list[int]:

@@ -37,7 +37,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .constraints import ConstraintSet, row_features
-from .corpus import Corpus
+from .corpus import Corpus, atomic_write
 from .distribution import InstancePosterior, PosteriorTable, as_table, reweight
 from .errors import (
     DegenerateDistributionError,
@@ -726,7 +726,7 @@ def save_checkpoint(
         "learning_rate": state.learning_rate,
         "config_hash": _config_hash(config, cs),
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 

@@ -84,8 +84,11 @@ def generate(config: SynthConfig) -> tuple[Corpus, TrainingStats]:
     filler_prob = (1.0 - gendered_mass) / n_fillers if n_fillers > 0 else 0.0
 
     counts: dict[str, GenderCount] = {}
-    instances: list[tuple[str, int, int]] = []
-    rows: list[tuple[int, int, float]] = []
+    ids: list[str] = []
+    gold: list[int] = []
+    activity: list[int] = []
+    gender: list[int] = []
+    score: list[float] = []
     m = config.instances_per_activity
     for a, name in enumerate(names):
         drawn = rng.uniform(config.bias_range[0], config.bias_range[1])
@@ -101,16 +104,19 @@ def generate(config: SynthConfig) -> tuple[Corpus, TrainingStats]:
                 rng.beta(BETA_CONCENTRATION * target, BETA_CONCENTRATION * (1.0 - target))
             )
             share = min(max(share, _LOGIT_CLIP), 1.0 - _LOGIT_CLIP)
-            rows.append((a, MALE_CODE, math.log(gendered_mass * share)))
-            rows.append((a, FEMALE_CODE, math.log(gendered_mass * (1.0 - share))))
+            activity += (a, a)
+            gender += (MALE_CODE, FEMALE_CODE)
+            score += (math.log(gendered_mass * share), math.log(gendered_mass * (1.0 - share)))
             for _ in range(n_fillers):
-                filler_activity = int(rng.integers(config.n_activities))
-                rows.append((filler_activity, UNGENDERED_CODE, math.log(filler_prob)))
+                activity.append(int(rng.integers(config.n_activities)))
+                gender.append(UNGENDERED_CODE)
+                score.append(math.log(filler_prob))
             gold_is_male = bool(rng.random() < b_star)
             if rng.random() < config.gold_noise:
                 gold_is_male = not gold_is_male
-            instances.append(
-                (f"{name}_{i:04d}", config.candidates_per_instance, 0 if gold_is_male else 1)
-            )
+            ids.append(f"{name}_{i:04d}")
+            gold.append(0 if gold_is_male else 1)
 
-    return Corpus._from_rows(vocab, instances, rows), TrainingStats(counts)
+    sizes = np.full(len(ids), config.candidates_per_instance)
+    corpus = Corpus._from_rows(vocab, tuple(ids), sizes, gold, activity, gender, score)
+    return corpus, TrainingStats(counts)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
 import biascal as bc
+
+# Longest integer literal Python parses, or 0 when unlimited.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 GENDERS = {
     "M": bc.GenderTag.MALE,

@@ -4,15 +4,22 @@ These are the package's original per-instance loops, kept so the
 vectorized paths can be required to match them exactly. Posteriors use
 ``scipy.special.log_softmax`` as the original did. `full_batch_solve` is
 the exception: a slow first-order ascent that the Newton full-batch solve
-must match in optimum, not step for step.
+must match in optimum, not step for step. `load_corpus` and
+`write_records` are the line-by-line JSONL reader and writer that the
+chunked ones must match byte for byte and error for error.
 """
 
 from __future__ import annotations
+
+import io
+import json
+import math
 
 import numpy as np
 from scipy.special import log_softmax
 
 import biascal as bc
+from biascal.corpus import GENDER_TAGS
 from biascal.solver import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -278,3 +285,92 @@ def full_batch_solve(corpus, posteriors, cs, config, initial_state=None):
     state.first_moment = first
     state.second_moment = second
     return state
+
+
+GENDER_CODES = {"-": 0, "M": 1, "W": 2}
+
+
+def _parse_candidate(raw, vocab, where):
+    if not isinstance(raw, dict):
+        raise bc.CorpusFormatError(
+            f"{where}: candidate must be an object, got {type(raw).__name__}"
+        )
+    try:
+        activity = raw["activity"]
+        gender = raw["gender"]
+        score = raw["score"]
+    except KeyError as exc:
+        raise bc.CorpusFormatError(f"{where}: candidate missing key {exc.args[0]!r}") from None
+    if not isinstance(activity, str) or not activity:
+        raise bc.CorpusFormatError(f"{where}: activity must be a nonempty string")
+    if not isinstance(gender, str) or gender not in GENDER_CODES:
+        raise bc.CorpusFormatError(f"{where}: gender must be one of 'M', 'W', '-', got {gender!r}")
+    if isinstance(score, bool) or not isinstance(score, (int, float)):
+        raise bc.ValidationError(f"{where}: score must be a number, got {score!r}")
+    try:
+        score = float(score)
+    except OverflowError:
+        score = math.inf
+    if not math.isfinite(score):
+        raise bc.ValidationError(f"{where}: score must be finite, got {score!r}")
+    if activity not in vocab:
+        vocab[activity] = len(vocab)
+    return vocab[activity], GENDER_CODES[gender], score
+
+
+def load_corpus(text):
+    """One ``json.loads`` and one candidate parse at a time, line by line."""
+    vocab = {}
+    ids, sizes, golds, rows = [], [], [], []
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            message = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+            raise bc.CorpusFormatError(f"line {lineno}: invalid JSON ({message})") from None
+        if not isinstance(record, dict):
+            raise bc.CorpusFormatError(f"line {lineno}: instance must be an object")
+        inst_id = record.get("id")
+        if not isinstance(inst_id, str) or not inst_id:
+            raise bc.CorpusFormatError(f"line {lineno}: 'id' must be a nonempty string")
+        raw_candidates = record.get("candidates")
+        if not isinstance(raw_candidates, list) or not raw_candidates:
+            raise bc.ValidationError(f"line {lineno}: instance {inst_id!r} has no candidates")
+        where = f"line {lineno}: instance {inst_id!r}"
+        rows.extend(_parse_candidate(c, vocab, where) for c in raw_candidates)
+        size = len(raw_candidates)
+        gold = record.get("gold")
+        if gold is not None:
+            if isinstance(gold, bool) or not isinstance(gold, int):
+                raise bc.CorpusFormatError(f"{where}: gold must be an integer index")
+            if not (0 <= gold < size):
+                raise bc.ValidationError(
+                    f"{where}: gold index {gold} out of range for {size} candidates"
+                )
+        ids.append(inst_id)
+        sizes.append(size)
+        golds.append(-1 if gold is None else gold)
+    activity, gender, score = zip(*rows) if rows else ((), (), ())
+    return bc.Corpus._from_rows(vocab, tuple(ids), sizes, golds, activity, gender, score)
+
+
+def write_records(corpus, key, values):
+    """One ``json.dumps`` per instance record, as text; ``values`` holds each
+    row's value as a Python number."""
+    names = corpus.activity_names
+    tags = [tag.value for tag in GENDER_TAGS]
+    bounds = corpus.offsets.tolist()
+    lines = []
+    for i, inst_id in enumerate(corpus.ids):
+        record = {"id": inst_id}
+        if corpus.gold[i] >= 0:
+            record["gold"] = int(corpus.gold[i])
+        record["candidates"] = [
+            {"activity": names[corpus.activity[r]], "gender": tags[corpus.gender[r]],
+             key: values[r]}
+            for r in range(bounds[i], bounds[i + 1])
+        ]
+        lines.append(json.dumps(record) + "\n")
+    return "".join(lines)

@@ -14,6 +14,7 @@ import pytest
 import biascal as bc
 import biascal.cli as cli
 from biascal.cli import main
+from conftest import INT_DIGIT_LIMIT
 
 BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -102,6 +103,31 @@ class TestReportCommand:
         stats_path.write_text('{"x": {"male": 5, "female": 5}}\n')
         assert run("report", "--corpus", corpus_path, "--stats", stats_path,
                    "--out", tmp_path / "rep") == 1
+
+
+    @pytest.mark.parametrize("past, message", [
+        ("float range", "error: line 2: instance 'b': score must be finite, got inf\n"),
+        ("digit limit", "error: line 2: invalid JSON (Exceeds the limit ("),
+    ])
+    def test_huge_integer_score_exits_one(self, tmp_path, capsys, past, message):
+        if past == "float range":
+            digits = 400
+        elif INT_DIGIT_LIMIT:
+            digits = INT_DIGIT_LIMIT + 1
+        else:
+            pytest.skip("no integer digit limit in this interpreter")
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(
+            '{"id":"a","candidates":[{"activity":"x","gender":"M","score":0.5}]}\n'
+            '{"id":"b","candidates":[{"activity":"x","gender":"W","score":1%s}]}\n'
+            % ("0" * digits)
+        )
+        stats_path = tmp_path / "stats.json"
+        stats_path.write_text('{"x": {"male": 5, "female": 5}}\n')
+        capsys.readouterr()
+        assert run("report", "--corpus", corpus_path, "--stats", stats_path,
+                   "--out", tmp_path / "rep") == 1
+        assert capsys.readouterr().err.startswith(message)
 
 
 class TestCalibrateCommand:
@@ -291,6 +317,45 @@ class TestConfigPrecedence:
         assert run("calibrate", "--corpus", corpus_path, "--stats", stats_path,
                    "--out", out, "--config", config_path) == 0
         assert json.loads((out / "report_before.json").read_text())["gamma_eval"] == 0
+
+
+class TestAtomicOutputs:
+    def test_every_output_replaces_its_target(self, tmp_path, monkeypatch):
+        replaced = []
+        real_replace = os.replace
+
+        def recording_replace(source, target):
+            replaced.append(Path(target))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        corpus_path, stats_path = synth_files(
+            tmp_path, n_activities=3, instances_per_activity=10, boost=1.0, seed=21
+        )
+        for subcommand in ("report", "calibrate"):
+            assert run(subcommand, "--corpus", corpus_path, "--stats", stats_path,
+                       "--out", tmp_path / subcommand) == 0
+        written = [p for d in ("data", "report", "calibrate") for p in (tmp_path / d).iterdir()]
+        assert sorted(replaced) == sorted(written)
+        assert len(written) == 10
+
+    def test_failed_write_keeps_previous_outputs(self, tmp_path, monkeypatch, capsys):
+        corpus_path, stats_path = synth_files(
+            tmp_path, n_activities=3, instances_per_activity=10, boost=1.0, seed=21
+        )
+        out = tmp_path / "cal"
+        assert run("calibrate", "--corpus", corpus_path, "--stats", stats_path, "--out", out) == 0
+        previous = read_bytes_map(out)
+
+        def failing_replace(source, target):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        capsys.readouterr()
+        assert run("calibrate", "--corpus", corpus_path, "--stats", stats_path, "--out", out,
+                   "--mode", "full-batch") == 1
+        assert capsys.readouterr().err == "error: no space left on device\n"
+        assert read_bytes_map(out) == previous
 
 
 class TestProcess:

@@ -3,14 +3,18 @@
 import dataclasses
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biascal as bc
-from biascal.corpus import dump_posteriors
-from conftest import make_corpus
+import biascal.corpus
+import loop_reference as ref
+from biascal.corpus import CHUNK_LINES, atomic_write, dump_posteriors
+from conftest import INT_DIGIT_LIMIT, make_corpus
 from test_flat_reference import corpora
 
 ARRAYS = ("offsets", "activity", "gender", "score", "gold", "sizes", "segment_ids", "male",
@@ -22,6 +26,9 @@ def corpus_of(*lines):
 
 def stats_of(payload):
     return bc.load_training_stats(io.StringIO(json.dumps(payload)))
+
+
+VALID = '{"id":"%s","candidates":[{"activity":"x","gender":"M","score":1.0}]}'
 
 
 class TestLoadCorpus:
@@ -113,6 +120,47 @@ class TestLoadCorpus:
         assert corpus.activities == {"zeta": 0, "alpha": 1}
         assert corpus.activity_names == ("zeta", "alpha")
 
+    @pytest.mark.parametrize("lines, error, message", [
+        pytest.param(
+            [VALID % f"i{k}" for k in range(200)] + [""] * 56
+            + ['{"id":"late","candidates":[]}'],
+            bc.ValidationError, f"line {CHUNK_LINES + 1}: instance 'late' has no candidates",
+            id="first_line_of_second_chunk_after_blank_lines"),
+        pytest.param([VALID % "a" + " " + VALID % "b"], bc.CorpusFormatError,
+                     "line 1: invalid JSON (Extra data)", id="two_objects_space"),
+        pytest.param([VALID % "a" + "," + VALID % "b"], bc.CorpusFormatError,
+                     "line 1: invalid JSON (Extra data)", id="two_objects_comma"),
+        pytest.param(['{"id":"a","gold":-1,"candidates":[{"activity":"x","gender":"M","score":1}]}'],
+                     bc.ValidationError,
+                     "line 1: instance 'a': gold index -1 out of range for 1 candidates",
+                     id="gold_minus_one"),
+        pytest.param(['{"id":"a","gold":true,"candidates":[{"activity":"x","gender":"M","score":1}]}'],
+                     bc.CorpusFormatError, "line 1: instance 'a': gold must be an integer index",
+                     id="gold_true"),
+        pytest.param(['{"id":"a","candidates":[{"activity":"x","gender":[],"score":1}]}'],
+                     bc.CorpusFormatError,
+                     "line 1: instance 'a': gender must be one of 'M', 'W', '-', got []",
+                     id="unhashable_gender"),
+        pytest.param(['{"id":"a","candidates":[{"activity":"x","gender":"M","score":1%s}]}'
+                      % ("0" * 400)],
+                     bc.ValidationError, "line 1: instance 'a': score must be finite, got inf",
+                     id="integer_score_beyond_float_range"),
+    ])
+    def test_rejected_line_is_reported_exactly(self, lines, error, message):
+        with pytest.raises(error) as caught:
+            corpus_of(*lines)
+        assert str(caught.value) == message
+        with pytest.raises(error) as caught:
+            ref.load_corpus("\n".join(lines))
+        assert str(caught.value) == message
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="no integer digit limit in this interpreter")
+    def test_integer_score_past_the_digit_limit_is_invalid_json(self):
+        digits = "9" * (INT_DIGIT_LIMIT + 1)
+        line = '{"id":"a","candidates":[{"activity":"x","gender":"M","score":%s}]}' % digits
+        with pytest.raises(bc.CorpusFormatError, match=r"^line 2: invalid JSON \(Exceeds the limit"):
+            corpus_of(VALID % "first", line)
+
 
 class TestRoundTrip:
     def test_hand_corpus(self):
@@ -141,6 +189,12 @@ class TestRoundTrip:
         ]
         with pytest.raises(bc.ValidationError, match="3 candidates"):
             dump_posteriors(corpus, [0.75, 0.25], io.StringIO())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_posteriors_must_be_finite(self, bad):
+        corpus = corpus_of(VALID % "a", VALID % "b")
+        with pytest.raises(bc.ValidationError, match=f"^instance 'b': prob must be finite, got {bad!r}$"):
+            dump_posteriors(corpus, [1.0, bad], io.StringIO())
 
     def test_generated_corpora(self):
         # serialize(load(x)) must reload equal to load(x): activity ids are
@@ -177,6 +231,38 @@ class TestRoundTrip:
         for name in ARRAYS:
             assert np.array_equal(getattr(rebuilt, name), getattr(loaded, name))
             assert getattr(rebuilt, name).dtype == getattr(loaded, name).dtype
+
+
+class TestAtomicWrite:
+    def test_failed_block_leaves_the_previous_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("previous\n")
+        with pytest.raises(RuntimeError, match="midway"):
+            with atomic_write(target) as stream:
+                stream.write("partial")
+                raise RuntimeError("midway")
+        assert target.read_bytes() == b"previous\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_dump_failing_after_a_chunk_leaves_the_previous_file(self, tmp_path, monkeypatch):
+        corpus, _ = bc.generate(bc.SynthConfig(n_activities=3, instances_per_activity=200))
+        target = tmp_path / "corpus.jsonl"
+        bc.dump_corpus(corpus, target)
+        previous = target.read_bytes()
+        escaped = []
+
+        def failing_escape(text):
+            if len(escaped) > CHUNK_LINES:
+                raise OSError("disk full")
+            escaped.append(text)
+            return json.dumps(text)
+
+        monkeypatch.setattr(biascal.corpus, "encode_basestring_ascii", failing_escape)
+        with pytest.raises(OSError, match="disk full"):
+            dump_posteriors(corpus, np.full(corpus.n_rows, 0.25), target)
+        assert len(escaped) == CHUNK_LINES + 1
+        assert target.read_bytes() == previous
+        assert os.listdir(tmp_path) == ["corpus.jsonl"]
 
 
 class TestLoadTrainingStats:
@@ -323,3 +409,135 @@ class TestInvariants:
             bc.Instance("b", (bc.CandidateStructure(1, bc.GenderTag.UNGENDERED, 0.25),)),
         )
         assert corpus.instances is corpus.instances
+
+
+# Names and ids that json.dumps must escape: quote, backslash, non-ASCII, U+2028.
+AWKWARD_TEXT = ['say "hi"', "back\\slash", "café", "line break", "tab\tnul\x00", "\U0001d11e"]
+# Scores whose repr is at an edge: subnormal, exponent switch, signed zero.
+EDGE_SCORES = [5e-324, 1e16, -0.0, 0.0, 1e-5, 1e22, 2.0**53, -1.5, 0.1, 123456789.0]
+TAGS = list(bc.GenderTag)
+
+
+@st.composite
+def chunked_corpora(draw):
+    """A corpus over two to three chunks whose names and ids need escaping and
+    whose scores include repr edge cases, normalized by the reference reader
+    so that activity ids are in first-appearance order."""
+    names = draw(st.lists(st.one_of(st.sampled_from(AWKWARD_TEXT), st.text(min_size=1)),
+                          min_size=1, max_size=6, unique=True))
+    id_stem = draw(st.one_of(st.sampled_from(AWKWARD_TEXT), st.text(max_size=4)))
+    scores = EDGE_SCORES + draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                         max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    instances = []
+    for i in range(int(rng.integers(2 * CHUNK_LINES + 1, 3 * CHUNK_LINES))):
+        size = int(rng.integers(1, 5))
+        candidates = tuple(
+            bc.CandidateStructure(int(rng.integers(len(names))), TAGS[rng.integers(3)],
+                                  scores[rng.integers(len(scores))])
+            for _ in range(size)
+        )
+        gold = int(rng.integers(size)) if rng.random() < 0.5 else None
+        instances.append(bc.Instance(f"{id_stem}{i}", candidates, gold))
+    corpus = bc.Corpus(instances, {name: a for a, name in enumerate(names)})
+    return ref.load_corpus(ref.write_records(corpus, "score", corpus.score.tolist()))
+
+
+def record_mutations():
+    """Edits of one parsed record, each breaking or bending one field."""
+    def candidate(field, value):
+        def edit(record):
+            record["candidates"][-1][field] = value
+        return edit
+
+    def drop_candidate_key(record):
+        del record["candidates"][0]["gender"]
+
+    def setter(field, value):
+        def edit(record):
+            record[field] = value
+        return edit
+
+    return [
+        setter("id", ""), setter("id", 7), setter("id", None), setter("candidates", []),
+        setter("candidates", {}), setter("candidates", "ab"), setter("candidates", [3]),
+        setter("gold", -1), setter("gold", True), setter("gold", 1.0), setter("gold", 99),
+        setter("gold", None), setter("gold", 0), drop_candidate_key,
+        candidate("activity", ""), candidate("activity", 5), candidate("activity", 'new "one"'),
+        candidate("gender", "X"), candidate("gender", []), candidate("gender", 1),
+        candidate("score", "1"), candidate("score", True), candidate("score", float("nan")),
+        candidate("score", float("inf")), candidate("score", 10**400), candidate("score", 3),
+        candidate("score", 2**64 + 1), candidate("score", None),
+    ]
+
+
+def line_mutations(draw):
+    """Edits of one line's text: malformed JSON, extra values, odd blanks."""
+    return [
+        lambda line: line[: draw(st.integers(0, len(line) - 2))] + "\n",
+        lambda line: line.rstrip("\n") + " {}\n",
+        lambda line: line.rstrip("\n") + ",{}\n",
+        lambda line: line.rstrip("\n") + "\x0c\n",
+        lambda line: " \t" + line,
+        lambda line: "\x0c" + line,
+        lambda line: "\n \n" + line,
+        lambda line: "\x0c\n" + line,
+        lambda line: "[]\n" + line,
+        lambda line: "﻿" + line,
+        lambda line: line.replace('"score": ', '"score": ' + "1" * 5000, 1),
+    ]
+
+
+def outcome(load, text):
+    try:
+        return load(text)
+    except (bc.BiasCalError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestChunkedIO:
+    @settings(deadline=None, max_examples=15, derandomize=True)
+    @given(corpus=chunked_corpora(), data=st.data())
+    def test_writers_match_the_reference_writer(self, corpus, data):
+        text = io.StringIO()
+        bc.dump_corpus(corpus, text)
+        assert text.getvalue() == ref.write_records(corpus, "score", corpus.score.tolist())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        probs = rng.random(corpus.n_rows)
+        edges = rng.random(corpus.n_rows) < 0.2
+        probs[edges] = rng.choice(EDGE_SCORES, edges.sum())
+        text = io.StringIO()
+        dump_posteriors(corpus, probs, text)
+        assert text.getvalue() == ref.write_records(corpus, "prob", probs.tolist())
+
+    @settings(deadline=None, max_examples=15, derandomize=True)
+    @given(corpus=chunked_corpora(), data=st.data())
+    def test_load_inverts_dump_and_matches_the_reference_reader(self, corpus, data):
+        text = io.StringIO()
+        bc.dump_corpus(corpus, text)
+        assert bc.load_corpus(io.StringIO(text.getvalue())) == corpus
+        # integer scores, including ones a float rounds, read as the reference reads them
+        values = corpus.score.tolist()
+        for row in data.draw(st.lists(st.integers(0, corpus.n_rows - 1), max_size=20)):
+            values[row] = data.draw(st.integers(-2**70, 2**70))
+        text = ref.write_records(corpus, "score", values)
+        assert bc.load_corpus(io.StringIO(text)) == ref.load_corpus(text)
+
+    @settings(deadline=None, max_examples=8, derandomize=True)
+    @given(corpus=chunked_corpora(), data=st.data())
+    def test_broken_line_raises_what_the_reference_raises(self, corpus, data):
+        lines = ref.write_records(corpus, "score", corpus.score.tolist()).splitlines(True)
+        edits = [(True, edit) for edit in record_mutations()]
+        edits += [(False, edit) for edit in line_mutations(data.draw)]
+        for of_record, edit in edits:
+            broken = list(lines)
+            where = data.draw(st.integers(0, len(lines) - 1))
+            if of_record:
+                record = json.loads(broken[where])
+                edit(record)
+                broken[where] = json.dumps(record) + "\n"
+            else:
+                broken[where] = edit(broken[where])
+            text = "".join(broken)
+            assert (outcome(lambda t: bc.load_corpus(io.StringIO(t)), text)
+                    == outcome(ref.load_corpus, text))
