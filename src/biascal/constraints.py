@@ -27,8 +27,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import (
+    FEMALE_CODE,
     GENDER_TAGS,
-    MALE_CODE,
     UNGENDERED_CODE,
     CandidateStructure,
     Corpus,
@@ -104,28 +104,37 @@ class ConstraintSet:
         return self._slot.get(activity_id)
 
 
-def row_features(
-    activity: np.ndarray, gender: np.ndarray, cs: ConstraintSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint features of candidate rows given their activity ids and gender codes.
+def feature_types(activity: np.ndarray, gender: np.ndarray, cs: ConstraintSet) -> np.ndarray:
+    """Feature type of candidate rows given their activity ids and gender codes.
 
-    Returns ``(slot, values)``. ``slot[r]`` is the constraint slot j of row
-    r, or -1 for an ungendered row or an activity outside the constraint
-    set; the row's features are ``values[r, 0]`` at coordinate 2j and
-    ``values[r, 1]`` at 2j+1, and both are zero on rows without features.
+    A gendered row of the activity in constraint slot j has type 2j if male
+    and 2j+1 if female; every other row has type ``cs.dimension`` and no
+    features. Features depend on nothing but the type: see `type_features`.
     """
     size = max(int(activity.max(initial=-1)), max(cs.activity_ids, default=-1)) + 1
     lookup = np.full(size, -1, dtype=np.int64)
     lookup[list(cs.activity_ids)] = np.arange(cs.n_constraints)
     slot = np.where(gender != UNGENDERED_CODE, lookup[activity], -1)
-    featured = slot >= 0
-    r = cs.b_star[slot[featured]]
+    return np.where(slot >= 0, 2 * slot + (gender == FEMALE_CODE), cs.dimension)
+
+
+def type_features(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
+    """Feature values of every type and the coordinates they sit at.
+
+    Returns ``(values, coords)``, both of shape (dimension + 1, 2): type t
+    has ``values[t]`` at ``coords[t]``, which are 2j and 2j+1 of its slot
+    j = t // 2. The last row, of the featureless type, is zero values at
+    coordinate 0.
+    """
+    r = np.repeat(cs.b_star, 2)
     g = cs.gamma
-    male = gender[featured] == MALE_CODE
-    values = np.zeros((activity.size, 2))
-    values[featured, 0] = np.where(male, 1.0 - r - g, -r - g)
-    values[featured, 1] = np.where(male, -1.0 + r - g, r - g)
-    return slot, values
+    male = np.arange(cs.dimension) % 2 == 0
+    values = np.zeros((cs.dimension + 1, 2))
+    values[:-1, 0] = np.where(male, 1.0 - r - g, -r - g)
+    values[:-1, 1] = np.where(male, -1.0 + r - g, r - g)
+    coords = np.zeros((cs.dimension + 1, 2), dtype=np.int64)
+    coords[:-1] = np.arange(cs.dimension)[:, None] // 2 * 2 + np.arange(2)
+    return values, coords
 
 
 def feature_vector(
@@ -137,13 +146,13 @@ def feature_vector(
     constraint set; otherwise exactly the two coordinates of the
     candidate's activity.
     """
-    slot, values = row_features(
+    (t,) = feature_types(
         np.array([candidate.activity_id]), np.array([GENDER_TAGS.index(candidate.gender)]), cs
     )
-    j = int(slot[0])
-    if j < 0:
+    if t == cs.dimension:
         return []
-    return [(2 * j, float(values[0, 0])), (2 * j + 1, float(values[0, 1]))]
+    values, coords = type_features(cs)
+    return list(zip(coords[t].tolist(), values[t].tolist()))
 
 
 def _expectation(
@@ -157,16 +166,16 @@ def _expectation(
 
     Each instance's expectation is summed on its own first, candidate by
     candidate, and the per-instance vectors are then added in instance
-    order; the solver's gradient instead sums all rows in one pass.
+    order; the solver's gradient instead folds the mass of each feature type.
     """
-    slot, values = row_features(activity, gender, cs)
-    rows = np.flatnonzero(slot >= 0)
+    types = feature_types(activity, gender, cs)
+    rows = np.flatnonzero(types < cs.dimension)
+    values, coords = (table[types[rows]] for table in type_features(cs))
     out = np.zeros(cs.dimension)
     for side in (0, 1):
-        coordinate = 2 * slot[rows] + side
-        key = segment_ids[rows] * cs.dimension + coordinate
+        key = segment_ids[rows] * cs.dimension + coords[:, side]
         keys, per_key = np.unique(key, return_inverse=True)
-        partial = np.bincount(per_key, weights=probs[rows] * values[rows, side])
+        partial = np.bincount(per_key, weights=probs[rows] * values[:, side])
         out += np.bincount(keys % cs.dimension, weights=partial, minlength=cs.dimension)
     return out
 

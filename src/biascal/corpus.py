@@ -34,7 +34,8 @@ and `Corpus.instances` builds them from the rows on first use. Loaded
 objects are immutable and safe for concurrent read access; every array is
 created read-only (``writeable=False``).
 
-`load_corpus` reads `CHUNK_LINES` lines at a time. It decodes each line on
+`load_corpus` reads `CHUNK_LINES` lines at a time, from a path or a text
+or binary file object alike, which it leaves open. It decodes each line on
 its own, makes every record check once over the whole chunk, and turns the
 chunk into numpy columns before it reads the next; the columns are joined
 once at the end. So besides the arrays themselves, a load holds one chunk's
@@ -316,17 +317,32 @@ class TrainingStats:
         return count is not None and count.total > 0
 
 
-def _open_for_read(source) -> IO[str]:
+@contextmanager
+def _open_for_read(source) -> Iterator[IO[str]]:
+    """A text stream over ``source``, read as it is iterated.
+
+    A path is opened and closed again. A file object is read in place and
+    left open: a binary one through a UTF-8 wrapper that is detached, not
+    closed, afterwards.
+    """
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if hasattr(source, "read"):
+        with open(source, "r", encoding="utf-8") as stream:
+            yield stream
+    elif isinstance(source, bytes):
+        yield io.StringIO(source.decode("utf-8"))
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    elif isinstance(source, (io.BufferedIOBase, io.RawIOBase)):
+        stream = io.TextIOWrapper(source, encoding="utf-8")
+        try:
+            yield stream
+        finally:
+            stream.detach()
+    elif hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data)
-    raise TypeError(f"unsupported source type {type(source)!r}")
+        yield io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data)
+    else:
+        raise TypeError(f"unsupported source type {type(source)!r}")
 
 
 @contextmanager
@@ -392,6 +408,8 @@ def _check_record(line: str, lineno: int) -> None:
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         message = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
         raise CorpusFormatError(f"line {lineno}: invalid JSON ({message})") from None
+    except RecursionError:
+        raise CorpusFormatError(f"line {lineno}: invalid JSON (nested too deeply)") from None
     if not isinstance(record, dict):
         raise CorpusFormatError(f"line {lineno}: instance must be an object")
     inst_id = record.get("id")
@@ -430,7 +448,8 @@ def _decoded(lines: list[str]) -> list | None:
         if text and not text.isspace():
             try:
                 value, end = _SCAN_JSON(text, 0)
-            except (StopIteration, ValueError):  # also an integer past the digit limit
+            # also an integer past the digit limit, or nesting past the recursion limit
+            except (StopIteration, ValueError, RecursionError):
                 return None
             if end != len(text):
                 return None
@@ -483,20 +502,16 @@ def load_corpus(source) -> Corpus:
     Raises CorpusFormatError on malformed records (with line number) and
     ValidationError on invariant violations (naming the instance).
     """
-    stream = _open_for_read(source)
     vocab: dict[str, int] = {}
     chunks = []
     first_lineno = 1
-    try:
+    with _open_for_read(source) as stream:
         while lines := list(itertools.islice(stream, CHUNK_LINES)):
             columns = _chunk_columns(lines, vocab)
             if columns is None:
                 _raise_first_error(lines, first_lineno)
             chunks.append(columns)
             first_lineno += len(lines)
-    finally:
-        if stream is not source:
-            stream.close()
     ids, *columns = zip(*chunks) if chunks else ((),) * 6
     return Corpus._from_rows(vocab, tuple(itertools.chain.from_iterable(ids)),
                              *(np.concatenate(parts) if parts else () for parts in columns))
@@ -558,15 +573,11 @@ def dump_posteriors(corpus: Corpus, probs: np.ndarray, sink) -> None:
 
 def load_training_stats(source) -> TrainingStats:
     """Load per-activity male/female label counts from a JSON object."""
-    stream = _open_for_read(source)
-    try:
+    with _open_for_read(source) as stream:
         try:
             raw = json.load(stream)
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(f"invalid stats JSON at line {exc.lineno}: {exc.msg}") from None
-    finally:
-        if stream is not source:
-            stream.close()
     if not isinstance(raw, dict):
         raise CorpusFormatError("stats file must be a JSON object")
     counts: dict[str, GenderCount] = {}

@@ -11,7 +11,12 @@ where lam maximizes the concave dual objective
 
 The partition function factorizes over instances because instances are
 independent and the features add across instances, which is what makes the
-per-instance reweighting above exact.
+per-instance reweighting above exact. A candidate's features depend only on
+its type, (activity, gender), so every path runs on a compressed corpus
+(`FeaturizedCorpus`): each instance's featured candidates and one plain row
+holding the total probability of the rest. Penalties are computed once per
+type and looked up per row; expectations are per-type masses folded through
+the type's feature values.
 
 `solve` has two modes. Stochastic mode is the paper's protocol: projected
 Adam ascent that shuffles instances each epoch and scales each mini-batch
@@ -30,13 +35,14 @@ import copy
 import hashlib
 import itertools
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSet, row_features
+from .constraints import ConstraintSet, feature_types, type_features
 from .corpus import Corpus, atomic_write
 from .distribution import InstancePosterior, PosteriorTable, as_table, reweight
 from .errors import (
@@ -151,18 +157,23 @@ class DualState:
 
 @dataclass(frozen=True)
 class FeaturizedCorpus:
-    """Flat per-candidate view of (corpus, posteriors, constraints).
+    """Compressed, type-indexed view of (corpus, posteriors, constraints).
 
-    ``cols``/``vals`` hold each candidate's two feature coordinates; rows
-    with no features point at coordinate 0 with value 0 so scatter-adds are
-    harmless.
+    Each instance keeps its featured rows, the gendered candidates of its
+    constrained activities, in corpus order, and ends in one plain row that
+    merges all its other candidates: the plain row's ``log_p`` is the log of
+    their total probability (-inf when it is 0) and it has no features, so
+    no segment is empty. ``types[r]`` is row r's `feature_types` type, and
+    plain rows have type ``dim``. Rows of one type share their features,
+    ``values[t]`` at coordinates ``coords[t]``, as `type_features` gives them.
     """
 
     offsets: np.ndarray
     seg_ids: np.ndarray
     log_p: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    types: np.ndarray
+    values: np.ndarray
+    coords: np.ndarray
     dim: int
     n_instances: int
 
@@ -174,89 +185,86 @@ class FeaturizedCorpus:
 def featurize(
     corpus: Corpus, posteriors: Sequence[InstancePosterior], cs: ConstraintSet
 ) -> FeaturizedCorpus:
-    """Precompute features and log base probabilities once per solve."""
-    table = as_table(corpus, posteriors)
-    slot, vals = row_features(corpus.activity, corpus.gender, cs)
-    cols = np.where(slot[:, None] >= 0, 2 * slot[:, None] + np.arange(2), 0)
-    with np.errstate(divide="ignore"):
-        log_p = np.log(table.probs)
-    return FeaturizedCorpus(
-        offsets=corpus.offsets,
-        seg_ids=corpus.segment_ids,
-        log_p=log_p,
-        cols=cols,
-        vals=vals,
-        dim=cs.dimension,
-        n_instances=corpus.n_instances,
+    """Compress the corpus to its featured rows and one plain row per instance."""
+    probs = as_table(corpus, posteriors).probs
+    n, dim = corpus.n_instances, cs.dimension
+    row_types = feature_types(corpus.activity, corpus.gender, cs)
+    featured = np.flatnonzero(row_types < dim)
+    seg = corpus.segment_ids[featured]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(seg, minlength=n) + 1)])
+    plain = np.bincount(
+        corpus.segment_ids, weights=np.where(row_types < dim, 0.0, probs), minlength=n
     )
+    # featured row k of instance i lands after the plain rows of instances < i
+    at = np.arange(featured.size) + seg
+    log_p = np.empty(offsets[-1])
+    types = np.full(offsets[-1], dim)
+    with np.errstate(divide="ignore"):
+        log_p[at] = np.log(probs[featured])
+        log_p[offsets[1:] - 1] = np.log(plain)
+    types[at] = row_types[featured]
+    seg_ids = np.repeat(np.arange(n), np.diff(offsets))
+    return FeaturizedCorpus(offsets, seg_ids, log_p, types, *type_features(cs), dim, n)
 
 
 def _gather(fc: FeaturizedCorpus, indices: np.ndarray) -> FeaturizedCorpus:
-    """The instances at ``indices``, in that order, as a new flat corpus."""
+    """The instances at ``indices``, in that order, as a new compressed corpus."""
     lens = np.diff(fc.offsets)[indices]
-    new_offsets = np.concatenate([[0], np.cumsum(lens)])
-    total = int(new_offsets[-1])
-    within = np.arange(total) - np.repeat(new_offsets[:-1], lens)
-    rows = np.repeat(fc.offsets[indices], lens) + within
-    return FeaturizedCorpus(
-        offsets=new_offsets,
+    offsets = np.concatenate([[0], np.cumsum(lens)])
+    rows = np.repeat(fc.offsets[indices] - offsets[:-1], lens) + np.arange(offsets[-1])
+    return replace(
+        fc,
+        offsets=offsets,
         seg_ids=np.repeat(np.arange(len(indices)), lens),
         log_p=fc.log_p[rows],
-        cols=fc.cols[rows],
-        vals=fc.vals[rows],
-        dim=fc.dim,
+        types=fc.types[rows],
         n_instances=len(indices),
     )
 
 
-def _slice(fc: FeaturizedCorpus, start: int, stop: int) -> FeaturizedCorpus:
-    """Instances ``start:stop`` as a flat corpus of views into ``fc``."""
-    lo, hi = fc.offsets[start], fc.offsets[stop]
-    return FeaturizedCorpus(
-        offsets=fc.offsets[start : stop + 1] - lo,
-        seg_ids=fc.seg_ids[lo:hi] - start,
-        log_p=fc.log_p[lo:hi],
-        cols=fc.cols[lo:hi],
-        vals=fc.vals[lo:hi],
-        dim=fc.dim,
-        n_instances=stop - start,
-    )
+def _type_penalties(values: np.ndarray, coords: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """lam . phi of every type, the plain type last; a leading axis of ``lam`` (a grid) is kept."""
+    if lam.shape[-1] == 0:
+        return np.zeros(lam.shape[:-1] + (1,))
+    return np.add.reduce(values * lam[..., coords], axis=-1)
 
 
-def _penalties(fc: FeaturizedCorpus, lam: np.ndarray) -> np.ndarray:
-    """Per-candidate lam . phi; a leading axis of ``lam`` (a grid) is kept."""
-    if fc.dim == 0:
-        return np.zeros(lam.shape[:-1] + (fc.n_rows,))
-    cols, vals = fc.cols, fc.vals
-    return vals[:, 0] * lam.take(cols[:, 0], axis=-1) + vals[:, 1] * lam.take(cols[:, 1], axis=-1)
-
-
-def _log_z(fc: FeaturizedCorpus, weights: np.ndarray) -> np.ndarray:
-    """Per-instance log partition values of per-candidate log weights (last axis)."""
-    if fc.n_instances == 0:
-        return np.zeros(weights.shape[:-1] + (0,))
-    starts = fc.offsets[:-1]
+def _partition(weights: np.ndarray, seg_ids: np.ndarray, starts: np.ndarray) -> tuple:
+    """Per-instance max shifts, shifted exponentials of per-row log weights,
+    and their per-instance sums (all along the last axis)."""
+    if starts.size == 0:
+        return weights[..., :0], weights, weights[..., :0]
     shift = np.maximum.reduceat(weights, starts, axis=-1)
-    if not np.all(np.isfinite(shift)):
-        bad = int(np.argwhere(~np.isfinite(shift))[0, -1])
+    exps = np.exp(weights - shift.take(seg_ids, axis=-1))
+    return shift, exps, np.add.reduceat(exps, starts, axis=-1)
+
+
+def _check_shift(shift: np.ndarray) -> None:
+    finite = np.isfinite(shift)
+    if not finite.all():
+        bad = int(np.argwhere(~finite)[0, -1])
         raise DegenerateDistributionError(
             f"instance index {bad}: no probability mass left on the support"
         )
-    sums = np.add.reduceat(np.exp(weights - shift.take(fc.seg_ids, axis=-1)), starts, axis=-1)
-    return shift + np.log(sums)
 
 
 def _reweighted(fc: FeaturizedCorpus, lam: np.ndarray) -> np.ndarray:
-    """Per-candidate probabilities reweighted by exp(-lam . phi)."""
-    weights = fc.log_p - _penalties(fc, lam)
-    return np.exp(weights - _log_z(fc, weights)[fc.seg_ids])
+    """Per-row probabilities reweighted by exp(-lam . phi)."""
+    penalty = _type_penalties(fc.values, fc.coords, lam).take(fc.types)
+    shift, exps, sums = _partition(fc.log_p - penalty, fc.seg_ids, fc.offsets[:-1])
+    _check_shift(shift)
+    return exps / sums.take(fc.seg_ids)
 
 
-def _expectation(fc: FeaturizedCorpus, probs: np.ndarray) -> np.ndarray:
-    out = np.zeros(fc.dim)
-    for s in (0, 1):
-        out += np.bincount(fc.cols[:, s], weights=probs * fc.vals[:, s], minlength=fc.dim)
-    return out
+def _type_mass(types: np.ndarray, probs: np.ndarray, dim: int) -> np.ndarray:
+    """Probability mass of every type, the plain type last."""
+    return np.bincount(types, weights=probs, minlength=dim + 1)
+
+
+def _expectation(fc: FeaturizedCorpus, mass: np.ndarray) -> np.ndarray:
+    """Feature expectation folded from the `_type_mass` of every type."""
+    weighted = mass[:-1, None] * fc.values[:-1]
+    return np.bincount(fc.coords[:-1].ravel(), weights=weighted.ravel(), minlength=fc.dim)
 
 
 def dual_objective(
@@ -268,8 +276,10 @@ def dual_objective(
     """J(lam) = -sum_i log Z_i(lam); zero at lam = 0 by normalization."""
     fc = featurize(corpus, posteriors, cs)
     lam = np.asarray(lam, dtype=np.float64)
-    weights = fc.log_p - _penalties(fc, lam)
-    return float(-_log_z(fc, weights).sum())
+    penalty = _type_penalties(fc.values, fc.coords, lam).take(fc.types)
+    shift, _, sums = _partition(fc.log_p - penalty, fc.seg_ids, fc.offsets[:-1])
+    _check_shift(shift)
+    return float(-(shift + np.log(sums)).sum())
 
 
 def dual_gradient(
@@ -287,12 +297,10 @@ def dual_gradient(
     corpus_size / batch_size, making it an unbiased full-gradient estimate.
     """
     fc = featurize(corpus, posteriors, cs)
-    lam = np.asarray(lam, dtype=np.float64)
-    if batch is None:
-        return _expectation(fc, _reweighted(fc, lam))
-    indices = np.asarray(batch, dtype=np.int64)
-    sub = _gather(fc, indices)
-    return (fc.n_instances / len(indices)) * _expectation(sub, _reweighted(sub, lam))
+    sub = fc if batch is None else _gather(fc, np.asarray(batch, dtype=np.int64))
+    probs = _reweighted(sub, np.asarray(lam, dtype=np.float64))
+    gradient = _expectation(sub, _type_mass(sub.types, probs, sub.dim))
+    return gradient if batch is None else (fc.n_instances / sub.n_instances) * gradient
 
 
 def _adam_step(state: DualState, gradient: np.ndarray, lr_decay: float) -> None:
@@ -306,6 +314,25 @@ def _adam_step(state: DualState, gradient: np.ndarray, lr_decay: float) -> None:
         0.0, state.lam + state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     )
     state.learning_rate *= lr_decay
+
+
+def _batch_step(state: DualState, fc: FeaturizedCorpus, log_p: np.ndarray, types: np.ndarray,
+                seg_ids: np.ndarray, starts: np.ndarray, scale: float, lr_decay: float) -> None:
+    """One stochastic step on a mini-batch given as flat rows of ``fc``'s kind.
+
+    ``seg_ids`` numbers the batch's instances from 0 and ``starts`` holds
+    their first rows. The gradient is the batch expectation times ``scale``.
+    One test per step covers the gradient and lam (0 * inf is nan, so the
+    dot product is non-finite when either has a non-finite entry); only
+    when it fails are the shifts and the two vectors examined.
+    """
+    penalty = _type_penalties(fc.values, fc.coords, state.lam).take(types)
+    shift, exps, sums = _partition(log_p - penalty, seg_ids, starts)
+    gradient = scale * _expectation(fc, _type_mass(types, exps / sums.take(seg_ids), fc.dim))
+    if not math.isfinite(gradient @ state.lam):
+        _check_shift(shift)
+        _check_finite(state, gradient)
+    _adam_step(state, gradient, lr_decay)
 
 
 def _check_finite(state: DualState, gradient: np.ndarray) -> None:
@@ -329,60 +356,38 @@ def _projected_gradient_norm(lam: np.ndarray, gradient: np.ndarray, tol: float) 
     return float(projected.max()) if projected.size else 0.0
 
 
-def _featured_rows(fc: FeaturizedCorpus) -> tuple[np.ndarray, FeaturizedCorpus]:
-    """The rows carrying a nonzero feature, and those rows as a corpus.
-
-    Featureless rows enter the Newton step only through each instance's
-    total probability on them. The returned corpus keeps every instance,
-    so some of its segments may be empty; it serves `_penalties`,
-    `_hessian_blocks` and `_objective_gain`, which sum by instance id, not
-    by segment.
-    """
-    rows = np.flatnonzero(np.any(fc.vals != 0.0, axis=1))
-    seg_ids = fc.seg_ids[rows]
-    return rows, FeaturizedCorpus(
-        offsets=np.searchsorted(seg_ids, np.arange(fc.n_instances + 1)),
-        seg_ids=seg_ids,
-        log_p=fc.log_p[rows],
-        cols=fc.cols[rows],
-        vals=fc.vals[rows],
-        dim=fc.dim,
-        n_instances=fc.n_instances,
-    )
-
-
 def _pair_groups(fc: FeaturizedCorpus) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's (instance, constraint pair) group, and each group's pair."""
-    n_pairs = fc.dim // 2
-    keys, group = np.unique(fc.seg_ids * n_pairs + fc.cols[:, 0] // 2, return_inverse=True)
-    return group, keys % n_pairs
+    """Each row's (constraint pair, instance) group, and each group's pair.
+
+    Plain rows fall in groups of the extra pair ``dim // 2``.
+    """
+    keys, group = np.unique(fc.types // 2 * fc.n_instances + fc.seg_ids, return_inverse=True)
+    return group, keys // fc.n_instances
 
 
-def _hessian_blocks(
-    fc: FeaturizedCorpus, probs: np.ndarray, group: np.ndarray, group_pair: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _hessian_blocks(fc: FeaturizedCorpus, probs: np.ndarray, mass: np.ndarray, group: np.ndarray,
+                    group_pair: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each pair's 2x2 block of -Hessian(J), and the diagonal second moments.
 
     -Hessian(J) is the summed per-instance feature covariance. A row's
     features sit on its own activity's pair, so the block of pair j is
-    sum_r q_r v_a v_b over its rows minus sum_i mu_ia mu_ib over the
-    per-(instance, pair) means mu. Covariances across pairs, which arise
-    only in instances with gendered candidates of several activities, are
-    left out. Returns (h00, h01, h11, second) with ``second`` the sum_r
-    q_r v_a^2 of every coordinate, the scale below which a curvature is
-    rounding noise.
+    sum_r q_r v_a v_b over its rows, a sum over its two types of their
+    ``mass``, minus sum_i mu_ia mu_ib over the per-(instance, pair) means
+    mu. Covariances across pairs, which arise only in instances with
+    gendered candidates of several activities, are left out. Returns (h00,
+    h01, h11, second) with ``second`` the sum_r q_r v_a^2 of every
+    coordinate, the scale below which a curvature is rounding noise.
     """
     n_pairs = fc.dim // 2
-    pair = fc.cols[:, 0] // 2
-    weighted = probs[:, None] * fc.vals
+    weighted = probs[:, None] * fc.values[fc.types]
     mean = [np.bincount(group, weights=weighted[:, a]) for a in (0, 1)]
+    values = fc.values[:-1]
     second = np.empty(fc.dim)
     blocks = []
     for a, b in ((0, 0), (0, 1), (1, 1)):
-        moment = np.bincount(pair, weights=weighted[:, a] * fc.vals[:, b], minlength=n_pairs)
-        blocks.append(
-            moment - np.bincount(group_pair, weights=mean[a] * mean[b], minlength=n_pairs)
-        )
+        moment = (mass[:-1] * values[:, a] * values[:, b]).reshape(n_pairs, 2).sum(axis=1)
+        covariance = np.bincount(group_pair, weights=mean[a] * mean[b], minlength=n_pairs + 1)
+        blocks.append(moment - covariance[:n_pairs])
         if a == b:
             second[a::2] = moment
     return blocks[0], blocks[1], blocks[2], second
@@ -420,22 +425,18 @@ def _newton_direction(
     return direction
 
 
-def _objective_gain(
-    fc: FeaturizedCorpus, probs: np.ndarray, plain: np.ndarray, delta: np.ndarray
-) -> float:
+def _objective_gain(fc: FeaturizedCorpus, probs: np.ndarray, delta: np.ndarray) -> float:
     """J(lam + delta) - J(lam), given the probabilities reweighted at lam.
 
-    ``fc`` and ``probs`` are the featured rows and their probabilities,
-    ``plain`` each instance's probability on its featureless rows. With
-    w = -delta . phi per row and c_i the mean of w under q_i,
+    With w = -delta . phi per row and c_i the mean of w under q_i,
     log Z_i(lam + delta) - log Z_i(lam) = c_i + log1p(sum_k q_ik expm1(w_ik - c_i)),
     and the log1p term is nonnegative and second order in delta. The gain
     is therefore accurate to its own size, far below the rounding level of
     J itself, which the line search needs near convergence.
     """
-    w = -_penalties(fc, delta)
+    w = -_type_penalties(fc.values, fc.coords, delta).take(fc.types)
     mean = np.bincount(fc.seg_ids, weights=probs * w, minlength=fc.n_instances)
-    spread = plain * np.expm1(-mean) + np.bincount(
+    spread = np.bincount(
         fc.seg_ids, weights=probs * np.expm1(w - mean[fc.seg_ids]), minlength=fc.n_instances
     )
     return float(-mean.sum() - np.log1p(spread).sum())
@@ -452,13 +453,11 @@ def _newton_ascent(fc: FeaturizedCorpus, state: DualState, config: SolverConfig)
     ``config.max_steps`` steps, or when no step gains anything at working
     precision. Each step adds one to ``state.step``.
     """
-    rows, featured = _featured_rows(fc)
-    is_plain = np.ones(fc.n_rows)
-    is_plain[rows] = 0.0
-    group, group_pair = _pair_groups(featured)
+    group, group_pair = _pair_groups(fc)
     for _ in range(config.max_steps):
         probs = _reweighted(fc, state.lam)
-        gradient = _expectation(fc, probs)
+        mass = _type_mass(fc.types, probs, fc.dim)
+        gradient = _expectation(fc, mass)
         _check_finite(state, gradient)
         if _projected_gradient_norm(state.lam, gradient, config.convergence_tol) <= (
             config.convergence_tol
@@ -466,22 +465,20 @@ def _newton_ascent(fc: FeaturizedCorpus, state: DualState, config: SolverConfig)
             return
         residual = np.abs(state.lam - np.maximum(0.0, state.lam + gradient)).max()
         active = (state.lam <= min(ACTIVE_EPS, residual)) & (gradient <= 0.0)
-        q = probs[rows]
-        blocks = _hessian_blocks(featured, q, group, group_pair)
+        blocks = _hessian_blocks(fc, probs, mass, group, group_pair)
         direction = _newton_direction(gradient, ~active, *blocks)
         free_rate = float(gradient[~active] @ direction[~active])
         # bound every candidate's log-weight change along the whole arc, so
         # the exponentials of the gain stay finite
-        reach = (np.abs(featured.vals) * np.abs(direction)[featured.cols]).sum(axis=1)
-        largest = float(reach.max(initial=0.0))
+        reach = _type_penalties(np.abs(fc.values), fc.coords, np.abs(direction))
+        largest = float(reach.take(fc.types).max())
         alpha = min(1.0, MAX_LOG_WEIGHT_STEP / largest) if largest > 0.0 else 1.0
-        plain = np.bincount(fc.seg_ids, weights=probs * is_plain, minlength=fc.n_instances)
         for _ in range(MAX_BACKTRACKS):
             trial = np.maximum(0.0, state.lam + alpha * direction)
             predicted = alpha * free_rate + float(
                 gradient[active] @ (trial[active] - state.lam[active])
             )
-            gain = _objective_gain(featured, q, plain, trial - state.lam)
+            gain = _objective_gain(fc, probs, trial - state.lam)
             if gain >= ARMIJO_FRACTION * predicted:
                 break
             alpha *= BACKTRACK
@@ -532,16 +529,19 @@ def solve(
         return state
 
     rng = np.random.default_rng(config.seed)
-    n = fc.n_instances
+    n, size = fc.n_instances, config.batch_size
+    edges = list(range(0, n, size)) + [n]
     for _ in range(config.epochs):
         # gather the shuffled corpus once; each mini-batch is then a
-        # contiguous run of its instances
+        # contiguous run of its rows, whose instances and first rows are
+        # numbered from the batch's own start
         shuffled = _gather(fc, rng.permutation(n))
-        for start in range(0, n, config.batch_size):
-            sub = _slice(shuffled, start, min(start + config.batch_size, n))
-            gradient = (n / sub.n_instances) * _expectation(sub, _reweighted(sub, state.lam))
-            _check_finite(state, gradient)
-            _adam_step(state, gradient, config.lr_decay)
+        seg_ids = shuffled.seg_ids % size
+        starts = shuffled.offsets[:-1] - np.repeat(shuffled.offsets[edges[:-1]], size)[:n]
+        bounds = shuffled.offsets[edges].tolist()
+        for (first, last), (lo, hi) in zip(itertools.pairwise(edges), itertools.pairwise(bounds)):
+            _batch_step(state, fc, shuffled.log_p[lo:hi], shuffled.types[lo:hi], seg_ids[lo:hi],
+                        starts[first:last], n / (last - first), config.lr_decay)
     return state
 
 
@@ -561,7 +561,8 @@ def calibrate(
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (cs.dimension,):
         raise ValidationError(f"lam has shape {lam.shape}, expected ({cs.dimension},)")
-    penalty = _penalties(featurize(corpus, table, cs), lam)
+    types = feature_types(corpus.activity, corpus.gender, cs)
+    penalty = _type_penalties(*type_features(cs), lam).take(types)
     touched = np.flatnonzero(penalty != 0.0)
     if touched.size == 0:
         return posteriors if isinstance(posteriors, PosteriorTable) else list(posteriors)
@@ -582,34 +583,26 @@ MAX_ORACLE_CANDIDATES = 64
 
 
 def _evaluate_grid(
-    fc: FeaturizedCorpus,
-    cs: ConstraintSet,
-    slot: np.ndarray,
-    male: np.ndarray,
-    lam_grid: np.ndarray,
+    fc: FeaturizedCorpus, cs: ConstraintSet, lam_grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """KL, dual objective, and feasibility of every grid point at once.
 
-    ``slot`` and ``male`` are the rows' `row_features` slots and male flags.
+    Feasibility reads each activity's male mass off its male type 2j and its
+    gendered mass off types 2j and 2j+1.
     """
-    penalties = _penalties(fc, lam_grid)
-    weights = fc.log_p - penalties
-    log_z = _log_z(fc, weights)
-    log_z_rows = log_z[:, fc.seg_ids]
-    probs = np.exp(weights - log_z_rows)
+    penalties = _type_penalties(fc.values, fc.coords, lam_grid)[:, fc.types]
+    shift, exps, sums = _partition(fc.log_p - penalties, fc.seg_ids, fc.offsets[:-1])
+    _check_shift(shift)
+    log_z = shift + np.log(sums)
+    probs = exps / sums[:, fc.seg_ids]
     objective = -log_z.sum(axis=1)
-    kl = (probs * (-penalties - log_z_rows)).sum(axis=1)
-    feasible = np.ones(lam_grid.shape[0], dtype=bool)
-    for j in range(cs.n_constraints):
-        rows = slot == j
-        gendered = probs[:, rows].sum(axis=1)
-        male_mass = probs[:, rows & male].sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = male_mass / gendered
-        feasible &= (gendered > 0.0) & (
-            np.abs(ratio - float(cs.b_star[j])) <= cs.gamma + 1e-12
-        )
-    return kl, objective, feasible
+    kl = (probs * (-penalties - log_z[:, fc.seg_ids])).sum(axis=1)
+    mass = probs @ (fc.types[:, None] == np.arange(fc.dim))
+    male, gendered = mass[:, 0::2], mass[:, 0::2] + mass[:, 1::2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = male / gendered
+    feasible = (gendered > 0.0) & (np.abs(ratio - cs.b_star) <= cs.gamma + 1e-12)
+    return kl, objective, feasible.all(axis=1)
 
 
 def brute_force_project(
@@ -638,18 +631,17 @@ def brute_force_project(
             f"brute force supports at most {MAX_ORACLE_DIMENSION // 2} constrained "
             f"activities, got {cs.n_constraints}"
         )
-    fc = featurize(corpus, posteriors, cs)
-    if fc.n_rows > MAX_ORACLE_CANDIDATES:
+    if corpus.n_rows > MAX_ORACLE_CANDIDATES:
         raise OracleSizeError(
             f"brute force supports at most {MAX_ORACLE_CANDIDATES} candidates, "
-            f"got {fc.n_rows}"
+            f"got {corpus.n_rows}"
         )
     if resolution < 3:
         raise ValidationError("grid resolution must be at least 3")
     dim = cs.dimension
-    if dim == 0 or fc.n_instances == 0:
+    if dim == 0 or corpus.n_instances == 0:
         return calibrate(corpus, posteriors, cs, np.zeros(dim)), np.zeros(dim)
-    slot, _ = row_features(corpus.activity, corpus.gender, cs)
+    fc = featurize(corpus, posteriors, cs)
 
     lo = np.zeros(dim)
     hi = np.full(dim, float(lam_max))
@@ -665,7 +657,7 @@ def brute_force_project(
         total_passes += 1
         axes = [np.linspace(lo[d], hi[d], resolution) for d in range(dim)]
         lam_grid = np.array(list(itertools.product(*axes)))
-        kl, objective, feasible = _evaluate_grid(fc, cs, slot, corpus.male, lam_grid)
+        kl, objective, feasible = _evaluate_grid(fc, cs, lam_grid)
         arg_dual = int(np.argmax(objective))
         center = lam_grid[arg_dual]
         if objective[arg_dual] > dual_best_objective:

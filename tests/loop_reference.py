@@ -2,29 +2,37 @@
 
 These are the package's original per-instance loops, kept so the
 vectorized paths can be required to match them exactly. Posteriors use
-``scipy.special.log_softmax`` as the original did. `full_batch_solve` is
-the exception: a slow first-order ascent that the Newton full-batch solve
-must match in optimum, not step for step. `load_corpus` and
+``scipy.special.log_softmax`` as the original did. The ``naive_*`` dual
+functions work one instance and one candidate at a time on the
+uncompressed candidates, without `featurize`; the solver matches them to
+rounding. `stochastic_solve` gathers every mini-batch from the whole
+compressed corpus and must match the solver's per-epoch gather bit for
+bit. `full_batch_solve` is a slow first-order ascent on every candidate
+row that the Newton full-batch solve must match in optimum, not step for
+step. `load_corpus` and
 `write_records` are the line-by-line JSONL reader and writer that the
 chunked ones must match byte for byte and error for error.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import log_softmax
 
 import biascal as bc
+from biascal.constraints import feature_types, type_features
 from biascal.corpus import GENDER_TAGS
 from biascal.solver import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    _adam_step,
+    _batch_step,
     _check_finite,
     _projected_gradient_norm,
     featurize,
@@ -190,21 +198,113 @@ def dual_hessian(corpus, posteriors, cs, lam):
 
 
 def _subset(fc, indices):
-    """One mini-batch gathered from the whole featurized corpus."""
+    """One mini-batch gathered from the whole compressed corpus."""
     sizes = np.diff(fc.offsets)
     lens = sizes[indices]
     new_offsets = np.concatenate([[0], np.cumsum(lens)])
     total = int(new_offsets[-1])
     within = np.arange(total) - np.repeat(new_offsets[:-1], lens)
     rows = np.repeat(fc.offsets[indices], lens) + within
-    return type(fc)(
+    return dataclasses.replace(
+        fc,
         offsets=new_offsets,
         seg_ids=np.repeat(np.arange(len(indices)), lens),
         log_p=fc.log_p[rows],
-        cols=fc.cols[rows],
-        vals=fc.vals[rows],
-        dim=fc.dim,
+        types=fc.types[rows],
         n_instances=len(indices),
+    )
+
+
+def stochastic_solve(corpus, posteriors, cs, config):
+    """The mini-batch dual ascent, gathering every batch from the whole corpus."""
+    fc = featurize(corpus, posteriors, cs)
+    state = bc.DualState.zeros(cs.dimension, config.initial_lr)
+    rng = np.random.default_rng(config.seed)
+    n = fc.n_instances
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            indices = order[start : start + config.batch_size]
+            sub = _subset(fc, indices)
+            _batch_step(state, sub, sub.log_p, sub.types, sub.seg_ids, sub.offsets[:-1],
+                        n / len(indices), config.lr_decay)
+    return state
+
+
+def _log_weights(instance, post, cs, lam):
+    """log p - lam . phi of each candidate of one instance; -inf where p is 0."""
+    out = []
+    for prob, cand in zip(post.probs, instance.candidates):
+        penalty = sum(lam[idx] * value for idx, value in feature_vector(cand, cs))
+        out.append((math.log(prob) if prob > 0.0 else -math.inf) - penalty)
+    return out
+
+
+def _log_sum_exp(weights):
+    shift = max(weights)
+    return shift + math.log(sum(math.exp(w - shift) for w in weights))
+
+
+def naive_dual_objective(corpus, posteriors, cs, lam):
+    """-sum_i log Z_i(lam), one instance and one candidate at a time."""
+    return -sum(_log_sum_exp(_log_weights(inst, post, cs, lam))
+                for inst, post in zip(corpus.instances, posteriors))
+
+
+def naive_dual_gradient(corpus, posteriors, cs, lam, batch=None):
+    """Reweighted feature expectation over ``batch`` (default: every instance),
+    scaled by corpus_size / batch_size."""
+    n = len(corpus.instances)
+    indices = range(n) if batch is None else batch
+    out = np.zeros(cs.dimension)
+    for i in indices:
+        inst = corpus.instances[i]
+        weights = _log_weights(inst, posteriors[i], cs, lam)
+        log_z = _log_sum_exp(weights)
+        for w, cand in zip(weights, inst.candidates):
+            for idx, value in feature_vector(cand, cs):
+                out[idx] += math.exp(w - log_z) * value
+    return out if batch is None else (n / len(indices)) * out
+
+
+def naive_stochastic_solve(corpus, posteriors, cs, config):
+    """The paper's mini-batch protocol on `naive_dual_gradient`, with Adam
+    written out from its definition."""
+    lam = np.zeros(cs.dimension)
+    first = np.zeros(cs.dimension)
+    second = np.zeros(cs.dimension)
+    rate = config.initial_lr
+    rng = np.random.default_rng(config.seed)
+    n = len(corpus.instances)
+    step = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            gradient = naive_dual_gradient(
+                corpus, posteriors, cs, lam, order[start : start + config.batch_size])
+            step += 1
+            first = ADAM_BETA1 * first + (1.0 - ADAM_BETA1) * gradient
+            second = ADAM_BETA2 * second + (1.0 - ADAM_BETA2) * gradient**2
+            m_hat = first / (1.0 - ADAM_BETA1**step)
+            v_hat = second / (1.0 - ADAM_BETA2**step)
+            lam = np.maximum(0.0, lam + rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+            rate *= config.lr_decay
+    return lam
+
+
+def _candidate_rows(corpus, posteriors, cs):
+    """Every candidate as its own row, with two feature columns and values."""
+    types = feature_types(corpus.activity, corpus.gender, cs)
+    values, coords = type_features(cs)
+    with np.errstate(divide="ignore"):
+        log_p = np.log(np.concatenate([post.probs for post in posteriors]))
+    return SimpleNamespace(
+        offsets=corpus.offsets,
+        seg_ids=corpus.segment_ids,
+        log_p=log_p,
+        cols=coords[types],
+        vals=values[types],
+        dim=cs.dimension,
     )
 
 
@@ -223,27 +323,9 @@ def _expectation(fc, probs):
     return out
 
 
-def stochastic_solve(corpus, posteriors, cs, config):
-    """The mini-batch dual ascent, gathering every batch from the whole corpus."""
-    fc = featurize(corpus, posteriors, cs)
-    state = bc.DualState.zeros(cs.dimension, config.initial_lr)
-    rng = np.random.default_rng(config.seed)
-    n = fc.n_instances
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            indices = order[start : start + config.batch_size]
-            sub = _subset(fc, indices)
-            probs = _reweighted(sub, state.lam)
-            gradient = (n / len(indices)) * _expectation(sub, probs)
-            _check_finite(state, gradient)
-            _adam_step(state, gradient, config.lr_decay)
-    return state
-
-
 def full_batch_solve(corpus, posteriors, cs, config, initial_state=None):
     """Projected Adam ascent to the full-batch tolerance, with plateau restarts."""
-    fc = featurize(corpus, posteriors, cs)
+    fc = _candidate_rows(corpus, posteriors, cs)
     state = initial_state
     if state is None:
         state = bc.DualState.zeros(cs.dimension, config.initial_lr)
@@ -330,6 +412,8 @@ def load_corpus(text):
         except ValueError as exc:
             message = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
             raise bc.CorpusFormatError(f"line {lineno}: invalid JSON ({message})") from None
+        except RecursionError:
+            raise bc.CorpusFormatError(f"line {lineno}: invalid JSON (nested too deeply)") from None
         if not isinstance(record, dict):
             raise bc.CorpusFormatError(f"line {lineno}: instance must be an object")
         inst_id = record.get("id")

@@ -105,6 +105,16 @@ class TestReportCommand:
                    "--out", tmp_path / "rep") == 1
 
 
+    def test_deeply_nested_line_exits_one(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text("[" * 100_000 + "\n")
+        stats_path = tmp_path / "stats.json"
+        stats_path.write_text('{"x": {"male": 5, "female": 5}}\n')
+        capsys.readouterr()
+        assert run("report", "--corpus", corpus_path, "--stats", stats_path,
+                   "--out", tmp_path / "rep") == 1
+        assert capsys.readouterr().err == "error: line 1: invalid JSON (nested too deeply)\n"
+
     @pytest.mark.parametrize("past, message", [
         ("float range", "error: line 2: instance 'b': score must be finite, got inf\n"),
         ("digit limit", "error: line 2: invalid JSON (Exceeds the limit ("),

@@ -145,6 +145,8 @@ class TestLoadCorpus:
                       % ("0" * 400)],
                      bc.ValidationError, "line 1: instance 'a': score must be finite, got inf",
                      id="integer_score_beyond_float_range"),
+        pytest.param([VALID % "a", "[" * 100_000], bc.CorpusFormatError,
+                     "line 2: invalid JSON (nested too deeply)", id="nested_past_recursion_limit"),
     ])
     def test_rejected_line_is_reported_exactly(self, lines, error, message):
         with pytest.raises(error) as caught:
@@ -160,6 +162,25 @@ class TestLoadCorpus:
         line = '{"id":"a","candidates":[{"activity":"x","gender":"M","score":%s}]}' % digits
         with pytest.raises(bc.CorpusFormatError, match=r"^line 2: invalid JSON \(Exceeds the limit"):
             corpus_of(VALID % "first", line)
+
+
+class TestFileObjects:
+    def test_text_and_binary_streams_load_as_the_path_and_stay_open(self, tmp_path):
+        corpus, stats = bc.generate(bc.SynthConfig(
+            n_activities=3, instances_per_activity=2 * CHUNK_LINES, seed=4))
+        path, stats_path = tmp_path / "corpus.jsonl", tmp_path / "stats.json"
+        bc.dump_corpus(corpus, path)
+        bc.dump_training_stats(stats, stats_path)
+        expected = bc.load_corpus(path)
+        assert expected == corpus
+        with open(path, encoding="utf-8") as text, open(path, "rb") as buffered, \
+                open(path, "rb", buffering=0) as raw:
+            for stream in (text, buffered, raw, io.BytesIO(path.read_bytes())):
+                assert bc.load_corpus(stream) == expected
+                assert not stream.closed
+        with open(stats_path, "rb") as stream:
+            assert bc.load_training_stats(stream) == bc.load_training_stats(stats_path)
+            assert not stream.closed
 
 
 class TestRoundTrip:

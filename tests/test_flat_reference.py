@@ -10,10 +10,10 @@ import loop_reference as ref
 from biascal.distribution import segment_sum
 from biascal.metrics import activity_mass
 from biascal.solver import (
-    _featured_rows,
     _hessian_blocks,
     _pair_groups,
     _reweighted,
+    _type_mass,
     featurize,
 )
 from conftest import feasible_single_activity_corpus, make_corpus
@@ -109,17 +109,28 @@ def test_features_and_expectations(case, data):
     cs = random_constraint_set(data, corpus)
     posteriors = [ref.posterior(inst) for inst in corpus.instances]
     fc = featurize(corpus, posteriors, cs)
-    row = 0
-    for inst, post in zip(corpus.instances, posteriors):
+    for i, (inst, post) in enumerate(zip(corpus.instances, posteriors)):
         expected = ref.instance_expectation(inst, post, cs)
         assert np.array_equal(bc.instance_expectation(inst, post, cs), expected)
-        for cand in inst.candidates:
+        # the featured candidates in order, then one plain row with the rest's mass
+        rows = range(fc.offsets[i], fc.offsets[i + 1])
+        featured, plain = [], 0.0
+        for prob, cand in zip(post.probs, inst.candidates):
             features = ref.feature_vector(cand, cs)
             assert bc.feature_vector(cand, cs) == features
-            # rows without features point at coordinate 0 with value 0
-            assert fc.cols[row].tolist() == ([c for c, _ in features] or [0, 0])
-            assert fc.vals[row].tolist() == ([v for _, v in features] or [0.0, 0.0])
-            row += 1
+            if features:
+                featured.append((features, prob))
+            else:
+                plain += prob
+        assert len(rows) == len(featured) + 1
+        with np.errstate(divide="ignore"):
+            for row, (features, prob) in zip(rows, featured):
+                t = fc.types[row]
+                assert list(zip(fc.coords[t].tolist(), fc.values[t].tolist())) == features
+                assert fc.log_p[row] == np.log(prob)
+            assert fc.types[rows[-1]] == cs.dimension
+            assert fc.log_p[rows[-1]] == np.log(plain)
+    assert fc.values[cs.dimension].tolist() == [0.0, 0.0]
     expected = ref.corpus_expectation(corpus, posteriors, cs)
     assert np.array_equal(bc.corpus_expectation(corpus, posteriors, cs), expected)
     assert np.array_equal(bc.corpus_expectation(corpus, bc.instance_posterior(corpus), cs), expected)
@@ -158,14 +169,68 @@ def test_hessian_blocks_are_the_diagonal_blocks_of_the_covariance(case, data):
     expected = ref.dual_hessian(corpus, posteriors, cs, lam)
 
     fc = featurize(corpus, posteriors, cs)
-    rows, featured = _featured_rows(fc)
-    probs = _reweighted(fc, lam)[rows]
-    h00, h01, h11, _ = _hessian_blocks(featured, probs, *_pair_groups(featured))
+    probs = _reweighted(fc, lam)
+    mass = _type_mass(fc.types, probs, fc.dim)
+    h00, h01, h11, _ = _hessian_blocks(fc, probs, mass, *_pair_groups(fc))
     pairs = np.arange(cs.n_constraints)
     tol = dict(rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(h00, expected[2 * pairs, 2 * pairs], **tol)
     np.testing.assert_allclose(h01, expected[2 * pairs, 2 * pairs + 1], **tol)
     np.testing.assert_allclose(h11, expected[2 * pairs + 1, 2 * pairs + 1], **tol)
+
+
+@st.composite
+def solver_cases(draw):
+    """Corpus, constraints, dual vector and batch for the naive dual reference.
+
+    The first four instances have one shape each, the rest a drawn one:
+    gendered candidates only (no plain mass), ungendered only, gendered
+    candidates of at least three activities, and mixed. A candidate may
+    score 800 below the others, which leaves it probability 0. Ratios,
+    margin, scores and lam come from a seeded generator, so that no
+    gradient coordinate cancels to zero and flips an Adam step's sign.
+    """
+    n_activities = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = ["gendered", "ungendered", "spanning", "mixed"]
+    shapes += draw(st.lists(st.sampled_from(shapes), max_size=6))
+    specs = []
+    for i, shape in enumerate(shapes):
+        if shape == "spanning":
+            activities = rng.permutation(n_activities)[:3].tolist()
+            activities += rng.integers(n_activities, size=rng.integers(0, 3)).tolist()
+        else:
+            activities = rng.integers(n_activities, size=rng.integers(1, 7)).tolist()
+        genders = {"gendered": "MW", "ungendered": "-", "spanning": "MW", "mixed": "MW-"}[shape]
+        specs.append((f"i{i}", [
+            (a, genders[rng.integers(len(genders))],
+             rng.normal(0.0, 2.0) - 800.0 * (rng.random() < 0.2))
+            for a in activities
+        ]))
+    corpus = make_corpus(specs, n_activities=n_activities)
+    ids = tuple(range(n_activities)) if draw(st.booleans()) else tuple(range(1, n_activities))
+    cs = bc.ConstraintSet(ids, rng.uniform(0.1, 0.9, len(ids)), float(rng.uniform(0.001, 0.05)))
+    lam = rng.uniform(0.0, 3.0, cs.dimension) * (rng.random(cs.dimension) < 0.7)
+    batch = rng.choice(len(specs), size=rng.integers(1, len(specs) + 1), replace=False)
+    return corpus, cs, lam, batch
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(case=solver_cases(), batch_size=st.integers(1, 4), epochs=st.integers(2, 3))
+def test_dual_and_stochastic_solve_match_the_naive_reference(case, batch_size, epochs):
+    corpus, cs, lam, batch = case
+    posteriors = bc.instance_posterior(corpus)
+    close = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(bc.dual_objective(lam, corpus, posteriors, cs),
+                               ref.naive_dual_objective(corpus, posteriors, cs, lam), **close)
+    for indices in (None, batch):
+        np.testing.assert_allclose(
+            bc.dual_gradient(lam, corpus, posteriors, cs, batch=indices),
+            ref.naive_dual_gradient(corpus, posteriors, cs, lam, indices), **close)
+    config = bc.SolverConfig(batch_size=batch_size, epochs=epochs, seed=5)
+    state = bc.solve(corpus, posteriors, cs, config)
+    np.testing.assert_allclose(
+        state.lam, ref.naive_stochastic_solve(corpus, posteriors, cs, config), **close)
 
 
 def test_stochastic_solve_matches_per_batch_gather():

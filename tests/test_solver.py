@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 import biascal as bc
-from biascal.solver import _check_finite, brute_force_project
+from biascal.solver import _batch_step, _check_finite, brute_force_project, featurize
 from conftest import (
     feasible_single_activity_corpus,
     make_corpus,
@@ -274,6 +274,29 @@ class TestSolve:
         with pytest.raises(bc.SolverDivergenceError) as exc_info:
             _check_finite(state, gradient)
         assert exc_info.value.coordinate == 1
+
+    def test_non_finite_mini_batch_step_diagnosed(self):
+        corpus = make_corpus(
+            [("a", [(0, "M", 0.0)]), ("b", [(1, "M", 0.0), (1, "W", 0.0), (1, "-", 0.0)])],
+            names=["x", "y"],
+        )
+        cs = bc.ConstraintSet((0, 1), np.array([0.5, 0.5]), 0.01)
+        fc = featurize(corpus, bc.instance_posterior(corpus), cs)
+        rows = slice(fc.offsets[0], fc.offsets[1])  # instance "a" alone
+
+        def step(lam):
+            state = bc.DualState.zeros(4, 0.1)
+            state.lam[:] = lam
+            _batch_step(state, fc, fc.log_p[rows], fc.types[rows], fc.seg_ids[rows],
+                        np.array([0]), 2.0, 1.0)
+
+        # the male-only instance loses all its mass
+        with pytest.raises(bc.DegenerateDistributionError, match="^instance index 0: no prob"):
+            step([np.inf, 0.0, 0.0, 0.0])
+        # the batch's gradient is finite, lam is not
+        with pytest.raises(bc.SolverDivergenceError, match="dual vector") as exc_info:
+            step([0.0, 0.0, np.inf, 0.0])
+        assert exc_info.value.coordinate == 2
 
 
 class TestCalibrate:
