@@ -216,11 +216,14 @@ def build_report(
 ) -> BiasReport:
     """Assemble the full bias report at evaluation margin gamma_eval.
 
-    Activities without a gendered MAP prediction are excluded from the top
-    mean and violation count; their number is reported. Accuracy is the
-    gold-match rate of the MAP predictions, present only when every
-    instance carries a gold label.
+    ``gamma_eval`` must be a finite nonnegative real, as a constraint
+    margin must. Activities without a gendered MAP prediction are excluded
+    from the top mean and violation count; their number is reported.
+    Accuracy is the gold-match rate of the MAP predictions, present only
+    when every instance carries a gold label.
     """
+    if not (np.isfinite(gamma_eval) and gamma_eval >= 0.0):
+        raise ValidationError(f"gamma_eval must be a finite nonnegative real, got {gamma_eval}")
     table = as_table(corpus, posteriors)
     predictions = _check_predictions(corpus, predictions)
     activity_ids = constrained_activities(stats, corpus)

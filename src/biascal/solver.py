@@ -22,9 +22,9 @@ the type's feature values.
 Adam ascent that shuffles instances each epoch and scales each mini-batch
 gradient by corpus_size / batch_size so it estimates the full gradient.
 Full-batch mode is the verification-grade path: projected Newton ascent
-(Bertsekas 1982) to a per-coordinate stationarity tolerance. Its curvature
-is the 2x2 block of -Hessian(J) of each activity's coordinate pair, summed
-over the whole corpus in a few segment sums.
+to a per-coordinate stationarity tolerance on one signed multiplier per
+activity, scaled by the diagonal of -Hessian(J), which is summed over the
+whole corpus in a few segment sums.
 `brute_force_project` searches the lam grid directly and serves as an
 independent oracle on problems small enough to afford it.
 """
@@ -71,7 +71,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # Projected Newton (full-batch mode).
-ACTIVE_EPS = 1e-3  # largest eps of the active set
 ARMIJO_FRACTION = 1e-4  # share of the first-order gain a step must reach
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
@@ -79,10 +78,9 @@ MAX_BACKTRACKS = 60
 # more than this: its exponentials stay finite, and nearly flat coordinates,
 # whose Newton steps are huge, start from a step of sensible size.
 MAX_LOG_WEIGHT_STEP = 30.0
-# A curvature below this share of its second moment is rounding noise; the
-# second moments also scale the determinant a 2x2 block must exceed.
+# A curvature below this share of its second moment is rounding noise and is
+# raised to it, so a flat (unbounded) coordinate takes a long but finite step.
 CURVATURE_FLOOR = 1e-12
-PAIR_DET_MIN = 1e-10
 
 
 @dataclass
@@ -91,9 +89,10 @@ class SolverConfig:
 
     The stochastic defaults are batch 39, 10 epochs, initial rate 0.1 with
     multiplicative decay 0.998 applied after every mini-batch. Full-batch
-    mode takes projected Newton steps over the whole corpus, ignores the
-    batch, epoch, rate and seed settings, and stops once every coordinate
-    satisfies the stationarity test at ``convergence_tol`` (or at
+    mode takes projected Newton steps over the whole corpus on one signed
+    multiplier per activity, ignores the batch, epoch, rate and seed
+    settings, and stops once every coordinate satisfies the stationarity
+    test at ``convergence_tol``, which must be finite and positive (or at
     ``max_steps``).
     """
 
@@ -115,8 +114,10 @@ class SolverConfig:
             raise ValidationError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
         if self.mode not in ("stochastic", "full_batch"):
             raise ValidationError(f"unknown mode {self.mode!r}")
-        if not (self.convergence_tol > 0.0):
-            raise ValidationError("convergence_tol must be positive")
+        if not (self.convergence_tol > 0.0 and np.isfinite(self.convergence_tol)):
+            raise ValidationError(
+                f"convergence_tol must be finite and positive, got {self.convergence_tol}"
+            )
 
 
 @dataclass
@@ -365,64 +366,23 @@ def _pair_groups(fc: FeaturizedCorpus) -> tuple[np.ndarray, np.ndarray]:
     return group, keys // fc.n_instances
 
 
-def _hessian_blocks(fc: FeaturizedCorpus, probs: np.ndarray, mass: np.ndarray, group: np.ndarray,
-                    group_pair: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each pair's 2x2 block of -Hessian(J), and the diagonal second moments.
+def _hessian_diagonal(fc: FeaturizedCorpus, probs: np.ndarray, mass: np.ndarray,
+                      group: np.ndarray, group_pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal of -Hessian(J), and the second moments of every coordinate.
 
-    -Hessian(J) is the summed per-instance feature covariance. A row's
-    features sit on its own activity's pair, so the block of pair j is
-    sum_r q_r v_a v_b over its rows, a sum over its two types of their
-    ``mass``, minus sum_i mu_ia mu_ib over the per-(instance, pair) means
-    mu. Covariances across pairs, which arise only in instances with
-    gendered candidates of several activities, are left out. Returns (h00,
-    h01, h11, second) with ``second`` the sum_r q_r v_a^2 of every
-    coordinate, the scale below which a curvature is rounding noise.
+    -Hessian(J) is the summed per-instance feature covariance. Coordinate
+    a of pair j has a feature only on the rows of pair j's two types, so
+    its variance is sum_r q_r v_a^2 over them, a sum over the two types of
+    their ``mass`` (the second moment), minus sum_i mu_ia^2 over the
+    per-(instance, pair) means mu. The second moment is also the scale
+    below which a curvature is rounding noise.
     """
-    n_pairs = fc.dim // 2
+    second = (mass[:-1, None] * fc.values[:-1] ** 2).reshape(-1, 2, 2).sum(axis=1).ravel()
     weighted = probs[:, None] * fc.values[fc.types]
-    mean = [np.bincount(group, weights=weighted[:, a]) for a in (0, 1)]
-    values = fc.values[:-1]
-    second = np.empty(fc.dim)
-    blocks = []
-    for a, b in ((0, 0), (0, 1), (1, 1)):
-        moment = (mass[:-1] * values[:, a] * values[:, b]).reshape(n_pairs, 2).sum(axis=1)
-        covariance = np.bincount(group_pair, weights=mean[a] * mean[b], minlength=n_pairs + 1)
-        blocks.append(moment - covariance[:n_pairs])
-        if a == b:
-            second[a::2] = moment
-    return blocks[0], blocks[1], blocks[2], second
-
-
-def _newton_direction(
-    gradient: np.ndarray,
-    free: np.ndarray,
-    h00: np.ndarray,
-    h01: np.ndarray,
-    h11: np.ndarray,
-    second: np.ndarray,
-) -> np.ndarray:
-    """Ascent direction: the 2x2 block Newton step on pairs whose two
-    coordinates are free, a diagonally scaled step everywhere else.
-
-    The two features of a pair sum to -2 gamma on every gendered row, so a
-    block is near singular along (1, 1) for small gamma and singular at
-    gamma = 0; the block step is taken only while its determinant is
-    safely positive. Curvatures below the rounding level of their second
-    moment are raised to it, so a flat (unbounded) coordinate takes a long
-    but finite step.
-    """
-    diag = np.empty(gradient.size)
-    diag[0::2], diag[1::2] = h00, h11
-    diag = np.maximum(diag, CURVATURE_FLOOR * second)
-    direction = np.divide(gradient, diag, out=np.zeros(gradient.size), where=diag > 0.0)
-    d00, d11 = diag[0::2], diag[1::2]
-    det = d00 * d11 - h01 * h01
-    safe = det > PAIR_DET_MIN * second[0::2] * second[1::2]
-    pairs = np.flatnonzero(free[0::2] & free[1::2] & safe)
-    g0, g1 = gradient[2 * pairs], gradient[2 * pairs + 1]
-    direction[2 * pairs] = (d11[pairs] * g0 - h01[pairs] * g1) / det[pairs]
-    direction[2 * pairs + 1] = (d00[pairs] * g1 - h01[pairs] * g0) / det[pairs]
-    return direction
+    mean = np.stack([np.bincount(group, weights=weighted[:, a]) for a in (0, 1)], axis=1)
+    coordinate = 2 * group_pair[:, None] + np.arange(2)
+    squares = np.bincount(coordinate.ravel(), weights=(mean * mean).ravel(), minlength=fc.dim + 2)
+    return second - squares[: fc.dim], second
 
 
 def _objective_gain(fc: FeaturizedCorpus, probs: np.ndarray, delta: np.ndarray) -> float:
@@ -443,16 +403,24 @@ def _objective_gain(fc: FeaturizedCorpus, probs: np.ndarray, delta: np.ndarray) 
 
 
 def _newton_ascent(fc: FeaturizedCorpus, state: DualState, config: SolverConfig) -> None:
-    """Projected Newton ascent on J (Bertsekas 1982) from ``state.lam``.
+    """Projected Newton ascent on J from ``state.lam``, on one signed
+    multiplier mu_j = lam_2j - lam_2j+1 per activity.
 
-    Coordinates within eps of zero whose gradient points below zero form the
-    active set and take a diagonally scaled step; the rest take the block
-    Newton step of `_newton_direction`. The step is backtracked along the
-    projection arc P(lam + alpha d) until it gains an Armijo fraction of
-    its first-order prediction. Stops at the stationarity tolerance, after
+    An activity's two coordinates bound its ratio from both sides, so its
+    dual is mu_j with a kink at 0 (Ganchev et al. 2010; the orthant
+    handling is OWL-QN's, Andrew & Gao 2007). Lowering both coordinates of
+    a pair raises J for gamma > 0 and leaves it unchanged at gamma = 0, so
+    lam is first written back as (max(mu, 0), max(-mu, 0)). Each step moves
+    only each pair's live coordinate, the positive one or, at mu_j = 0, the
+    one with the larger gradient, by its gradient over its diagonal
+    curvature, projected at 0 so that mu_j cannot cross the kink. Such a
+    step is an ascent; it is backtracked until it gains an Armijo fraction
+    of g . (trial - lam). Stops at the stationarity tolerance, after
     ``config.max_steps`` steps, or when no step gains anything at working
     precision. Each step adds one to ``state.step``.
     """
+    signed = state.lam[0::2] - state.lam[1::2]
+    state.lam = np.column_stack([np.maximum(signed, 0.0), np.maximum(-signed, 0.0)]).ravel()
     group, group_pair = _pair_groups(fc)
     for _ in range(config.max_steps):
         probs = _reweighted(fc, state.lam)
@@ -463,11 +431,14 @@ def _newton_ascent(fc: FeaturizedCorpus, state: DualState, config: SolverConfig)
             config.convergence_tol
         ):
             return
-        residual = np.abs(state.lam - np.maximum(0.0, state.lam + gradient)).max()
-        active = (state.lam <= min(ACTIVE_EPS, residual)) & (gradient <= 0.0)
-        blocks = _hessian_blocks(fc, probs, mass, group, group_pair)
-        direction = _newton_direction(gradient, ~active, *blocks)
-        free_rate = float(gradient[~active] @ direction[~active])
+        upper = (state.lam[0::2] > 0.0) | (
+            (state.lam[1::2] == 0.0) & (gradient[0::2] >= gradient[1::2])
+        )
+        live = np.column_stack([upper, ~upper]).ravel()
+        curvature, second = _hessian_diagonal(fc, probs, mass, group, group_pair)
+        curvature = np.maximum(curvature, CURVATURE_FLOOR * second)
+        direction = np.divide(gradient, curvature, out=np.zeros(fc.dim),
+                              where=live & (curvature > 0.0))
         # bound every candidate's log-weight change along the whole arc, so
         # the exponentials of the gain stay finite
         reach = _type_penalties(np.abs(fc.values), fc.coords, np.abs(direction))
@@ -475,11 +446,10 @@ def _newton_ascent(fc: FeaturizedCorpus, state: DualState, config: SolverConfig)
         alpha = min(1.0, MAX_LOG_WEIGHT_STEP / largest) if largest > 0.0 else 1.0
         for _ in range(MAX_BACKTRACKS):
             trial = np.maximum(0.0, state.lam + alpha * direction)
-            predicted = alpha * free_rate + float(
-                gradient[active] @ (trial[active] - state.lam[active])
-            )
-            gain = _objective_gain(fc, probs, trial - state.lam)
-            if gain >= ARMIJO_FRACTION * predicted:
+            step = trial - state.lam
+            predicted = float(gradient @ step)
+            gain = _objective_gain(fc, probs, step)
+            if predicted > 0.0 and gain >= ARMIJO_FRACTION * predicted:
                 break
             alpha *= BACKTRACK
         else:

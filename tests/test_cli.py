@@ -91,6 +91,15 @@ class TestReportCommand:
         payload = json.loads((out / "report.json").read_text())
         assert payload["n_violations_dist"] <= 0.05 * len(payload["activities"])
 
+    @pytest.mark.parametrize("gamma_eval", ["nan", "inf", "-1"])
+    def test_gamma_eval_must_be_finite_and_nonnegative(self, tmp_path, capsys, gamma_eval):
+        corpus_path, stats_path = synth_files(tmp_path, n_activities=3, instances_per_activity=5)
+        out = tmp_path / "rep"
+        assert run("report", "--corpus", corpus_path, "--stats", stats_path, "--out", out,
+                   f"--gamma-eval={gamma_eval}") == 1
+        assert "gamma_eval must be a finite nonnegative real" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_missing_corpus_flag_fails(self, tmp_path):
         assert run("report", "--stats", tmp_path / "none.json") == 1
 
@@ -177,6 +186,14 @@ class TestCalibrateCommand:
                    "--out", out, "--mode", "full-batch") == 0
         checkpoint = json.loads((out / "checkpoint.json").read_text())
         assert all(np.isfinite(checkpoint["lambda"]))
+
+    def test_infinite_convergence_tol_exits_one(self, tmp_path, capsys):
+        corpus_path, stats_path = synth_files(tmp_path, n_activities=3, instances_per_activity=5)
+        out = tmp_path / "cal"
+        assert run("calibrate", "--corpus", corpus_path, "--stats", stats_path, "--out", out,
+                   "--mode", "full-batch", "--convergence-tol", "inf") == 1
+        assert "convergence_tol must be finite and positive" in capsys.readouterr().err
+        assert not (out / "calibrated.jsonl").exists()
 
     def test_full_batch_removes_violations(self, tmp_path):
         corpus_path, stats_path = synth_files(

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 import biascal as bc
 import loop_reference as ref
+from biascal import solver
 from biascal.distribution import segment_sum
 from biascal.metrics import activity_mass
 from biascal.solver import (
-    _hessian_blocks,
+    _hessian_diagonal,
     _pair_groups,
     _reweighted,
     _type_mass,
@@ -171,12 +172,8 @@ def test_hessian_blocks_are_the_diagonal_blocks_of_the_covariance(case, data):
     fc = featurize(corpus, posteriors, cs)
     probs = _reweighted(fc, lam)
     mass = _type_mass(fc.types, probs, fc.dim)
-    h00, h01, h11, _ = _hessian_blocks(fc, probs, mass, *_pair_groups(fc))
-    pairs = np.arange(cs.n_constraints)
-    tol = dict(rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(h00, expected[2 * pairs, 2 * pairs], **tol)
-    np.testing.assert_allclose(h01, expected[2 * pairs, 2 * pairs + 1], **tol)
-    np.testing.assert_allclose(h11, expected[2 * pairs + 1, 2 * pairs + 1], **tol)
+    curvature, _ = _hessian_diagonal(fc, probs, mass, *_pair_groups(fc))
+    np.testing.assert_allclose(curvature, np.diag(expected), rtol=1e-9, atol=1e-12)
 
 
 @st.composite
@@ -301,16 +298,21 @@ def test_full_batch_newton_reaches_the_adam_reference_optimum():
             assert tv.max() <= 1e-6
 
 
-def test_full_batch_newton_step_count_on_the_wide_benchmark_shape():
+def test_full_batch_newton_step_count_on_the_wide_benchmark_shape(monkeypatch):
     corpus, stats = bc.generate(bc.SynthConfig(
         n_activities=200, instances_per_activity=15, candidates_per_instance=8,
         amplification_boost=1.0, seed=93))
     posteriors = bc.instance_posterior(corpus)
     cs = bc.ConstraintSet.from_stats(corpus, stats, 0.001)
     config = bc.SolverConfig(mode="full_batch")
+    gains = []
+    gain = solver._objective_gain
+    monkeypatch.setattr(solver, "_objective_gain", lambda *args: gains.append(1) or gain(*args))
     state = bc.solve(corpus, posteriors, cs, config)
     gradient = bc.dual_gradient(state.lam, corpus, posteriors, cs)
     assert projected_gradient_norm(state.lam, gradient, config.convergence_tol) <= (
         config.convergence_tol
     )
-    assert state.step <= 25
+    # a step that overshoots into J's flat tail costs several line-search
+    # evaluations; a diagonal step on one side of each pair does not
+    assert state.step <= 8 and len(gains) <= 10

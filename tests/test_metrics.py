@@ -253,6 +253,12 @@ class TestBuildReport:
         assert report.n_not_evaluable_top == 1
         assert_allclose(report.mean_amp_top, by_name["driving"].amp_top, rtol=1e-15)
 
+    @pytest.mark.parametrize("gamma_eval", [float("nan"), float("inf"), -1.0])
+    def test_gamma_eval_must_be_finite_and_nonnegative(self, gamma_eval):
+        corpus, stats, posteriors, predictions = two_activity_setup(0.76)
+        with pytest.raises(bc.ValidationError, match="gamma_eval must be a finite nonnegative"):
+            bc.build_report(corpus, stats, posteriors, predictions, gamma_eval=gamma_eval)
+
     def test_empty_constrained_set_errors(self):
         corpus = make_corpus([("a", [(0, "-", 0.0)])], names=["cooking"])
         stats = stats_for(corpus, {0: (10, 10)})

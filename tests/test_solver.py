@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 import biascal as bc
+from biascal.distribution import segment_sum
 from biascal.solver import _batch_step, _check_finite, brute_force_project, featurize
 from conftest import (
     feasible_single_activity_corpus,
@@ -246,6 +247,43 @@ class TestSolve:
         assert 0 < state.step <= config.max_steps
         assert np.all(np.isfinite(state.lam)) and state.lam.max() > 10.0
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.001, 0.01, 0.05])
+    def test_full_batch_without_ungendered_candidates_takes_few_steps(self, gamma):
+        # each instance is one activity's M and W candidate, so a pair's two
+        # features sum to -2 gamma on every row: moving both coordinates of a
+        # pair together barely changes J, and a solve that does so zig-zags
+        corpus, stats = bc.generate(bc.SynthConfig(
+            n_activities=50, instances_per_activity=60, candidates_per_instance=2,
+            amplification_boost=1.0, seed=93))
+        posteriors = bc.instance_posterior(corpus)
+        cs = bc.ConstraintSet.from_stats(corpus, stats, gamma)
+        config = bc.SolverConfig(mode="full_batch")
+        state = bc.solve(corpus, posteriors, cs, config)
+        gradient = bc.dual_gradient(state.lam, corpus, posteriors, cs)
+        tol = config.convergence_tol
+        assert np.where(state.lam <= tol, np.maximum(gradient, 0.0), np.abs(gradient)).max() <= tol
+        assert state.step <= 8
+
+    @pytest.mark.parametrize("shape", ["no_ungendered", "fillers"])
+    def test_full_batch_resumed_with_both_sides_positive_reaches_the_optimum(self, shape):
+        corpus, stats = bc.generate(bc.SynthConfig(
+            n_activities=20, instances_per_activity=30,
+            candidates_per_instance=2 if shape == "no_ungendered" else 5,
+            amplification_boost=1.0, seed=7))
+        posteriors = bc.instance_posterior(corpus)
+        cs = bc.ConstraintSet.from_stats(corpus, stats, 0.01)
+        config = bc.SolverConfig(mode="full_batch")
+        fresh = bc.solve(corpus, posteriors, cs, config)
+        lam = np.random.default_rng(3).uniform(0.5, 3.0, cs.dimension)
+        start = bc.DualState(lam, np.zeros(cs.dimension), np.zeros(cs.dimension))
+        resumed = bc.solve(corpus, posteriors, cs, config, initial_state=start)
+        # with a positive margin at most one side of each activity is active
+        assert np.all(np.minimum(resumed.lam[0::2], resumed.lam[1::2]) == 0.0)
+        got = bc.calibrate(corpus, posteriors, cs, resumed.lam)
+        want = bc.calibrate(corpus, posteriors, cs, fresh.lam)
+        tv = 0.5 * segment_sum(np.abs(got.probs - want.probs), corpus.offsets)
+        assert tv.max() <= 1e-6
+
     def test_stochastic_deterministic_given_seed(self):
         rng = np.random.default_rng(101)
         corpus, cs = feasible_single_activity_corpus(rng, gamma=0.01, max_instances=5)
@@ -261,6 +299,11 @@ class TestSolve:
         bad_state = bc.DualState.zeros(6, 0.1)
         with pytest.raises(bc.ValidationError):
             bc.solve(corpus, posteriors, cs, full_batch_config(), initial_state=bad_state)
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1e-8])
+    def test_convergence_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(bc.ValidationError, match="convergence_tol must be finite and positive"):
+            bc.SolverConfig(mode="full_batch", convergence_tol=tol)
 
     def test_moment_shape_mismatch_rejected(self):
         with pytest.raises(bc.ValidationError, match="moments"):
