@@ -10,6 +10,7 @@ across runs for identical inputs and configuration.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -18,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSet
 from .corpus import (
     Corpus,
     atomic_write,
@@ -38,11 +38,34 @@ from .errors import (
     UndefinedBiasError,
     ValidationError,
 )
-from .metrics import build_report
-from .solver import SolverConfig, brute_force_project, calibrate, save_checkpoint, solve
-from .synth import SynthConfig, generate
+from .metrics import build_report, check_margin
 
 __all__ = ["RunConfig", "main", "entrypoint"]
+
+# Names imported on first use, by their submodule, so that `report` loads
+# neither the constraint set, the solver nor the generator. The commands
+# read them as attributes of this module (`_module.solve`), so a name
+# rebound here, as bench/tracing.py does, is the one called.
+_DEFERRED = {
+    "ConstraintSet": "constraints",
+    "SolverConfig": "solver",
+    "brute_force_project": "solver",
+    "calibrate": "solver",
+    "save_checkpoint": "solver",
+    "solve": "solver",
+    "SynthConfig": "synth",
+    "generate": "synth",
+}
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.{_DEFERRED[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -70,7 +93,7 @@ class RunConfig:
     resolution: int = 11
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
+        return _module.SolverConfig(
             batch_size=self.batch_size,
             epochs=self.epochs,
             initial_lr=self.lr,
@@ -149,6 +172,7 @@ def _note_exclusions(corpus: Corpus, stats) -> None:
 
 
 def cmd_report(config: RunConfig) -> int:
+    check_margin("gamma_eval", config.gamma_eval)
     corpus, stats = _load_inputs(config)
     _note_exclusions(corpus, stats)
     out_dir = Path(config.out)
@@ -166,6 +190,9 @@ def cmd_report(config: RunConfig) -> int:
 
 
 def cmd_calibrate(config: RunConfig) -> int:
+    check_margin("gamma_eval", config.gamma_eval)
+    check_margin("gamma_solve", config.gamma_solve)
+    solver_config = config.solver_config()
     corpus, stats = _load_inputs(config)
     _note_exclusions(corpus, stats)
     out_dir = Path(config.out)
@@ -174,17 +201,16 @@ def cmd_calibrate(config: RunConfig) -> int:
     predictions = map_predict(posteriors)
     before = build_report(corpus, stats, posteriors, predictions, config.gamma_eval)
 
-    cs = ConstraintSet.from_stats(corpus, stats, config.gamma_solve)
-    solver_config = config.solver_config()
-    state = solve(corpus, posteriors, cs, solver_config)
-    calibrated = calibrate(corpus, posteriors, cs, state.lam)
+    cs = _module.ConstraintSet.from_stats(corpus, stats, config.gamma_solve)
+    state = _module.solve(corpus, posteriors, cs, solver_config)
+    calibrated = _module.calibrate(corpus, posteriors, cs, state.lam)
     predictions_after = map_predict(calibrated)
     after = build_report(corpus, stats, calibrated, predictions_after, config.gamma_eval)
 
     _write_report_files(out_dir, "_before", before)
     _write_report_files(out_dir, "_after", after)
     dump_posteriors(corpus, calibrated.probs, out_dir / "calibrated.jsonl")
-    save_checkpoint(out_dir / "checkpoint.json", state, solver_config, cs)
+    _module.save_checkpoint(out_dir / "checkpoint.json", state, solver_config, cs)
     print(
         f"A_dist {before.mean_amp_dist:.4f} -> {after.mean_amp_dist:.4f} | "
         f"A_top {_fmt(before.mean_amp_top)} -> {_fmt(after.mean_amp_top)} | "
@@ -196,7 +222,7 @@ def cmd_calibrate(config: RunConfig) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    synth_config = SynthConfig(
+    synth_config = _module.SynthConfig(
         n_activities=args.n_activities,
         instances_per_activity=args.instances_per_activity,
         candidates_per_instance=args.candidates_per_instance,
@@ -205,7 +231,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         gold_noise=args.gold_noise,
         seed=args.seed if args.seed is not None else 0,
     )
-    corpus, stats = generate(synth_config)
+    corpus, stats = _module.generate(synth_config)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     dump_corpus(corpus, out_dir / "corpus.jsonl")
@@ -215,17 +241,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(config: RunConfig) -> int:
+    check_margin("gamma_solve", config.gamma_solve)
+    solver_config = config.solver_config()
+    solver_config.mode = "full_batch"
     corpus, stats = _load_inputs(config)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     posteriors = instance_posterior(corpus)
-    cs = ConstraintSet.from_stats(corpus, stats, config.gamma_solve)
-    oracle_q, oracle_lam = brute_force_project(corpus, posteriors, cs, resolution=config.resolution)
-
-    solver_config = config.solver_config()
-    solver_config.mode = "full_batch"
-    state = solve(corpus, posteriors, cs, solver_config)
-    solver_q = calibrate(corpus, posteriors, cs, state.lam)
+    cs = _module.ConstraintSet.from_stats(corpus, stats, config.gamma_solve)
+    oracle_q, oracle_lam = _module.brute_force_project(
+        corpus, posteriors, cs, resolution=config.resolution
+    )
+    state = _module.solve(corpus, posteriors, cs, solver_config)
+    solver_q = _module.calibrate(corpus, posteriors, cs, state.lam)
 
     tv = 0.5 * segment_sum(np.abs(solver_q.probs - oracle_q.probs), corpus.offsets)
     max_tv = float(tv.max(initial=0.0))

@@ -38,7 +38,7 @@ from .corpus import (
 )
 from .distribution import InstancePosterior, as_table
 from .errors import UndefinedBiasError, ValidationError
-from .metrics import activity_mass, dataset_bias
+from .metrics import activity_mass, check_margin, dataset_bias
 
 __all__ = [
     "ConstraintSet",
@@ -75,8 +75,7 @@ class ConstraintSet:
             )
         if b_star.size and (np.any(b_star < 0.0) or np.any(b_star > 1.0)):
             raise ValidationError("b_star entries must lie in [0, 1]")
-        if not np.isfinite(self.gamma) or self.gamma < 0.0:
-            raise ValidationError(f"gamma must be a finite nonnegative real, got {self.gamma}")
+        check_margin("gamma", self.gamma)
         b_star.flags.writeable = False
         object.__setattr__(self, "activity_ids", ids)
         object.__setattr__(self, "b_star", b_star)

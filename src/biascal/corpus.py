@@ -54,7 +54,6 @@ import json
 import math
 import operator
 import os
-import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -354,7 +353,7 @@ def atomic_write(path: str | Path) -> Iterator[IO[str]]:
     the previous file or the whole new one, never a partial write.
     """
     path = Path(path)
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     stream = open(temporary, "x", encoding="utf-8")
     try:
         with stream:

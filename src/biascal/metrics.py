@@ -33,6 +33,12 @@ __all__ = [
 SCATTER_COLUMNS = ("activity", "b_star", "bias_dist", "bias_top", "violated_dist", "violated_top")
 
 
+def check_margin(name: str, value: float) -> None:
+    """Refuse a ratio margin (gamma) that is not a finite nonnegative real."""
+    if not (np.isfinite(value) and value >= 0.0):
+        raise ValidationError(f"{name} must be a finite nonnegative real, got {value}")
+
+
 def dataset_bias(stats: TrainingStats, corpus: Corpus, activity_id: int) -> float:
     """Male share of the gendered training labels for one activity."""
     name = corpus.activity_name(activity_id)
@@ -222,8 +228,7 @@ def build_report(
     Accuracy is the gold-match rate of the MAP predictions, present only
     when every instance carries a gold label.
     """
-    if not (np.isfinite(gamma_eval) and gamma_eval >= 0.0):
-        raise ValidationError(f"gamma_eval must be a finite nonnegative real, got {gamma_eval}")
+    check_margin("gamma_eval", gamma_eval)
     table = as_table(corpus, posteriors)
     predictions = _check_predictions(corpus, predictions)
     activity_ids = constrained_activities(stats, corpus)

@@ -325,7 +325,8 @@ def _batch_step(state: DualState, fc: FeaturizedCorpus, log_p: np.ndarray, types
     their first rows. The gradient is the batch expectation times ``scale``.
     One test per step covers the gradient and lam (0 * inf is nan, so the
     dot product is non-finite when either has a non-finite entry); only
-    when it fails are the shifts and the two vectors examined.
+    when it fails are the shifts and the two vectors examined. The caller
+    ignores numpy's invalid-value warnings, which that test makes redundant.
     """
     penalty = _type_penalties(fc.values, fc.coords, state.lam).take(types)
     shift, exps, sums = _partition(log_p - penalty, seg_ids, starts)
@@ -501,17 +502,23 @@ def solve(
     rng = np.random.default_rng(config.seed)
     n, size = fc.n_instances, config.batch_size
     edges = list(range(0, n, size)) + [n]
-    for _ in range(config.epochs):
-        # gather the shuffled corpus once; each mini-batch is then a
-        # contiguous run of its rows, whose instances and first rows are
-        # numbered from the batch's own start
-        shuffled = _gather(fc, rng.permutation(n))
-        seg_ids = shuffled.seg_ids % size
-        starts = shuffled.offsets[:-1] - np.repeat(shuffled.offsets[edges[:-1]], size)[:n]
-        bounds = shuffled.offsets[edges].tolist()
-        for (first, last), (lo, hi) in zip(itertools.pairwise(edges), itertools.pairwise(bounds)):
-            _batch_step(state, fc, shuffled.log_p[lo:hi], shuffled.types[lo:hi], seg_ids[lo:hi],
-                        starts[first:last], n / (last - first), config.lr_decay)
+    # a nan from a non-finite lam is diagnosed by _batch_step's own test,
+    # so numpy's invalid-value warnings would only come before its error
+    with np.errstate(invalid="ignore"):
+        for _ in range(config.epochs):
+            # gather the shuffled corpus once; each mini-batch is then a
+            # contiguous run of its rows, whose instances and first rows are
+            # numbered from the batch's own start
+            shuffled = _gather(fc, rng.permutation(n))
+            seg_ids = shuffled.seg_ids % size
+            starts = shuffled.offsets[:-1] - np.repeat(shuffled.offsets[edges[:-1]], size)[:n]
+            bounds = shuffled.offsets[edges].tolist()
+            for (first, last), (lo, hi) in zip(
+                itertools.pairwise(edges), itertools.pairwise(bounds)
+            ):
+                _batch_step(state, fc, shuffled.log_p[lo:hi], shuffled.types[lo:hi],
+                            seg_ids[lo:hi], starts[first:last], n / (last - first),
+                            config.lr_decay)
     return state
 
 

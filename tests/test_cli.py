@@ -291,6 +291,37 @@ class TestOracleCommand:
                    "--out", tmp_path / "cmp") == 3
 
 
+class TestSettingsCheckedFirst:
+    # the corpus path does not exist, so a check that ran after loading
+    # would report the missing file instead of the setting
+    @pytest.mark.parametrize("subcommand, flags, message", [
+        ("report", ["--gamma-eval", "nan"], "gamma_eval must be a finite nonnegative real"),
+        ("calibrate", ["--epochs", "0"], "batch_size, epochs and max_steps must be positive"),
+        ("calibrate", ["--gamma-eval", "-1"], "gamma_eval must be a finite nonnegative real"),
+        ("calibrate", ["--gamma-solve", "inf"], "gamma_solve must be a finite nonnegative real"),
+        ("calibrate", ["--lr-decay", "2"], "lr_decay must lie in (0, 1]"),
+        ("oracle", ["--gamma-solve", "nan"], "gamma_solve must be a finite nonnegative real"),
+        ("oracle", ["--max-steps", "0"], "batch_size, epochs and max_steps must be positive"),
+    ])
+    def test_bad_setting_exits_one_before_loading(self, tmp_path, capsys, subcommand, flags,
+                                                   message):
+        out = tmp_path / "out"
+        assert run(subcommand, "--corpus", tmp_path / "missing.jsonl",
+                   "--stats", tmp_path / "missing.json", "--out", out, *flags) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_setting_in_config_file_exits_one_before_loading(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"mode": "newton"}\n')
+        out = tmp_path / "out"
+        assert run("calibrate", "--corpus", tmp_path / "missing.jsonl",
+                   "--stats", tmp_path / "missing.json", "--out", out,
+                   "--config", config_path) == 1
+        assert "unknown mode 'newton'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigPrecedence:
     def test_flags_beat_config_file_beat_defaults(self, tmp_path):
         corpus_path, stats_path = synth_files(
@@ -385,14 +416,51 @@ class TestAtomicOutputs:
         assert read_bytes_map(out) == previous
 
 
+def child_modules(code, *argv):
+    """Sorted names in sys.modules after ``code`` runs in a fresh interpreter."""
+    src = str(Path(bc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code += "\nimport sys; print(' '.join(sorted(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                            capture_output=True, text=True, check=True, timeout=60)
+    return result.stdout.splitlines()[-1].split()  # the last line; a command prints before it
+
+
+# what `report` never runs: the constraint set, the solver, the generator,
+# and the hash modules behind `secrets`
+NOT_FOR_REPORT = ("biascal.constraints", "biascal.solver", "biascal.synth", "secrets", "hashlib")
+
+
 class TestProcess:
     def test_import_leaves_scipy_unloaded(self):
-        src = str(Path(bc.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import sys, biascal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                text=True, check=True, timeout=60)
-        assert result.stdout.strip() == "[]"
+        loaded = child_modules("import biascal.cli")
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+    def test_import_and_report_load_only_what_report_runs(self, tmp_path):
+        corpus_path, stats_path = synth_files(
+            tmp_path, n_activities=3, instances_per_activity=10, boost=1.0, seed=21
+        )
+        run_cli = "import sys, biascal.cli\nassert biascal.cli.main(sys.argv[1:]) == 0"
+        argv = ("--corpus", corpus_path, "--stats", stats_path)
+        loaded = child_modules("import biascal.cli")
+        assert [m for m in NOT_FOR_REPORT if m in loaded] == []
+        loaded = child_modules(run_cli, "report", *argv, "--out", tmp_path / "rep")
+        assert [m for m in NOT_FOR_REPORT if m in loaded] == []
+        assert (tmp_path / "rep" / "report.json").is_file()
+        # the same probe sees the solver once a command runs it
+        loaded = child_modules(run_cli, "calibrate", *argv, "--out", tmp_path / "cal")
+        assert {"biascal.constraints", "biascal.solver"} <= set(loaded)
+
+    def test_deferred_names_are_the_submodules_objects(self):
+        from biascal import constraints, solver, synth
+
+        for name, module in [("ConstraintSet", constraints), ("SolverConfig", solver),
+                             ("brute_force_project", solver), ("calibrate", solver),
+                             ("save_checkpoint", solver), ("solve", solver),
+                             ("SynthConfig", synth), ("generate", synth)]:
+            assert getattr(cli, name) is getattr(module, name)
+        with pytest.raises(AttributeError, match="no attribute 'dual_gradient'"):
+            cli.dual_gradient
 
     def test_benchmark_traced_names_are_called(self, tmp_path):
         # the benchmark's traced run wraps these names in biascal.cli and

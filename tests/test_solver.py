@@ -330,8 +330,9 @@ class TestSolve:
         def step(lam):
             state = bc.DualState.zeros(4, 0.1)
             state.lam[:] = lam
-            _batch_step(state, fc, fc.log_p[rows], fc.types[rows], fc.seg_ids[rows],
-                        np.array([0]), 2.0, 1.0)
+            with np.errstate(invalid="ignore"):  # as in solve's stochastic loop
+                _batch_step(state, fc, fc.log_p[rows], fc.types[rows], fc.seg_ids[rows],
+                            np.array([0]), 2.0, 1.0)
 
         # the male-only instance loses all its mass
         with pytest.raises(bc.DegenerateDistributionError, match="^instance index 0: no prob"):
@@ -340,6 +341,24 @@ class TestSolve:
         with pytest.raises(bc.SolverDivergenceError, match="dual vector") as exc_info:
             step([0.0, 0.0, np.inf, 0.0])
         assert exc_info.value.coordinate == 2
+
+    @pytest.mark.parametrize("lam, error", [
+        ([np.inf, 0.0, 0.0, 0.0], bc.DegenerateDistributionError),
+        ([0.0, 0.0, np.inf, 0.0], bc.SolverDivergenceError),
+    ])
+    def test_non_finite_resumed_state_raises_before_any_warning(self, lam, error):
+        # numpy warnings are errors in this suite, so only the solver's own
+        # diagnosis may come out of the stochastic loop
+        corpus = make_corpus(
+            [("a", [(0, "M", 0.0)]), ("b", [(1, "M", 0.0), (1, "W", 0.0), (1, "-", 0.0)])],
+            names=["x", "y"],
+        )
+        cs = bc.ConstraintSet((0, 1), np.array([0.5, 0.5]), 0.01)
+        state = bc.DualState.zeros(4, 0.1)
+        state.lam[:] = lam
+        with pytest.raises(error):
+            bc.solve(corpus, bc.instance_posterior(corpus), cs, bc.SolverConfig(batch_size=1),
+                     initial_state=state)
 
 
 class TestCalibrate:
