@@ -242,6 +242,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_oracle(config: RunConfig) -> int:
     check_margin("gamma_solve", config.gamma_solve)
+    if config.resolution < 3:
+        raise ValidationError(f"resolution must be at least 3, got {config.resolution}")
     solver_config = config.solver_config()
     solver_config.mode = "full_batch"
     corpus, stats = _load_inputs(config)

@@ -302,6 +302,7 @@ class TestSettingsCheckedFirst:
         ("calibrate", ["--lr-decay", "2"], "lr_decay must lie in (0, 1]"),
         ("oracle", ["--gamma-solve", "nan"], "gamma_solve must be a finite nonnegative real"),
         ("oracle", ["--max-steps", "0"], "batch_size, epochs and max_steps must be positive"),
+        ("oracle", ["--resolution", "2"], "resolution must be at least 3, got 2"),
     ])
     def test_bad_setting_exits_one_before_loading(self, tmp_path, capsys, subcommand, flags,
                                                    message):
@@ -416,14 +417,23 @@ class TestAtomicOutputs:
         assert read_bytes_map(out) == previous
 
 
-def child_modules(code, *argv):
-    """Sorted names in sys.modules after ``code`` runs in a fresh interpreter."""
+def child_output(code, *argv, env=None):
+    """Last line that ``code`` prints in a fresh interpreter that imports this biascal.
+
+    ``env`` replaces the environment (default: this process's); a command
+    prints before the last line.
+    """
+    env = dict(os.environ if env is None else env)
     src = str(Path(bc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code += "\nimport sys; print(' '.join(sorted(sys.modules)))"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
                             capture_output=True, text=True, check=True, timeout=60)
-    return result.stdout.splitlines()[-1].split()  # the last line; a command prints before it
+    return result.stdout.splitlines()[-1]
+
+
+def child_modules(code, *argv):
+    """Sorted names in sys.modules after ``code`` runs in a fresh interpreter."""
+    return child_output(code + "\nimport sys; print(' '.join(sorted(sys.modules)))", *argv).split()
 
 
 # what `report` never runs: the constraint set, the solver, the generator,
@@ -491,3 +501,76 @@ class TestProcess:
         for subcommand in ("report", "calibrate"):
             assert cli.main([subcommand, "--corpus", str(corpus_path), "--stats",
                              str(stats_path), "--out", str(tmp_path / subcommand)]) == 0
+
+
+# the variables biascal.__main__ sets, spelled out so that a name lost there fails here
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# ``python -m biascal ...``, run as runpy runs it; then the process's thread
+# count and the environment it ends with
+RUN_MAIN_MODULE = """
+import json, os, runpy, sys
+sys.argv = ["biascal", *sys.argv[1:]]
+try:
+    runpy.run_module("biascal", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+task = "/proc/self/task"
+threads = len(os.listdir(task)) if os.path.isdir(task) else None
+print(json.dumps({"threads": threads, "environ": dict(os.environ)}))
+"""
+
+
+class TestEntryPoint:
+    # the thread variables only take effect if they are set before numpy
+    # loads; biascal.__main__ is imported in child processes only, since
+    # importing it binds the package attribute ``__main__``
+
+    def test_main_module_loads_no_numpy_and_sets_nothing(self):
+        loaded = child_modules(
+            "import os\nbefore = dict(os.environ)\nimport biascal.__main__\n"
+            "assert dict(os.environ) == before"
+        )
+        assert "biascal.__main__" in loaded
+        assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+
+    def test_installed_script_runs_the_main_module(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["biascal"]
+        module, _, attribute = target.partition(":")
+        resolves = child_output(
+            "import importlib, sys, biascal.__main__\n"
+            "print(getattr(importlib.import_module(sys.argv[1]), sys.argv[2])"
+            " is biascal.__main__.main)",
+            module, attribute,
+        )
+        assert resolves == "True"
+
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_process_runs_blas_on_one_thread_unless_told_otherwise(self, tmp_path, preset):
+        corpus_path, stats_path = synth_files(
+            tmp_path, n_activities=3, instances_per_activity=10, boost=1.0, seed=21
+        )
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        found = json.loads(child_output(
+            RUN_MAIN_MODULE, "report", "--corpus", corpus_path, "--stats", stats_path,
+            "--out", tmp_path / "rep", env=env,
+        ))
+        assert (tmp_path / "rep" / "report.json").is_file()
+        expected = {name: "1" for name in THREAD_VARIABLES}
+        if preset is not None:
+            expected["OPENBLAS_NUM_THREADS"] = preset
+        elif found["threads"] is not None:
+            assert found["threads"] == 1
+        assert {name: found["environ"].get(name) for name in THREAD_VARIABLES} == expected
+
+    def test_in_process_run_leaves_the_environment_alone(self, tmp_path):
+        before = dict(os.environ)
+        corpus_path, stats_path = synth_files(
+            tmp_path, n_activities=3, instances_per_activity=10, boost=1.0, seed=21
+        )
+        assert run("report", "--corpus", corpus_path, "--stats", stats_path,
+                   "--out", tmp_path / "rep") == 0
+        assert dict(os.environ) == before
