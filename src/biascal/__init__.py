@@ -15,7 +15,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each public name, by the submodule that defines it.
+# Each public name, by the submodule that defines it; each `__all__` is built from this.
 _EXPORTS = {
     "constraints": (
         "ConstraintSet",

@@ -21,8 +21,8 @@ import numpy as np
 
 from .corpus import (
     Corpus,
-    atomic_write,
     dump_corpus,
+    dump_json,
     dump_posteriors,
     dump_training_stats,
     excluded_activities,
@@ -30,14 +30,7 @@ from .corpus import (
     load_training_stats,
 )
 from .distribution import instance_posterior, kl_divergence, map_predict, segment_sum
-from .errors import (
-    BiasCalError,
-    CorpusFormatError,
-    OracleSizeError,
-    SolverDivergenceError,
-    UndefinedBiasError,
-    ValidationError,
-)
+from .errors import BiasCalError, OracleSizeError, SolverDivergenceError, ValidationError
 from .metrics import build_report, check_margin
 
 __all__ = ["RunConfig", "main", "entrypoint"]
@@ -143,17 +136,9 @@ def _load_inputs(config: RunConfig):
     return corpus, stats
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with atomic_write(path) as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
 def _write_report_files(out_dir: Path, tag: str, report) -> None:
-    with atomic_write(out_dir / f"report{tag}.json") as handle:
-        report.write_json(handle)
-    with atomic_write(out_dir / f"scatter{tag}.csv") as handle:
-        report.write_scatter_csv(handle)
+    report.write_json(out_dir / f"report{tag}.json")
+    report.write_scatter_csv(out_dir / f"scatter{tag}.csv")
 
 
 def _fmt(value: float | None) -> str:
@@ -267,7 +252,7 @@ def cmd_oracle(config: RunConfig) -> int:
         "lambda_solver": [float(x) for x in state.lam],
         "lambda_oracle": [float(x) for x in oracle_lam],
     }
-    _write_json(out_dir / "comparison.json", payload)
+    dump_json(payload, out_dir / "comparison.json")
     print(
         f"KL solver {payload['kl_solver']:.6f} | KL oracle {payload['kl_oracle']:.6f} | "
         f"max TV {max_tv:.2e}"
@@ -338,18 +323,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OracleSizeError as exc:
+    except (BiasCalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except SolverDivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (CorpusFormatError, ValidationError, UndefinedBiasError, BiasCalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        if isinstance(exc, OracleSizeError):
+            return EXIT_SIZE
+        return EXIT_SOLVER if isinstance(exc, SolverDivergenceError) else EXIT_VALIDATION
 
 
 def entrypoint() -> None:

@@ -26,6 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .corpus import (
     FEMALE_CODE,
     GENDER_TAGS,
@@ -40,14 +41,7 @@ from .distribution import InstancePosterior, as_table
 from .errors import UndefinedBiasError, ValidationError
 from .metrics import activity_mass, check_margin, dataset_bias
 
-__all__ = [
-    "ConstraintSet",
-    "feature_vector",
-    "instance_expectation",
-    "corpus_expectation",
-    "check_equivalence",
-    "EquivalenceCheck",
-]
+__all__ = list(_EXPORTS["constraints"])
 
 
 @dataclass(frozen=True)

@@ -65,23 +65,10 @@ from typing import IO, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import CorpusFormatError, ValidationError
 
-__all__ = [
-    "GenderTag",
-    "CandidateStructure",
-    "Instance",
-    "Corpus",
-    "GenderCount",
-    "TrainingStats",
-    "load_corpus",
-    "dump_corpus",
-    "dump_posteriors",
-    "load_training_stats",
-    "dump_training_stats",
-    "constrained_activities",
-    "excluded_activities",
-]
+__all__ = [*_EXPORTS["corpus"], "dump_posteriors"]
 
 
 class GenderTag(str, Enum):
@@ -376,6 +363,13 @@ def _open_for_write(sink) -> Iterator[IO[str]]:
         raise TypeError(f"unsupported sink type {type(sink)!r}")
 
 
+def dump_json(payload, sink) -> None:
+    """Write ``payload`` as an indented JSON document and a newline, the format
+    of every JSON output, to a path (atomically) or to a stream (left open)."""
+    with _open_for_write(sink) as stream:
+        stream.write(json.dumps(payload, indent=2) + "\n")
+
+
 def _check_candidate(raw, where: str) -> None:
     """Raise the error of one raw candidate record, if it has one."""
     if not isinstance(raw, dict):
@@ -591,12 +585,10 @@ def load_training_stats(source) -> TrainingStats:
 
 
 def dump_training_stats(stats: TrainingStats, sink) -> None:
-    payload = {
+    dump_json({
         name: {"male": count.male, "female": count.female}
         for name, count in stats.counts.items()
-    }
-    with _open_for_write(sink) as stream:
-        stream.write(json.dumps(payload, indent=2) + "\n")
+    }, sink)
 
 
 def constrained_activities(stats: TrainingStats, corpus: Corpus) -> list[int]:

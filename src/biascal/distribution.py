@@ -21,17 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .corpus import Corpus, Instance
 from .errors import DegenerateDistributionError, ValidationError
 
-__all__ = [
-    "InstancePosterior",
-    "PosteriorTable",
-    "instance_posterior",
-    "reweighted_posterior",
-    "map_predict",
-    "kl_divergence",
-]
+__all__ = list(_EXPORTS["distribution"])
 
 SUM_TOLERANCE = 1e-12
 
@@ -78,6 +72,24 @@ def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         which = np.flatnonzero(sizes == size)
         out[which] = values[offsets[which, None] + np.arange(size)].sum(axis=1)
     return out
+
+
+def check_indices(name: str, values, bound, allow_empty: bool = False) -> np.ndarray:
+    """``values`` as int64 indices in [0, bound), ``bound`` one for all or one each.
+
+    Raises ValidationError, naming ``name``, for a non-integer dtype (bool
+    included), an index out of range, or no index unless ``allow_empty``.
+    """
+    indices = np.asarray(values)
+    if indices.size == 0 and not allow_empty:
+        raise ValidationError(f"{name} must hold at least one index")
+    if indices.size and (indices.dtype == bool or not np.issubdtype(indices.dtype, np.integer)):
+        raise ValidationError(f"{name} must be integer indices, got dtype {indices.dtype}")
+    indices = indices.astype(np.int64, copy=False)
+    outside = np.flatnonzero((indices < 0) | (indices >= bound))
+    if outside.size:
+        raise ValidationError(f"{name}[{outside[0]}] = {indices[outside[0]]} is out of range")
+    return indices
 
 
 def _segment_of(offsets: np.ndarray, row: int) -> int:

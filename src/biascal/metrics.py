@@ -9,26 +9,17 @@ values always mean "further toward the already dominant gender".
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, TrainingStats, constrained_activities
-from .distribution import InstancePosterior, PosteriorTable, as_table
+from . import _EXPORTS
+from .corpus import Corpus, TrainingStats, _open_for_write, constrained_activities, dump_json
+from .distribution import InstancePosterior, PosteriorTable, as_table, check_indices
 from .errors import UndefinedBiasError, ValidationError
 
-__all__ = [
-    "ActivityBias",
-    "BiasReport",
-    "dataset_bias",
-    "bias_in_distribution",
-    "bias_in_top_predictions",
-    "amplification",
-    "mean_amplification",
-    "build_report",
-]
+__all__ = list(_EXPORTS["metrics"])
 
 SCATTER_COLUMNS = ("activity", "b_star", "bias_dist", "bias_top", "violated_dist", "violated_top")
 
@@ -66,10 +57,7 @@ def _check_predictions(corpus: Corpus, predictions: Sequence[int]) -> np.ndarray
         raise ValidationError(
             f"{len(predictions)} predictions for {corpus.n_instances} instances"
         )
-    predictions = np.asarray(predictions, dtype=np.int64)
-    if np.any((predictions < 0) | (predictions >= corpus.sizes)):
-        raise ValidationError("prediction index out of range for its candidate list")
-    return predictions
+    return check_indices("predictions", predictions, corpus.sizes, allow_empty=True)
 
 
 def top_counts(corpus: Corpus, predictions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,25 +180,26 @@ class BiasReport:
             "accuracy": self.accuracy,
         }
 
-    def write_json(self, sink: IO[str]) -> None:
-        json.dump(self.to_json_dict(), sink, indent=2)
-        sink.write("\n")
+    def write_json(self, sink) -> None:
+        """The report as a JSON document, to a path (atomically) or a stream."""
+        dump_json(self.to_json_dict(), sink)
 
-    def write_scatter_csv(self, sink: IO[str]) -> None:
-        """Per-activity (training bias, predicted bias) pairs for scatter plots."""
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(SCATTER_COLUMNS)
-        for e in self.entries:
-            writer.writerow(
-                [
-                    e.activity,
-                    repr(e.b_star),
-                    repr(e.bias_dist),
-                    "" if e.bias_top is None else repr(e.bias_top),
-                    "true" if e.violated_dist else "false",
-                    "true" if e.violated_top else "false",
-                ]
-            )
+    def write_scatter_csv(self, sink) -> None:
+        """Per-activity (training, predicted) bias pairs for scatter plots, to a path or stream."""
+        with _open_for_write(sink) as stream:
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(SCATTER_COLUMNS)
+            for e in self.entries:
+                writer.writerow(
+                    [
+                        e.activity,
+                        repr(e.b_star),
+                        repr(e.bias_dist),
+                        "" if e.bias_top is None else repr(e.bias_top),
+                        "true" if e.violated_dist else "false",
+                        "true" if e.violated_top else "false",
+                    ]
+                )
 
 
 def build_report(

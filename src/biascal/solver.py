@@ -42,9 +42,10 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .constraints import ConstraintSet, feature_types, type_features
-from .corpus import Corpus, atomic_write
-from .distribution import InstancePosterior, PosteriorTable, as_table, reweight
+from .corpus import Corpus, dump_json
+from .distribution import InstancePosterior, PosteriorTable, as_table, check_indices, reweight
 from .errors import (
     DegenerateDistributionError,
     OracleSizeError,
@@ -52,19 +53,7 @@ from .errors import (
     ValidationError,
 )
 
-__all__ = [
-    "SolverConfig",
-    "DualState",
-    "FeaturizedCorpus",
-    "featurize",
-    "dual_objective",
-    "dual_gradient",
-    "solve",
-    "calibrate",
-    "brute_force_project",
-    "save_checkpoint",
-    "load_checkpoint",
-]
+__all__ = [*_EXPORTS["solver"], "FeaturizedCorpus", "featurize"]
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -298,7 +287,7 @@ def dual_gradient(
     corpus_size / batch_size, making it an unbiased full-gradient estimate.
     """
     fc = featurize(corpus, posteriors, cs)
-    sub = fc if batch is None else _gather(fc, np.asarray(batch, dtype=np.int64))
+    sub = fc if batch is None else _gather(fc, check_indices("batch", batch, fc.n_instances))
     probs = _reweighted(sub, np.asarray(lam, dtype=np.float64))
     gradient = _expectation(sub, _type_mass(sub.types, probs, sub.dim))
     return gradient if batch is None else (fc.n_instances / sub.n_instances) * gradient
@@ -527,12 +516,10 @@ def calibrate(
     posteriors: Sequence[InstancePosterior],
     cs: ConstraintSet,
     lam: np.ndarray,
-) -> list[InstancePosterior] | PosteriorTable:
-    """Closed-form calibrated posteriors q(. | i) for a fixed dual vector.
+) -> PosteriorTable:
+    """Closed-form calibrated posteriors q(. | i) for a fixed dual vector, as a table.
 
-    Returns a `PosteriorTable` for a table and a list for a list. Instances
-    without a nonzero penalty keep their posterior bit for bit; in a list
-    they are the very objects passed in.
+    Instances without a nonzero penalty keep their posterior bit for bit.
     """
     table = as_table(corpus, posteriors)
     lam = np.asarray(lam, dtype=np.float64)
@@ -540,23 +527,17 @@ def calibrate(
         raise ValidationError(f"lam has shape {lam.shape}, expected ({cs.dimension},)")
     types = feature_types(corpus.activity, corpus.gender, cs)
     penalty = _type_penalties(*type_features(cs), lam).take(types)
-    touched = np.flatnonzero(penalty != 0.0)
-    if touched.size == 0:
-        return posteriors if isinstance(posteriors, PosteriorTable) else list(posteriors)
     reweighted = reweight(table.probs, penalty, corpus.offsets, corpus.ids)
     is_touched = np.zeros(corpus.n_instances, dtype=bool)
-    is_touched[corpus.segment_ids[touched]] = True
+    is_touched[corpus.segment_ids[penalty != 0.0]] = True
     probs = np.where(np.repeat(is_touched, corpus.sizes), reweighted, table.probs)
-    if isinstance(posteriors, PosteriorTable):
-        return PosteriorTable(table.ids, table.offsets, probs)
-    out = list(posteriors)
-    for i in np.flatnonzero(is_touched):
-        out[i] = InstancePosterior(table.ids[i], probs[table.offsets[i] : table.offsets[i + 1]])
-    return out
+    return PosteriorTable(table.ids, table.offsets, probs)
 
 
 MAX_ORACLE_DIMENSION = 4
 MAX_ORACLE_CANDIDATES = 64
+ORACLE_LAM_MAX = 50.0
+ORACLE_REFINE_PASSES = 18
 
 
 def _evaluate_grid(
@@ -587,18 +568,16 @@ def brute_force_project(
     posteriors: Sequence[InstancePosterior],
     cs: ConstraintSet,
     resolution: int = 11,
-    lam_max: float = 50.0,
-    refine_passes: int = 18,
-) -> tuple[list[InstancePosterior] | PosteriorTable, np.ndarray]:
+) -> tuple[PosteriorTable, np.ndarray]:
     """Independent oracle: grid-search the dual vector for the KL projection.
 
-    Scans lam over [0, lam_max]^dim at ``resolution`` points per axis and
-    keeps the feasible point of minimum KL(q_lam || p) seen anywhere.
+    Scans lam over [0, ORACLE_LAM_MAX]^dim at ``resolution`` points per
+    axis and keeps the feasible point of minimum KL(q_lam || p) seen anywhere.
     Refinement re-centers each pass on the grid argmax of the dual
     objective, which is concave in lam and therefore free of spurious local
     basins (the feasible set itself is a thin shell that a KL-guided search
-    can get stuck on). Returns (posteriors, lam), the posteriors of the
-    kind `calibrate` returns for the input. Refuses problems with
+    can get stuck on). Returns (posteriors, lam), the posteriors as the
+    `PosteriorTable` that `calibrate` returns. Refuses problems with
     more than two constrained activities or more than 64 total candidates.
     If no grid point is ever feasible (infeasible constraint system), falls
     back to the dual-argmax point.
@@ -621,7 +600,7 @@ def brute_force_project(
     fc = featurize(corpus, posteriors, cs)
 
     lo = np.zeros(dim)
-    hi = np.full(dim, float(lam_max))
+    hi = np.full(dim, ORACLE_LAM_MAX)
     best_lam = np.zeros(dim)
     best_kl = np.inf
     found_feasible = False
@@ -630,7 +609,7 @@ def brute_force_project(
 
     shrinks = 0
     total_passes = 0
-    while shrinks < refine_passes and total_passes < 4 * refine_passes:
+    while shrinks < ORACLE_REFINE_PASSES and total_passes < 4 * ORACLE_REFINE_PASSES:
         total_passes += 1
         axes = [np.linspace(lo[d], hi[d], resolution) for d in range(dim)]
         lam_grid = np.array(list(itertools.product(*axes)))
@@ -686,7 +665,7 @@ def save_checkpoint(
     path: str | Path, state: DualState, config: SolverConfig, cs: ConstraintSet
 ) -> None:
     """Persist the dual vector and optimizer state for later resumption."""
-    payload = {
+    dump_json({
         "schema_version": 1,
         "lambda": [float(x) for x in state.lam],
         "first_moment": [float(x) for x in state.first_moment],
@@ -694,10 +673,7 @@ def save_checkpoint(
         "step": state.step,
         "learning_rate": state.learning_rate,
         "config_hash": _config_hash(config, cs),
-    }
-    with atomic_write(path) as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    }, path)
 
 
 def load_checkpoint(

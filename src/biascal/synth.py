@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .corpus import FEMALE_CODE, MALE_CODE, UNGENDERED_CODE, Corpus, GenderCount, TrainingStats
 from .errors import ValidationError
 
-__all__ = ["SynthConfig", "generate"]
+__all__ = list(_EXPORTS["synth"])
 
 # Concentration of the per-instance male-share Beta; higher values mean less
 # instance-to-instance spread and fewer MAP flips near the 0.5 threshold.

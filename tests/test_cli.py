@@ -291,6 +291,26 @@ class TestOracleCommand:
                    "--out", tmp_path / "cmp") == 3
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [
+        (bc.SolverDivergenceError("boom"), 2),
+        (bc.OracleSizeError("boom"), 3),
+        (bc.DegenerateDistributionError("boom"), 1),
+        (OSError("boom"), 1),
+    ])
+    def test_each_error_kind_has_its_code(self, tmp_path, monkeypatch, capsys, error, code):
+        corpus_path, stats_path = synth_files(tmp_path, n_activities=2, instances_per_activity=4)
+
+        def failing_solve(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "solve", failing_solve, raising=False)
+        capsys.readouterr()
+        assert run("calibrate", "--corpus", corpus_path, "--stats", stats_path,
+                   "--out", tmp_path / "cal") == code
+        assert capsys.readouterr().err == "error: boom\n"
+
+
 class TestSettingsCheckedFirst:
     # the corpus path does not exist, so a check that ran after loading
     # would report the missing file instead of the setting

@@ -146,11 +146,11 @@ def test_calibrated_posteriors(case, data):
     posteriors = [ref.posterior(inst) for inst in corpus.instances]
     expected = ref.calibrate(corpus, posteriors, cs, lam)
 
+    # the reference keeps an untouched instance's posterior, so its rows must
+    # come back bit for bit, in a table even for a list
     out = bc.calibrate(corpus, posteriors, cs, lam)
+    assert isinstance(out, bc.PosteriorTable)
     assert_rows_equal(out, expected)
-    for got, want, base in zip(out, expected, posteriors):
-        if want is base:
-            assert got is base
 
     table = bc.instance_posterior(corpus)
     calibrated = bc.calibrate(corpus, table, cs, lam)
@@ -160,7 +160,7 @@ def test_calibrated_posteriors(case, data):
 
 @PROPERTY
 @given(case=corpora(), data=st.data())
-def test_hessian_blocks_are_the_diagonal_blocks_of_the_covariance(case, data):
+def test_hessian_diagonal_is_the_diagonal_of_the_covariance(case, data):
     corpus, _ = case
     cs = random_constraint_set(data, corpus)
     if cs.dimension == 0:

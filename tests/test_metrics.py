@@ -131,6 +131,23 @@ class TestBiasInTopPredictions:
         dist = bc.bias_in_distribution(posteriors, corpus, 0)
         assert_allclose(top, dist, rtol=1e-15)
 
+    @pytest.mark.parametrize(
+        "predictions, message",
+        [([0.9, 0.0], "predictions must be integer indices"),
+         ([True, False], "predictions must be integer indices"),
+         ([0, -1], r"predictions\[1\] = -1 is out of range"),
+         ([2, 0], r"predictions\[0\] = 2 is out of range")],
+        ids=["fraction", "bool", "negative", "past_the_end"],
+    )
+    def test_predictions_must_be_candidate_indices(self, predictions, message):
+        corpus = make_corpus([("a", [(0, "M", 0.0), (0, "W", 0.0)]), ("b", [(0, "W", 0.0)])])
+        with pytest.raises(bc.ValidationError, match=message):
+            bc.bias_in_top_predictions(predictions, corpus, 0)
+
+    def test_empty_predictions_for_an_empty_corpus(self):
+        corpus = bc.Corpus((), {"act": 0})
+        assert bc.bias_in_top_predictions([], corpus, 0) is None
+
 
 class TestAmplification:
     def test_male_leaning_amplified(self):
@@ -259,6 +276,12 @@ class TestBuildReport:
         with pytest.raises(bc.ValidationError, match="gamma_eval must be a finite nonnegative"):
             bc.build_report(corpus, stats, posteriors, predictions, gamma_eval=gamma_eval)
 
+    def test_fractional_predictions_are_refused(self):
+        corpus, stats, posteriors, predictions = two_activity_setup(0.76)
+        shifted = np.asarray(predictions) + 0.9
+        with pytest.raises(bc.ValidationError, match="predictions must be integer indices"):
+            bc.build_report(corpus, stats, posteriors, shifted, gamma_eval=0.05)
+
     def test_empty_constrained_set_errors(self):
         corpus = make_corpus([("a", [(0, "-", 0.0)])], names=["cooking"])
         stats = stats_for(corpus, {0: (10, 10)})
@@ -283,3 +306,14 @@ class TestBuildReport:
         assert fields[0] == "cooking"
         assert float(fields[1]) == 0.7
         assert fields[4] == "true"
+
+    def test_a_path_gets_the_bytes_a_stream_gets(self, tmp_path):
+        corpus, stats, posteriors, predictions = two_activity_setup(0.76)
+        report = bc.build_report(corpus, stats, posteriors, predictions, gamma_eval=0.05)
+        for write in (report.write_json, report.write_scatter_csv):
+            buffer = io.StringIO()
+            write(buffer)
+            assert not buffer.closed
+            write(tmp_path / "out")
+            assert (tmp_path / "out").read_text(encoding="utf-8") == buffer.getvalue()
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
