@@ -312,18 +312,21 @@ def _batch_step(state: DualState, fc: FeaturizedCorpus, log_p: np.ndarray, types
 
     ``seg_ids`` numbers the batch's instances from 0 and ``starts`` holds
     their first rows. The gradient is the batch expectation times ``scale``.
-    One test per step covers the gradient and lam (0 * inf is nan, so the
-    dot product is non-finite when either has a non-finite entry); only
-    when it fails are the shifts and the two vectors examined. The caller
-    ignores numpy's invalid-value warnings, which that test makes redundant.
+    One test per step, after the update, covers the gradient and the new
+    lam (0 * inf is nan, so the dot product is non-finite when either has a
+    non-finite entry); only when it fails are the shifts and the two
+    vectors examined. An inf that lam already held usually makes the shifts
+    non-finite, which is reported first; an inf that the update made is
+    reported as divergence. The caller ignores numpy's invalid-value and
+    overflow warnings, which that test makes redundant.
     """
     penalty = _type_penalties(fc.values, fc.coords, state.lam).take(types)
     shift, exps, sums = _partition(log_p - penalty, seg_ids, starts)
     gradient = scale * _expectation(fc, _type_mass(types, exps / sums.take(seg_ids), fc.dim))
+    _adam_step(state, gradient, lr_decay)
     if not math.isfinite(gradient @ state.lam):
         _check_shift(shift)
         _check_finite(state, gradient)
-    _adam_step(state, gradient, lr_decay)
 
 
 def _check_finite(state: DualState, gradient: np.ndarray) -> None:
@@ -403,9 +406,12 @@ def _newton_ascent(fc: FeaturizedCorpus, state: DualState, config: SolverConfig)
     lam is first written back as (max(mu, 0), max(-mu, 0)). Each step moves
     only each pair's live coordinate, the positive one or, at mu_j = 0, the
     one with the larger gradient, by its gradient over its diagonal
-    curvature, projected at 0 so that mu_j cannot cross the kink. Such a
-    step is an ascent; it is backtracked until it gains an Armijo fraction
-    of g . (trial - lam). Stops at the stationarity tolerance, after
+    curvature, projected at 0 so that mu_j cannot cross the kink. A live
+    coordinate at 0 whose gradient is not positive gets no direction: the
+    projection would hold it at 0 anyway, and its gradient over a near-zero
+    curvature could be huge and shrink the others' step bound. Such a step
+    is an ascent; it is backtracked until it gains an Armijo fraction of
+    g . (trial - lam). Stops at the stationarity tolerance, after
     ``config.max_steps`` steps, or when no step gains anything at working
     precision. Each step adds one to ``state.step``.
     """
@@ -428,7 +434,8 @@ def _newton_ascent(fc: FeaturizedCorpus, state: DualState, config: SolverConfig)
         curvature, second = _hessian_diagonal(fc, probs, mass, group, group_pair)
         curvature = np.maximum(curvature, CURVATURE_FLOOR * second)
         direction = np.divide(gradient, curvature, out=np.zeros(fc.dim),
-                              where=live & (curvature > 0.0))
+                              where=live & (curvature > 0.0)
+                              & ((state.lam > 0.0) | (gradient > 0.0)))
         # bound every candidate's log-weight change along the whole arc, so
         # the exponentials of the gain stay finite
         reach = _type_penalties(np.abs(fc.values), fc.coords, np.abs(direction))
@@ -491,9 +498,10 @@ def solve(
     rng = np.random.default_rng(config.seed)
     n, size = fc.n_instances, config.batch_size
     edges = list(range(0, n, size)) + [n]
-    # a nan from a non-finite lam is diagnosed by _batch_step's own test,
-    # so numpy's invalid-value warnings would only come before its error
-    with np.errstate(invalid="ignore"):
+    # a nan from a non-finite lam, or an inf from an overflowing update, is
+    # diagnosed by _batch_step's own test, so numpy's invalid-value and
+    # overflow warnings would only come before its error
+    with np.errstate(invalid="ignore", over="ignore"):
         for _ in range(config.epochs):
             # gather the shuffled corpus once; each mini-batch is then a
             # contiguous run of its rows, whose instances and first rows are

@@ -12,6 +12,11 @@ corpus-level distributional bias matches the target in expectation while
 top predictions overshoot it, mimicking an overconfident model. Candidate
 scores are simply the log probabilities, and any remaining candidates are
 ungendered fillers on random activities.
+
+The random numbers are drawn as whole arrays, one kind at a time over every
+activity and instance, and the rows are filled from them without a
+per-instance loop. An earlier generator drew instance by instance, in
+another order, so a seed's corpus is not the one that generator gave.
 """
 
 from __future__ import annotations
@@ -75,49 +80,61 @@ def _sigmoid(x: float) -> float:
     return z / (1.0 + z)
 
 
+def _target_share(b_star: float, boost: float) -> float:
+    """Mean male share of an activity at training ratio ``b_star``."""
+    target = _sigmoid(_logit(b_star) + boost * float(np.sign(b_star - 0.5)))
+    return min(max(target, _LOGIT_CLIP), 1.0 - _LOGIT_CLIP)
+
+
+def _draw(config: SynthConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every random number of the corpus, drawn as whole arrays.
+
+    Returns each activity's male count (A,), each instance's clipped male
+    share (A, m), its filler activities (A, m, candidates - 2) and whether
+    its gold is the male candidate (A, m), in that order from one stream.
+    """
+    rng = np.random.default_rng(config.seed)
+    n, m = config.n_activities, config.instances_per_activity
+    male_counts = np.rint(rng.uniform(*config.bias_range, size=n) * m).astype(np.int64)
+    b_star = male_counts / m
+    target = np.array([_target_share(b, config.amplification_boost) for b in b_star.tolist()])
+    shares = rng.beta(BETA_CONCENTRATION * target[:, None],
+                      BETA_CONCENTRATION * (1.0 - target[:, None]), size=(n, m))
+    np.clip(shares, _LOGIT_CLIP, 1.0 - _LOGIT_CLIP, out=shares)
+    fillers = rng.integers(n, size=(n, m, config.candidates_per_instance - 2))
+    gold_male = (rng.random((n, m)) < b_star[:, None]) ^ (rng.random((n, m)) < config.gold_noise)
+    return male_counts, shares, fillers, gold_male
+
+
+def _assemble(male_counts: np.ndarray, shares: np.ndarray, fillers: np.ndarray,
+              gold_male: np.ndarray) -> tuple[Corpus, TrainingStats]:
+    """The corpus and stats of `_draw`'s arrays: per instance a male and a
+    female candidate of its activity, then the fillers; gold 0 is male."""
+    n, m, n_fillers = fillers.shape
+    k = n_fillers + 2
+    names = [f"activity_{a:03d}" for a in range(n)]
+    gendered_mass = GENDERED_MASS if n_fillers > 0 else 1.0
+    activity = np.empty((n, m, k), dtype=np.int64)
+    activity[:, :, :2] = np.arange(n)[:, None, None]
+    activity[:, :, 2:] = fillers
+    gender = np.full((n, m, k), UNGENDERED_CODE, dtype=np.int8)
+    gender[:, :, 0] = MALE_CODE
+    gender[:, :, 1] = FEMALE_CODE
+    score = np.empty((n, m, k))
+    score[:, :, 0] = np.log(gendered_mass * shares)
+    score[:, :, 1] = np.log(gendered_mass * (1.0 - shares))
+    if n_fillers > 0:
+        score[:, :, 2:] = math.log((1.0 - gendered_mass) / n_fillers)
+    suffixes = [f"_{i:04d}" for i in range(m)]
+    ids = tuple(name + suffix for name in names for suffix in suffixes)
+    corpus = Corpus._from_rows({name: a for a, name in enumerate(names)}, ids,
+                               np.full(n * m, k), np.where(gold_male, 0, 1).ravel(),
+                               activity.ravel(), gender.ravel(), score.ravel())
+    counts = {name: GenderCount(male, m - male)
+              for name, male in zip(names, male_counts.tolist())}
+    return corpus, TrainingStats(counts)
+
+
 def generate(config: SynthConfig) -> tuple[Corpus, TrainingStats]:
     """Deterministically generate a (corpus, training stats) pair from config."""
-    rng = np.random.default_rng(config.seed)
-    names = [f"activity_{a:03d}" for a in range(config.n_activities)]
-    vocab = {name: a for a, name in enumerate(names)}
-    n_fillers = config.candidates_per_instance - 2
-    gendered_mass = GENDERED_MASS if n_fillers > 0 else 1.0
-    filler_prob = (1.0 - gendered_mass) / n_fillers if n_fillers > 0 else 0.0
-
-    counts: dict[str, GenderCount] = {}
-    ids: list[str] = []
-    gold: list[int] = []
-    activity: list[int] = []
-    gender: list[int] = []
-    score: list[float] = []
-    m = config.instances_per_activity
-    for a, name in enumerate(names):
-        drawn = rng.uniform(config.bias_range[0], config.bias_range[1])
-        male_count = int(round(drawn * m))
-        counts[name] = GenderCount(male_count, m - male_count)
-        b_star = male_count / m
-        direction = float(np.sign(b_star - 0.5))
-        target = _sigmoid(_logit(b_star) + config.amplification_boost * direction)
-        target = min(max(target, _LOGIT_CLIP), 1.0 - _LOGIT_CLIP)
-
-        for i in range(m):
-            share = float(
-                rng.beta(BETA_CONCENTRATION * target, BETA_CONCENTRATION * (1.0 - target))
-            )
-            share = min(max(share, _LOGIT_CLIP), 1.0 - _LOGIT_CLIP)
-            activity += (a, a)
-            gender += (MALE_CODE, FEMALE_CODE)
-            score += (math.log(gendered_mass * share), math.log(gendered_mass * (1.0 - share)))
-            for _ in range(n_fillers):
-                activity.append(int(rng.integers(config.n_activities)))
-                gender.append(UNGENDERED_CODE)
-                score.append(math.log(filler_prob))
-            gold_is_male = bool(rng.random() < b_star)
-            if rng.random() < config.gold_noise:
-                gold_is_male = not gold_is_male
-            ids.append(f"{name}_{i:04d}")
-            gold.append(0 if gold_is_male else 1)
-
-    sizes = np.full(len(ids), config.candidates_per_instance)
-    corpus = Corpus._from_rows(vocab, tuple(ids), sizes, gold, activity, gender, score)
-    return corpus, TrainingStats(counts)
+    return _assemble(*_draw(config))

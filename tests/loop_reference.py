@@ -12,6 +12,8 @@ row that the Newton full-batch solve must match in optimum, not step for
 step. `load_corpus` and
 `write_records` are the line-by-line JSONL reader and writer that the
 chunked ones must match byte for byte and error for error.
+`synth_assemble` builds the synthetic corpus one instance at a time from
+the generator's draw arrays, as the generator's original loop did.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from biascal.solver import (
     _projected_gradient_norm,
     featurize,
 )
+from biascal.synth import GENDERED_MASS
 
 # The full-batch reference's reduce-on-plateau schedule: after this many
 # steps without a 0.1% drop in the projected-gradient norm, the rate is
@@ -458,3 +461,32 @@ def write_records(corpus, key, values):
         ]
         lines.append(json.dumps(record) + "\n")
     return "".join(lines)
+
+
+def synth_assemble(config, male_counts, shares, fillers, gold_male):
+    """(corpus, stats) of `biascal.synth._draw`'s arrays, one `Instance` at a
+    time. The logs are numpy's, taken one value at a time: numpy's log can
+    differ from `math.log` in the last bit, and the generator uses numpy's."""
+    names = [f"activity_{a:03d}" for a in range(config.n_activities)]
+    n_fillers = config.candidates_per_instance - 2
+    gendered_mass = GENDERED_MASS if n_fillers > 0 else 1.0
+    filler_prob = (1.0 - gendered_mass) / n_fillers if n_fillers > 0 else 0.0
+    m = config.instances_per_activity
+    counts, instances = {}, []
+    for a, name in enumerate(names):
+        male_count = int(male_counts[a])
+        counts[name] = bc.GenderCount(male_count, m - male_count)
+        for i in range(m):
+            share = float(shares[a, i])
+            candidates = [
+                bc.CandidateStructure(a, bc.GenderTag.MALE, float(np.log(gendered_mass * share))),
+                bc.CandidateStructure(a, bc.GenderTag.FEMALE,
+                                      float(np.log(gendered_mass * (1.0 - share)))),
+            ]
+            for f in range(n_fillers):
+                candidates.append(bc.CandidateStructure(
+                    int(fillers[a, i, f]), bc.GenderTag.UNGENDERED, math.log(filler_prob)))
+            gold = 0 if gold_male[a, i] else 1
+            instances.append(bc.Instance(f"{name}_{i:04d}", tuple(candidates), gold))
+    vocab = {name: a for a, name in enumerate(names)}
+    return bc.Corpus(tuple(instances), vocab), bc.TrainingStats(counts)

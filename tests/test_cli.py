@@ -195,6 +195,21 @@ class TestCalibrateCommand:
         assert "convergence_tol must be finite and positive" in capsys.readouterr().err
         assert not (out / "calibrated.jsonl").exists()
 
+    def test_overflowing_stochastic_step_exits_two(self, tmp_path, capsys):
+        # the first Adam step overflows lam to inf; that is divergence, and
+        # no numpy warning may come before the solver's own message
+        corpus_path, stats_path = synth_files(
+            tmp_path, n_activities=2, instances_per_activity=20, boost=1.0, seed=1
+        )
+        capsys.readouterr()
+        out = tmp_path / "cal"
+        assert run("calibrate", "--corpus", corpus_path, "--stats", stats_path, "--out", out,
+                   "--lr", "1e308", "--lr-decay", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite dual vector at coordinate ")
+        assert err.count("\n") == 1
+        assert not (out / "calibrated.jsonl").exists()
+
     def test_full_batch_removes_violations(self, tmp_path):
         corpus_path, stats_path = synth_files(
             tmp_path, n_activities=10, instances_per_activity=100, boost=1.0, seed=12

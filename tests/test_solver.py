@@ -1,5 +1,6 @@
 """Dual objective and gradient, projected Adam ascent, and the oracle."""
 
+import io
 import json
 import math
 
@@ -39,6 +40,22 @@ def one_gender_corpus():
         names=["cook", "other"],
     )
     return corpus, bc.TrainingStats({"cook": bc.GenderCount(3, 7)})
+
+
+# Activity_001 has b* = 0 and a male share of 1e-9 in every instance. The
+# corpus is the one `bc.generate(bc.SynthConfig(2, 3, 2, seed=27027))` gave
+# while the generator drew one instance at a time, kept as text so that the
+# test does not follow the generator's random stream.
+B_STAR_ZERO_CORPUS = """\
+{"id": "activity_000_0000", "gold": 1, "candidates": [{"activity": "activity_000", "gender": "M", "score": -0.39162464759904086}, {"activity": "activity_000", "gender": "W", "score": -1.1268814899716493}]}
+{"id": "activity_000_0001", "gold": 0, "candidates": [{"activity": "activity_000", "gender": "M", "score": -0.33403884064395184}, {"activity": "activity_000", "gender": "W", "score": -1.258872491401399}]}
+{"id": "activity_000_0002", "gold": 0, "candidates": [{"activity": "activity_000", "gender": "M", "score": -0.3223830535567893}, {"activity": "activity_000", "gender": "W", "score": -1.2888796529214177}]}
+{"id": "activity_001_0000", "gold": 1, "candidates": [{"activity": "activity_001", "gender": "M", "score": -20.72326583694641}, {"activity": "activity_001", "gender": "W", "score": -9.999999722180686e-10}]}
+{"id": "activity_001_0001", "gold": 1, "candidates": [{"activity": "activity_001", "gender": "M", "score": -20.72326583694641}, {"activity": "activity_001", "gender": "W", "score": -9.999999722180686e-10}]}
+{"id": "activity_001_0002", "gold": 1, "candidates": [{"activity": "activity_001", "gender": "M", "score": -20.72326583694641}, {"activity": "activity_001", "gender": "W", "score": -9.999999722180686e-10}]}
+"""
+B_STAR_ZERO_STATS = ('{"activity_000": {"male": 2, "female": 1}, '
+                     '"activity_001": {"male": 0, "female": 3}}')
 
 
 def full_batch_config(**kwargs):
@@ -244,13 +261,13 @@ class TestSolve:
             ratio = bc.bias_in_distribution(calibrated, corpus, 0)
             assert abs(ratio - float(cs.b_star[0])) <= gamma + 1e-6
 
-    @pytest.mark.xfail(strict=True, reason="a pair held at zero sets the step bound of all pairs")
     def test_primal_feasibility_beside_an_activity_at_b_star_zero(self):
-        # activity_001 has b* = 0 and a male share of 1e-9 in every instance:
-        # its pair stays at zero, but its Newton direction, its gradient over a
-        # near-zero curvature, is huge and shrinks the step of activity_000 to
-        # 4e-7, so activity_000 is still violated after 1000 steps
-        corpus, stats = bc.generate(bc.SynthConfig(2, 3, 2, seed=27027))
+        # activity_001's pair stays at zero with a negative gradient over a
+        # near-zero curvature; were that huge direction kept, the step bound
+        # would shrink activity_000's step to 4e-7 and leave it violated
+        # after 1000 steps
+        corpus = bc.load_corpus(io.StringIO(B_STAR_ZERO_CORPUS))
+        stats = bc.load_training_stats(io.StringIO(B_STAR_ZERO_STATS))
         cs = bc.ConstraintSet.from_stats(corpus, stats, 0.01)
         posteriors = bc.instance_posterior(corpus)
         state = bc.solve(corpus, posteriors, cs, full_batch_config(max_steps=1000))

@@ -1,10 +1,18 @@
-"""Synthetic corpus generation: planted bias, boost monotonicity, determinism."""
+"""Synthetic corpus generation: planted bias, boost monotonicity, determinism,
+and the array assembly against a per-instance one."""
 
 import io
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biascal as bc
+import loop_reference as ref
+from biascal import synth
+from biascal.corpus import UNGENDERED_CODE
 
 
 def serialize(corpus, stats):
@@ -122,3 +130,43 @@ class TestGenerate:
         assert loaded_stats == stats
         # every gendered pair is present so every activity stays constrained
         assert len(bc.constrained_activities(loaded_stats, loaded)) == 3
+
+
+class TestArrayAssembly:
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(
+        n_activities=st.integers(1, 4),
+        instances=st.integers(1, 10),
+        candidates=st.integers(2, 6),
+        bias_range=st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5), (0.1, 0.9)]),
+        boost=st.sampled_from([0.0, 1.0, 5.0]),
+        gold_noise=st.sampled_from([0.0, 0.05, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_instance_assembly(self, n_activities, instances, candidates,
+                                           bias_range, boost, gold_noise, seed):
+        config = bc.SynthConfig(n_activities, instances, candidates, bias_range, boost,
+                                gold_noise, seed)
+        corpus, stats = bc.generate(config)
+        want_corpus, want_stats = ref.synth_assemble(config, *synth._draw(config))
+        assert corpus == want_corpus
+        assert stats == want_stats
+
+    @pytest.mark.parametrize("b_star", [0.0, 1.0])
+    @pytest.mark.parametrize("gold_noise", [0.0, 0.05, 0.3, 1.0])
+    def test_gold_noise_rate_is_binomial(self, b_star, gold_noise):
+        # at b* = 1 every gold is male unless noise flips it, at b* = 0 the other way
+        corpus, _ = bc.generate(bc.SynthConfig(
+            n_activities=4, instances_per_activity=2500, bias_range=(b_star, b_star),
+            gold_noise=gold_noise, seed=31))
+        flipped = int(np.count_nonzero(corpus.gold == (0 if b_star == 0.0 else 1)))
+        n = len(corpus)
+        sigma = math.sqrt(n * gold_noise * (1.0 - gold_noise))
+        assert abs(flipped - n * gold_noise) <= 4.0 * sigma
+
+    def test_fillers_span_every_activity(self):
+        corpus, _ = bc.generate(bc.SynthConfig(
+            n_activities=7, instances_per_activity=50, candidates_per_instance=6, seed=32))
+        fillers = corpus.activity[corpus.gender == UNGENDERED_CODE]
+        assert fillers.size == 7 * 50 * 4
+        assert set(fillers.tolist()) == set(range(7))
