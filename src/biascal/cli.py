@@ -2,15 +2,14 @@
 
 Wires the pipeline load -> report -> solve -> calibrate -> re-report and
 writes machine-readable outputs (all JSON documents carry
-``"schema_version": 1``). Exit codes: 0 success, 1 validation error,
-2 solver failure, 3 brute-force size refusal. Outputs are byte-identical
-across runs for identical inputs and configuration.
+``"schema_version": 1``). Exit codes: 0 success, 1 validation or usage
+error, 2 solver failure, 3 brute-force size refusal. Outputs are
+byte-identical across runs for identical inputs and configuration.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -20,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import (
-    Corpus,
     dump_corpus,
     dump_json,
     dump_posteriors,
@@ -35,27 +33,19 @@ from .metrics import build_report, check_margin
 
 __all__ = ["RunConfig", "main", "entrypoint"]
 
-# Names imported on first use, by their submodule, so that `report` loads
-# neither the constraint set, the solver nor the generator. The commands
-# read them as attributes of this module (`_module.solve`), so a name
-# rebound here, as bench/tracing.py does, is the one called.
-_DEFERRED = {
-    "ConstraintSet": "constraints",
-    "SolverConfig": "solver",
-    "brute_force_project": "solver",
-    "calibrate": "solver",
-    "save_checkpoint": "solver",
-    "solve": "solver",
-    "SynthConfig": "synth",
-    "generate": "synth",
-}
+# Public names imported on first use, through the package, so that `report`
+# loads neither the constraint set, the solver nor the generator. The
+# commands read them as attributes of this module (`_module.solve`), so a
+# name rebound here, as bench/tracing.py does, is the one called.
+_DEFERRED = ("ConstraintSet", "SolverConfig", "brute_force_project", "calibrate",
+             "save_checkpoint", "solve", "SynthConfig", "generate")
 _module = sys.modules[__name__]
 
 
 def __getattr__(name: str):
     if name not in _DEFERRED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__package__}.{_DEFERRED[name]}"), name)
+    value = getattr(sys.modules[__package__], name)
     globals()[name] = value
     return value
 
@@ -68,7 +58,11 @@ EXIT_SIZE = 3
 
 @dataclass
 class RunConfig:
-    """Effective pipeline settings: CLI flags over config file over defaults."""
+    """Effective pipeline settings: CLI flags over config file over defaults.
+
+    The solver defaults restate `SolverConfig`'s, because `report` must not
+    import the solver; a test pins ``RunConfig().solver_config() == SolverConfig()``.
+    """
 
     corpus: str | None = None
     stats: str | None = None
@@ -99,17 +93,33 @@ class RunConfig:
 
 
 # JSON value types accepted for each annotation in `RunConfig`; an integer
-# is accepted where a float is expected, a boolean nowhere.
+# is accepted where a float is expected, a boolean nowhere. A flag parses
+# its value as the last type.
 _CONFIG_TYPES = {
-    "str | None": (str, type(None)), "str": (str,), "float": (int, float), "int": (int,)
+    "str | None": (type(None), str), "str": (str,), "float": (int, float), "int": (int,)
 }
+
+# The `RunConfig` settings each pipeline command reads, each with a flag;
+# a config file may set any setting, so one file serves every command.
+_COMMAND_SETTINGS = {
+    "report": ("corpus", "stats", "out", "gamma_eval"),
+    "calibrate": tuple(f.name for f in fields(RunConfig) if f.name != "resolution"),
+    "oracle": ("corpus", "stats", "out", "gamma_solve", "convergence_tol", "max_steps",
+               "resolution"),
+}
+_FLAG_CHOICES = {"mode": ("stochastic", "full-batch")}
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            file_values = json.load(handle)
+            try:
+                file_values = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(
+                    f"invalid config JSON at line {exc.lineno}: {exc.msg}"
+                ) from None
         if not isinstance(file_values, dict):
             raise ValidationError("config file must be a JSON object")
         known = {f.name: f.type for f in fields(RunConfig)}
@@ -128,12 +138,23 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _load_inputs(config: RunConfig):
+def _start(config: RunConfig):
+    """Load the inputs, note the exclusions, create --out and compute the posteriors."""
     if not config.corpus or not config.stats:
         raise ValidationError("--corpus and --stats are required")
     corpus = load_corpus(config.corpus)
     stats = load_training_stats(config.stats)
-    return corpus, stats
+    excluded = excluded_activities(stats, corpus)
+    if excluded:
+        shown = ", ".join(excluded[:5]) + (", ..." if len(excluded) > 5 else "")
+        print(
+            f"note: {len(excluded)} activities excluded from the constraint set "
+            f"(no gendered training labels or no gendered candidates): {shown}",
+            file=sys.stderr,
+        )
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return corpus, stats, out_dir, instance_posterior(corpus)
 
 
 def _write_report_files(out_dir: Path, tag: str, report) -> None:
@@ -145,24 +166,9 @@ def _fmt(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
-def _note_exclusions(corpus: Corpus, stats) -> None:
-    excluded = excluded_activities(stats, corpus)
-    if excluded:
-        shown = ", ".join(excluded[:5]) + (", ..." if len(excluded) > 5 else "")
-        print(
-            f"note: {len(excluded)} activities excluded from the constraint set "
-            f"(no gendered training labels or no gendered candidates): {shown}",
-            file=sys.stderr,
-        )
-
-
 def cmd_report(config: RunConfig) -> int:
     check_margin("gamma_eval", config.gamma_eval)
-    corpus, stats = _load_inputs(config)
-    _note_exclusions(corpus, stats)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    posteriors = instance_posterior(corpus)
+    corpus, stats, out_dir, posteriors = _start(config)
     predictions = map_predict(posteriors)
     report = build_report(corpus, stats, posteriors, predictions, config.gamma_eval)
     _write_report_files(out_dir, "", report)
@@ -178,11 +184,7 @@ def cmd_calibrate(config: RunConfig) -> int:
     check_margin("gamma_eval", config.gamma_eval)
     check_margin("gamma_solve", config.gamma_solve)
     solver_config = config.solver_config()
-    corpus, stats = _load_inputs(config)
-    _note_exclusions(corpus, stats)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    posteriors = instance_posterior(corpus)
+    corpus, stats, out_dir, posteriors = _start(config)
     predictions = map_predict(posteriors)
     before = build_report(corpus, stats, posteriors, predictions, config.gamma_eval)
 
@@ -207,15 +209,9 @@ def cmd_calibrate(config: RunConfig) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    synth_config = _module.SynthConfig(
-        n_activities=args.n_activities,
-        instances_per_activity=args.instances_per_activity,
-        candidates_per_instance=args.candidates_per_instance,
-        bias_range=tuple(args.bias_range),
-        amplification_boost=args.boost,
-        gold_noise=args.gold_noise,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(_module.SynthConfig)}
+    given = {k: tuple(v) if k == "bias_range" else v for k, v in given.items() if v is not None}
+    synth_config = _module.SynthConfig(**given)
     corpus, stats = _module.generate(synth_config)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,10 +227,7 @@ def cmd_oracle(config: RunConfig) -> int:
         raise ValidationError(f"resolution must be at least 3, got {config.resolution}")
     solver_config = config.solver_config()
     solver_config.mode = "full_batch"
-    corpus, stats = _load_inputs(config)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    posteriors = instance_posterior(corpus)
+    corpus, stats, out_dir, posteriors = _start(config)
     cs = _module.ConstraintSet.from_stats(corpus, stats, config.gamma_solve)
     oracle_q, oracle_lam = _module.brute_force_project(
         corpus, posteriors, cs, resolution=config.resolution
@@ -260,22 +253,16 @@ def cmd_oracle(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--corpus", help="corpus JSONL path")
-    parser.add_argument("--stats", help="training stats JSON path")
-    parser.add_argument("--out", help="output directory (default: current)")
+def _add_pipeline_command(sub, name: str, summary: str, command) -> None:
+    """A subcommand with --config and one flag per `RunConfig` setting it reads."""
+    parser = sub.add_parser(name, help=summary)
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
-    parser.add_argument("--gamma-eval", dest="gamma_eval", type=float, help="evaluation margin")
-    parser.add_argument("--gamma-solve", dest="gamma_solve", type=float, help="solver margin")
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--lr", type=float, help="initial learning rate")
-    parser.add_argument("--lr-decay", dest="lr_decay", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--mode", choices=["stochastic", "full-batch"])
-    parser.add_argument("--convergence-tol", dest="convergence_tol", type=float)
-    parser.add_argument("--max-steps", dest="max_steps", type=int)
-    parser.add_argument("--resolution", type=int, help="oracle grid points per axis")
+    for f in fields(RunConfig):
+        if f.name in _COMMAND_SETTINGS[name]:
+            parser.add_argument("--" + f.name.replace("_", "-"), type=_CONFIG_TYPES[f.type][-1],
+                                choices=_FLAG_CHOICES.get(f.name),
+                                help=None if f.default is None else f"default: {f.default}")
+    parser.set_defaults(func=lambda args: command(_merge_config(args)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,43 +271,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Measure and remove gender-bias amplification in scored corpora.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_report = sub.add_parser("report", help="bias report for a corpus as-is")
-    _add_pipeline_flags(p_report)
-    p_report.set_defaults(func=lambda args: cmd_report(_merge_config(args)))
-
-    p_cal = sub.add_parser("calibrate", help="solve, calibrate, and report before/after")
-    _add_pipeline_flags(p_cal)
-    p_cal.set_defaults(func=lambda args: cmd_calibrate(_merge_config(args)))
+    _add_pipeline_command(sub, "report", "bias report for a corpus as-is", cmd_report)
+    _add_pipeline_command(
+        sub, "calibrate", "solve, calibrate, and report before/after", cmd_calibrate
+    )
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus and stats")
     p_synth.add_argument("--out", help="output directory")
-    p_synth.add_argument("--n-activities", dest="n_activities", type=int, default=50)
-    p_synth.add_argument(
-        "--instances-per-activity", dest="instances_per_activity", type=int, default=200
-    )
-    p_synth.add_argument(
-        "--candidates-per-instance", dest="candidates_per_instance", type=int, default=4
-    )
-    p_synth.add_argument(
-        "--bias-range", dest="bias_range", type=float, nargs=2, default=[0.1, 0.9],
-        metavar=("LO", "HI"),
-    )
-    p_synth.add_argument("--boost", type=float, default=0.0, help="amplification boost (log-odds)")
-    p_synth.add_argument("--gold-noise", dest="gold_noise", type=float, default=0.05)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--n-activities", type=int)
+    p_synth.add_argument("--instances-per-activity", type=int)
+    p_synth.add_argument("--candidates-per-instance", type=int)
+    p_synth.add_argument("--bias-range", type=float, nargs=2, metavar=("LO", "HI"))
+    p_synth.add_argument("--boost", dest="amplification_boost", type=float,
+                         help="amplification boost (log-odds)")
+    p_synth.add_argument("--gold-noise", type=float)
+    p_synth.add_argument("--seed", type=int)
     p_synth.set_defaults(func=cmd_synth)
 
-    p_oracle = sub.add_parser("oracle", help="compare the solver against brute force")
-    _add_pipeline_flags(p_oracle)
-    p_oracle.set_defaults(func=lambda args: cmd_oracle(_merge_config(args)))
-
+    _add_pipeline_command(sub, "oracle", "compare the solver against brute force", cmd_oracle)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
         return args.func(args)
     except (BiasCalError, OSError) as exc:

@@ -110,7 +110,7 @@ def _check_probs(ids: Sequence[str], offsets: np.ndarray, probs: np.ndarray) -> 
     bad = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOLERANCE)
     if bad.size:
         raise ValidationError(
-            f"posterior for {ids[bad[0]]!r} sums to {sums[bad[0]]!r}, expected 1"
+            f"posterior for {ids[bad[0]]!r} sums to {float(sums[bad[0]])!r}, expected 1"
         )
 
 

@@ -167,10 +167,6 @@ class FeaturizedCorpus:
     dim: int
     n_instances: int
 
-    @property
-    def n_rows(self) -> int:
-        return self.log_p.size
-
 
 def featurize(
     corpus: Corpus, posteriors: Sequence[InstancePosterior], cs: ConstraintSet

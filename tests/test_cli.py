@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, determinism, config precedence."""
 
+import argparse
 import dataclasses
 import importlib.util
 import json
@@ -65,6 +66,15 @@ class TestSynthCommand:
 
     def test_invalid_bias_range_fails(self, tmp_path):
         assert run("synth", "--out", tmp_path / "x", "--bias-range", "0.9", "0.1") == 1
+
+    def test_unset_flags_take_the_generator_defaults(self, tmp_path):
+        synth_files(tmp_path, "cli", instances_per_activity=2, boost=0.5)
+        corpus, stats = bc.generate(bc.SynthConfig(instances_per_activity=2,
+                                                   amplification_boost=0.5))
+        (tmp_path / "api").mkdir()
+        bc.dump_corpus(corpus, tmp_path / "api" / "corpus.jsonl")
+        bc.dump_training_stats(stats, tmp_path / "api" / "stats.json")
+        assert read_bytes_map(tmp_path / "cli") == read_bytes_map(tmp_path / "api")
 
 
 class TestReportCommand:
@@ -305,6 +315,23 @@ class TestOracleCommand:
         assert run("oracle", "--corpus", corpus_path, "--stats", stats_path,
                    "--out", tmp_path / "cmp") == 3
 
+    def test_notes_excluded_activities(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(
+            '{"id":"a","candidates":['
+            '{"activity":"x","gender":"M","score":0.0},'
+            '{"activity":"x","gender":"W","score":1.0},'
+            '{"activity":"y","gender":"M","score":0.0}]}\n'
+        )
+        stats_path = tmp_path / "stats.json"
+        stats_path.write_text('{"x": {"male": 5, "female": 5}}\n')
+        assert run("oracle", "--corpus", corpus_path, "--stats", stats_path,
+                   "--out", tmp_path / "cmp") == 0
+        assert capsys.readouterr().err == (
+            "note: 1 activities excluded from the constraint set "
+            "(no gendered training labels or no gendered candidates): y\n"
+        )
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("error, code", [
@@ -324,6 +351,49 @@ class TestExitCodes:
         assert run("calibrate", "--corpus", corpus_path, "--stats", stats_path,
                    "--out", tmp_path / "cal") == code
         assert capsys.readouterr().err == "error: boom\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["nope"], "invalid choice: 'nope'"),
+        (["calibrate", "--mode", "newton"], "invalid choice: 'newton'"),
+        (["calibrate", "--epochs", "ten"], "invalid int value: 'ten'"),
+        (["report", "--lr", "0.1"], "unrecognized arguments: --lr 0.1"),
+        (["calibrate", "--resolution", "5"], "unrecognized arguments: --resolution 5"),
+        (["oracle", "--mode", "stochastic"], "unrecognized arguments: --mode stochastic"),
+    ])
+    def test_usage_error_exits_one(self, capsys, argv, message):
+        # 2 is the solver-failure code, so argparse's own exit code is not passed on
+        assert run(*argv) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["report", "--help"], ["synth", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert run(*argv) == 0
+        assert capsys.readouterr().out.startswith("usage: biascal")
+
+
+class TestFlags:
+    PATHS = {"--config", "--corpus", "--stats", "--out"}
+
+    @staticmethod
+    def flags(command):
+        [sub] = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        actions = sub.choices[command]._actions
+        return {flag for a in actions for flag in a.option_strings} - {"-h", "--help"}
+
+    def test_each_pipeline_command_takes_only_the_flags_it_reads(self):
+        assert self.flags("report") == self.PATHS | {"--gamma-eval"}
+        assert self.flags("oracle") == self.PATHS | {
+            "--gamma-solve", "--convergence-tol", "--max-steps", "--resolution"}
+        assert self.flags("calibrate") == self.PATHS | {
+            "--gamma-eval", "--gamma-solve", "--batch-size", "--epochs", "--lr", "--lr-decay",
+            "--seed", "--mode", "--convergence-tol", "--max-steps"}
+
+    def test_run_config_restates_the_solver_defaults(self):
+        # `report` must not import the solver, so RunConfig repeats SolverConfig's
+        # defaults instead of reading them; this pins the two together
+        assert cli.RunConfig().solver_config() == bc.SolverConfig()
 
 
 class TestSettingsCheckedFirst:
@@ -376,6 +446,34 @@ class TestConfigPrecedence:
                    "--out", out2, "--config", config_path, "--gamma-eval", 0.3) == 0
         payload = json.loads((out2 / "report.json").read_text())
         assert payload["gamma_eval"] == 0.3
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]\n", "config file must be a JSON object"),
+        ('{"lr":\n}\n', "invalid config JSON at line 2: Expecting value"),
+    ])
+    def test_config_file_must_be_a_json_object(self, tmp_path, capsys, text, message):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(text)
+        assert run("report", "--corpus", tmp_path / "missing.jsonl",
+                   "--stats", tmp_path / "missing.json", "--config", config_path) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_one_config_file_serves_every_command(self, tmp_path):
+        # every key is accepted, and type-checked, by every command
+        corpus_path, stats_path = synth_files(
+            tmp_path, n_activities=1, instances_per_activity=5, candidates_per_instance=3,
+            boost=1.0, seed=17
+        )
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(
+            {"gamma_eval": 0.2, "lr": 0.2, "mode": "full-batch", "resolution": 5}
+        ))
+        for command in ("report", "calibrate", "oracle"):
+            assert run(command, "--corpus", corpus_path, "--stats", stats_path,
+                       "--out", tmp_path / command, "--config", config_path) == 0
+        config_path.write_text(json.dumps({"resolution": "5"}))
+        assert run("report", "--corpus", corpus_path, "--stats", stats_path,
+                   "--out", tmp_path / "bad", "--config", config_path) == 1
 
     def test_unknown_config_key_fails(self, tmp_path):
         corpus_path, stats_path = synth_files(tmp_path, n_activities=2,

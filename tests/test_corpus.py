@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,15 @@ class TestLoadTrainingStats:
             stats_of({"cooking": {"male": 1, "female": female}})
         with pytest.raises(bc.ValidationError, match=f"^activity 'cooking': {message}$"):
             bc.TrainingStats({"cooking": bc.GenderCount(1, female)})
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"cooking": {"male": 1,\n "female": }}', "invalid stats JSON at line 2"),
+        ('[{"male": 1, "female": 2}]', "stats file must be a JSON object"),
+        ('{"cooking": [1, 2]}', "activity 'cooking': counts must be an object"),
+    ])
+    def test_malformed_file_rejected(self, text, message):
+        with pytest.raises(bc.CorpusFormatError, match=f"^{re.escape(message)}"):
+            bc.load_training_stats(io.StringIO(text))
 
 
 class TestConstrainedActivities:

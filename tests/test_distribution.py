@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,27 @@ class TestAlignment:
         assert as_table(corpus, table) is table
         rebuilt = as_table(corpus, list(table))
         assert rebuilt.ids == ("a", "b") and np.array_equal(rebuilt.probs, table.probs)
+
+
+class TestProbabilityChecks:
+    """Each posterior vector must be finite, within [0, 1] and sum to 1."""
+
+    @pytest.mark.parametrize("probs, message", [
+        ([np.nan, 1.0], "posterior for 'b' has non-finite entries"),
+        ([np.inf, 0.0], "posterior for 'b' has non-finite entries"),
+        ([1.5, -0.5], "posterior for 'b' has entries outside [0, 1]"),
+        ([0.5, 0.4], "posterior for 'b' sums to 0.9, expected 1"),
+    ])
+    def test_bad_vector_named(self, probs, message):
+        with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
+            bc.InstancePosterior("b", np.array(probs))
+        with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
+            bc.PosteriorTable(["a", "b"], np.array([0, 1, 3]), np.array([1.0, *probs]))
+
+    @pytest.mark.parametrize("offsets, n_probs", [([0, 1], 3), ([0, 1, 2], 3), ([0, 1, 3], 2)])
+    def test_offsets_must_match_ids_and_rows(self, offsets, n_probs):
+        with pytest.raises(bc.ValidationError, match="offsets do not match its ids and rows"):
+            bc.PosteriorTable(["a", "b"], np.array(offsets), np.full(n_probs, 0.5))
 
 
 class TestJointFactorization:
