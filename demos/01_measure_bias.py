@@ -50,8 +50,8 @@ stats_json = json.dumps({"cooking": {"male": 40, "female": 60}})
 corpus = bc.load_corpus(io.StringIO(corpus_jsonl))
 stats = bc.load_training_stats(io.StringIO(stats_json))
 
-posteriors = [bc.instance_posterior(inst) for inst in corpus.instances]
-predictions = [bc.map_predict(p) for p in posteriors]
+posteriors = bc.instance_posterior(corpus)
+predictions = bc.map_predict(posteriors)
 
 print("per-instance posteriors:")
 for inst, post in zip(corpus.instances, posteriors):

@@ -22,8 +22,8 @@ config = bc.SynthConfig(
 corpus, stats = bc.generate(config)
 print(f"corpus: {len(corpus)} instances, {corpus.n_activities} activities")
 
-posteriors = [bc.instance_posterior(inst) for inst in corpus.instances]
-predictions = [bc.map_predict(p) for p in posteriors]
+posteriors = bc.instance_posterior(corpus)
+predictions = bc.map_predict(posteriors)
 before = bc.build_report(corpus, stats, posteriors, predictions, gamma_eval=0.05)
 
 cs = bc.ConstraintSet.from_stats(corpus, stats, gamma=0.001)
@@ -31,7 +31,7 @@ state = bc.solve(corpus, posteriors, cs, bc.SolverConfig(mode="full_batch"))
 print(f"solved in {state.step} steps, max dual value {float(state.lam.max()):.3f}")
 
 calibrated = bc.calibrate(corpus, posteriors, cs, state.lam)
-predictions_after = [bc.map_predict(p) for p in calibrated]
+predictions_after = bc.map_predict(calibrated)
 after = bc.build_report(corpus, stats, calibrated, predictions_after, gamma_eval=0.05)
 
 print(f"\n{'':24s} {'before':>8s} {'after':>8s}")

@@ -21,7 +21,7 @@ corpus, stats = bc.generate(
         seed=11,
     )
 )
-posteriors = [bc.instance_posterior(inst) for inst in corpus.instances]
+posteriors = bc.instance_posterior(corpus)
 cs = bc.ConstraintSet.from_stats(corpus, stats, gamma=0.001)
 
 bias_before = bc.bias_in_distribution(posteriors, corpus, 0)

@@ -43,6 +43,9 @@ from .metrics import activity_mass, check_margin, dataset_bias
 
 __all__ = list(_EXPORTS["constraints"])
 
+# How far `check_equivalence` lets an expectation stray from its residual times the mass.
+EQUIVALENCE_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -202,7 +205,7 @@ class EquivalenceCheck(NamedTuple):
     bound is violated. ``residual_plus`` is (b_star - gamma) - ratio;
     positive means the lower bound is violated. The ok flags report whether
     each expectation coordinate matches its residual after clearing the
-    (positive) gendered-mass denominator, to 1e-9.
+    (positive) gendered-mass denominator, to `EQUIVALENCE_SLACK`.
     """
 
     minus_ok: bool
@@ -216,7 +219,6 @@ def check_equivalence(
     posteriors: Sequence[InstancePosterior],
     cs: ConstraintSet,
     activity_id: int,
-    slack: float = 1e-9,
 ) -> EquivalenceCheck:
     """Verify that the two feature expectations encode the ratio bounds.
 
@@ -244,6 +246,6 @@ def check_equivalence(
     expectation = corpus_expectation(corpus, table, cs)
     residual_minus = ratio - (r + cs.gamma)
     residual_plus = (r - cs.gamma) - ratio
-    minus_ok = abs(expectation[2 * j] - residual_minus * gendered_mass) <= slack
-    plus_ok = abs(expectation[2 * j + 1] - residual_plus * gendered_mass) <= slack
+    minus_ok = abs(expectation[2 * j] - residual_minus * gendered_mass) <= EQUIVALENCE_SLACK
+    plus_ok = abs(expectation[2 * j + 1] - residual_plus * gendered_mass) <= EQUIVALENCE_SLACK
     return EquivalenceCheck(bool(minus_ok), bool(plus_ok), residual_minus, residual_plus)

@@ -34,8 +34,8 @@ and `Corpus.instances` builds them from the rows on first use. Loaded
 objects are immutable and safe for concurrent read access; every array is
 created read-only (``writeable=False``).
 
-`load_corpus` reads `CHUNK_LINES` lines at a time, from a path or a text
-or binary file object alike, which it leaves open. It decodes each line on
+`load_corpus` reads `CHUNK_LINES` lines at a time, from a path or an `io`
+text or binary stream alike, which it leaves open. It decodes each line on
 its own, makes every record check once over the whole chunk, and turns the
 chunk into numpy columns before it reads the next; the columns are joined
 once at the end. So besides the arrays themselves, a load holds one chunk's
@@ -305,17 +305,15 @@ class TrainingStats:
 
 @contextmanager
 def _open_for_read(source) -> Iterator[IO[str]]:
-    """A text stream over ``source``, read as it is iterated.
+    """A text stream over ``source``, a path or an `io` stream, read as it is iterated.
 
-    A path is opened and closed again. A file object is read in place and
-    left open: a binary one through a UTF-8 wrapper that is detached, not
-    closed, afterwards.
+    A path is opened and closed again. A text or binary stream is read in
+    place and left open: a binary one through a UTF-8 wrapper that is
+    detached, not closed, afterwards.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as stream:
             yield stream
-    elif isinstance(source, bytes):
-        yield io.StringIO(source.decode("utf-8"))
     elif isinstance(source, io.TextIOBase):
         yield source
     elif isinstance(source, (io.BufferedIOBase, io.RawIOBase)):
@@ -324,9 +322,6 @@ def _open_for_read(source) -> Iterator[IO[str]]:
             yield stream
         finally:
             stream.detach()
-    elif hasattr(source, "read"):
-        data = source.read()
-        yield io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data)
     else:
         raise TypeError(f"unsupported source type {type(source)!r}")
 
@@ -490,7 +485,8 @@ def _chunk_columns(lines: list[str], vocab: dict[str, int]) -> tuple | None:
 
 
 def load_corpus(source) -> Corpus:
-    """Load and validate a corpus from JSONL (path, bytes, or file object).
+    """Load and validate a corpus from JSONL: a path, or an `io` text or
+    binary stream, which is left open.
 
     Raises CorpusFormatError on malformed records (with line number) and
     ValidationError on invariant violations (naming the instance).

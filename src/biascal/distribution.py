@@ -8,9 +8,9 @@ per-instance posteriors, and corpus-level reductions here always accumulate
 in instance order so repeated runs are bitwise identical.
 
 Every kernel works on flat rows split into segments by an ``offsets``
-array (see `Corpus`). A `PosteriorTable` holds the posteriors of a
-whole corpus that way; the functions taking one `Instance` or
-`InstancePosterior` run the same kernels on a single segment.
+array (see `Corpus`). A `PosteriorTable` holds the posteriors of a whole
+corpus that way; the public functions take one, or a list of `InstancePosterior`,
+and only `reweighted_posterior` runs the kernels on a single instance.
 """
 
 from __future__ import annotations
@@ -128,7 +128,8 @@ class PosteriorTable(Sequence):
     def __init__(self, ids: Sequence[str], offsets: np.ndarray, probs: np.ndarray):
         probs = np.asarray(probs, dtype=np.float64)
         offsets = np.asarray(offsets, dtype=np.int64)
-        if offsets.shape != (len(ids) + 1,) or probs.shape != (offsets[-1],):
+        if (offsets.shape != (len(ids) + 1,) or offsets[0] != 0
+                or np.any(offsets[1:] < offsets[:-1]) or probs.shape != (offsets[-1],)):
             raise ValidationError("posterior table offsets do not match its ids and rows")
         _check_probs(ids, offsets, probs)
         probs.flags.writeable = False
@@ -164,10 +165,6 @@ def as_table(corpus: Corpus, posteriors: Sequence[InstancePosterior]) -> Posteri
     return table
 
 
-def _one_segment(size: int) -> np.ndarray:
-    return np.array([0, size], dtype=np.int64)
-
-
 def _softmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-segment softmax, by the steps of ``scipy.special.log_softmax``.
 
@@ -182,16 +179,12 @@ def _softmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return probs
 
 
-def instance_posterior(source: Instance | Corpus) -> InstancePosterior | PosteriorTable:
-    """Softmax of the candidate scores: probs[k] = exp(score_k - logsumexp(scores)).
-
-    Given one `Instance`, returns its `InstancePosterior`; given a `Corpus`,
-    returns the `PosteriorTable` of all its instances.
-    """
-    if isinstance(source, Corpus):
-        return PosteriorTable(source.ids, source.offsets, _softmax(source.score, source.offsets))
-    scores = np.array([c.score for c in source.candidates], dtype=np.float64)
-    return InstancePosterior(source.id, _softmax(scores, _one_segment(scores.size)))
+def instance_posterior(corpus: Corpus) -> PosteriorTable:
+    """The `PosteriorTable` of a corpus: each instance's softmax of its
+    candidate scores, probs[k] = exp(score_k - logsumexp(scores))."""
+    if not isinstance(corpus, Corpus):
+        raise TypeError(f"instance_posterior takes a Corpus, got {type(corpus).__name__}")
+    return PosteriorTable(corpus.ids, corpus.offsets, _softmax(corpus.score, corpus.offsets))
 
 
 def reweight(
@@ -235,7 +228,7 @@ def reweighted_posterior(
             f"instance {instance.id!r}: penalty length {penalty.size} does not match "
             f"{base.probs.size} candidates"
         )
-    probs = reweight(base.probs, penalty, _one_segment(penalty.size), (instance.id,))
+    probs = reweight(base.probs, penalty, np.array([0, penalty.size]), (instance.id,))
     return InstancePosterior(instance.id, probs)
 
 
@@ -248,14 +241,10 @@ def segment_argmax(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(np.where(values == peak, within, values.size), starts)
 
 
-def map_predict(posterior: InstancePosterior | PosteriorTable) -> int | np.ndarray:
-    """Index of the most probable candidate; ties break toward the lowest index.
-
-    Given a `PosteriorTable`, returns the index array over its instances.
-    """
-    if isinstance(posterior, PosteriorTable):
-        return segment_argmax(posterior.probs, posterior.offsets)
-    return int(segment_argmax(posterior.probs, _one_segment(posterior.probs.size))[0])
+def map_predict(posteriors: Sequence[InstancePosterior]) -> np.ndarray:
+    """Index of each instance's most probable candidate; ties break toward the lowest index."""
+    table = PosteriorTable.from_posteriors(posteriors)
+    return segment_argmax(table.probs, table.offsets)
 
 
 def _check_aligned(q: PosteriorTable, p: PosteriorTable | Corpus) -> None:

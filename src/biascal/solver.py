@@ -234,6 +234,17 @@ def _check_shift(shift: np.ndarray) -> None:
         )
 
 
+def _checked_lam(lam, cs: ConstraintSet) -> np.ndarray:
+    """``lam`` as a float vector of the constraint dimension with finite entries."""
+    lam = np.asarray(lam, dtype=np.float64)
+    if lam.shape != (cs.dimension,):
+        raise ValidationError(f"lam has shape {lam.shape}, expected ({cs.dimension},)")
+    bad = np.flatnonzero(~np.isfinite(lam))
+    if bad.size:
+        raise ValidationError(f"lam[{bad[0]}] = {float(lam[bad[0]])!r} is not finite")
+    return lam
+
+
 def _reweighted(fc: FeaturizedCorpus, lam: np.ndarray) -> np.ndarray:
     """Per-row probabilities reweighted by exp(-lam . phi)."""
     penalty = _type_penalties(fc.values, fc.coords, lam).take(fc.types)
@@ -261,7 +272,7 @@ def dual_objective(
 ) -> float:
     """J(lam) = -sum_i log Z_i(lam); zero at lam = 0 by normalization."""
     fc = featurize(corpus, posteriors, cs)
-    lam = np.asarray(lam, dtype=np.float64)
+    lam = _checked_lam(lam, cs)
     penalty = _type_penalties(fc.values, fc.coords, lam).take(fc.types)
     shift, _, sums = _partition(fc.log_p - penalty, fc.seg_ids, fc.offsets[:-1])
     _check_shift(shift)
@@ -284,7 +295,7 @@ def dual_gradient(
     """
     fc = featurize(corpus, posteriors, cs)
     sub = fc if batch is None else _gather(fc, check_indices("batch", batch, fc.n_instances))
-    probs = _reweighted(sub, np.asarray(lam, dtype=np.float64))
+    probs = _reweighted(sub, _checked_lam(lam, cs))
     gradient = _expectation(sub, _type_mass(sub.types, probs, sub.dim))
     return gradient if batch is None else (fc.n_instances / sub.n_instances) * gradient
 
@@ -526,9 +537,7 @@ def calibrate(
     Instances without a nonzero penalty keep their posterior bit for bit.
     """
     table = as_table(corpus, posteriors)
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (cs.dimension,):
-        raise ValidationError(f"lam has shape {lam.shape}, expected ({cs.dimension},)")
+    lam = _checked_lam(lam, cs)
     types = feature_types(corpus.activity, corpus.gender, cs)
     penalty = _type_penalties(*type_features(cs), lam).take(types)
     reweighted = reweight(table.probs, penalty, corpus.offsets, corpus.ids)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import sys
 
 import numpy as np
-import pytest
 
 import biascal as bc
 
@@ -44,7 +43,9 @@ def make_corpus(instance_specs, n_activities=None, names=None):
 
 
 def posteriors_of(corpus):
-    return [bc.instance_posterior(inst) for inst in corpus.instances]
+    """The posteriors as a list of `InstancePosterior`, which every public
+    function taking posteriors accepts beside the table."""
+    return list(bc.instance_posterior(corpus))
 
 
 def random_corpus(rng, n_activities, max_instances=20, max_candidates=6, score_scale=1.5):
@@ -94,10 +95,3 @@ def feasible_single_activity_corpus(rng, gamma, max_instances=5, max_candidates=
         if bc.GenderTag.MALE in genders and bc.GenderTag.FEMALE in genders:
             b_star = float(rng.uniform(0.15, 0.85))
             return corpus, bc.ConstraintSet((0,), np.array([b_star]), gamma)
-
-
-@pytest.fixture
-def toy_half_corpus():
-    """One instance, two candidates (male/female) at equal probability."""
-    corpus = make_corpus([("i0", [(0, "M", 0.0), (0, "W", 0.0)])], names=["act"])
-    return corpus, posteriors_of(corpus)

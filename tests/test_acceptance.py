@@ -219,7 +219,7 @@ def test_criterion_7_stochastic_reaches_full_batch_objective(mitigation_run):
     """The stochastic protocol lands within 1% of the full-batch optimum."""
     corpus = bc.load_corpus(mitigation_run.corpus_path)
     stats = bc.load_training_stats(mitigation_run.stats_path)
-    posteriors = [bc.instance_posterior(inst) for inst in corpus.instances]
+    posteriors = bc.instance_posterior(corpus)
     cs = bc.ConstraintSet.from_stats(corpus, stats, gamma=0.001)
     checkpoint = json.loads((mitigation_run.out / "checkpoint.json").read_text())
     full_batch_lam = np.array(checkpoint["lambda"])

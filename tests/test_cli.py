@@ -259,7 +259,7 @@ class TestCalibrateCommand:
                 assert record["id"] == inst.id
                 probs = np.array([c["prob"] for c in record["candidates"]])
                 posteriors.append(bc.InstancePosterior(inst.id, probs / probs.sum()))
-        predictions = [bc.map_predict(p) for p in posteriors]
+        predictions = bc.map_predict(posteriors)
         report = bc.build_report(corpus, stats, posteriors, predictions, gamma_eval=0.05)
         emitted = json.loads((out / "report_after.json").read_text())
         assert report.n_violations_dist == emitted["n_violations_dist"]

@@ -33,6 +33,8 @@ class TestConstraintSet:
     def test_requires_valid_b_star(self):
         with pytest.raises(bc.ValidationError):
             bc.ConstraintSet((0,), np.array([1.2]), 0.001)
+        with pytest.raises(bc.ValidationError, match=r"^b_star has shape \(2,\), expected \(1,\)$"):
+            bc.ConstraintSet((0,), np.array([0.5, 0.5]), 0.001)
 
     def test_rejects_negative_gamma(self):
         with pytest.raises(bc.ValidationError):
@@ -116,6 +118,12 @@ class TestExpectations:
         posterior = bc.InstancePosterior("i", np.array([0.5, 0.5]))
         expectation = bc.instance_expectation(inst, posterior, cs)
         assert_allclose(expectation[0], 0.0, atol=1e-15)
+
+    def test_one_probability_per_candidate(self):
+        cs = single_constraint(0.3, 0.001)
+        inst = make_instance("i", [(0, "M", 0.0), (0, "W", 0.0)])
+        with pytest.raises(bc.ValidationError, match="^instance 'i': 1 probabilities for 2 candidates$"):
+            bc.instance_expectation(inst, bc.InstancePosterior("i", np.array([1.0])), cs)
 
     def test_empty_corpus_zero(self):
         cs = single_constraint(0.3, 0.001)

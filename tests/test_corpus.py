@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import types
 
 import numpy as np
 import pytest
@@ -182,6 +183,18 @@ class TestFileObjects:
         with open(stats_path, "rb") as stream:
             assert bc.load_training_stats(stream) == bc.load_training_stats(stats_path)
             assert not stream.closed
+
+    @pytest.mark.parametrize("source", [
+        (VALID % "a").encode(), types.SimpleNamespace(read=lambda: VALID % "a"), 3,
+    ], ids=["bytes", "duck_typed_reader", "int"])
+    def test_a_source_that_is_no_path_or_stream_is_refused(self, source):
+        for reader in (bc.load_corpus, bc.load_training_stats):
+            with pytest.raises(TypeError, match="^unsupported source type"):
+                reader(source)
+
+    def test_a_sink_that_is_no_path_or_stream_is_refused(self):
+        with pytest.raises(TypeError, match="^unsupported sink type"):
+            bc.dump_training_stats(bc.TrainingStats(), 3)
 
 
 class TestRoundTrip:
@@ -380,9 +393,23 @@ class TestInvariants:
         with pytest.raises(bc.ValidationError):
             bc.CandidateStructure(0, bc.GenderTag.MALE, float("nan"))
 
+    @pytest.mark.parametrize("activity_id, gender, message", [
+        (0, "M", "gender must be a GenderTag, got 'M'"),
+        (-1, bc.GenderTag.MALE, "activity_id must be nonnegative, got -1"),
+    ])
+    def test_candidate_requires_a_tag_and_an_activity_id(self, activity_id, gender, message):
+        with pytest.raises(bc.ValidationError, match=f"^{message}$"):
+            bc.CandidateStructure(activity_id, gender, 0.0)
+
     def test_instance_requires_candidates(self):
         with pytest.raises(bc.ValidationError):
             bc.Instance("a", tuple())
+
+    def test_instance_gold_indexes_a_candidate(self):
+        candidate = bc.CandidateStructure(0, bc.GenderTag.MALE, 0.0)
+        with pytest.raises(bc.ValidationError,
+                           match="^instance 'a': gold index 1 out of range for 1 candidates$"):
+            bc.Instance("a", (candidate,), gold=1)
 
     def test_corpus_rejects_unknown_activity_id(self):
         inst = bc.Instance("a", (bc.CandidateStructure(3, bc.GenderTag.MALE, 0.0),))

@@ -13,25 +13,27 @@ from scipy.special import rel_entr
 
 import biascal as bc
 from biascal.distribution import _rel_entr, as_table
-from conftest import make_corpus, make_instance, posteriors_of, random_constraints, random_corpus
+from conftest import make_corpus, posteriors_of, random_constraints, random_corpus
 
 
-def scored_instance(scores):
-    return make_instance("i", [(0, "M", s) for s in scores])
+def scored(scores):
+    """One instance with these scores, and its row of the corpus's posterior table."""
+    corpus = make_corpus([("i", [(0, "M", s) for s in scores])])
+    return corpus.instances[0], bc.instance_posterior(corpus)[0]
 
 
 class TestInstancePosterior:
     def test_equal_scores(self):
-        post = bc.instance_posterior(scored_instance([0.0, 0.0]))
+        _, post = scored([0.0, 0.0])
         assert_allclose(post.probs, [0.5, 0.5], atol=1e-15)
 
     def test_large_scores_no_overflow(self):
-        post = bc.instance_posterior(scored_instance([1000.0, 1000.0, 1000.0]))
+        _, post = scored([1000.0, 1000.0, 1000.0])
         assert np.all(np.isfinite(post.probs))
         assert_allclose(post.probs, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
     def test_analytic_softmax(self):
-        post = bc.instance_posterior(scored_instance([math.log(3.0), math.log(1.0)]))
+        _, post = scored([math.log(3.0), math.log(1.0)])
         assert_allclose(post.probs, [0.75, 0.25], atol=1e-12)
 
     @settings(deadline=None, max_examples=60, derandomize=True)
@@ -40,33 +42,35 @@ class TestInstancePosterior:
         shift=st.floats(-500.0, 500.0),
     )
     def test_shift_invariance(self, scores, shift):
-        base = bc.instance_posterior(scored_instance(scores))
-        shifted = bc.instance_posterior(scored_instance([s + shift for s in scores]))
+        _, base = scored(scores)
+        _, shifted = scored([s + shift for s in scores])
         assert_allclose(shifted.probs, base.probs, atol=1e-12)
+
+    def test_takes_only_a_corpus(self):
+        inst, _ = scored([0.0, 0.0])
+        with pytest.raises(TypeError, match="instance_posterior takes a Corpus, got Instance"):
+            bc.instance_posterior(inst)
 
 
 class TestReweightedPosterior:
     def test_zero_penalty_is_identity(self):
-        inst = scored_instance([0.4, -0.2, 1.0])
-        base = bc.instance_posterior(inst)
+        inst, base = scored([0.4, -0.2, 1.0])
         out = bc.reweighted_posterior(inst, base, [0.0, 0.0, 0.0])
         assert_allclose(out.probs, base.probs, atol=1e-15)
 
     def test_analytic_reweighting(self):
-        inst = scored_instance([0.0, 0.0])
-        base = bc.instance_posterior(inst)
+        inst, base = scored([0.0, 0.0])
         out = bc.reweighted_posterior(inst, base, [math.log(3.0), 0.0])
         assert_allclose(out.probs, [0.25, 0.75], atol=1e-12)
 
     def test_zero_mass_stays_zero(self):
-        inst = scored_instance([0.0, 0.0])
+        inst, _ = scored([0.0, 0.0])
         base = bc.InstancePosterior("i", np.array([1.0, 0.0]))
         out = bc.reweighted_posterior(inst, base, [5.0, -7.0])
         assert_allclose(out.probs, [1.0, 0.0], atol=0)
 
     def test_no_support_raises(self):
-        inst = scored_instance([0.0, 0.0])
-        base = bc.instance_posterior(inst)
+        inst, _ = scored([0.0, 0.0])
         # bypass validation to build an impossible all-zero posterior
         broken = object.__new__(bc.InstancePosterior)
         object.__setattr__(broken, "instance_id", "i")
@@ -75,30 +79,33 @@ class TestReweightedPosterior:
             bc.reweighted_posterior(inst, broken, [0.0, 0.0])
 
     def test_penalty_must_be_finite(self):
-        inst = scored_instance([0.0, 0.0])
-        base = bc.instance_posterior(inst)
+        inst, base = scored([0.0, 0.0])
         with pytest.raises(bc.ValidationError):
             bc.reweighted_posterior(inst, base, [float("inf"), 0.0])
 
     def test_penalty_length_checked(self):
-        inst = scored_instance([0.0, 0.0])
-        base = bc.instance_posterior(inst)
+        inst, base = scored([0.0, 0.0])
         with pytest.raises(bc.ValidationError):
             bc.reweighted_posterior(inst, base, [0.0])
 
 
 class TestMapPredict:
     def test_plain_argmax(self):
-        assert bc.map_predict(bc.InstancePosterior("i", np.array([0.2, 0.7, 0.1]))) == 1
+        posteriors = [bc.InstancePosterior("i", np.array([0.2, 0.7, 0.1]))]
+        assert bc.map_predict(posteriors).tolist() == [1]
 
     def test_tie_breaks_low(self):
-        assert bc.map_predict(bc.InstancePosterior("i", np.array([0.5, 0.5]))) == 0
+        posteriors = [bc.InstancePosterior("i", np.array([0.5, 0.5]))]
+        assert bc.map_predict(posteriors).tolist() == [0]
 
     def test_composition_with_reweighting(self):
-        inst = scored_instance([0.0, 0.0])
-        base = bc.instance_posterior(inst)
+        inst, base = scored([0.0, 0.0])
         out = bc.reweighted_posterior(inst, base, [math.log(3.0), 0.0])
-        assert bc.map_predict(out) == 1
+        assert bc.map_predict([out]).tolist() == [1]
+
+    def test_takes_posteriors_not_one_posterior(self):
+        with pytest.raises(TypeError, match="not iterable"):
+            bc.map_predict(bc.InstancePosterior("i", np.array([0.2, 0.8])))
 
 
 class TestKLDivergence:
@@ -119,6 +126,10 @@ class TestKLDivergence:
         p = [bc.InstancePosterior("a", np.array(p_probs))]
         assert_allclose(bc.kl_divergence(q, p), expected, rtol=1e-14)
         assert_allclose(expected, 0.1308, atol=5e-5)
+
+    def test_empty_corpus_is_zero(self):
+        table = bc.instance_posterior(bc.Corpus((), {"act": 0}))
+        assert bc.kl_divergence(table, table) == 0.0
 
     def test_infinite_when_not_absolutely_continuous(self):
         q = [bc.InstancePosterior("a", np.array([0.5, 0.5]))]
@@ -207,6 +218,12 @@ class TestAlignment:
         rebuilt = as_table(corpus, list(table))
         assert rebuilt.ids == ("a", "b") and np.array_equal(rebuilt.probs, table.probs)
 
+    def test_negative_index_counts_from_the_end(self):
+        table = bc.instance_posterior(make_corpus(self.CORPUS_SPECS, names=["act"]))
+        assert table[-1] == table[1] and table[-2] == table[0]
+        with pytest.raises(IndexError, match="posterior table index out of range"):
+            table[-3]
+
 
 class TestProbabilityChecks:
     """Each posterior vector must be finite, within [0, 1] and sum to 1."""
@@ -223,10 +240,25 @@ class TestProbabilityChecks:
         with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
             bc.PosteriorTable(["a", "b"], np.array([0, 1, 3]), np.array([1.0, *probs]))
 
-    @pytest.mark.parametrize("offsets, n_probs", [([0, 1], 3), ([0, 1, 2], 3), ([0, 1, 3], 2)])
+    @pytest.mark.parametrize("probs", [[], [[0.5, 0.5]]], ids=["empty", "two_dimensional"])
+    def test_one_posterior_is_a_nonempty_vector(self, probs):
+        with pytest.raises(bc.ValidationError,
+                           match="^posterior for 'b' must be a nonempty 1-D vector$"):
+            bc.InstancePosterior("b", np.array(probs))
+
+    @pytest.mark.parametrize("offsets, n_probs", [
+        ([0, 1], 3), ([0, 1, 2], 3), ([0, 1, 3], 2),
+        ([1, 2, 3], 3),  # not starting at 0
+        ([0, 3, 2], 2),  # decreasing
+    ])
     def test_offsets_must_match_ids_and_rows(self, offsets, n_probs):
         with pytest.raises(bc.ValidationError, match="offsets do not match its ids and rows"):
             bc.PosteriorTable(["a", "b"], np.array(offsets), np.full(n_probs, 0.5))
+
+    def test_rows_before_the_first_offset_are_refused(self):
+        # the one row, [0.3, 0.5], sums to 0.8, while all three values sum to 1
+        with pytest.raises(bc.ValidationError, match="offsets do not match its ids and rows"):
+            bc.PosteriorTable(("a",), [1, 3], [0.2, 0.3, 0.5])
 
 
 class TestJointFactorization:

@@ -7,7 +7,8 @@ Each one transforms a generated corpus in a way whose effect on the
 projection is known, solves both, and compares. The constraints are ratios
 of summed masses, so duplicating, reordering or padding the corpus leaves the
 projection where it was; renaming the activities changes no number at all;
-and a wider margin only brings q closer to p. The corpora come from
+a wider margin only brings q closer to p; and at a margin of 1, which
+every ratio meets, even the stochastic protocol returns p. The corpora come from
 `bc.generate`, where every instance holds a male and a female candidate of
 its activity, so every margin is reachable and the dual has a maximum.
 """
@@ -188,3 +189,14 @@ def test_a_wider_margin_never_moves_q_further(case):
                    for gamma in (0.001, 0.01, 0.05, 0.1, 0.2, 0.5)]
     assert all(wider <= narrower for narrower, wider in zip(divergences, divergences[1:])), (
         divergences)
+
+
+@METAMORPHIC
+@given(case=generated())
+def test_a_margin_of_one_leaves_p_as_it_is_in_stochastic_mode(case):
+    # at gamma = 1 every ratio band covers [0, 1], so every feature value, and
+    # with it every gradient coordinate, is <= 0: projected Adam keeps lam at 0
+    corpus, stats, _ = case
+    lam, q, _ = project(corpus, stats, 1.0, STOCHASTIC)
+    assert not any(value.any() for value in lam.values())
+    assert np.array_equal(q.probs, bc.instance_posterior(corpus).probs)

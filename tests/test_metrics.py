@@ -136,8 +136,9 @@ class TestBiasInTopPredictions:
         [([0.9, 0.0], "predictions must be integer indices"),
          ([True, False], "predictions must be integer indices"),
          ([0, -1], r"predictions\[1\] = -1 is out of range"),
-         ([2, 0], r"predictions\[0\] = 2 is out of range")],
-        ids=["fraction", "bool", "negative", "past_the_end"],
+         ([2, 0], r"predictions\[0\] = 2 is out of range"),
+         ([0], "1 predictions for 2 instances")],
+        ids=["fraction", "bool", "negative", "past_the_end", "too_few"],
     )
     def test_predictions_must_be_candidate_indices(self, predictions, message):
         corpus = make_corpus([("a", [(0, "M", 0.0), (0, "W", 0.0)]), ("b", [(0, "W", 0.0)])])
@@ -194,7 +195,7 @@ def two_activity_setup(male_prob):
     )
     stats = stats_for(corpus, {0: (70, 30)})
     posteriors = [bc.InstancePosterior("a", np.array([male_prob, 1.0 - male_prob]))]
-    predictions = [bc.map_predict(p) for p in posteriors]
+    predictions = bc.map_predict(posteriors)
     return corpus, stats, posteriors, predictions
 
 

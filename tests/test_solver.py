@@ -344,6 +344,22 @@ class TestSolve:
         with pytest.raises(bc.ValidationError):
             bc.solve(corpus, posteriors, cs, full_batch_config(), initial_state=bad_state)
 
+    @pytest.mark.parametrize("empty", ["constraints", "corpus"])
+    def test_trivial_problem_returns_the_start_state(self, empty):
+        corpus, _, cs = half_toy(male_prob=0.7)
+        if empty == "constraints":
+            cs = bc.ConstraintSet((), np.zeros(0), 0.01)
+        else:
+            corpus = bc.Corpus((), corpus.activities)
+        config = bc.SolverConfig()
+        state = bc.solve(corpus, bc.instance_posterior(corpus), cs, config)
+        assert_same_state(state, bc.DualState.zeros(cs.dimension, config.initial_lr))
+
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("inf"), float("nan")])
+    def test_initial_lr_must_be_finite_and_positive(self, lr):
+        with pytest.raises(bc.ValidationError, match="initial_lr must be positive"):
+            bc.SolverConfig(initial_lr=lr)
+
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1e-8])
     def test_convergence_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(bc.ValidationError, match="convergence_tol must be finite and positive"):
@@ -354,6 +370,15 @@ class TestSolve:
             bc.DualState(np.zeros(2), np.zeros(1), np.zeros(2))
         with pytest.raises(bc.ValidationError, match="moments"):
             bc.DualState(np.zeros(2), np.zeros(2), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("lam, moment, message", [
+        ([-1.0, 0.0], [0.0, 0.0], "dual vector must be nonnegative"),
+        ([np.inf, 0.0], [0.0, 0.0], "dual state must be finite"),
+        ([0.0, 0.0], [np.nan, 0.0], "dual state must be finite"),
+    ], ids=["negative_lam", "infinite_lam", "nan_moment"])
+    def test_dual_state_must_be_nonnegative_and_finite(self, lam, moment, message):
+        with pytest.raises(bc.ValidationError, match=f"^{message}$"):
+            bc.DualState(np.array(lam), np.array(moment), np.zeros(2))
 
     def test_non_finite_gradient_diagnosed(self):
         state = bc.DualState.zeros(3, 0.1)
@@ -403,6 +428,27 @@ class TestSolve:
         with pytest.raises(error):
             bc.solve(corpus, bc.instance_posterior(corpus), cs, bc.SolverConfig(batch_size=1),
                      initial_state=state)
+
+
+# The functions that take a dual vector, called the same way.
+LAM_USERS = {
+    "dual_objective": bc.dual_objective,
+    "dual_gradient": bc.dual_gradient,
+    "calibrate": lambda lam, corpus, posteriors, cs: bc.calibrate(corpus, posteriors, cs, lam),
+}
+
+
+@pytest.mark.parametrize("user", LAM_USERS)
+@pytest.mark.parametrize("lam, message", [
+    ([0.0] * 5, r"^lam has shape \(5,\), expected \(2,\)$"),
+    ([0.0], r"^lam has shape \(1,\), expected \(2,\)$"),
+    ([0.0, np.nan], r"^lam\[1\] = nan is not finite$"),
+    ([np.inf, 0.0], r"^lam\[0\] = inf is not finite$"),
+], ids=["three_too_long", "too_short", "nan", "inf"])
+def test_lam_is_checked_before_use(user, lam, message):
+    corpus, posteriors, cs = half_toy()
+    with pytest.raises(bc.ValidationError, match=message):
+        LAM_USERS[user](np.array(lam), corpus, posteriors, cs)
 
 
 class TestCalibrate:
@@ -473,6 +519,11 @@ class TestBruteForce:
         projected, _ = brute_force_project(corpus, table, cs)
         assert isinstance(projected, bc.PosteriorTable)
         assert np.array_equal(projected.probs, table.probs)
+
+    def test_refuses_a_grid_of_fewer_than_three_points(self):
+        corpus, posteriors, cs = half_toy()
+        with pytest.raises(bc.ValidationError, match="^grid resolution must be at least 3$"):
+            brute_force_project(corpus, posteriors, cs, resolution=2)
 
     def test_refuses_three_activities(self):
         corpus = make_corpus(

@@ -23,8 +23,8 @@ def serialize(corpus, stats):
 
 
 def mean_amp_dist(corpus, stats):
-    posteriors = [bc.instance_posterior(inst) for inst in corpus.instances]
-    predictions = [bc.map_predict(p) for p in posteriors]
+    posteriors = bc.instance_posterior(corpus)
+    predictions = bc.map_predict(posteriors)
     report = bc.build_report(corpus, stats, posteriors, predictions, gamma_eval=0.05)
     return report.mean_amp_dist
 
@@ -41,6 +41,16 @@ class TestConfigValidation:
     def test_requires_nonnegative_boost(self):
         with pytest.raises(bc.ValidationError):
             bc.SynthConfig(amplification_boost=-0.5)
+
+    @pytest.mark.parametrize("field", ["n_activities", "instances_per_activity"])
+    def test_requires_positive_sizes(self, field):
+        with pytest.raises(bc.ValidationError, match="must be positive"):
+            bc.SynthConfig(**{field: 0})
+
+    @pytest.mark.parametrize("gold_noise", [-0.1, 1.5, float("nan")])
+    def test_requires_gold_noise_in_the_unit_interval(self, gold_noise):
+        with pytest.raises(bc.ValidationError, match="gold_noise must lie in"):
+            bc.SynthConfig(gold_noise=gold_noise)
 
 
 class TestGenerate:
@@ -83,7 +93,7 @@ class TestGenerate:
                 seed=8,
             )
         )
-        posteriors = [bc.instance_posterior(inst) for inst in corpus.instances]
+        posteriors = bc.instance_posterior(corpus)
         for name, aid in corpus.activities.items():
             bias = bc.bias_in_distribution(posteriors, corpus, aid)
             b_star = bc.dataset_bias(stats, corpus, aid)
@@ -99,7 +109,7 @@ class TestGenerate:
                 seed=9,
             )
         )
-        posteriors = [bc.instance_posterior(inst) for inst in corpus.instances]
+        posteriors = bc.instance_posterior(corpus)
         for aid in corpus.activities.values():
             bias = bc.bias_in_distribution(posteriors, corpus, aid)
             b_star = bc.dataset_bias(stats, corpus, aid)
