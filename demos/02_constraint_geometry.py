@@ -38,7 +38,7 @@ corpus = bc.Corpus(
 
 print(f"\n{'male share':>10s} {'E[upper]':>10s} {'E[lower]':>10s} {'in bounds':>10s}")
 for male_share in (0.10, 0.25, B_STAR - GAMMA, 0.30, B_STAR + GAMMA, 0.40, 0.60):
-    posterior = [bc.InstancePosterior("i0", np.array([male_share, 1.0 - male_share]))]
+    posterior = bc.PosteriorTable(("i0",), [0, 2], [male_share, 1.0 - male_share])
     expectation = bc.corpus_expectation(corpus, posterior, cs)
     result = bc.check_equivalence(corpus, posterior, cs, 0)
     inside = expectation[0] <= 1e-12 and expectation[1] <= 1e-12

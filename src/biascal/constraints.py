@@ -22,7 +22,7 @@ depend only on the candidate and the constraint set, never on q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .corpus import (
     TrainingStats,
     constrained_activities,
 )
-from .distribution import InstancePosterior, as_table
+from .distribution import InstancePosterior, PosteriorTable, as_table
 from .errors import UndefinedBiasError, ValidationError
 from .metrics import activity_mass, check_margin, dataset_bias
 
@@ -191,10 +191,10 @@ def instance_expectation(
 
 
 def corpus_expectation(
-    corpus: Corpus, posteriors: Sequence[InstancePosterior], cs: ConstraintSet
+    corpus: Corpus, posteriors: PosteriorTable, cs: ConstraintSet
 ) -> np.ndarray:
     """Sum of instance expectations over the corpus, in instance order."""
-    probs = as_table(corpus, posteriors).probs
+    probs = as_table(posteriors, corpus).probs
     return _expectation(corpus.activity, corpus.gender, corpus.segment_ids, probs, cs)
 
 
@@ -216,7 +216,7 @@ class EquivalenceCheck(NamedTuple):
 
 def check_equivalence(
     corpus: Corpus,
-    posteriors: Sequence[InstancePosterior],
+    posteriors: PosteriorTable,
     cs: ConstraintSet,
     activity_id: int,
 ) -> EquivalenceCheck:
@@ -233,7 +233,7 @@ def check_equivalence(
     j = cs.slot(activity_id)
     if j is None:
         raise ValidationError(f"activity id {activity_id} is not constrained")
-    table = as_table(corpus, posteriors)
+    table = as_table(posteriors, corpus)
     male, gendered = activity_mass(corpus, table)
     male_mass = float(male[activity_id])
     gendered_mass = float(gendered[activity_id])

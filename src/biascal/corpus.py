@@ -87,6 +87,11 @@ class GenderTag(str, Enum):
         return self is not GenderTag.UNGENDERED
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CandidateStructure:
     """One scored joint assignment (activity, gender tag) for an instance."""
@@ -100,6 +105,8 @@ class CandidateStructure:
             raise ValidationError(f"gender must be a GenderTag, got {self.gender!r}")
         if not math.isfinite(self.score):
             raise ValidationError(f"candidate score must be finite, got {self.score!r}")
+        if not is_integer(self.activity_id):
+            raise ValidationError(f"activity_id must be an integer, got {self.activity_id!r}")
         if self.activity_id < 0:
             raise ValidationError(f"activity_id must be nonnegative, got {self.activity_id}")
 
@@ -116,8 +123,13 @@ class Instance:
     gold: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.id, str) or not self.id:
+            raise ValidationError(f"instance id must be a nonempty string, got {self.id!r}")
         if len(self.candidates) == 0:
             raise ValidationError(f"instance {self.id!r}: candidate list is empty")
+        if self.gold is not None and not is_integer(self.gold):
+            raise ValidationError(
+                f"instance {self.id!r}: gold must be an integer index, got {self.gold!r}")
         if self.gold is not None and not (0 <= self.gold < len(self.candidates)):
             raise ValidationError(
                 f"instance {self.id!r}: gold index {self.gold} out of range "

@@ -9,8 +9,9 @@ in instance order so repeated runs are bitwise identical.
 
 Every kernel works on flat rows split into segments by an ``offsets``
 array (see `Corpus`). A `PosteriorTable` holds the posteriors of a whole
-corpus that way; the public functions take one, or a list of `InstancePosterior`,
-and only `reweighted_posterior` runs the kernels on a single instance.
+corpus that way and is the one form in which the public functions take
+posteriors; `InstancePosterior` is what a table yields per instance, and
+only `reweighted_posterior` runs the kernels on a single instance.
 """
 
 from __future__ import annotations
@@ -137,15 +138,6 @@ class PosteriorTable(Sequence):
         self.offsets = offsets
         self.probs = probs
 
-    @classmethod
-    def from_posteriors(cls, posteriors: Sequence[InstancePosterior]) -> "PosteriorTable":
-        if isinstance(posteriors, PosteriorTable):
-            return posteriors
-        offsets = np.zeros(len(posteriors) + 1, dtype=np.int64)
-        np.cumsum([len(p) for p in posteriors], out=offsets[1:])
-        probs = np.concatenate([p.probs for p in posteriors]) if posteriors else np.zeros(0)
-        return cls([p.instance_id for p in posteriors], offsets, probs)
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -158,11 +150,26 @@ class PosteriorTable(Sequence):
         return InstancePosterior(self.ids[i], self.probs[self.offsets[i] : self.offsets[i + 1]])
 
 
-def as_table(corpus: Corpus, posteriors: Sequence[InstancePosterior]) -> PosteriorTable:
-    """The posteriors as a table, after checking once that they align with the corpus."""
-    table = PosteriorTable.from_posteriors(posteriors)
-    _check_aligned(table, corpus)
-    return table
+def as_table(posteriors: PosteriorTable, like: Corpus | PosteriorTable | None = None
+             ) -> PosteriorTable:
+    """``posteriors``, which must be a `PosteriorTable`, after checking that it
+    lists the instances of ``like`` (a corpus or a table), if given, with their
+    candidate counts. The first instance out of line is named.
+    """
+    if not isinstance(posteriors, PosteriorTable):
+        raise TypeError(f"posteriors must be a PosteriorTable, got {type(posteriors).__name__}")
+    if like is not None and not (posteriors.ids == like.ids
+                                 and np.array_equal(posteriors.offsets, like.offsets)):
+        if len(posteriors) != len(like):
+            raise ValidationError(f"{len(posteriors)} posteriors for {len(like)} instances")
+        for q_id, p_id, q_size, p_size in zip(posteriors.ids, like.ids, np.diff(
+                posteriors.offsets).tolist(), np.diff(like.offsets).tolist()):
+            if q_id != p_id:
+                raise ValidationError(f"posterior {q_id!r} does not match instance {p_id!r}")
+            if q_size != p_size:
+                raise ValidationError(
+                    f"instance {p_id!r}: {q_size} probabilities for {p_size} candidates")
+    return posteriors
 
 
 def _softmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -241,28 +248,10 @@ def segment_argmax(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(np.where(values == peak, within, values.size), starts)
 
 
-def map_predict(posteriors: Sequence[InstancePosterior]) -> np.ndarray:
+def map_predict(posteriors: PosteriorTable) -> np.ndarray:
     """Index of each instance's most probable candidate; ties break toward the lowest index."""
-    table = PosteriorTable.from_posteriors(posteriors)
+    table = as_table(posteriors)
     return segment_argmax(table.probs, table.offsets)
-
-
-def _check_aligned(q: PosteriorTable, p: PosteriorTable | Corpus) -> None:
-    """``q`` must list the instances of ``p`` (a table or a corpus) with their candidate counts.
-
-    The first instance out of line is named.
-    """
-    if len(q) != len(p):
-        raise ValidationError(f"{len(q)} posteriors for {len(p)} instances")
-    if q.ids == p.ids and np.array_equal(q.offsets, p.offsets):
-        return
-    for q_id, p_id, q_size, p_size in zip(
-        q.ids, p.ids, np.diff(q.offsets).tolist(), np.diff(p.offsets).tolist()
-    ):
-        if q_id != p_id:
-            raise ValidationError(f"posterior {q_id!r} does not match instance {p_id!r}")
-        if q_size != p_size:
-            raise ValidationError(f"instance {p_id!r}: {q_size} probabilities for {p_size} candidates")
 
 
 def _rel_entr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -286,16 +275,15 @@ def _rel_entr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                     np.where((x == 0.0) & (y >= 0.0), 0.0, np.inf))
 
 
-def kl_divergence(q: Sequence[InstancePosterior], p: Sequence[InstancePosterior]) -> float:
+def kl_divergence(q: PosteriorTable, p: PosteriorTable) -> float:
     """KL(q || p) summed over instances, with the 0 log 0 = 0 convention.
 
-    Returns inf when q puts mass where p has none (q not absolutely
-    continuous w.r.t. p on the candidate support). Accepts lists of
-    `InstancePosterior` or `PosteriorTable` objects.
+    Both are `PosteriorTable` objects over the same instances. Returns inf
+    when q puts mass where p has none (q not absolutely continuous w.r.t.
+    p on the candidate support).
     """
-    q_table = PosteriorTable.from_posteriors(q)
-    p_table = PosteriorTable.from_posteriors(p)
-    _check_aligned(q_table, p_table)
+    p_table = as_table(p)
+    q_table = as_table(q, p_table)
     if len(q_table) == 0:
         return 0.0
     per_instance = segment_sum(_rel_entr(q_table.probs, p_table.probs), q_table.offsets)

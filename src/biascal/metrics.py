@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .corpus import Corpus, TrainingStats, _open_for_write, constrained_activities, dump_json
-from .distribution import InstancePosterior, PosteriorTable, as_table, check_indices
+from .distribution import PosteriorTable, as_table, check_indices
 from .errors import UndefinedBiasError, ValidationError
 
 __all__ = list(_EXPORTS["metrics"])
@@ -85,13 +85,13 @@ def _top_ratio(male: np.ndarray, gendered: np.ndarray, aid: int) -> float | None
 
 
 def bias_in_distribution(
-    posteriors: Sequence[InstancePosterior], corpus: Corpus, activity_id: int
+    posteriors: PosteriorTable, corpus: Corpus, activity_id: int
 ) -> float:
     """Male share of the activity's gendered posterior mass across the corpus.
 
     Ungendered candidates contribute to neither numerator nor denominator.
     """
-    male, gendered = activity_mass(corpus, as_table(corpus, posteriors))
+    male, gendered = activity_mass(corpus, as_table(posteriors, corpus))
     return _distribution_ratio(corpus, male, gendered, activity_id)
 
 
@@ -186,7 +186,7 @@ class BiasReport:
 def build_report(
     corpus: Corpus,
     stats: TrainingStats,
-    posteriors: Sequence[InstancePosterior],
+    posteriors: PosteriorTable,
     predictions: Sequence[int],
     gamma_eval: float,
 ) -> BiasReport:
@@ -199,7 +199,7 @@ def build_report(
     when every instance carries a gold label.
     """
     check_margin("gamma_eval", gamma_eval)
-    table = as_table(corpus, posteriors)
+    table = as_table(posteriors, corpus)
     predictions = _check_predictions(corpus, predictions)
     activity_ids = constrained_activities(stats, corpus)
     if not activity_ids:

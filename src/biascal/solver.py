@@ -44,8 +44,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .constraints import ConstraintSet, feature_types, type_features
-from .corpus import Corpus, dump_json
-from .distribution import InstancePosterior, PosteriorTable, as_table, check_indices, reweight
+from .corpus import Corpus, dump_json, is_integer
+from .distribution import PosteriorTable, as_table, check_indices, reweight
 from .errors import (
     DegenerateDistributionError,
     OracleSizeError,
@@ -127,12 +127,14 @@ class DualState:
             raise ValidationError(f"Adam moments must match the shape {self.lam.shape} of lam")
         if np.any(self.lam < 0.0):
             raise ValidationError("dual vector must be nonnegative")
-        if not (
-            np.all(np.isfinite(self.lam))
-            and np.all(np.isfinite(self.first_moment))
-            and np.all(np.isfinite(self.second_moment))
-        ):
+        if not all(np.isfinite(v).all() for v in (self.lam, self.first_moment, self.second_moment)):
             raise ValidationError("dual state must be finite")
+        if not (is_integer(self.step) and self.step >= 0):
+            raise ValidationError(f"step must be a nonnegative integer, got {self.step!r}")
+        # 0 stays allowed: lr_decay can underflow a long run's rate to it
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValidationError(
+                f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}")
 
     @classmethod
     def zeros(cls, dimension: int, learning_rate: float) -> "DualState":
@@ -169,10 +171,10 @@ class FeaturizedCorpus:
 
 
 def featurize(
-    corpus: Corpus, posteriors: Sequence[InstancePosterior], cs: ConstraintSet
+    corpus: Corpus, posteriors: PosteriorTable, cs: ConstraintSet
 ) -> FeaturizedCorpus:
     """Compress the corpus to its featured rows and one plain row per instance."""
-    probs = as_table(corpus, posteriors).probs
+    probs = as_table(posteriors, corpus).probs
     n, dim = corpus.n_instances, cs.dimension
     row_types = feature_types(corpus.activity, corpus.gender, cs)
     featured = np.flatnonzero(row_types < dim)
@@ -267,7 +269,7 @@ def _expectation(fc: FeaturizedCorpus, mass: np.ndarray) -> np.ndarray:
 def dual_objective(
     lam: np.ndarray,
     corpus: Corpus,
-    posteriors: Sequence[InstancePosterior],
+    posteriors: PosteriorTable,
     cs: ConstraintSet,
 ) -> float:
     """J(lam) = -sum_i log Z_i(lam); zero at lam = 0 by normalization."""
@@ -282,7 +284,7 @@ def dual_objective(
 def dual_gradient(
     lam: np.ndarray,
     corpus: Corpus,
-    posteriors: Sequence[InstancePosterior],
+    posteriors: PosteriorTable,
     cs: ConstraintSet,
     batch: Sequence[int] | None = None,
 ) -> np.ndarray:
@@ -464,7 +466,7 @@ def _newton_ascent(fc: FeaturizedCorpus, state: DualState, config: SolverConfig)
 
 def solve(
     corpus: Corpus,
-    posteriors: Sequence[InstancePosterior],
+    posteriors: PosteriorTable,
     cs: ConstraintSet,
     config: SolverConfig,
     initial_state: DualState | None = None,
@@ -491,10 +493,7 @@ def solve(
         state = DualState.zeros(cs.dimension, config.initial_lr)
     else:
         state = copy.deepcopy(initial_state)
-    if state.lam.shape != (cs.dimension,):
-        raise ValidationError(
-            f"initial state has dimension {state.lam.size}, constraints need {cs.dimension}"
-        )
+        _checked_lam(state.lam, cs)
     if cs.dimension == 0 or fc.n_instances == 0:
         return state
 
@@ -528,7 +527,7 @@ def solve(
 
 def calibrate(
     corpus: Corpus,
-    posteriors: Sequence[InstancePosterior],
+    posteriors: PosteriorTable,
     cs: ConstraintSet,
     lam: np.ndarray,
 ) -> PosteriorTable:
@@ -536,7 +535,7 @@ def calibrate(
 
     Instances without a nonzero penalty keep their posterior bit for bit.
     """
-    table = as_table(corpus, posteriors)
+    table = as_table(posteriors, corpus)
     lam = _checked_lam(lam, cs)
     types = feature_types(corpus.activity, corpus.gender, cs)
     penalty = _type_penalties(*type_features(cs), lam).take(types)
@@ -578,7 +577,7 @@ def _evaluate_grid(
 
 def brute_force_project(
     corpus: Corpus,
-    posteriors: Sequence[InstancePosterior],
+    posteriors: PosteriorTable,
     cs: ConstraintSet,
     resolution: int = 11,
 ) -> tuple[PosteriorTable, np.ndarray]:
@@ -683,27 +682,23 @@ def save_checkpoint(
         "lambda": [float(x) for x in state.lam],
         "first_moment": [float(x) for x in state.first_moment],
         "second_moment": [float(x) for x in state.second_moment],
-        "step": state.step,
+        "step": int(state.step),
         "learning_rate": state.learning_rate,
         "config_hash": _config_hash(config, cs),
     }, path)
 
 
-def load_checkpoint(
-    path: str | Path, config: SolverConfig | None = None, cs: ConstraintSet | None = None
-) -> DualState:
-    """Load a checkpoint; verifies the config hash when config and cs are given."""
+def load_checkpoint(path: str | Path, config: SolverConfig, cs: ConstraintSet) -> DualState:
+    """Load a checkpoint saved under ``config`` and ``cs``; the config hash is always verified."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     version = payload.get("schema_version") if isinstance(payload, dict) else None
     if isinstance(version, bool) or version != 1:
         raise ValidationError(f"unsupported checkpoint schema_version {version!r}, expected 1")
-    if config is not None and cs is not None:
-        expected = _config_hash(config, cs)
-        if payload.get("config_hash") != expected:
-            raise ValidationError(
-                "checkpoint config hash mismatch: refusing to resume with different settings"
-            )
+    if payload.get("config_hash") != _config_hash(config, cs):
+        raise ValidationError(
+            "checkpoint config hash mismatch: refusing to resume with different settings"
+        )
     return DualState(
         lam=np.array(_checked(payload, "lambda", list), dtype=np.float64),
         first_moment=np.array(_checked(payload, "first_moment", list), dtype=np.float64),

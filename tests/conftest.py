@@ -43,9 +43,8 @@ def make_corpus(instance_specs, n_activities=None, names=None):
 
 
 def posteriors_of(corpus):
-    """The posteriors as a list of `InstancePosterior`, which every public
-    function taking posteriors accepts beside the table."""
-    return list(bc.instance_posterior(corpus))
+    """The corpus's `PosteriorTable`, the one form the public functions take posteriors in."""
+    return bc.instance_posterior(corpus)
 
 
 def random_corpus(rng, n_activities, max_instances=20, max_candidates=6, score_scale=1.5):

@@ -252,13 +252,14 @@ class TestCalibrateCommand:
                    "--out", out, "--mode", "full-batch") == 0
         corpus = bc.load_corpus(corpus_path)
         stats = bc.load_training_stats(stats_path)
-        posteriors = []
+        rows = []
         with open(out / "calibrated.jsonl", "r", encoding="utf-8") as handle:
-            for inst, line in zip(corpus.instances, handle):
+            for inst_id, line in zip(corpus.ids, handle):
                 record = json.loads(line)
-                assert record["id"] == inst.id
+                assert record["id"] == inst_id
                 probs = np.array([c["prob"] for c in record["candidates"]])
-                posteriors.append(bc.InstancePosterior(inst.id, probs / probs.sum()))
+                rows.append(probs / probs.sum())
+        posteriors = bc.PosteriorTable(corpus.ids, corpus.offsets, np.concatenate(rows))
         predictions = bc.map_predict(posteriors)
         report = bc.build_report(corpus, stats, posteriors, predictions, gamma_eval=0.05)
         emitted = json.loads((out / "report_after.json").read_text())

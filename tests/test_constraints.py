@@ -128,7 +128,8 @@ class TestExpectations:
     def test_empty_corpus_zero(self):
         cs = single_constraint(0.3, 0.001)
         corpus = bc.Corpus(tuple(), {"act": 0})
-        assert_allclose(bc.corpus_expectation(corpus, [], cs), np.zeros(2), atol=0)
+        table = bc.instance_posterior(corpus)
+        assert_allclose(bc.corpus_expectation(corpus, table, cs), np.zeros(2), atol=0)
 
     def test_single_instance_matches(self):
         cs = single_constraint(0.3, 0.001)
@@ -173,8 +174,7 @@ class TestExpectations:
 
 def biased_pair_corpus(male_prob):
     corpus = make_corpus([("i", [(0, "M", 0.0), (0, "W", 0.0)])], names=["act"])
-    posteriors = [bc.InstancePosterior("i", np.array([male_prob, 1.0 - male_prob]))]
-    return corpus, posteriors
+    return corpus, bc.PosteriorTable(("i",), [0, 2], [male_prob, 1.0 - male_prob])
 
 
 class TestCheckEquivalence:

@@ -396,10 +396,30 @@ class TestInvariants:
     @pytest.mark.parametrize("activity_id, gender, message", [
         (0, "M", "gender must be a GenderTag, got 'M'"),
         (-1, bc.GenderTag.MALE, "activity_id must be nonnegative, got -1"),
+        (0.9, bc.GenderTag.MALE, "activity_id must be an integer, got 0.9"),
+        (True, bc.GenderTag.MALE, "activity_id must be an integer, got True"),
+        ("0", bc.GenderTag.MALE, "activity_id must be an integer, got '0'"),
     ])
     def test_candidate_requires_a_tag_and_an_activity_id(self, activity_id, gender, message):
         with pytest.raises(bc.ValidationError, match=f"^{message}$"):
             bc.CandidateStructure(activity_id, gender, 0.0)
+
+    @pytest.mark.parametrize("inst_id, gold, message", [
+        ("", None, "instance id must be a nonempty string, got ''"),
+        (7, None, "instance id must be a nonempty string, got 7"),
+        ("a", True, "instance 'a': gold must be an integer index, got True"),
+        ("a", 1.7, "instance 'a': gold must be an integer index, got 1.7"),
+        ("a", 0.0, "instance 'a': gold must be an integer index, got 0.0"),
+    ])
+    def test_instance_requires_a_nonempty_id_and_an_integer_gold(self, inst_id, gold, message):
+        candidates = (bc.CandidateStructure(0, bc.GenderTag.MALE, 0.0),) * 2
+        with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
+            bc.Instance(inst_id, candidates, gold)
+
+    def test_numpy_integers_are_integers(self):
+        candidate = bc.CandidateStructure(np.int64(0), bc.GenderTag.MALE, 0.0)
+        corpus = bc.Corpus((bc.Instance("a", (candidate,), np.int32(0)),), {"x": 0})
+        assert corpus.activity.tolist() == [0] and corpus.gold.tolist() == [0]
 
     def test_instance_requires_candidates(self):
         with pytest.raises(bc.ValidationError):

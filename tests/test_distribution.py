@@ -13,6 +13,7 @@ from scipy.special import rel_entr
 
 import biascal as bc
 from biascal.distribution import _rel_entr, as_table
+from biascal.solver import featurize
 from conftest import make_corpus, posteriors_of, random_constraints, random_corpus
 
 
@@ -91,39 +92,43 @@ class TestReweightedPosterior:
 
 class TestMapPredict:
     def test_plain_argmax(self):
-        posteriors = [bc.InstancePosterior("i", np.array([0.2, 0.7, 0.1]))]
+        posteriors = bc.PosteriorTable(("i",), [0, 3], [0.2, 0.7, 0.1])
         assert bc.map_predict(posteriors).tolist() == [1]
 
     def test_tie_breaks_low(self):
-        posteriors = [bc.InstancePosterior("i", np.array([0.5, 0.5]))]
-        assert bc.map_predict(posteriors).tolist() == [0]
+        posteriors = bc.PosteriorTable(("i", "j"), [0, 2, 5], [0.5, 0.5, 0.2, 0.4, 0.4])
+        assert bc.map_predict(posteriors).tolist() == [0, 1]
 
     def test_composition_with_reweighting(self):
         inst, base = scored([0.0, 0.0])
         out = bc.reweighted_posterior(inst, base, [math.log(3.0), 0.0])
-        assert bc.map_predict([out]).tolist() == [1]
+        assert bc.map_predict(bc.PosteriorTable((inst.id,), [0, 2], out.probs)).tolist() == [1]
 
     def test_takes_posteriors_not_one_posterior(self):
-        with pytest.raises(TypeError, match="not iterable"):
-            bc.map_predict(bc.InstancePosterior("i", np.array([0.2, 0.8])))
+        one = bc.InstancePosterior("i", np.array([0.2, 0.8]))
+        for posteriors, kind in ((one, "InstancePosterior"), ([one], "list"),
+                                 ([np.array([0.2, 0.8])], "list")):
+            with pytest.raises(TypeError,
+                               match=f"^posteriors must be a PosteriorTable, got {kind}$"):
+                bc.map_predict(posteriors)
 
 
 class TestKLDivergence:
     def test_identical_is_zero(self):
-        p = [bc.InstancePosterior("a", np.array([0.3, 0.7]))]
+        p = bc.PosteriorTable(("a",), [0, 2], [0.3, 0.7])
         assert bc.kl_divergence(p, p) == 0.0
 
     def test_point_mass_vs_uniform(self):
-        q = [bc.InstancePosterior("a", np.array([1.0, 0.0]))]
-        p = [bc.InstancePosterior("a", np.array([0.5, 0.5]))]
+        q = bc.PosteriorTable(("a",), [0, 2], [1.0, 0.0])
+        p = bc.PosteriorTable(("a",), [0, 2], [0.5, 0.5])
         assert_allclose(bc.kl_divergence(q, p), math.log(2.0), rtol=1e-14)
 
     def test_closed_form_sum(self):
         # independent evaluation of sum_k q_k log(q_k / p_k)
         q_probs, p_probs = [0.25, 0.75], [0.5, 0.5]
         expected = sum(qk * math.log(qk / pk) for qk, pk in zip(q_probs, p_probs))
-        q = [bc.InstancePosterior("a", np.array(q_probs))]
-        p = [bc.InstancePosterior("a", np.array(p_probs))]
+        q = bc.PosteriorTable(("a",), [0, 2], q_probs)
+        p = bc.PosteriorTable(("a",), [0, 2], p_probs)
         assert_allclose(bc.kl_divergence(q, p), expected, rtol=1e-14)
         assert_allclose(expected, 0.1308, atol=5e-5)
 
@@ -132,15 +137,17 @@ class TestKLDivergence:
         assert bc.kl_divergence(table, table) == 0.0
 
     def test_infinite_when_not_absolutely_continuous(self):
-        q = [bc.InstancePosterior("a", np.array([0.5, 0.5]))]
-        p = [bc.InstancePosterior("a", np.array([1.0, 0.0]))]
+        q = bc.PosteriorTable(("a",), [0, 2], [0.5, 0.5])
+        p = bc.PosteriorTable(("a",), [0, 2], [1.0, 0.0])
         assert bc.kl_divergence(q, p) == float("inf")
 
     def test_alignment_enforced(self):
-        q = [bc.InstancePosterior("a", np.array([1.0]))]
-        p = [bc.InstancePosterior("b", np.array([1.0]))]
-        with pytest.raises(bc.ValidationError):
+        q = bc.PosteriorTable(("a",), [0, 1], [1.0])
+        p = bc.PosteriorTable(("b",), [0, 1], [1.0])
+        with pytest.raises(bc.ValidationError, match="^posterior 'a' does not match instance 'b'$"):
             bc.kl_divergence(q, p)
+        with pytest.raises(TypeError, match="^posteriors must be a PosteriorTable, got list$"):
+            bc.kl_divergence(list(p), p)
 
     @settings(deadline=None, max_examples=60, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -149,21 +156,23 @@ class TestKLDivergence:
         # log that scipy calls, so each term may differ by a few units in
         # the last place; zeros and infinities must match exactly
         rng = np.random.default_rng(seed)
-        q, p = [], []
-        for i in range(int(rng.integers(1, 20))):
+        pairs = []
+        for _ in range(int(rng.integers(1, 20))):
             k = int(rng.integers(1, 13))
             # high powers spread the ratios q/p far enough to under- and overflow
             pair = rng.random((2, k)) ** rng.uniform(1.0, 300.0, (2, 1))
             pair[rng.random((2, k)) < 0.2] = 0.0
             pair[:, 0] = np.maximum(pair[:, 0], 1e-3)
-            pair /= pair.sum(axis=1, keepdims=True)
-            q.append(bc.InstancePosterior(f"i{i}", pair[0]))
-            p.append(bc.InstancePosterior(f"i{i}", pair[1]))
-        terms = [rel_entr(qi.probs, pi.probs) for qi, pi in zip(q, p)]
+            pairs.append(pair / pair.sum(axis=1, keepdims=True))
+        terms = [rel_entr(*pair) for pair in pairs]
         expected = 0.0
         for term in terms:
             expected += float(term.sum())
-        ours = _rel_entr(np.concatenate([qi.probs for qi in q]), np.concatenate([pi.probs for pi in p]))
+        ids = [f"i{i}" for i in range(len(pairs))]
+        offsets = np.cumsum([0] + [pair.shape[1] for pair in pairs])
+        q, p = (bc.PosteriorTable(ids, offsets, np.concatenate([pair[side] for pair in pairs]))
+                for side in (0, 1))
+        ours = _rel_entr(q.probs, p.probs)
         np.testing.assert_array_max_ulp(ours, np.concatenate(terms), maxulp=4)
         kl = bc.kl_divergence(q, p)
         if np.isinf(expected):
@@ -183,8 +192,8 @@ class TestKLDivergence:
         )
         q_probs = np.array(raw_q) / np.sum(raw_q)
         p_probs = np.array(raw_p) / np.sum(raw_p)
-        q = [bc.InstancePosterior("a", q_probs)]
-        p = [bc.InstancePosterior("a", p_probs)]
+        q = bc.PosteriorTable(("a",), [0, q_probs.size], q_probs)
+        p = bc.PosteriorTable(("a",), [0, p_probs.size], p_probs)
         kl = bc.kl_divergence(q, p)
         assert kl >= -1e-15
         if kl < 1e-12:
@@ -194,35 +203,65 @@ class TestKLDivergence:
 
 
 class TestAlignment:
-    """Posteriors must list a corpus's (or another list's) instances with their sizes."""
+    """Posteriors must list a corpus's (or another table's) instances with their sizes."""
 
     CORPUS_SPECS = [("a", [(0, "M", 0.0), (0, "W", 1.0)]), ("b", [(0, "-", 0.0)])]
 
     @pytest.mark.parametrize("posteriors, message", [
-        ([("a", [0.5, 0.5])], "1 posteriors for 2 instances"),
-        ([("b", [1.0]), ("a", [0.5, 0.5])], "posterior 'b' does not match instance 'a'"),
-        ([("a", [0.5, 0.5]), ("b", [0.5, 0.5])], "instance 'b': 2 probabilities for 1 candidates"),
+        ((("a",), [0, 2], [0.5, 0.5]), "1 posteriors for 2 instances"),
+        ((("b", "a"), [0, 1, 3], [1.0, 0.5, 0.5]), "posterior 'b' does not match instance 'a'"),
+        ((("a", "b"), [0, 2, 4], [0.5] * 4), "instance 'b': 2 probabilities for 1 candidates"),
     ])
     def test_first_offender_named(self, posteriors, message):
         corpus = make_corpus(self.CORPUS_SPECS, names=["act"])
-        posteriors = [bc.InstancePosterior(i, np.array(p)) for i, p in posteriors]
+        posteriors = bc.PosteriorTable(*posteriors)
         with pytest.raises(bc.ValidationError, match=message):
-            as_table(corpus, posteriors)
+            as_table(posteriors, corpus)
         with pytest.raises(bc.ValidationError, match=message):
             bc.kl_divergence(posteriors, bc.instance_posterior(corpus))
 
     def test_aligned_table_passes_through(self):
         corpus = make_corpus(self.CORPUS_SPECS, names=["act"])
         table = bc.instance_posterior(corpus)
-        assert as_table(corpus, table) is table
-        rebuilt = as_table(corpus, list(table))
-        assert rebuilt.ids == ("a", "b") and np.array_equal(rebuilt.probs, table.probs)
+        assert as_table(table, corpus) is table
+        assert as_table(table) is table
+        with pytest.raises(TypeError, match="^posteriors must be a PosteriorTable, got list$"):
+            as_table(list(table), corpus)
 
     def test_negative_index_counts_from_the_end(self):
         table = bc.instance_posterior(make_corpus(self.CORPUS_SPECS, names=["act"]))
         assert table[-1] == table[1] and table[-2] == table[0]
         with pytest.raises(IndexError, match="posterior table index out of range"):
             table[-3]
+
+
+class TestTablesOnly:
+    """Every public function that takes posteriors takes them as a `PosteriorTable` only."""
+
+    CALLS = {
+        "build_report": lambda c, cs, post: bc.build_report(
+            c, bc.TrainingStats({"act": bc.GenderCount(1, 1)}), post, [0, 0], 0.05),
+        "bias_in_distribution": lambda c, cs, post: bc.bias_in_distribution(post, c, 0),
+        "corpus_expectation": lambda c, cs, post: bc.corpus_expectation(c, post, cs),
+        "check_equivalence": lambda c, cs, post: bc.check_equivalence(c, post, cs, 0),
+        "featurize": lambda c, cs, post: featurize(c, post, cs),
+        "dual_objective": lambda c, cs, post: bc.dual_objective(np.zeros(2), c, post, cs),
+        "dual_gradient": lambda c, cs, post: bc.dual_gradient(np.zeros(2), c, post, cs),
+        "solve": lambda c, cs, post: bc.solve(c, post, cs, bc.SolverConfig()),
+        "calibrate": lambda c, cs, post: bc.calibrate(c, post, cs, np.zeros(2)),
+        "brute_force_project": lambda c, cs, post: bc.brute_force_project(c, post, cs),
+        "map_predict": lambda c, cs, post: bc.map_predict(post),
+        "kl_divergence(q)": lambda c, cs, post: bc.kl_divergence(post, bc.instance_posterior(c)),
+        "kl_divergence(p)": lambda c, cs, post: bc.kl_divergence(bc.instance_posterior(c), post),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_a_list_of_instance_posteriors_is_refused(self, name):
+        corpus = make_corpus(TestAlignment.CORPUS_SPECS, names=["act"])
+        cs = bc.ConstraintSet((0,), np.array([0.5]), 0.05)
+        listed = list(bc.instance_posterior(corpus))
+        with pytest.raises(TypeError, match="^posteriors must be a PosteriorTable, got list$"):
+            self.CALLS[name](corpus, cs, listed)
 
 
 class TestProbabilityChecks:

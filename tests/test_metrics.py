@@ -17,10 +17,11 @@ def stats_for(corpus, counts):
     )
 
 
-def point_mass(instance_id, index, size):
-    probs = np.zeros(size)
-    probs[index] = 1.0
-    return bc.InstancePosterior(instance_id, probs)
+def point_masses(corpus, indices):
+    """The table that puts each instance's whole mass on its candidate at ``indices``."""
+    probs = np.zeros(corpus.n_rows)
+    probs[corpus.offsets[:-1] + indices] = 1.0
+    return bc.PosteriorTable(corpus.ids, corpus.offsets, probs)
 
 
 class TestDatasetBias:
@@ -44,7 +45,7 @@ class TestDatasetBias:
 class TestBiasInDistribution:
     def test_single_instance(self):
         corpus = make_corpus([("a", [(0, "M", 0.0), (0, "W", 0.0)])])
-        posteriors = [bc.InstancePosterior("a", np.array([0.6, 0.4]))]
+        posteriors = bc.PosteriorTable(("a",), [0, 2], [0.6, 0.4])
         assert_allclose(bc.bias_in_distribution(posteriors, corpus, 0), 0.6, rtol=1e-15)
 
     def test_two_instances_hand_sum(self):
@@ -55,10 +56,7 @@ class TestBiasInDistribution:
                 ("b", [(0, "M", 0.0), (0, "W", 0.0), (1, "-", 0.0)]),
             ]
         )
-        posteriors = [
-            bc.InstancePosterior("a", np.array([0.3, 0.1, 0.6])),
-            bc.InstancePosterior("b", np.array([0.3, 0.1, 0.6])),
-        ]
+        posteriors = bc.PosteriorTable(("a", "b"), [0, 3, 6], [0.3, 0.1, 0.6] * 2)
         assert_allclose(bc.bias_in_distribution(posteriors, corpus, 0), 0.75, rtol=1e-15)
 
     def test_all_ungendered_error(self):
@@ -74,8 +72,8 @@ class TestBiasInDistribution:
         corpus_b = make_corpus(
             [("a", [(0, "M", 0.0), (0, "W", 0.0), (1, "-", 0.0), (1, "M", 0.0)])]
         )
-        p_a = [bc.InstancePosterior("a", np.array([0.30, 0.10, 0.60]))]
-        p_b = [bc.InstancePosterior("a", np.array([0.30, 0.10, 0.25, 0.35]))]
+        p_a = bc.PosteriorTable(("a",), [0, 3], [0.30, 0.10, 0.60])
+        p_b = bc.PosteriorTable(("a",), [0, 4], [0.30, 0.10, 0.25, 0.35])
         assert_allclose(
             bc.bias_in_distribution(p_a, corpus_a, 0),
             bc.bias_in_distribution(p_b, corpus_b, 0),
@@ -84,8 +82,8 @@ class TestBiasInDistribution:
 
     def test_invariant_to_uniform_gendered_scaling(self):
         corpus = make_corpus([("a", [(0, "M", 0.0), (0, "W", 0.0), (1, "-", 0.0)])])
-        small = [bc.InstancePosterior("a", np.array([0.30, 0.10, 0.60]))]
-        doubled = [bc.InstancePosterior("a", np.array([0.60, 0.20, 0.20]))]
+        small = bc.PosteriorTable(("a",), [0, 3], [0.30, 0.10, 0.60])
+        doubled = bc.PosteriorTable(("a",), [0, 3], [0.60, 0.20, 0.20])
         assert_allclose(
             bc.bias_in_distribution(small, corpus, 0),
             bc.bias_in_distribution(doubled, corpus, 0),
@@ -123,10 +121,7 @@ class TestBiasInTopPredictions:
             ]
         )
         predictions = [0, 0, 1]
-        posteriors = [
-            point_mass(inst.id, k, len(inst.candidates))
-            for inst, k in zip(corpus.instances, predictions)
-        ]
+        posteriors = point_masses(corpus, predictions)
         top = bc.bias_in_top_predictions(predictions, corpus, 0)
         dist = bc.bias_in_distribution(posteriors, corpus, 0)
         assert_allclose(top, dist, rtol=1e-15)
@@ -194,7 +189,7 @@ def two_activity_setup(male_prob):
         names=["cooking"],
     )
     stats = stats_for(corpus, {0: (70, 30)})
-    posteriors = [bc.InstancePosterior("a", np.array([male_prob, 1.0 - male_prob]))]
+    posteriors = bc.PosteriorTable(("a",), [0, 2], [male_prob, 1.0 - male_prob])
     predictions = bc.map_predict(posteriors)
     return corpus, stats, posteriors, predictions
 
@@ -235,10 +230,7 @@ class TestBuildReport:
         )
         stats = stats_for(corpus, {0: (3, 1)})
         labels = [0, 0, 0, 1]
-        posteriors = [
-            point_mass(inst.id, k, len(inst.candidates))
-            for inst, k in zip(corpus.instances, labels)
-        ]
+        posteriors = point_masses(corpus, labels)
         report = bc.build_report(corpus, stats, posteriors, labels, gamma_eval=0.05)
         entry = report.entries[0]
         assert_allclose(entry.bias_dist, entry.b_star, rtol=1e-15)
@@ -262,7 +254,7 @@ class TestBuildReport:
             names=["cooking", "driving"],
         )
         stats = stats_for(corpus, {0: (50, 50), 1: (60, 40)})
-        posteriors = [bc.InstancePosterior("a", np.array([0.4, 0.6]))]
+        posteriors = bc.PosteriorTable(("a",), [0, 2], [0.4, 0.6])
         predictions = [1]
         report = bc.build_report(corpus, stats, posteriors, predictions, gamma_eval=0.05)
         by_name = {e.activity: e for e in report.entries}

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 import biascal as bc
+from biascal import solver
 from biascal.distribution import segment_sum
 from biascal.solver import _batch_step, _check_finite, brute_force_project, featurize
 from conftest import (
@@ -84,6 +85,14 @@ class TestDualObjective:
             assert_allclose(
                 bc.dual_objective(np.array(lam), corpus, posteriors, cs), 0.0, atol=1e-12
             )
+
+    def test_empty_corpus_is_zero(self):
+        corpus = bc.Corpus((), {"act": 0})
+        cs = bc.ConstraintSet((0,), np.array([0.4]), 0.01)
+        table = bc.instance_posterior(corpus)
+        assert bc.dual_objective(np.array([1.0, 2.0]), corpus, table, cs) == 0.0
+        gradient = bc.dual_gradient(np.array([1.0, 2.0]), corpus, table, cs)
+        assert np.array_equal(gradient, np.zeros(2))
 
     def test_log_cosh_closed_form(self):
         corpus, posteriors, cs = half_toy()
@@ -341,7 +350,7 @@ class TestSolve:
     def test_dimension_mismatch_rejected(self):
         corpus, posteriors, cs = half_toy()
         bad_state = bc.DualState.zeros(6, 0.1)
-        with pytest.raises(bc.ValidationError):
+        with pytest.raises(bc.ValidationError, match=r"^lam has shape \(6,\), expected \(2,\)$"):
             bc.solve(corpus, posteriors, cs, full_batch_config(), initial_state=bad_state)
 
     @pytest.mark.parametrize("empty", ["constraints", "corpus"])
@@ -371,14 +380,29 @@ class TestSolve:
         with pytest.raises(bc.ValidationError, match="moments"):
             bc.DualState(np.zeros(2), np.zeros(2), np.zeros((2, 1)))
 
-    @pytest.mark.parametrize("lam, moment, message", [
-        ([-1.0, 0.0], [0.0, 0.0], "dual vector must be nonnegative"),
-        ([np.inf, 0.0], [0.0, 0.0], "dual state must be finite"),
-        ([0.0, 0.0], [np.nan, 0.0], "dual state must be finite"),
-    ], ids=["negative_lam", "infinite_lam", "nan_moment"])
-    def test_dual_state_must_be_nonnegative_and_finite(self, lam, moment, message):
+    @pytest.mark.parametrize("lam, moment, counters, message", [
+        ([-1.0, 0.0], [0.0, 0.0], {}, "dual vector must be nonnegative"),
+        ([np.inf, 0.0], [0.0, 0.0], {}, "dual state must be finite"),
+        ([0.0, 0.0], [np.nan, 0.0], {}, "dual state must be finite"),
+        ([0.0, 0.0], [0.0, 0.0], {"step": -1}, "step must be a nonnegative integer, got -1"),
+        ([0.0, 0.0], [0.0, 0.0], {"step": 2.0}, "step must be a nonnegative integer, got 2.0"),
+        ([0.0, 0.0], [0.0, 0.0], {"step": True}, "step must be a nonnegative integer, got True"),
+        ([0.0, 0.0], [0.0, 0.0], {"learning_rate": -1.0},
+         "learning_rate must be finite and nonnegative, got -1.0"),
+        ([0.0, 0.0], [0.0, 0.0], {"learning_rate": np.nan},
+         "learning_rate must be finite and nonnegative, got nan"),
+        ([0.0, 0.0], [0.0, 0.0], {"learning_rate": np.inf},
+         "learning_rate must be finite and nonnegative, got inf"),
+    ], ids=["negative_lam", "infinite_lam", "nan_moment", "negative_step", "float_step",
+            "bool_step", "negative_rate", "nan_rate", "infinite_rate"])
+    def test_dual_state_must_be_nonnegative_and_finite(self, lam, moment, counters, message):
         with pytest.raises(bc.ValidationError, match=f"^{message}$"):
-            bc.DualState(np.array(lam), np.array(moment), np.zeros(2))
+            bc.DualState(np.array(lam), np.array(moment), np.zeros(2), **counters)
+
+    def test_dual_state_takes_a_numpy_step_and_a_zero_rate(self):
+        # lr_decay can underflow a long run's rate to 0, and a saved state must load
+        state = bc.DualState(np.zeros(2), np.zeros(2), np.zeros(2), np.int64(3), 0.0)
+        assert (state.step, state.learning_rate) == (3, 0.0)
 
     def test_non_finite_gradient_diagnosed(self):
         state = bc.DualState.zeros(3, 0.1)
@@ -411,13 +435,11 @@ class TestSolve:
             step([0.0, 0.0, np.inf, 0.0])
         assert exc_info.value.coordinate == 2
 
-    @pytest.mark.parametrize("lam, error", [
-        ([np.inf, 0.0, 0.0, 0.0], bc.DegenerateDistributionError),
-        ([0.0, 0.0, np.inf, 0.0], bc.SolverDivergenceError),
-    ])
-    def test_non_finite_resumed_state_raises_before_any_warning(self, lam, error):
-        # numpy warnings are errors in this suite, so only the solver's own
-        # diagnosis may come out of the stochastic loop
+    @pytest.mark.parametrize("lam", [[np.inf, 0.0, 0.0, 0.0], [0.0, 0.0, np.inf, 0.0]],
+                             ids=["degenerate", "divergent"])
+    def test_non_finite_resumed_state_is_refused_before_the_solve(self, lam):
+        # numpy warnings are errors in this suite; a lam made non-finite after
+        # the state was built is refused with its coordinate before any step
         corpus = make_corpus(
             [("a", [(0, "M", 0.0)]), ("b", [(1, "M", 0.0), (1, "W", 0.0), (1, "-", 0.0)])],
             names=["x", "y"],
@@ -425,9 +447,21 @@ class TestSolve:
         cs = bc.ConstraintSet((0, 1), np.array([0.5, 0.5]), 0.01)
         state = bc.DualState.zeros(4, 0.1)
         state.lam[:] = lam
-        with pytest.raises(error):
+        bad = int(np.flatnonzero(np.isinf(lam))[0])
+        with pytest.raises(bc.ValidationError, match=rf"^lam\[{bad}\] = inf is not finite$"):
             bc.solve(corpus, bc.instance_posterior(corpus), cs, bc.SolverConfig(batch_size=1),
                      initial_state=state)
+
+    def test_newton_returns_when_the_line_search_is_exhausted(self, monkeypatch):
+        # with no step ever gaining, each of the MAX_BACKTRACKS trials of the
+        # first step fails and the solve returns the start without a step
+        corpus, stats = bc.generate(bc.SynthConfig(3, 10, 3, seed=1, amplification_boost=1.0))
+        cs = bc.ConstraintSet.from_stats(corpus, stats, 0.001)
+        calls = []
+        monkeypatch.setattr(solver, "_objective_gain", lambda *args: calls.append(1) or 0.0)
+        state = bc.solve(corpus, bc.instance_posterior(corpus), cs, full_batch_config())
+        assert len(calls) == solver.MAX_BACKTRACKS == 60
+        assert np.array_equal(state.lam, np.zeros(cs.dimension)) and state.step == 0
 
 
 # The functions that take a dual vector, called the same way.
@@ -455,7 +489,7 @@ class TestCalibrate:
     def test_zero_lambda_is_identity(self):
         corpus, posteriors, cs = half_toy(male_prob=0.7)
         out = bc.calibrate(corpus, posteriors, cs, np.zeros(2))
-        assert isinstance(out, bc.PosteriorTable) and list(out) == posteriors
+        assert isinstance(out, bc.PosteriorTable) and list(out) == list(posteriors)
 
     def test_matches_closed_form(self):
         corpus, posteriors, cs = half_toy(male_prob=0.7, b_star=0.5, gamma=0.0)
@@ -486,13 +520,13 @@ class TestBruteForce:
         corpus, posteriors, cs = half_toy(male_prob=0.5, b_star=0.5, gamma=0.05)
         projected, lam = brute_force_project(corpus, posteriors, cs)
         assert np.array_equal(lam, np.zeros(2))
-        assert isinstance(projected, bc.PosteriorTable) and list(projected) == posteriors
+        assert isinstance(projected, bc.PosteriorTable) and list(projected) == list(posteriors)
 
     def test_wide_margin_returns_input(self):
         corpus, posteriors, cs = half_toy(male_prob=0.7, b_star=0.5, gamma=0.3)
         projected, lam = brute_force_project(corpus, posteriors, cs)
         assert np.array_equal(lam, np.zeros(2))
-        assert isinstance(projected, bc.PosteriorTable) and list(projected) == posteriors
+        assert isinstance(projected, bc.PosteriorTable) and list(projected) == list(posteriors)
 
     def test_agrees_with_solver_on_toy(self):
         corpus, posteriors, cs = half_toy(male_prob=0.7, b_star=0.5, gamma=0.001)
@@ -511,12 +545,9 @@ class TestBruteForce:
             cs = bc.ConstraintSet((), np.zeros(0), 0.01)
         else:
             corpus = bc.Corpus((), corpus.activities)
-        posteriors = posteriors_of(corpus)
-        projected, lam = brute_force_project(corpus, posteriors, cs)
-        assert np.array_equal(lam, np.zeros(cs.dimension))
-        assert isinstance(projected, bc.PosteriorTable) and list(projected) == posteriors
         table = bc.instance_posterior(corpus)
-        projected, _ = brute_force_project(corpus, table, cs)
+        projected, lam = brute_force_project(corpus, table, cs)
+        assert np.array_equal(lam, np.zeros(cs.dimension))
         assert isinstance(projected, bc.PosteriorTable)
         assert np.array_equal(projected.probs, table.probs)
 
@@ -577,7 +608,17 @@ class TestCheckpoint:
         payload["schema_version"] = version
         path.write_text(json.dumps(payload))
         with pytest.raises(bc.ValidationError, match="schema_version"):
+            bc.load_checkpoint(path, config, cs)
+
+    def test_settings_are_required(self, tmp_path):
+        corpus, posteriors, cs = half_toy(male_prob=0.7)
+        config = full_batch_config()
+        path = tmp_path / "checkpoint.json"
+        bc.save_checkpoint(path, bc.solve(corpus, posteriors, cs, config), config, cs)
+        with pytest.raises(TypeError, match="missing 2 required positional arguments"):
             bc.load_checkpoint(path)
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'cs'"):
+            bc.load_checkpoint(path, config)
 
     def test_moment_shape_mismatch_in_file_rejected(self, tmp_path):
         corpus, posteriors, cs = half_toy(male_prob=0.7)
@@ -601,7 +642,7 @@ class TestCheckpoint:
         del payload[key]
         path.write_text(json.dumps(payload))
         with pytest.raises(bc.ValidationError, match=f"missing '{key}'"):
-            bc.load_checkpoint(path)
+            bc.load_checkpoint(path, config, cs)
 
     @pytest.mark.parametrize("key, value", [
         ("lambda", "0.5"), ("lambda", [0.0, None]), ("first_moment", [[0.0], [0.0]]),
@@ -617,7 +658,23 @@ class TestCheckpoint:
         payload[key] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(bc.ValidationError, match=f"'{key}'"):
-            bc.load_checkpoint(path)
+            bc.load_checkpoint(path, config, cs)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("learning_rate", float("nan"), "learning_rate must be finite and nonnegative, got nan"),
+        ("learning_rate", -1.0, "learning_rate must be finite and nonnegative, got -1.0"),
+        ("step", -1, "step must be a nonnegative integer, got -1"),
+    ])
+    def test_out_of_range_counter_rejected(self, tmp_path, key, value, message):
+        corpus, posteriors, cs = half_toy(male_prob=0.7)
+        config = full_batch_config()
+        path = tmp_path / "checkpoint.json"
+        bc.save_checkpoint(path, bc.solve(corpus, posteriors, cs, config), config, cs)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))  # a NaN is written as the literal NaN
+        with pytest.raises(bc.ValidationError, match=f"^{message}$"):
+            bc.load_checkpoint(path, config, cs)
 
     @pytest.mark.parametrize("mode", ["stochastic", "full_batch"])
     def test_resume_leaves_the_given_state_unchanged(self, tmp_path, mode):
