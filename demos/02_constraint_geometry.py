@@ -16,10 +16,15 @@ GAMMA = 0.05
 
 cs = bc.ConstraintSet((0,), np.array([B_STAR]), GAMMA)
 
+# a candidate's features are the expectation of a point mass on it: here the
+# posterior of a corpus whose one instance has that one candidate
 print(f"feature values for b* = {B_STAR}, gamma = {GAMMA}:")
 for gender in (bc.GenderTag.MALE, bc.GenderTag.FEMALE, bc.GenderTag.UNGENDERED):
-    cand = bc.CandidateStructure(0, gender, 0.0)
-    print(f"  {gender.name.lower():10s} -> {bc.feature_vector(cand, cs)}")
+    candidate = bc.CandidateStructure(0, gender, 0.0)
+    single = bc.Corpus((bc.Instance("c", (candidate,)),), {"cooking": 0})
+    features = bc.corpus_expectation(single, bc.instance_posterior(single), cs)
+    nonzero = [(int(k), float(features[k])) for k in np.flatnonzero(features)]
+    print(f"  {gender.name.lower():10s} -> {nonzero}")
 
 # one instance with a male/female candidate pair; the posterior male share
 # sweeps from well below the lower bound to well above the upper bound

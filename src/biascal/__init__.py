@@ -22,8 +22,6 @@ _EXPORTS = {
         "EquivalenceCheck",
         "check_equivalence",
         "corpus_expectation",
-        "feature_vector",
-        "instance_expectation",
     ),
     "corpus": (
         "CandidateStructure",
@@ -45,7 +43,6 @@ _EXPORTS = {
         "instance_posterior",
         "kl_divergence",
         "map_predict",
-        "reweighted_posterior",
     ),
     "errors": (
         "BiasCalError",

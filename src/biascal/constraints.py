@@ -27,17 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _EXPORTS
-from .corpus import (
-    FEMALE_CODE,
-    GENDER_TAGS,
-    UNGENDERED_CODE,
-    CandidateStructure,
-    Corpus,
-    Instance,
-    TrainingStats,
-    constrained_activities,
-)
-from .distribution import InstancePosterior, PosteriorTable, as_table
+from .corpus import FEMALE_CODE, UNGENDERED_CODE, Corpus, TrainingStats, constrained_activities
+from .distribution import PosteriorTable, as_table
 from .errors import UndefinedBiasError, ValidationError
 from .metrics import activity_mass, check_margin, dataset_bias
 
@@ -133,30 +124,8 @@ def type_features(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     return values, coords
 
 
-def feature_vector(
-    candidate: CandidateStructure, cs: ConstraintSet
-) -> list[tuple[int, float]]:
-    """Sparse constraint features of one candidate: (coordinate, value) pairs.
-
-    Empty for ungendered candidates and for activities outside the
-    constraint set; otherwise exactly the two coordinates of the
-    candidate's activity.
-    """
-    (t,) = feature_types(
-        np.array([candidate.activity_id]), np.array([GENDER_TAGS.index(candidate.gender)]), cs
-    )
-    if t == cs.dimension:
-        return []
-    values, coords = type_features(cs)
-    return list(zip(coords[t].tolist(), values[t].tolist()))
-
-
-def _expectation(
-    activity: np.ndarray,
-    gender: np.ndarray,
-    segment_ids: np.ndarray,
-    probs: np.ndarray,
-    cs: ConstraintSet,
+def corpus_expectation(
+    corpus: Corpus, posteriors: PosteriorTable, cs: ConstraintSet
 ) -> np.ndarray:
     """Sum over instances, in instance order, of each instance's expected features.
 
@@ -164,38 +133,17 @@ def _expectation(
     candidate, and the per-instance vectors are then added in instance
     order; the solver's gradient instead folds the mass of each feature type.
     """
-    types = feature_types(activity, gender, cs)
+    probs = as_table(posteriors, corpus).probs
+    types = feature_types(corpus.activity, corpus.gender, cs)
     rows = np.flatnonzero(types < cs.dimension)
     values, coords = (table[types[rows]] for table in type_features(cs))
     out = np.zeros(cs.dimension)
     for side in (0, 1):
-        key = segment_ids[rows] * cs.dimension + coords[:, side]
+        key = corpus.segment_ids[rows] * cs.dimension + coords[:, side]
         keys, per_key = np.unique(key, return_inverse=True)
         partial = np.bincount(per_key, weights=probs[rows] * values[:, side])
         out += np.bincount(keys % cs.dimension, weights=partial, minlength=cs.dimension)
     return out
-
-
-def instance_expectation(
-    instance: Instance, posterior: InstancePosterior, cs: ConstraintSet
-) -> np.ndarray:
-    """Expected feature vector of one instance under its posterior (dense 2n)."""
-    if len(posterior) != len(instance.candidates):
-        raise ValidationError(
-            f"instance {instance.id!r}: {len(posterior)} probabilities for "
-            f"{len(instance.candidates)} candidates"
-        )
-    activity = np.array([c.activity_id for c in instance.candidates], dtype=np.int64)
-    gender = np.array([GENDER_TAGS.index(c.gender) for c in instance.candidates])
-    return _expectation(activity, gender, np.zeros_like(activity), posterior.probs, cs)
-
-
-def corpus_expectation(
-    corpus: Corpus, posteriors: PosteriorTable, cs: ConstraintSet
-) -> np.ndarray:
-    """Sum of instance expectations over the corpus, in instance order."""
-    probs = as_table(posteriors, corpus).probs
-    return _expectation(corpus.activity, corpus.gender, corpus.segment_ids, probs, cs)
 
 
 class EquivalenceCheck(NamedTuple):

@@ -297,17 +297,19 @@ class GenderCount(NamedTuple):
 
 @dataclass(frozen=True)
 class TrainingStats:
-    """Per-activity male/female label counts from the training set."""
+    """Per-activity male/female label counts from the training set, kept as Python ints."""
 
     counts: dict[str, GenderCount] = field(default_factory=dict)
 
     def __post_init__(self):
         for name, count in self.counts.items():
             for key, value in zip(GenderCount._fields, count):
-                if isinstance(value, bool) or not isinstance(value, int):
+                if not is_integer(value):
                     raise ValidationError(f"activity {name!r}: {key} count must be an integer")
                 if value < 0:
                     raise ValidationError(f"activity {name!r}: {key} count must be nonnegative")
+        object.__setattr__(self, "counts", {name: GenderCount._make(map(int, count))
+                                            for name, count in self.counts.items()})
 
     def is_constrained(self, name: str) -> bool:
         """True when the activity has at least one gendered training label."""

@@ -10,8 +10,8 @@ in instance order so repeated runs are bitwise identical.
 Every kernel works on flat rows split into segments by an ``offsets``
 array (see `Corpus`). A `PosteriorTable` holds the posteriors of a whole
 corpus that way and is the one form in which the public functions take
-posteriors; `InstancePosterior` is what a table yields per instance, and
-only `reweighted_posterior` runs the kernels on a single instance.
+posteriors; `InstancePosterior` is the view of one instance that indexing
+a table yields, and no public function takes one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .corpus import Corpus, Instance
+from .corpus import Corpus
 from .errors import DegenerateDistributionError, ValidationError
 
 __all__ = list(_EXPORTS["distribution"])
@@ -218,25 +218,6 @@ def reweight(
     sizes = offsets[1:] - offsets[:-1]
     weights = np.exp(log_q - np.repeat(shift, sizes))
     return weights / np.repeat(segment_sum(weights, offsets), sizes)
-
-
-def reweighted_posterior(
-    instance: Instance, base: InstancePosterior, penalty: Sequence[float]
-) -> InstancePosterior:
-    """Reweight a posterior by exp(-penalty) per candidate and renormalize.
-
-    ``penalty[k]`` is the precomputed inner product of the dual vector with
-    candidate k's constraint features. Computed in log space; zero-mass
-    candidates stay at zero for any finite penalty.
-    """
-    penalty = np.asarray(penalty, dtype=np.float64)
-    if penalty.shape != base.probs.shape:
-        raise ValidationError(
-            f"instance {instance.id!r}: penalty length {penalty.size} does not match "
-            f"{base.probs.size} candidates"
-        )
-    probs = reweight(base.probs, penalty, np.array([0, penalty.size]), (instance.id,))
-    return InstancePosterior(instance.id, probs)
 
 
 def segment_argmax(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:

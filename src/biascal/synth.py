@@ -131,7 +131,7 @@ def _assemble(male_counts: np.ndarray, shares: np.ndarray, fillers: np.ndarray,
                                np.full(n * m, k), np.where(gold_male, 0, 1).ravel(),
                                activity.ravel(), gender.ravel(), score.ravel())
     counts = {name: GenderCount(male, m - male)
-              for name, male in zip(names, male_counts.tolist())}
+              for name, male in zip(names, male_counts)}
     return corpus, TrainingStats(counts)
 
 

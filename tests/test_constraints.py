@@ -5,9 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import biascal as bc
+import loop_reference as ref
+from biascal.constraints import feature_types, type_features
+from biascal.corpus import GENDER_TAGS
 from conftest import (
     make_corpus,
-    make_instance,
     posteriors_of,
     random_constraints,
     random_corpus,
@@ -55,75 +57,92 @@ class TestConstraintSet:
         assert_allclose(cs.b_star, [0.3])
 
 
+def candidate_features(activity_id, gender, cs):
+    """One candidate's feature type, and the coordinates and values of that type."""
+    (t,) = feature_types(np.array([activity_id]), np.array([GENDER_TAGS.index(gender)]), cs)
+    values, coords = type_features(cs)
+    return t, coords[t].tolist(), values[t]
+
+
+def one_instance(triples, probs):
+    """A corpus of one instance "i" and a posterior table of the given probabilities."""
+    corpus = make_corpus([("i", triples)], names=["act"])
+    return corpus, bc.PosteriorTable(("i",), [0, len(probs)], probs)
+
+
 class TestFeatureVector:
     def test_male_values(self):
         cs = single_constraint(0.3, 0.001)
-        cand = bc.CandidateStructure(0, bc.GenderTag.MALE, 0.0)
-        features = dict(bc.feature_vector(cand, cs))
-        assert_allclose(features[0], 0.699, atol=1e-12)
-        assert_allclose(features[1], -0.701, atol=1e-12)
+        t, coords, values = candidate_features(0, bc.GenderTag.MALE, cs)
+        assert (t, coords) == (0, [0, 1])
+        assert_allclose(values, [0.699, -0.701], atol=1e-12)
 
     def test_female_values(self):
         cs = single_constraint(0.3, 0.001)
-        cand = bc.CandidateStructure(0, bc.GenderTag.FEMALE, 0.0)
-        features = dict(bc.feature_vector(cand, cs))
-        assert_allclose(features[0], -0.301, atol=1e-12)
-        assert_allclose(features[1], 0.299, atol=1e-12)
+        t, coords, values = candidate_features(0, bc.GenderTag.FEMALE, cs)
+        assert (t, coords) == (1, [0, 1])
+        assert_allclose(values, [-0.301, 0.299], atol=1e-12)
 
     def test_ungendered_empty(self):
         cs = single_constraint(0.3, 0.001)
-        cand = bc.CandidateStructure(0, bc.GenderTag.UNGENDERED, 0.0)
-        assert bc.feature_vector(cand, cs) == []
+        t, _, values = candidate_features(0, bc.GenderTag.UNGENDERED, cs)
+        assert t == cs.dimension
+        assert values.tolist() == [0.0, 0.0]
 
     def test_unconstrained_activity_empty(self):
         cs = single_constraint(0.3, 0.001, activity_id=1)
-        cand = bc.CandidateStructure(0, bc.GenderTag.MALE, 0.0)
-        assert bc.feature_vector(cand, cs) == []
+        t, _, values = candidate_features(0, bc.GenderTag.MALE, cs)
+        assert t == cs.dimension
+        assert values.tolist() == [0.0, 0.0]
 
     def test_sparsity_at_most_two(self):
+        """A gendered candidate of a constrained activity has features at that
+        activity's two coordinates only; every other candidate has none."""
         rng = np.random.default_rng(5)
         cs = bc.ConstraintSet((0, 1, 3), rng.uniform(0, 1, 3), 0.01)
         for aid in range(4):
             for gender in bc.GenderTag:
-                cand = bc.CandidateStructure(aid, gender, 0.0)
-                assert len(bc.feature_vector(cand, cs)) <= 2
+                t, coords, values = candidate_features(aid, gender, cs)
+                j = cs.slot(aid)
+                if j is None or not gender.is_gendered:
+                    assert t == cs.dimension and values.tolist() == [0.0, 0.0]
+                else:
+                    assert coords == [2 * j, 2 * j + 1]
 
     def test_balanced_zero_margin_sides_negate(self):
         cs = single_constraint(0.5, 0.0)
         for gender in (bc.GenderTag.MALE, bc.GenderTag.FEMALE):
-            features = dict(bc.feature_vector(bc.CandidateStructure(0, gender, 0.0), cs))
-            assert_allclose(features[0], -features[1], atol=1e-15)
+            _, _, values = candidate_features(0, gender, cs)
+            assert_allclose(values[0], -values[1], atol=1e-15)
 
 
 class TestExpectations:
     def test_point_mass_returns_feature_vector(self):
         cs = single_constraint(0.3, 0.001)
-        inst = make_instance("i", [(0, "M", 0.0), (0, "W", 0.0)])
-        posterior = bc.InstancePosterior("i", np.array([1.0, 0.0]))
-        expectation = bc.instance_expectation(inst, posterior, cs)
+        corpus, posterior = one_instance([(0, "M", 0.0), (0, "W", 0.0)], [1.0, 0.0])
+        expectation = bc.corpus_expectation(corpus, posterior, cs)
+        _, coords, values = candidate_features(0, bc.GenderTag.MALE, cs)
         expected = np.zeros(2)
-        for idx, value in bc.feature_vector(inst.candidates[0], cs):
-            expected[idx] = value
+        expected[coords] = values
         assert_allclose(expectation, expected, atol=1e-15)
 
     def test_no_gendered_mass_gives_zero(self):
         cs = single_constraint(0.3, 0.001)
-        inst = make_instance("i", [(0, "M", 0.0), (0, "-", 0.0)])
-        posterior = bc.InstancePosterior("i", np.array([0.0, 1.0]))
-        assert_allclose(bc.instance_expectation(inst, posterior, cs), np.zeros(2), atol=0)
+        corpus, posterior = one_instance([(0, "M", 0.0), (0, "-", 0.0)], [0.0, 1.0])
+        assert_allclose(bc.corpus_expectation(corpus, posterior, cs), np.zeros(2), atol=0)
 
     def test_balanced_case_sits_on_boundary(self):
         cs = single_constraint(0.5, 0.0)
-        inst = make_instance("i", [(0, "M", 0.0), (0, "W", 0.0)])
-        posterior = bc.InstancePosterior("i", np.array([0.5, 0.5]))
-        expectation = bc.instance_expectation(inst, posterior, cs)
+        corpus, posterior = one_instance([(0, "M", 0.0), (0, "W", 0.0)], [0.5, 0.5])
+        expectation = bc.corpus_expectation(corpus, posterior, cs)
         assert_allclose(expectation[0], 0.0, atol=1e-15)
 
     def test_one_probability_per_candidate(self):
         cs = single_constraint(0.3, 0.001)
-        inst = make_instance("i", [(0, "M", 0.0), (0, "W", 0.0)])
+        corpus, _ = one_instance([(0, "M", 0.0), (0, "W", 0.0)], [0.5, 0.5])
+        short = bc.PosteriorTable(("i",), [0, 1], [1.0])
         with pytest.raises(bc.ValidationError, match="^instance 'i': 1 probabilities for 2 candidates$"):
-            bc.instance_expectation(inst, bc.InstancePosterior("i", np.array([1.0])), cs)
+            bc.corpus_expectation(corpus, short, cs)
 
     def test_empty_corpus_zero(self):
         cs = single_constraint(0.3, 0.001)
@@ -132,12 +151,13 @@ class TestExpectations:
         assert_allclose(bc.corpus_expectation(corpus, table, cs), np.zeros(2), atol=0)
 
     def test_single_instance_matches(self):
+        """A one-instance corpus gives that instance's candidate-by-candidate sum."""
         cs = single_constraint(0.3, 0.001)
         corpus = make_corpus([("i", [(0, "M", 0.2), (0, "W", -0.4)])], names=["act"])
         posteriors = posteriors_of(corpus)
         assert_allclose(
             bc.corpus_expectation(corpus, posteriors, cs),
-            bc.instance_expectation(corpus.instances[0], posteriors[0], cs),
+            ref.instance_expectation(corpus.instances[0], posteriors[0], cs),
             atol=0,
         )
 
@@ -173,8 +193,7 @@ class TestExpectations:
 
 
 def biased_pair_corpus(male_prob):
-    corpus = make_corpus([("i", [(0, "M", 0.0), (0, "W", 0.0)])], names=["act"])
-    return corpus, bc.PosteriorTable(("i",), [0, 2], [male_prob, 1.0 - male_prob])
+    return one_instance([(0, "M", 0.0), (0, "W", 0.0)], [male_prob, 1.0 - male_prob])
 
 
 class TestCheckEquivalence:

@@ -334,6 +334,30 @@ class TestLoadTrainingStats:
         with pytest.raises(bc.ValidationError, match=f"^activity 'cooking': {message}$"):
             bc.TrainingStats({"cooking": bc.GenderCount(1, female)})
 
+    def test_numpy_counts_are_stored_as_ints(self):
+        """np.int64 counts write the same stats, report JSON and scatter CSV as ints."""
+        corpus = make_corpus([("a", [(0, "M", 0.3), (0, "W", 0.0)]),
+                              ("b", [(1, "W", 0.1), (1, "M", -0.2)])], names=["cooking", "driving"])
+        posteriors = bc.instance_posterior(corpus)
+        written = []
+        for integer in (int, np.int64):
+            stats = bc.TrainingStats({"cooking": bc.GenderCount(integer(3), integer(7)),
+                                      "driving": bc.GenderCount(integer(5), integer(2))})
+            assert {type(n) for count in stats.counts.values() for n in count} == {int}
+            report = bc.build_report(corpus, stats, posteriors, bc.map_predict(posteriors), 0.05)
+            files = [io.StringIO() for _ in range(3)]
+            bc.dump_training_stats(stats, files[0])
+            report.write_json(files[1])
+            report.write_scatter_csv(files[2])
+            written.append([f.getvalue() for f in files])
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("female", [np.True_, np.float64(5.0)])
+    def test_numpy_non_integers_refused(self, female):
+        with pytest.raises(bc.ValidationError,
+                           match="^activity 'cooking': female count must be an integer$"):
+            bc.TrainingStats({"cooking": bc.GenderCount(1, female)})
+
     @pytest.mark.parametrize("text, message", [
         ('{"cooking": {"male": 1,\n "female": }}', "invalid stats JSON at line 2"),
         ('[{"male": 1, "female": 2}]', "stats file must be a JSON object"),

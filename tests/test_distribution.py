@@ -12,7 +12,8 @@ from numpy.testing import assert_allclose
 from scipy.special import rel_entr
 
 import biascal as bc
-from biascal.distribution import _rel_entr, as_table
+from biascal.constraints import feature_types, type_features
+from biascal.distribution import _rel_entr, as_table, reweight
 from biascal.solver import featurize
 from conftest import make_corpus, posteriors_of, random_constraints, random_corpus
 
@@ -53,41 +54,45 @@ class TestInstancePosterior:
             bc.instance_posterior(inst)
 
 
+def male_vs_plain(probs):
+    """A male and an ungendered candidate of one instance, their posterior table, and
+    constraints under which the male candidate's upper-side feature is exactly 1."""
+    corpus = make_corpus([("i", [(0, "M", 0.0), (0, "-", 0.0)])])
+    return corpus, bc.PosteriorTable(("i",), [0, 2], probs), bc.ConstraintSet((0,), [0.0], 0.0)
+
+
 class TestReweightedPosterior:
+    """`calibrate` reweights each instance by exp(-penalty) through `reweight`."""
+
     def test_zero_penalty_is_identity(self):
-        inst, base = scored([0.4, -0.2, 1.0])
-        out = bc.reweighted_posterior(inst, base, [0.0, 0.0, 0.0])
-        assert_allclose(out.probs, base.probs, atol=1e-15)
+        corpus = make_corpus([("i", [(0, "M", 0.4), (0, "M", -0.2), (0, "M", 1.0)])])
+        base = bc.instance_posterior(corpus)
+        cs = bc.ConstraintSet((0,), [0.3], 0.001)
+        unmoved = bc.calibrate(corpus, base, cs, np.zeros(2))
+        assert np.array_equal(unmoved.probs, base.probs)
+        # the same penalty on every candidate of an instance moves nothing either
+        shifted = bc.calibrate(corpus, base, cs, np.array([0.8, 0.3]))
+        assert_allclose(shifted.probs, base.probs, atol=1e-15)
 
     def test_analytic_reweighting(self):
-        inst, base = scored([0.0, 0.0])
-        out = bc.reweighted_posterior(inst, base, [math.log(3.0), 0.0])
+        corpus, base, cs = male_vs_plain([0.5, 0.5])
+        out = bc.calibrate(corpus, base, cs, np.array([math.log(3.0), 0.0]))
         assert_allclose(out.probs, [0.25, 0.75], atol=1e-12)
 
     def test_zero_mass_stays_zero(self):
-        inst, _ = scored([0.0, 0.0])
-        base = bc.InstancePosterior("i", np.array([1.0, 0.0]))
-        out = bc.reweighted_posterior(inst, base, [5.0, -7.0])
-        assert_allclose(out.probs, [1.0, 0.0], atol=0)
+        out = reweight(np.array([1.0, 0.0]), np.array([5.0, -7.0]), np.array([0, 2]), ("i",))
+        assert_allclose(out, [1.0, 0.0], atol=0)
 
     def test_no_support_raises(self):
-        inst, _ = scored([0.0, 0.0])
-        # bypass validation to build an impossible all-zero posterior
-        broken = object.__new__(bc.InstancePosterior)
-        object.__setattr__(broken, "instance_id", "i")
-        object.__setattr__(broken, "probs", np.zeros(2))
-        with pytest.raises(bc.DegenerateDistributionError):
-            bc.reweighted_posterior(inst, broken, [0.0, 0.0])
+        # tables refuse an all-zero posterior, so the kernel is given one directly
+        with pytest.raises(bc.DegenerateDistributionError,
+                           match="^instance 'i': reweighting left no mass on the support$"):
+            reweight(np.zeros(2), np.zeros(2), np.array([0, 2]), ("i",))
 
     def test_penalty_must_be_finite(self):
-        inst, base = scored([0.0, 0.0])
-        with pytest.raises(bc.ValidationError):
-            bc.reweighted_posterior(inst, base, [float("inf"), 0.0])
-
-    def test_penalty_length_checked(self):
-        inst, base = scored([0.0, 0.0])
-        with pytest.raises(bc.ValidationError):
-            bc.reweighted_posterior(inst, base, [0.0])
+        with pytest.raises(bc.ValidationError,
+                           match="^instance 'i': penalty entries must be finite$"):
+            reweight(np.array([0.5, 0.5]), np.array([np.inf, 0.0]), np.array([0, 2]), ("i",))
 
 
 class TestMapPredict:
@@ -100,9 +105,9 @@ class TestMapPredict:
         assert bc.map_predict(posteriors).tolist() == [0, 1]
 
     def test_composition_with_reweighting(self):
-        inst, base = scored([0.0, 0.0])
-        out = bc.reweighted_posterior(inst, base, [math.log(3.0), 0.0])
-        assert bc.map_predict(bc.PosteriorTable((inst.id,), [0, 2], out.probs)).tolist() == [1]
+        corpus, base, cs = male_vs_plain([0.5, 0.5])
+        out = bc.calibrate(corpus, base, cs, np.array([math.log(3.0), 0.0]))
+        assert bc.map_predict(out).tolist() == [1]
 
     def test_takes_posteriors_not_one_posterior(self):
         one = bc.InstancePosterior("i", np.array([0.2, 0.8]))
@@ -333,6 +338,9 @@ class TestJointFactorization:
                 continue
             posteriors = posteriors_of(corpus)
             lam = rng.uniform(0.0, 2.0, cs.dimension)
+            values, coords = type_features(cs)
+            types = feature_types(corpus.activity, corpus.gender, cs)
+            penalty = (lam[coords[types]] * values[types]).sum(axis=1)
 
             sizes = [len(inst.candidates) for inst in corpus.instances]
             marginals = [np.zeros(s) for s in sizes]
@@ -341,17 +349,12 @@ class TestJointFactorization:
                 log_w = 0.0
                 for i, k in enumerate(assignment):
                     log_w += math.log(posteriors[i].probs[k])
-                    for idx, value in bc.feature_vector(corpus.instances[i].candidates[k], cs):
-                        log_w -= lam[idx] * value
+                    log_w -= penalty[corpus.offsets[i] + k]
                 weight = math.exp(log_w)
                 total += weight
                 for i, k in enumerate(assignment):
                     marginals[i][k] += weight
 
-            for i, inst in enumerate(corpus.instances):
-                penalty = np.zeros(sizes[i])
-                for k, cand in enumerate(inst.candidates):
-                    for idx, value in bc.feature_vector(cand, cs):
-                        penalty[k] += lam[idx] * value
-                factored = bc.reweighted_posterior(inst, posteriors[i], penalty)
-                assert_allclose(factored.probs, marginals[i] / total, atol=1e-10)
+            factored = bc.calibrate(corpus, posteriors, cs, lam)
+            for i in range(len(corpus.instances)):
+                assert_allclose(factored[i].probs, marginals[i] / total, atol=1e-10)

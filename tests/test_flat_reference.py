@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import biascal as bc
 import loop_reference as ref
 from biascal import solver
+from biascal.constraints import feature_types, type_features
 from biascal.distribution import segment_sum
 from biascal.metrics import activity_mass
 from biascal.solver import (
@@ -108,15 +109,20 @@ def test_features_and_expectations(case, data):
     posteriors = [ref.posterior(inst) for inst in corpus.instances]
     table = bc.instance_posterior(corpus)
     fc = featurize(corpus, table, cs)
+    types = feature_types(corpus.activity, corpus.gender, cs)
+    values, coords = type_features(cs)
     for i, (inst, post) in enumerate(zip(corpus.instances, posteriors)):
+        single = bc.Corpus((inst,), corpus.activities)
+        one_table = bc.PosteriorTable((inst.id,), [0, len(post)], post.probs)
         expected = ref.instance_expectation(inst, post, cs)
-        assert np.array_equal(bc.instance_expectation(inst, post, cs), expected)
+        assert np.array_equal(bc.corpus_expectation(single, one_table, cs), expected)
         # the featured candidates in order, then one plain row with the rest's mass
         rows = range(fc.offsets[i], fc.offsets[i + 1])
         featured, plain = [], 0.0
-        for prob, cand in zip(post.probs, inst.candidates):
+        for t, prob, cand in zip(types[corpus.offsets[i]:], post.probs, inst.candidates):
             features = ref.feature_vector(cand, cs)
-            assert bc.feature_vector(cand, cs) == features
+            assert (list(zip(coords[t].tolist(), values[t].tolist()))
+                    if t < cs.dimension else []) == features
             if features:
                 featured.append((features, prob))
             else:
