@@ -31,7 +31,7 @@ from .distribution import instance_posterior, kl_divergence, map_predict, segmen
 from .errors import BiasCalError, OracleSizeError, SolverDivergenceError, ValidationError
 from .metrics import build_report, check_margin
 
-__all__ = ["RunConfig", "main", "entrypoint"]
+__all__ = ["RunConfig", "main"]
 
 # Public names imported on first use, through the package, so that `report`
 # loads neither the constraint set, the solver nor the generator. The
@@ -298,13 +298,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # so that a failed write is an error, not ignored at exit
+            sys.stdout.flush()
+        return code
     except (BiasCalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, OracleSizeError):
             return EXIT_SIZE
         return EXIT_SOLVER if isinstance(exc, SolverDivergenceError) else EXIT_VALIDATION
-
-
-def entrypoint() -> None:
-    raise SystemExit(main())

@@ -303,6 +303,9 @@ class TrainingStats:
 
     def __post_init__(self):
         for name, count in self.counts.items():
+            if len(count) != len(GenderCount._fields):
+                raise ValidationError(f"activity {name!r}: count must be a (male, female) pair, "
+                                      f"got {count!r}")
             for key, value in zip(GenderCount._fields, count):
                 if not is_integer(value):
                     raise ValidationError(f"activity {name!r}: {key} count must be an integer")

@@ -70,6 +70,9 @@ MAX_LOG_WEIGHT_STEP = 30.0
 # A curvature below this share of its second moment is rounding noise and is
 # raised to it, so a flat (unbounded) coordinate takes a long but finite step.
 CURVATURE_FLOOR = 1e-12
+# Full-batch stops when every activity's gradient over its gendered mass, a
+# ratio residual, is within this share of ``convergence_tol``.
+RATIO_TOL_FACTOR = 1e-2
 
 
 @dataclass
@@ -81,8 +84,11 @@ class SolverConfig:
     mode takes projected Newton steps over the whole corpus on one signed
     multiplier per activity, ignores the batch, epoch, rate and seed
     settings, and stops once every coordinate satisfies the stationarity
-    test at ``convergence_tol``, which must be finite and positive (or at
-    ``max_steps``).
+    test (or at ``max_steps``). That test is in ratio units, so that it does
+    not tighten as an activity gains instances: each gradient coordinate,
+    a sum over instances, is divided by its activity's gendered mass and
+    must be within ``RATIO_TOL_FACTOR * convergence_tol``. The tolerance
+    must be finite and positive.
     """
 
     batch_size: int = 39
@@ -420,9 +426,9 @@ def _newton_ascent(fc: FeaturizedCorpus, state: DualState, config: SolverConfig)
     projection would hold it at 0 anyway, and its gradient over a near-zero
     curvature could be huge and shrink the others' step bound. Such a step
     is an ascent; it is backtracked until it gains an Armijo fraction of
-    g . (trial - lam). Stops at the stationarity tolerance, after
-    ``config.max_steps`` steps, or when no step gains anything at working
-    precision. Each step adds one to ``state.step``.
+    g . (trial - lam). Stops at the stationarity tolerance, in ratio units
+    (`SolverConfig`), after ``config.max_steps`` steps, or when no step gains
+    anything at working precision. Each step adds one to ``state.step``.
     """
     signed = state.lam[0::2] - state.lam[1::2]
     state.lam = np.column_stack([np.maximum(signed, 0.0), np.maximum(-signed, 0.0)]).ravel()
@@ -432,8 +438,10 @@ def _newton_ascent(fc: FeaturizedCorpus, state: DualState, config: SolverConfig)
         mass = _type_mass(fc.types, probs, fc.dim)
         gradient = _expectation(fc, mass)
         _check_finite(state, gradient)
-        if _projected_gradient_norm(state.lam, gradient, config.convergence_tol) <= (
-            config.convergence_tol
+        gendered = np.repeat(mass[:-1].reshape(-1, 2).sum(axis=1), 2)
+        ratio = np.divide(gradient, gendered, out=np.zeros(fc.dim), where=gendered > 0.0)
+        if _projected_gradient_norm(state.lam, ratio, config.convergence_tol) <= (
+            RATIO_TOL_FACTOR * config.convergence_tol
         ):
             return
         upper = (state.lam[0::2] > 0.0) | (

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import errno
 import importlib.util
 import json
 import os
@@ -551,17 +552,24 @@ class TestAtomicOutputs:
         assert read_bytes_map(out) == previous
 
 
-def child_output(code, *argv, env=None):
-    """Last line that ``code`` prints in a fresh interpreter that imports this biascal.
+def child_run(args, env=None, **kwargs):
+    """``python *args`` in a fresh interpreter that imports this biascal.
 
-    ``env`` replaces the environment (default: this process's); a command
-    prints before the last line.
+    ``env`` replaces the environment (default: this process's).
     """
     env = dict(os.environ if env is None else env)
     src = str(Path(bc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
-                            capture_output=True, text=True, check=True, timeout=60)
+    return subprocess.run([sys.executable, *map(str, args)], env=env, text=True, timeout=60,
+                          **kwargs)
+
+
+def child_output(code, *argv, env=None):
+    """Last line that ``code`` prints in a fresh interpreter that imports this biascal.
+
+    A command prints before the last line.
+    """
+    result = child_run(["-c", code, *argv], env=env, capture_output=True, check=True)
     return result.stdout.splitlines()[-1]
 
 
@@ -639,11 +647,15 @@ class TestProcess:
 
 # the variables biascal.__main__ sets, spelled out so that a name lost there fails here
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# ``python -m biascal ...``, run as runpy runs it; then the process's thread
-# count and the environment it ends with
+# ``python -m biascal ...``, run as runpy runs it, with the final os._exit
+# raising SystemExit instead; then the process's thread count and the
+# environment it ends with
 RUN_MAIN_MODULE = """
 import json, os, runpy, sys
 sys.argv = ["biascal", *sys.argv[1:]]
+def exit_by_raising(code):
+    raise SystemExit(code)
+os._exit = exit_by_raising
 try:
     runpy.run_module("biascal", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
@@ -708,3 +720,60 @@ class TestEntryPoint:
         assert run("report", "--corpus", corpus_path, "--stats", stats_path,
                    "--out", tmp_path / "rep") == 0
         assert dict(os.environ) == before
+
+
+class TestMainModuleProcess:
+    # ``python -m biascal`` ends with a flush and os._exit; what a run prints,
+    # writes and exits with must be what an in-process cli.main gives
+
+    @pytest.mark.parametrize("synth, argv, code", [
+        (dict(n_activities=3, instances_per_activity=10, boost=1.0, seed=21),
+         ["calibrate", "--mode", "full-batch"], 0),
+        (None, ["report", "--no-such-flag"], 1),
+        (dict(n_activities=2, instances_per_activity=20, boost=1.0, seed=1),
+         ["calibrate", "--lr", "1e308", "--lr-decay", "1"], 2),
+        (dict(n_activities=3, instances_per_activity=4, seed=18), ["oracle"], 3),
+        (None, ["--help"], 0),
+    ], ids=["full-batch", "unknown-flag", "overflow", "oracle-size", "help"])
+    def test_exit_code_stdout_stderr_and_outputs_match_in_process(
+        self, tmp_path, monkeypatch, capsys, synth, argv, code
+    ):
+        monkeypatch.setenv("COLUMNS", "80")  # one help layout in both processes
+        if synth is not None:
+            corpus_path, stats_path = synth_files(tmp_path, **synth)
+            argv = [*argv, "--corpus", corpus_path, "--stats", stats_path]
+        capsys.readouterr()
+        assert run(*argv, "--out", tmp_path / "in-process") == code
+        expected = capsys.readouterr()
+        child = child_run(["-m", "biascal", *argv, "--out", tmp_path / "child"],
+                          capture_output=True)
+        assert (child.returncode, child.stdout, child.stderr) == (
+            code, expected.out, expected.err)
+        if synth is not None and code == 0:
+            assert child.stdout.startswith("A_dist ")
+            outputs = read_bytes_map(tmp_path / "child")
+            assert len(outputs) == 6
+            assert outputs == read_bytes_map(tmp_path / "in-process")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_stdout_write_exits_one(self, tmp_path):
+        # with block-buffered stdout the summary line reaches /dev/full only
+        # when stdout is flushed, which cli.main does before it returns
+        corpus_path, stats_path = synth_files(tmp_path, n_activities=3, instances_per_activity=10)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            child = child_run(["-m", "biascal", "report", "--corpus", corpus_path, "--stats",
+                               stats_path, "--out", tmp_path / "rep"],
+                              env=env, stdout=full, stderr=subprocess.PIPE)
+        assert child.returncode == 1
+        assert child.stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+    def test_closed_stdout_is_no_error(self, tmp_path):
+        # a process started with stdout closed has sys.stdout None; the
+        # summary line is dropped and the run succeeds, as print does
+        corpus_path, stats_path = synth_files(tmp_path, n_activities=3, instances_per_activity=10)
+        child = child_run(["-m", "biascal", "report", "--corpus", corpus_path, "--stats",
+                           stats_path, "--out", tmp_path / "rep"],
+                          stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+        assert (child.returncode, child.stderr) == (0, "")
+        assert (tmp_path / "rep" / "report.json").is_file()

@@ -358,6 +358,13 @@ class TestLoadTrainingStats:
                            match="^activity 'cooking': female count must be an integer$"):
             bc.TrainingStats({"cooking": bc.GenderCount(1, female)})
 
+    @pytest.mark.parametrize("count", [(1, 2, 3), (1,)])
+    def test_count_of_the_wrong_length_refused(self, count):
+        with pytest.raises(bc.ValidationError,
+                           match=r"^activity 'cooking': count must be a \(male, female\) pair, "
+                                 rf"got {re.escape(repr(count))}$"):
+            bc.TrainingStats({"cooking": count})
+
     @pytest.mark.parametrize("text, message", [
         ('{"cooking": {"male": 1,\n "female": }}', "invalid stats JSON at line 2"),
         ('[{"male": 1, "female": 2}]', "stats file must be a JSON object"),

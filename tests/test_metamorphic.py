@@ -17,7 +17,6 @@ import io
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -101,8 +100,6 @@ STOPS_ONE_STEP_EARLY = (
 )
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the full-batch stopping test is absolute, not per instance")
 @METAMORPHIC
 @given(case=generated())
 @example(case=STOPS_ONE_STEP_EARLY)
