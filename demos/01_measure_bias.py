@@ -54,8 +54,9 @@ posteriors = bc.instance_posterior(corpus)
 predictions = bc.map_predict(posteriors)
 
 print("per-instance posteriors:")
-for inst, post in zip(corpus.instances, posteriors):
-    print(f"  {inst.id}: {[round(float(p), 3) for p in post.probs]}")
+for i, inst_id in enumerate(posteriors.ids):
+    row = posteriors.probs[posteriors.offsets[i]:posteriors.offsets[i + 1]]
+    print(f"  {inst_id}: {[round(float(p), 3) for p in row]}")
 
 cooking = corpus.activities["cooking"]
 b_star = bc.dataset_bias(stats, corpus, cooking)

@@ -36,8 +36,9 @@ oracle, oracle_lam = brute_force_project(corpus, posteriors, cs)
 print(f"\nsolver lam: {np.round(state.lam, 6)}  ({state.step} steps)")
 print(f"oracle lam: {np.round(oracle_lam, 6)}")
 
+rows = zip(solved.offsets[:-1], solved.offsets[1:])
 max_tv = max(
-    0.5 * float(np.abs(a.probs - b.probs).sum()) for a, b in zip(solved, oracle)
+    0.5 * float(np.abs(solved.probs[i:j] - oracle.probs[i:j]).sum()) for i, j in rows
 )
 kl_solver = bc.kl_divergence(solved, posteriors)
 kl_oracle = bc.kl_divergence(oracle, posteriors)

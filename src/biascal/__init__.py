@@ -38,7 +38,6 @@ _EXPORTS = {
         "load_training_stats",
     ),
     "distribution": (
-        "InstancePosterior",
         "PosteriorTable",
         "instance_posterior",
         "kl_divergence",

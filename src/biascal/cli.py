@@ -10,7 +10,6 @@ byte-identical across runs for identical inputs and configuration.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -25,6 +24,7 @@ from .corpus import (
     dump_training_stats,
     excluded_activities,
     load_corpus,
+    load_json,
     load_training_stats,
 )
 from .distribution import instance_posterior, kl_divergence, map_predict, segment_sum
@@ -114,12 +114,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            try:
-                file_values = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(
-                    f"invalid config JSON at line {exc.lineno}: {exc.msg}"
-                ) from None
+            file_values = load_json(handle, ValidationError, "config")
         if not isinstance(file_values, dict):
             raise ValidationError("config file must be a JSON object")
         known = {f.name: f.type for f in fields(RunConfig)}
@@ -265,8 +260,18 @@ def _add_pipeline_command(sub, name: str, summary: str, command) -> None:
     parser.set_defaults(func=lambda args: command(_merge_config(args)))
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops an OSError from writing --help; this parser raises it to `main`."""
+
+    def print_help(self, file=None):
+        file = file or sys.stdout
+        if file is not None:  # a stream closed at start is None
+            file.write(self.format_help())
+            file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biascal",
         description="Measure and remove gender-bias amplification in scored corpora.",
     )
@@ -295,13 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
-        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
-    try:
         code = args.func(args)
         if sys.stdout is not None:  # so that a failed write is an error, not ignored at exit
             sys.stdout.flush()
         return code
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     except (BiasCalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, OracleSizeError):

@@ -382,6 +382,23 @@ def dump_json(payload, sink) -> None:
         stream.write(json.dumps(payload, indent=2) + "\n")
 
 
+def load_json(stream: IO[str], error: type[ValueError], what: str):
+    """The JSON value in ``stream``; ``error`` is raised for invalid JSON and
+    for a key repeated within an object, which ``json.load`` would keep the last of."""
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise error(f"{what} file repeats key {key!r}")
+            obj[key] = value
+        return obj
+
+    try:
+        return json.load(stream, object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid {what} JSON at line {exc.lineno}: {exc.msg}") from None
+
+
 def _check_candidate(raw, where: str) -> None:
     """Raise the error of one raw candidate record, if it has one."""
     if not isinstance(raw, dict):
@@ -580,10 +597,7 @@ def dump_posteriors(corpus: Corpus, probs: np.ndarray, sink) -> None:
 def load_training_stats(source) -> TrainingStats:
     """Load per-activity male/female label counts from a JSON object."""
     with _open_for_read(source) as stream:
-        try:
-            raw = json.load(stream)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"invalid stats JSON at line {exc.lineno}: {exc.msg}") from None
+        raw = load_json(stream, CorpusFormatError, "stats")
     if not isinstance(raw, dict):
         raise CorpusFormatError("stats file must be a JSON object")
     counts: dict[str, GenderCount] = {}

@@ -10,15 +10,13 @@ in instance order so repeated runs are bitwise identical.
 Every kernel works on flat rows split into segments by an ``offsets``
 array (see `Corpus`). A `PosteriorTable` holds the posteriors of a whole
 corpus that way and is the one form in which the public functions take
-posteriors; `InstancePosterior` is the view of one instance that indexing
-a table yields, and no public function takes one.
+posteriors; instance i's posterior is the row slice
+``probs[offsets[i]:offsets[i + 1]]``.
 """
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,32 +27,6 @@ from .errors import DegenerateDistributionError, ValidationError
 __all__ = list(_EXPORTS["distribution"])
 
 SUM_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class InstancePosterior:
-    """A probability vector aligned with one instance's candidate list."""
-
-    instance_id: str
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValidationError(
-                f"posterior for {self.instance_id!r} must be a nonempty 1-D vector"
-            )
-        _check_probs((self.instance_id,), np.array([0, probs.size]), probs)
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InstancePosterior):
-            return NotImplemented
-        return self.instance_id == other.instance_id and np.array_equal(self.probs, other.probs)
-
-    def __len__(self) -> int:
-        return self.probs.size
 
 
 def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -97,31 +69,12 @@ def _segment_of(offsets: np.ndarray, row: int) -> int:
     return int(np.searchsorted(offsets, row, side="right")) - 1
 
 
-def _check_probs(ids: Sequence[str], offsets: np.ndarray, probs: np.ndarray) -> None:
-    """Each segment must be a probability vector; a failing one is named."""
-    with np.errstate(invalid="ignore"):
-        for bad, what in (
-            (~np.isfinite(probs), "has non-finite entries"),
-            ((probs < 0.0) | (probs > 1.0 + SUM_TOLERANCE), "has entries outside [0, 1]"),
-        ):
-            if bad.any():
-                first = _segment_of(offsets, int(np.argmax(bad)))
-                raise ValidationError(f"posterior for {ids[first]!r} {what}")
-    sums = segment_sum(probs, offsets)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOLERANCE)
-    if bad.size:
-        raise ValidationError(
-            f"posterior for {ids[bad[0]]!r} sums to {float(sums[bad[0]])!r}, expected 1"
-        )
-
-
-class PosteriorTable(Sequence):
+class PosteriorTable:
     """Posteriors of every instance of a corpus as one flat probability array.
 
     Instance i owns ``probs[offsets[i]:offsets[i + 1]]``, in the row order of
-    its `Corpus`. Every segment is checked on construction as
-    `InstancePosterior` checks one vector, and ``probs`` is read-only.
-    Indexing yields the `InstancePosterior` of one instance.
+    its `Corpus`. On construction each segment must be finite, within [0, 1]
+    and sum to 1, and a failing one is named; ``probs`` is then read-only.
     """
 
     __slots__ = ("ids", "offsets", "probs")
@@ -132,7 +85,20 @@ class PosteriorTable(Sequence):
         if (offsets.shape != (len(ids) + 1,) or offsets[0] != 0
                 or np.any(offsets[1:] < offsets[:-1]) or probs.shape != (offsets[-1],)):
             raise ValidationError("posterior table offsets do not match its ids and rows")
-        _check_probs(ids, offsets, probs)
+        with np.errstate(invalid="ignore"):
+            for bad, what in (
+                (~np.isfinite(probs), "has non-finite entries"),
+                ((probs < 0.0) | (probs > 1.0 + SUM_TOLERANCE), "has entries outside [0, 1]"),
+            ):
+                if bad.any():
+                    first = _segment_of(offsets, int(np.argmax(bad)))
+                    raise ValidationError(f"posterior for {ids[first]!r} {what}")
+        sums = segment_sum(probs, offsets)
+        bad = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOLERANCE)
+        if bad.size:
+            raise ValidationError(
+                f"posterior for {ids[bad[0]]!r} sums to {float(sums[bad[0]])!r}, expected 1"
+            )
         probs.flags.writeable = False
         self.ids = tuple(ids)
         self.offsets = offsets
@@ -140,14 +106,6 @@ class PosteriorTable(Sequence):
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, index: int) -> InstancePosterior:
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("posterior table index out of range")
-        return InstancePosterior(self.ids[i], self.probs[self.offsets[i] : self.offsets[i + 1]])
 
 
 def as_table(posteriors: PosteriorTable, like: Corpus | PosteriorTable | None = None

@@ -47,6 +47,12 @@ def posteriors_of(corpus):
     return bc.instance_posterior(corpus)
 
 
+def rows_of(table):
+    """Each instance's row slice ``probs[offsets[i]:offsets[i + 1]]`` of a `PosteriorTable`."""
+    bounds = table.offsets.tolist()
+    return [table.probs[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
+
+
 def random_corpus(rng, n_activities, max_instances=20, max_candidates=6, score_scale=1.5):
     """Random corpus with unconstrained gender structure (may be infeasible)."""
     n_inst = int(rng.integers(1, max_instances + 1))

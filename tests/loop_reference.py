@@ -1,8 +1,12 @@
 """Candidate-by-candidate reference implementations of the flat kernels.
 
 These are the package's original per-instance loops, kept so the
-vectorized paths can be required to match them exactly. Posteriors use
-``scipy.special.log_softmax`` as the original did. The ``naive_*`` dual
+vectorized paths can be required to match them exactly. A posterior here
+is one instance's probability array, and the per-instance functions take a
+list of them, in corpus order; `stochastic_solve` and `full_batch_solve`
+take the package's `PosteriorTable`. Posteriors use
+``scipy.special.log_softmax`` as the original did. `build_report` works
+out b*, amplification and its mean itself. The ``naive_*`` dual
 functions work one instance and one candidate at a time on the
 uncompressed candidates, without `featurize`; the solver matches them to
 rounding. `stochastic_solve` gathers every mini-batch from the whole
@@ -51,19 +55,18 @@ PLATEAU_SHRINK = 0.5
 def posterior(instance):
     scores = np.array([c.score for c in instance.candidates], dtype=np.float64)
     probs = np.exp(log_softmax(scores))
-    probs /= probs.sum()
-    return bc.InstancePosterior(instance.id, probs)
+    return probs / probs.sum()
 
 
 def map_predict(post):
-    return int(np.argmax(post.probs))
+    return int(np.argmax(post))
 
 
 def activity_mass(posteriors, corpus, activity_id):
     male = 0.0
     gendered = 0.0
     for inst, post in zip(corpus.instances, posteriors):
-        for prob, cand in zip(post.probs, inst.candidates):
+        for prob, cand in zip(post, inst.candidates):
             if cand.activity_id != activity_id or not cand.gender.is_gendered:
                 continue
             gendered += float(prob)
@@ -98,20 +101,26 @@ def constrained_activities(stats, corpus):
     )
 
 
+def amplification(bias, b_star):
+    sign = (b_star > 0.5) - (b_star < 0.5)
+    return float(sign * (bias - b_star))
+
+
 def build_report(corpus, stats, posteriors, predictions, gamma_eval):
     ids = constrained_activities(stats, corpus)
     if not ids:
         raise bc.UndefinedBiasError("no constrained activities")
     entries = []
     for aid in ids:
-        b_star = bc.dataset_bias(stats, corpus, aid)
+        count = stats.counts[corpus.activity_name(aid)]
+        b_star = count.male / (count.male + count.female)
         male, gendered = activity_mass(posteriors, corpus, aid)
         if gendered <= 0.0:
             raise bc.UndefinedBiasError("no gendered posterior mass")
         bias_dist = male / gendered
         bias_top = bias_in_top_predictions(predictions, corpus, aid)
-        amp_dist = bc.amplification(bias_dist, b_star)
-        amp_top = None if bias_top is None else bc.amplification(bias_top, b_star)
+        amp_dist = amplification(bias_dist, b_star)
+        amp_top = None if bias_top is None else amplification(bias_top, b_star)
         entries.append(
             bc.ActivityBias(
                 activity_id=aid,
@@ -133,8 +142,8 @@ def build_report(corpus, stats, posteriors, predictions, gamma_eval):
     return bc.BiasReport(
         entries=tuple(entries),
         gamma_eval=gamma_eval,
-        mean_amp_dist=bc.mean_amplification(e.amp_dist for e in entries),
-        mean_amp_top=bc.mean_amplification(top_amps) if top_amps else None,
+        mean_amp_dist=float(np.mean([e.amp_dist for e in entries])),
+        mean_amp_top=float(np.mean(top_amps)) if top_amps else None,
         n_violations_dist=sum(e.violated_dist for e in entries),
         n_violations_top=sum(e.violated_top for e in entries),
         n_not_evaluable_top=sum(e.bias_top is None for e in entries),
@@ -156,7 +165,7 @@ def feature_vector(candidate, cs):
 
 def instance_expectation(instance, post, cs):
     out = np.zeros(cs.dimension)
-    for prob, cand in zip(post.probs, instance.candidates):
+    for prob, cand in zip(post, instance.candidates):
         for idx, value in feature_vector(cand, cs):
             out[idx] += prob * value
     return out
@@ -169,11 +178,11 @@ def corpus_expectation(corpus, posteriors, cs):
     return out
 
 
-def reweighted_posterior(instance, base, penalty):
+def reweighted_posterior(base, penalty):
     with np.errstate(divide="ignore"):
-        log_q = np.log(base.probs) - penalty
+        log_q = np.log(base) - penalty
     weights = np.exp(log_q - log_q.max())
-    return bc.InstancePosterior(instance.id, weights / weights.sum())
+    return weights / weights.sum()
 
 
 def calibrate(corpus, posteriors, cs, lam):
@@ -183,7 +192,7 @@ def calibrate(corpus, posteriors, cs, lam):
         for k, cand in enumerate(inst.candidates):
             for idx, value in feature_vector(cand, cs):
                 penalty[k] += lam[idx] * value
-        out.append(reweighted_posterior(inst, post, penalty) if np.any(penalty) else post)
+        out.append(reweighted_posterior(post, penalty) if np.any(penalty) else post)
     return out
 
 
@@ -195,8 +204,8 @@ def dual_hessian(corpus, posteriors, cs, lam):
         for k, cand in enumerate(inst.candidates):
             for idx, value in feature_vector(cand, cs):
                 phi[k, idx] = value
-        mean = post.probs @ phi
-        out += (phi * post.probs[:, None]).T @ phi - np.outer(mean, mean)
+        mean = post @ phi
+        out += (phi * post[:, None]).T @ phi - np.outer(mean, mean)
     return out
 
 
@@ -237,7 +246,7 @@ def stochastic_solve(corpus, posteriors, cs, config):
 def _log_weights(instance, post, cs, lam):
     """log p - lam . phi of each candidate of one instance; -inf where p is 0."""
     out = []
-    for prob, cand in zip(post.probs, instance.candidates):
+    for prob, cand in zip(post, instance.candidates):
         penalty = sum(lam[idx] * value for idx, value in feature_vector(cand, cs))
         out.append((math.log(prob) if prob > 0.0 else -math.inf) - penalty)
     return out
@@ -300,7 +309,7 @@ def _candidate_rows(corpus, posteriors, cs):
     types = feature_types(corpus.activity, corpus.gender, cs)
     values, coords = type_features(cs)
     with np.errstate(divide="ignore"):
-        log_p = np.log(np.concatenate([post.probs for post in posteriors]))
+        log_p = np.log(posteriors.probs)
     return SimpleNamespace(
         offsets=corpus.offsets,
         seg_ids=corpus.segment_ids,

@@ -460,6 +460,18 @@ class TestConfigPrecedence:
                    "--stats", tmp_path / "missing.json", "--config", config_path) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_repeated_config_key_fails(self, tmp_path, capsys):
+        # json.load keeps the last value, so this would run at 0.5
+        corpus_path, stats_path = synth_files(tmp_path, n_activities=2,
+                                              instances_per_activity=5, seed=20)
+        config_path = tmp_path / "run.json"
+        config_path.write_text('{"gamma_eval": 0.05, "gamma_eval": 0.5}\n')
+        out = tmp_path / "rep"
+        assert run("report", "--corpus", corpus_path, "--stats", stats_path,
+                   "--out", out, "--config", config_path) == 1
+        assert capsys.readouterr().err == "error: config file repeats key 'gamma_eval'\n"
+        assert not out.exists()
+
     def test_one_config_file_serves_every_command(self, tmp_path):
         # every key is accepted, and type-checked, by every command
         corpus_path, stats_path = synth_files(
@@ -765,6 +777,21 @@ class TestMainModuleProcess:
             child = child_run(["-m", "biascal", "report", "--corpus", corpus_path, "--stats",
                                stats_path, "--out", tmp_path / "rep"],
                               env=env, stdout=full, stderr=subprocess.PIPE)
+        assert child.returncode == 1
+        assert child.stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["report", "--help"]], ids=["top", "report"])
+    def test_failed_help_write_exits_one(self, argv, unbuffered):
+        # argparse drops an OSError from its own --help write, and a
+        # block-buffered stdout fails only when flushed: both must fail the run
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            child = child_run(["-m", "biascal", *argv], env=env, stdout=full,
+                              stderr=subprocess.PIPE)
         assert child.returncode == 1
         assert child.stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 

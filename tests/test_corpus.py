@@ -374,6 +374,14 @@ class TestLoadTrainingStats:
         with pytest.raises(bc.CorpusFormatError, match=f"^{re.escape(message)}"):
             bc.load_training_stats(io.StringIO(text))
 
+    def test_repeated_activity_refused(self):
+        # json.load keeps the last of the two counts, which would change b*
+        text = ('{"activity_000": {"male": 1, "female": 9},\n'
+                ' "activity_000": {"male": 5, "female": 5}}')
+        with pytest.raises(bc.CorpusFormatError,
+                           match="^stats file repeats key 'activity_000'$"):
+            bc.load_training_stats(io.StringIO(text))
+
 
 class TestConstrainedActivities:
     def test_gendered_candidate_present(self):

@@ -18,7 +18,7 @@ from biascal.solver import (
     _type_mass,
     featurize,
 )
-from conftest import feasible_single_activity_corpus, make_corpus
+from conftest import feasible_single_activity_corpus, make_corpus, rows_of
 
 # Tied scores come from a small pool; 1 to 12 candidates straddle the length
 # at which numpy switches to pairwise summation.
@@ -57,11 +57,11 @@ def random_constraint_set(data, corpus):
     return bc.ConstraintSet(tuple(sorted(ids)), np.array(b_star), data.draw(st.floats(0.0, 0.1)))
 
 
-def assert_rows_equal(table, posteriors):
+def assert_rows_equal(table, corpus, posteriors):
+    assert table.ids == tuple(inst.id for inst in corpus.instances)
     assert len(table) == len(posteriors)
-    for row, post in zip(table, posteriors):
-        assert row.instance_id == post.instance_id
-        assert np.array_equal(row.probs, post.probs)
+    for row, post in zip(rows_of(table), posteriors):
+        assert np.array_equal(row, post)
 
 
 PROPERTY = settings(deadline=None, max_examples=80, derandomize=True)
@@ -73,7 +73,7 @@ def test_posteriors_map_and_masses(case):
     corpus, _ = case
     table = bc.instance_posterior(corpus)
     expected = [ref.posterior(inst) for inst in corpus.instances]
-    assert_rows_equal(table, expected)
+    assert_rows_equal(table, corpus, expected)
     predictions = [ref.map_predict(p) for p in expected]
     assert bc.map_predict(table).tolist() == predictions
     male, gendered = activity_mass(corpus, table)
@@ -113,13 +113,13 @@ def test_features_and_expectations(case, data):
     values, coords = type_features(cs)
     for i, (inst, post) in enumerate(zip(corpus.instances, posteriors)):
         single = bc.Corpus((inst,), corpus.activities)
-        one_table = bc.PosteriorTable((inst.id,), [0, len(post)], post.probs)
+        one_table = bc.PosteriorTable((inst.id,), [0, len(post)], post)
         expected = ref.instance_expectation(inst, post, cs)
         assert np.array_equal(bc.corpus_expectation(single, one_table, cs), expected)
         # the featured candidates in order, then one plain row with the rest's mass
         rows = range(fc.offsets[i], fc.offsets[i + 1])
         featured, plain = [], 0.0
-        for t, prob, cand in zip(types[corpus.offsets[i]:], post.probs, inst.candidates):
+        for t, prob, cand in zip(types[corpus.offsets[i]:], post, inst.candidates):
             features = ref.feature_vector(cand, cs)
             assert (list(zip(coords[t].tolist(), values[t].tolist()))
                     if t < cs.dimension else []) == features
@@ -154,7 +154,7 @@ def test_calibrated_posteriors(case, data):
     table = bc.instance_posterior(corpus)
     calibrated = bc.calibrate(corpus, table, cs, lam)
     assert isinstance(calibrated, bc.PosteriorTable)
-    assert_rows_equal(calibrated, expected)
+    assert_rows_equal(calibrated, corpus, expected)
 
 
 @PROPERTY
@@ -216,17 +216,18 @@ def solver_cases(draw):
 def test_dual_and_stochastic_solve_match_the_naive_reference(case, batch_size, epochs):
     corpus, cs, lam, batch = case
     posteriors = bc.instance_posterior(corpus)
+    rows = rows_of(posteriors)
     close = dict(rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(bc.dual_objective(lam, corpus, posteriors, cs),
-                               ref.naive_dual_objective(corpus, posteriors, cs, lam), **close)
+                               ref.naive_dual_objective(corpus, rows, cs, lam), **close)
     for indices in (None, batch):
         np.testing.assert_allclose(
             bc.dual_gradient(lam, corpus, posteriors, cs, batch=indices),
-            ref.naive_dual_gradient(corpus, posteriors, cs, lam, indices), **close)
+            ref.naive_dual_gradient(corpus, rows, cs, lam, indices), **close)
     config = bc.SolverConfig(batch_size=batch_size, epochs=epochs, seed=5)
     state = bc.solve(corpus, posteriors, cs, config)
     np.testing.assert_allclose(
-        state.lam, ref.naive_stochastic_solve(corpus, posteriors, cs, config), **close)
+        state.lam, ref.naive_stochastic_solve(corpus, rows, cs, config), **close)
 
 
 def test_stochastic_solve_matches_per_batch_gather():

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biascal as bc
+from conftest import rows_of
 
 METAMORPHIC = settings(deadline=None, max_examples=25, derandomize=True)
 FULL_BATCH = bc.SolverConfig(mode="full_batch")
@@ -75,8 +76,8 @@ def assert_lam_close(got, want):
 
 def assert_rows_close(got, want, ids):
     """The rows of the instances ``ids`` agree between two tables."""
-    got_rows = {post.instance_id: post.probs for post in got}
-    want_rows = {post.instance_id: post.probs for post in want}
+    got_rows = dict(zip(got.ids, rows_of(got)))
+    want_rows = dict(zip(want.ids, rows_of(want)))
     for inst_id in ids:
         assert np.max(np.abs(got_rows[inst_id] - want_rows[inst_id])) <= TOLERANCE, inst_id
 
@@ -111,10 +112,10 @@ def test_duplicating_every_instance_moves_nothing(case):
     lam2, q2, _ = project(doubled, stats, gamma)
     assert_lam_close(lam2, lam)
     assert_rows_close(q2, q, corpus.ids)
-    copied = {f"{post.instance_id}/copy": post.probs for post in q}
-    for post in q2:
-        if post.instance_id in copied:
-            assert np.max(np.abs(post.probs - copied[post.instance_id])) <= TOLERANCE
+    copied = {f"{inst_id}/copy": row for inst_id, row in zip(q.ids, rows_of(q))}
+    for inst_id, row in zip(q2.ids, rows_of(q2)):
+        if inst_id in copied:
+            assert np.max(np.abs(row - copied[inst_id])) <= TOLERANCE
 
 
 @METAMORPHIC

@@ -14,9 +14,9 @@ import biascal as bc
 PUBLIC = [
     "ActivityBias", "BiasCalError", "BiasReport", "CandidateStructure", "ConstraintSet",
     "Corpus", "CorpusFormatError", "DegenerateDistributionError", "DualState",
-    "EquivalenceCheck", "GenderCount", "GenderTag", "Instance", "InstancePosterior",
-    "OracleSizeError", "PosteriorTable", "SolverConfig", "SolverDivergenceError",
-    "SynthConfig", "TrainingStats", "UndefinedBiasError", "ValidationError", "amplification",
+    "EquivalenceCheck", "GenderCount", "GenderTag", "Instance", "OracleSizeError",
+    "PosteriorTable", "SolverConfig", "SolverDivergenceError", "SynthConfig", "TrainingStats",
+    "UndefinedBiasError", "ValidationError", "amplification",
     "bias_in_distribution", "bias_in_top_predictions", "brute_force_project", "build_report",
     "calibrate", "check_equivalence", "constrained_activities", "corpus_expectation",
     "dataset_bias", "dual_gradient", "dual_objective", "dump_corpus", "dump_training_stats",
