@@ -547,34 +547,44 @@ def _write_records(corpus: Corpus, key: str, values: np.ndarray, sink) -> None:
     its (activity, gender) prefix, escaped by ``json.dumps``, followed by the
     value's ``float.__repr__``, which is how ``json.dumps`` writes a finite
     float; ids are escaped by the function ``json.dumps`` uses for a str.
+    Most rows repeat the value of the row before them (a synth instance's
+    fillers share one score, and keep one probability after calibration), so
+    each run of repeats within a chunk is formatted once. Runs are runs of
+    equal bits, not of equal values, so that ``-0.0`` next to ``0.0`` keeps
+    its own text. A chunk's text is one ``"".join`` over a (rows, 3) object
+    array of separator, prefix and value text, where an instance's first
+    separator closes the record before it and opens its own.
     """
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         row = bad[0]
         raise ValidationError(f"instance {corpus.ids[corpus.segment_ids[row]]!r}: "
                               f"{key} must be finite, got {float(values[row])!r}")
-    prefixes = [
+    prefixes = np.array([
         f'{{"activity": {json.dumps(name)}, "gender": {json.dumps(tag.value)}, '
         f'{json.dumps(key)}: '
         for name in corpus.activity_names for tag in GENDER_TAGS
-    ]
+    ], dtype=object)
     prefix_of_row = corpus.activity * len(GENDER_TAGS) + corpus.gender
     with _open_for_write(sink) as stream:
         for start in range(0, corpus.n_instances, CHUNK_LINES):
             chunk = slice(start, start + CHUNK_LINES)
             bounds = corpus.offsets[start:start + CHUNK_LINES + 1]
             rows = slice(bounds[0], bounds[-1])
-            cells = list(map(str.__add__, map(prefixes.__getitem__, prefix_of_row[rows].tolist()),
-                             map(float.__repr__, values[rows].tolist())))
-            bounds = (bounds - bounds[0]).tolist()
-            pieces = []
-            for inst_id, gold, lo, hi in zip(map(encode_basestring_ascii, corpus.ids[chunk]),
-                                             corpus.gold[chunk].tolist(), bounds, bounds[1:]):
-                pieces.append(f'{{"id": {inst_id}, "gold": {gold}, "candidates": [' if gold >= 0
-                              else f'{{"id": {inst_id}, "candidates": [')
-                pieces.append("}, ".join(cells[lo:hi]))
-                pieces.append("}]}\n")
-            stream.write("".join(pieces))
+            bits = values[rows].view(np.int64)
+            new_run = np.concatenate(([True], bits[1:] != bits[:-1]))
+            texts = np.array(list(map(float.__repr__, values[rows][new_run].tolist())), object)
+            ids = map(encode_basestring_ascii, corpus.ids[chunk])
+            heads = np.array([f'{{"id": {inst_id}, "gold": {gold}, "candidates": [' if gold >= 0
+                              else f'{{"id": {inst_id}, "candidates": ['
+                              for inst_id, gold in zip(ids, corpus.gold[chunk].tolist())], object)
+            heads[1:] = "}]}\n" + heads[1:]
+            cells = np.empty((bits.size, 3), object)
+            cells[:, 0] = "}, "  # one str for the column: np.full would copy it into each cell
+            cells[bounds[:-1] - bounds[0], 0] = heads
+            cells[:, 1] = prefixes[prefix_of_row[rows]]
+            cells[:, 2] = texts[np.cumsum(new_run) - 1]
+            stream.write("".join(cells.ravel().tolist()) + "}]}\n")
 
 
 def dump_corpus(corpus: Corpus, sink) -> None:

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .constraints import ConstraintSet, feature_types, type_features
-from .corpus import Corpus, dump_json, is_integer
+from .corpus import Corpus, dump_json, is_integer, load_json
 from .distribution import PosteriorTable, as_table, check_indices, reweight
 from .errors import (
     DegenerateDistributionError,
@@ -699,7 +699,7 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path, config: SolverConfig, cs: ConstraintSet) -> DualState:
     """Load a checkpoint saved under ``config`` and ``cs``; the config hash is always verified."""
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        payload = load_json(handle, ValidationError, "checkpoint")
     version = payload.get("schema_version") if isinstance(payload, dict) else None
     if isinstance(version, bool) or version != 1:
         raise ValidationError(f"unsupported checkpoint schema_version {version!r}, expected 1")

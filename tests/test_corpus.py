@@ -612,6 +612,29 @@ def outcome(load, text):
         return type(exc), str(exc)
 
 
+def run_values(rng, pool, offsets):
+    """Values drawn from ``pool``, with a run over the last two rows of each
+    chunk and the first two of the next, and 0.0, -0.0, -0.0, 0.0 in a row."""
+    values = np.array(pool)[rng.integers(len(pool), size=offsets[-1])]
+    for boundary in offsets[CHUNK_LINES:-1:CHUNK_LINES]:
+        values[boundary - 2:boundary + 2] = pool[0]
+    start = rng.integers(offsets[CHUNK_LINES] - 5)
+    values[start:start + 4] = 0.0, -0.0, -0.0, 0.0
+    return values
+
+
+def assert_writers_match(corpus, values):
+    """Both writers give the reference writer's text for ``values``."""
+    scored = ref.load_corpus(ref.write_records(corpus, "score", values.tolist()))
+    assert np.array_equal(scored.score.view(np.int64), values.view(np.int64))
+    text = io.StringIO()
+    bc.dump_corpus(scored, text)
+    assert text.getvalue() == ref.write_records(scored, "score", values.tolist())
+    text = io.StringIO()
+    dump_posteriors(corpus, values, text)
+    assert text.getvalue() == ref.write_records(corpus, "prob", values.tolist())
+
+
 class TestChunkedIO:
     @settings(deadline=None, max_examples=15, derandomize=True)
     @given(corpus=chunked_corpora(), data=st.data())
@@ -626,6 +649,22 @@ class TestChunkedIO:
         text = io.StringIO()
         dump_posteriors(corpus, probs, text)
         assert text.getvalue() == ref.write_records(corpus, "prob", probs.tolist())
+
+    @settings(deadline=None, max_examples=15, derandomize=True)
+    @given(corpus=chunked_corpora(), data=st.data())
+    def test_runs_of_repeated_values_match_the_reference_writer(self, corpus, data):
+        # the writer formats each run of bit-identical values once: runs that
+        # cross chunk boundaries, signed zeros side by side, one value
+        # throughout, one-row instances and no instances at all
+        pool = data.draw(st.lists(st.sampled_from(EDGE_SCORES), min_size=2, max_size=3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        singles = bc.Corpus([bc.Instance(inst.id, inst.candidates[:1],
+                                         None if inst.gold is None else 0)
+                             for inst in corpus.instances], corpus.activities)
+        for case in (corpus, singles):
+            assert_writers_match(case, run_values(rng, pool, case.offsets))
+            assert_writers_match(case, np.full(case.n_rows, pool[0]))
+        assert_writers_match(bc.Corpus([], {}), np.zeros(0))
 
     @settings(deadline=None, max_examples=15, derandomize=True)
     @given(corpus=chunked_corpora(), data=st.data())

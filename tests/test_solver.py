@@ -668,6 +668,25 @@ class TestCheckpoint:
         with pytest.raises(bc.ValidationError, match=f"'{key}'"):
             bc.load_checkpoint(path, config, cs)
 
+    def test_invalid_json_rejected_by_name(self, tmp_path):
+        corpus, posteriors, cs = half_toy(male_prob=0.7)
+        config = full_batch_config()
+        path = tmp_path / "checkpoint.json"
+        bc.save_checkpoint(path, bc.solve(corpus, posteriors, cs, config), config, cs)
+        path.write_text(path.read_text()[:-10])
+        with pytest.raises(bc.ValidationError, match="^invalid checkpoint JSON at line "):
+            bc.load_checkpoint(path, config, cs)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        corpus, posteriors, cs = half_toy(male_prob=0.7)
+        config = full_batch_config()
+        path = tmp_path / "checkpoint.json"
+        bc.save_checkpoint(path, bc.solve(corpus, posteriors, cs, config), config, cs)
+        text = path.read_text()
+        path.write_text(text[:text.rindex("}")] + ', "step": 0}')
+        with pytest.raises(bc.ValidationError, match="^checkpoint file repeats key 'step'$"):
+            bc.load_checkpoint(path, config, cs)
+
     @pytest.mark.parametrize("key, value, message", [
         ("learning_rate", float("nan"), "learning_rate must be finite and nonnegative, got nan"),
         ("learning_rate", -1.0, "learning_rate must be finite and nonnegative, got -1.0"),
