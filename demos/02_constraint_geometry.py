@@ -17,29 +17,20 @@ GAMMA = 0.05
 cs = bc.ConstraintSet((0,), np.array([B_STAR]), GAMMA)
 
 # a candidate's features are the expectation of a point mass on it: here the
-# posterior of a corpus whose one instance has that one candidate
+# posterior of a corpus whose one instance has that one candidate. A corpus
+# is built from its columns: vocabulary, ids, offsets, then per row the
+# activity id, gender code (0 ungendered, 1 male, 2 female) and score, and
+# per instance the gold index (-1 for none)
 print(f"feature values for b* = {B_STAR}, gamma = {GAMMA}:")
-for gender in (bc.GenderTag.MALE, bc.GenderTag.FEMALE, bc.GenderTag.UNGENDERED):
-    candidate = bc.CandidateStructure(0, gender, 0.0)
-    single = bc.Corpus((bc.Instance("c", (candidate,)),), {"cooking": 0})
+for name, code in (("male", 1), ("female", 2), ("ungendered", 0)):
+    single = bc.Corpus({"cooking": 0}, ("c",), [0, 1], [0], [code], [0.0], [-1])
     features = bc.corpus_expectation(single, bc.instance_posterior(single), cs)
     nonzero = [(int(k), float(features[k])) for k in np.flatnonzero(features)]
-    print(f"  {gender.name.lower():10s} -> {nonzero}")
+    print(f"  {name:10s} -> {nonzero}")
 
 # one instance with a male/female candidate pair; the posterior male share
 # sweeps from well below the lower bound to well above the upper bound
-corpus = bc.Corpus(
-    (
-        bc.Instance(
-            "i0",
-            (
-                bc.CandidateStructure(0, bc.GenderTag.MALE, 0.0),
-                bc.CandidateStructure(0, bc.GenderTag.FEMALE, 0.0),
-            ),
-        ),
-    ),
-    {"cooking": 0},
-)
+corpus = bc.Corpus({"cooking": 0}, ("i0",), [0, 2], [0, 0], [1, 2], [0.0, 0.0], [-1])
 
 print(f"\n{'male share':>10s} {'E[upper]':>10s} {'E[lower]':>10s} {'in bounds':>10s}")
 for male_share in (0.10, 0.25, B_STAR - GAMMA, 0.30, B_STAR + GAMMA, 0.40, 0.60):

@@ -9,7 +9,8 @@ dual objective along the active coordinate so the maximum is visible.
 import numpy as np
 
 import biascal as bc
-from biascal.solver import brute_force_project, dual_objective
+from biascal.oracle import brute_force_project
+from biascal.solver import dual_objective
 
 corpus, stats = bc.generate(
     bc.SynthConfig(

@@ -65,7 +65,6 @@ _EXPORTS = {
     "solver": (
         "DualState",
         "SolverConfig",
-        "brute_force_project",
         "calibrate",
         "dual_gradient",
         "dual_objective",
@@ -73,6 +72,7 @@ _EXPORTS = {
         "save_checkpoint",
         "solve",
     ),
+    "oracle": ("brute_force_project",),
     "synth": ("SynthConfig", "generate"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -25,14 +25,14 @@ Flat rows
 
 A `Corpus` is stored as its rows: every candidate is one row of flat
 arrays, CSR style, and instance i owns rows ``offsets[i]:offsets[i + 1]``
-in candidate order. `load_corpus` and `synth.generate` fill the arrays
-directly while parsing or generating; numeric code downstream (posteriors,
-bias reports, constraint features, the solver) works on them with numpy
-segment reductions. `Instance` and `CandidateStructure` are the object form
-at the public edges: `Corpus(instances, activities)` turns them into rows,
-and `Corpus.instances` builds them from the rows on first use. Loaded
-objects are immutable and safe for concurrent read access; every array is
-created read-only (``writeable=False``).
+in candidate order. It is built one way, from those columns: its
+constructor checks every corpus rule once over the arrays, and `load_corpus`
+and `synth.generate` pass it the arrays they fill while parsing or
+generating. Numeric code downstream works on the rows with numpy segment
+reductions. `Corpus.instances` is a read view of `Instance` and
+`CandidateStructure` records built from the rows on first use. A corpus is
+immutable and safe for concurrent read access; every array is a read-only
+(``writeable=False``) copy of what the constructor was given.
 
 `load_corpus` reads `CHUNK_LINES` lines at a time, from a path or an `io`
 text or binary stream alike, which it leaves open. It decodes each line on
@@ -72,11 +72,7 @@ __all__ = [*_EXPORTS["corpus"], "dump_posteriors"]
 
 
 class GenderTag(str, Enum):
-    """Gender attribute of one candidate structure.
-
-    Ungendered structures never contribute to any bias numerator or
-    denominator.
-    """
+    """Gender attribute of one candidate; an ungendered one enters no bias ratio."""
 
     MALE = "M"
     FEMALE = "W"
@@ -100,41 +96,14 @@ class CandidateStructure:
     gender: GenderTag
     score: float
 
-    def __post_init__(self):
-        if not isinstance(self.gender, GenderTag):
-            raise ValidationError(f"gender must be a GenderTag, got {self.gender!r}")
-        if not math.isfinite(self.score):
-            raise ValidationError(f"candidate score must be finite, got {self.score!r}")
-        if not is_integer(self.activity_id):
-            raise ValidationError(f"activity_id must be an integer, got {self.activity_id!r}")
-        if self.activity_id < 0:
-            raise ValidationError(f"activity_id must be nonnegative, got {self.activity_id}")
-
 
 @dataclass(frozen=True)
 class Instance:
-    """One test instance with its enumerated candidate list.
-
-    ``gold``, when present, is an index into ``candidates``.
-    """
+    """One test instance with its candidates; ``gold``, when present, indexes them."""
 
     id: str
     candidates: tuple[CandidateStructure, ...]
     gold: int | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ValidationError(f"instance id must be a nonempty string, got {self.id!r}")
-        if len(self.candidates) == 0:
-            raise ValidationError(f"instance {self.id!r}: candidate list is empty")
-        if self.gold is not None and not is_integer(self.gold):
-            raise ValidationError(
-                f"instance {self.id!r}: gold must be an integer index, got {self.gold!r}")
-        if self.gold is not None and not (0 <= self.gold < len(self.candidates)):
-            raise ValidationError(
-                f"instance {self.id!r}: gold index {self.gold} out of range "
-                f"for {len(self.candidates)} candidates"
-            )
 
 
 # The GenderTag of each gender code in `Corpus.gender`; the one table between the two.
@@ -152,10 +121,18 @@ _JSON_WHITESPACE = " \t\n\r"
 CHUNK_LINES = 256
 
 
-def _read_only(values, dtype=None) -> np.ndarray:
-    array = np.asarray(values, dtype=dtype)
+def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def integer_indices(name: str, values) -> np.ndarray:
+    """``values`` as an array. Unless it is empty, a bool or other non-integer
+    dtype is refused with a ValidationError that names ``name``."""
+    indices = np.asarray(values)
+    if indices.size and (indices.dtype == bool or not np.issubdtype(indices.dtype, np.integer)):
+        raise ValidationError(f"{name} must be integer indices, got dtype {indices.dtype}")
+    return indices
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -168,6 +145,9 @@ class Corpus:
     ``gold`` holds one index per instance, -1 where the instance has none.
     ``activities`` maps activity name to id. Every array is read-only, and
     two corpora are equal when their vocabularies and arrays are.
+
+    The constructor takes these fields in this order, checks every corpus rule
+    over the whole arrays and raises ValidationError, naming the instance.
     """
 
     activities: dict[str, int]
@@ -178,51 +158,49 @@ class Corpus:
     score: np.ndarray
     gold: np.ndarray
 
-    def __init__(self, instances: Sequence[Instance], activities: dict[str, int]):
-        candidates = [c for inst in instances for c in inst.candidates]
-        built = Corpus._from_rows(
-            activities,
-            tuple(inst.id for inst in instances),
-            [len(inst.candidates) for inst in instances],
-            [-1 if inst.gold is None else inst.gold for inst in instances],
-            [c.activity_id for c in candidates],
-            [GENDER_TAGS.index(c.gender) for c in candidates],
-            [c.score for c in candidates],
-        )
-        self.__dict__.update(built.__dict__)
-
-    @classmethod
-    def _from_rows(cls, activities: dict[str, int], ids: tuple[str, ...], sizes, gold,
-                   activity, gender, score) -> "Corpus":
-        """Corpus from its columns, checked once as arrays: per instance the id,
-        candidate count and gold (-1 for none), per row the activity id, gender
-        code and score."""
-        corpus = cls.__new__(cls)
-        corpus.__dict__.update(
-            activities=activities,
-            ids=ids,
-            offsets=_read_only(np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))),
-            activity=_read_only(activity, np.int64),
-            gender=_read_only(gender, np.int8),
-            score=_read_only(score, np.float64),
-            gold=_read_only(gold, np.int64),
-        )
+    def __init__(self, activities: dict[str, int], ids: Sequence[str], offsets, activity,
+                 gender, score, gold):
+        ids = tuple(ids)
+        offsets, activity, gender, gold = (
+            integer_indices(name, values) for name, values in
+            (("offsets", offsets), ("activity", activity), ("gender", gender), ("gold", gold)))
+        score = np.array(score, dtype=np.float64)
+        if not (offsets.shape == (len(ids) + 1,) and offsets[0] == 0 and offsets[-1] == score.size
+                and (offsets[1:] >= offsets[:-1]).all() and gold.shape == (len(ids),)
+                and score.shape == activity.shape == gender.shape == (score.size,)):
+            raise ValidationError("corpus offsets do not match its ids, rows and gold")
         n = len(activities)
         if sorted(activities.values()) != list(range(n)):
             raise ValidationError("activity ids must be exactly 0..n-1")
-        seen: set[str] = set()
-        for inst_id in ids:
-            if inst_id in seen:
-                raise ValidationError(f"duplicate instance id {inst_id!r}")
-            seen.add(inst_id)
-        outside = np.flatnonzero(corpus.activity >= n)
-        if outside.size:
-            row = outside[0]
-            raise ValidationError(
-                f"instance {ids[corpus.segment_ids[row]]!r}: activity_id "
-                f"{corpus.activity[row]} not in vocabulary of size {n}"
-            )
-        return corpus
+        if not (set(map(type, ids)) <= {str} and all(ids) and len(set(ids)) == len(ids)):
+            seen: set[str] = set()
+            for inst_id in ids:
+                if not isinstance(inst_id, str) or not inst_id:
+                    raise ValidationError(
+                        f"instance id must be a nonempty string, got {inst_id!r}")
+                if inst_id in seen:
+                    raise ValidationError(f"duplicate instance id {inst_id!r}")
+                seen.add(inst_id)
+        sizes = np.diff(offsets)
+        for bad, per_row, message in (  # message(i) for the first bad instance or row i
+            (sizes == 0, False, lambda i: "candidate list is empty"),
+            ((gold < -1) | (gold >= sizes), False,
+             lambda i: f"gold index {gold[i]} out of range for {sizes[i]} candidates"),
+            ((gender < 0) | (gender >= len(GENDER_TAGS)), True,
+             lambda r: f"gender code {gender[r]} is not 0, 1 or 2"),
+            (~np.isfinite(score), True,
+             lambda r: f"candidate score must be finite, got {float(score[r])!r}"),
+            ((activity < 0) | (activity >= n), True,
+             lambda r: f"activity_id {activity[r]} not in vocabulary of size {n}"),
+        ):
+            hits = np.flatnonzero(bad)
+            if hits.size:
+                inst = np.searchsorted(offsets, hits[0], side="right") - 1 if per_row else hits[0]
+                raise ValidationError(f"instance {ids[inst]!r}: {message(hits[0])}")
+        self.__dict__.update(  # astype copies, so no caller's array is shared
+            activities=dict(activities), ids=ids, offsets=_read_only(offsets.astype(np.int64)),
+            activity=_read_only(activity.astype(np.int64)), score=_read_only(score),
+            gender=_read_only(gender.astype(np.int8)), gold=_read_only(gold.astype(np.int64)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):
@@ -233,7 +211,7 @@ class Corpus:
 
     @cached_property
     def instances(self) -> tuple[Instance, ...]:
-        """The instances as objects, built from the rows on first use."""
+        """A read view: the instances as records, built from the rows on first use."""
         candidates = [
             CandidateStructure(a, GENDER_TAGS[g], s)
             for a, g, s in zip(self.activity.tolist(), self.gender.tolist(), self.score.tolist())
@@ -480,7 +458,7 @@ def _decoded(lines: list[str]) -> list | None:
 
 
 def _chunk_columns(lines: list[str], vocab: dict[str, int]) -> tuple | None:
-    """(ids, sizes, gold, activity, gender, score) of a chunk of corpus lines.
+    """(ids, sizes, activity, gender, score, gold) of a chunk of corpus lines.
 
     Every check of `_check_record` is made on the whole chunk at once; the
     result is None when any record fails one. New activity names join
@@ -515,7 +493,7 @@ def _chunk_columns(lines: list[str], vocab: dict[str, int]) -> tuple | None:
     vocab.update(zip([name for name in dict.fromkeys(names) if name not in vocab],
                      itertools.count(len(vocab))))
     activity = np.array(list(map(vocab.__getitem__, names)), np.int64)
-    return ids, sizes, np.nan_to_num(gold, nan=-1).astype(np.int64), activity, gender, score
+    return ids, sizes, activity, gender, score, np.nan_to_num(gold, nan=-1).astype(np.int64)
 
 
 def load_corpus(source) -> Corpus:
@@ -536,8 +514,9 @@ def load_corpus(source) -> Corpus:
             chunks.append(columns)
             first_lineno += len(lines)
     ids, *columns = zip(*chunks) if chunks else ((),) * 6
-    return Corpus._from_rows(vocab, tuple(itertools.chain.from_iterable(ids)),
-                             *(np.concatenate(parts) if parts else () for parts in columns))
+    sizes, *rows = (np.concatenate(parts) if parts else () for parts in columns)
+    return Corpus(vocab, tuple(itertools.chain.from_iterable(ids)),
+                  np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))), *rows)
 
 
 def _write_records(corpus: Corpus, key: str, values: np.ndarray, sink) -> None:

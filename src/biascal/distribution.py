@@ -21,7 +21,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .corpus import Corpus
+from .corpus import Corpus, integer_indices
 from .errors import DegenerateDistributionError, ValidationError
 
 __all__ = list(_EXPORTS["distribution"])
@@ -56,9 +56,7 @@ def check_indices(name: str, values, bound, allow_empty: bool = False) -> np.nda
     indices = np.asarray(values)
     if indices.size == 0 and not allow_empty:
         raise ValidationError(f"{name} must hold at least one index")
-    if indices.size and (indices.dtype == bool or not np.issubdtype(indices.dtype, np.integer)):
-        raise ValidationError(f"{name} must be integer indices, got dtype {indices.dtype}")
-    indices = indices.astype(np.int64, copy=False)
+    indices = integer_indices(name, indices).astype(np.int64, copy=False)
     outside = np.flatnonzero((indices < 0) | (indices >= bound))
     if outside.size:
         raise ValidationError(f"{name}[{outside[0]}] = {indices[outside[0]]} is out of range")

@@ -127,9 +127,9 @@ def _assemble(male_counts: np.ndarray, shares: np.ndarray, fillers: np.ndarray,
         score[:, :, 2:] = math.log((1.0 - gendered_mass) / n_fillers)
     suffixes = [f"_{i:04d}" for i in range(m)]
     ids = tuple(name + suffix for name in names for suffix in suffixes)
-    corpus = Corpus._from_rows({name: a for a, name in enumerate(names)}, ids,
-                               np.full(n * m, k), np.where(gold_male, 0, 1).ravel(),
-                               activity.ravel(), gender.ravel(), score.ravel())
+    offsets = np.concatenate(([0], np.cumsum(np.full(n * m, k))))
+    corpus = Corpus({name: a for a, name in enumerate(names)}, ids, offsets, activity.ravel(),
+                    gender.ravel(), score.ravel(), np.where(gold_male, 0, 1).ravel())
     counts = {name: GenderCount(male, m - male)
               for name, male in zip(names, male_counts)}
     return corpus, TrainingStats(counts)

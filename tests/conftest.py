@@ -11,35 +11,42 @@ import biascal as bc
 # Longest integer literal Python parses, or 0 when unlimited.
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
-GENDERS = {
-    "M": bc.GenderTag.MALE,
-    "W": bc.GenderTag.FEMALE,
-    "-": bc.GenderTag.UNGENDERED,
-}
-
-
-def make_instance(inst_id, triples, gold=None):
-    """Instance from (activity_id, gender_char, score) triples."""
-    candidates = tuple(
-        bc.CandidateStructure(aid, GENDERS[g], float(score)) for aid, g, score in triples
-    )
-    return bc.Instance(inst_id, candidates, gold)
+# The gender code of each character a spec's triples use.
+GENDER_CODES = {"-": 0, "M": 1, "W": 2}
 
 
 def make_corpus(instance_specs, n_activities=None, names=None):
-    """Corpus from a list of (inst_id, triples, gold) or (inst_id, triples)."""
-    instances = []
-    max_aid = -1
-    for entry in instance_specs:
-        inst_id, triples = entry[0], entry[1]
-        gold = entry[2] if len(entry) > 2 else None
-        instances.append(make_instance(inst_id, triples, gold))
-        max_aid = max(max_aid, max(a for a, _, _ in triples))
-    if n_activities is None:
-        n_activities = max_aid + 1
+    """Corpus from a list of (inst_id, triples, gold) or (inst_id, triples),
+    each triple an (activity_id, gender_char, score)."""
+    rows = [triple for entry in instance_specs for triple in entry[1]]
     if names is None:
+        if n_activities is None:
+            n_activities = max(a for a, _, _ in rows) + 1
         names = [f"act_{a}" for a in range(n_activities)]
-    return bc.Corpus(tuple(instances), {name: a for a, name in enumerate(names)})
+    sizes = [len(entry[1]) for entry in instance_specs]
+    gold = [-1 if len(entry) < 3 or entry[2] is None else entry[2] for entry in instance_specs]
+    return bc.Corpus(
+        {name: a for a, name in enumerate(names)},
+        tuple(entry[0] for entry in instance_specs),
+        np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+        [a for a, _, _ in rows],
+        [GENDER_CODES[g] for _, g, _ in rows],
+        [float(score) for _, _, score in rows],
+        gold,
+    )
+
+
+def take_instances(corpus, order, ids=None):
+    """The corpus of ``corpus``'s instances at the indices ``order``, in that
+    order, named ``ids`` (default: their own ids). An index may repeat."""
+    order = np.asarray(order, dtype=np.int64)
+    sizes = corpus.sizes[order]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    rows = np.arange(offsets[-1]) + np.repeat(corpus.offsets[order] - offsets[:-1], sizes)
+    if ids is None:
+        ids = [corpus.ids[i] for i in order.tolist()]
+    return bc.Corpus(corpus.activities, ids, offsets, corpus.activity[rows], corpus.gender[rows],
+                     corpus.score[rows], corpus.gold[order])
 
 
 def posteriors_of(corpus):
@@ -69,9 +76,7 @@ def random_corpus(rng, n_activities, max_instances=20, max_candidates=6, score_s
 
 def random_constraints(rng, corpus, gamma):
     """Constraints over every activity with gendered mass, random training ratios."""
-    ids = sorted(
-        {c.activity_id for inst in corpus.instances for c in inst.candidates if c.gender.is_gendered}
-    )
+    ids = sorted(set(corpus.activity[corpus.gendered].tolist()))
     if not ids:
         return None
     return bc.ConstraintSet(tuple(ids), rng.uniform(0.05, 0.95, len(ids)), gamma)
@@ -96,7 +101,6 @@ def feasible_single_activity_corpus(rng, gamma, max_instances=5, max_candidates=
                     break
             instances.append((f"i{i}", triples))
         corpus = make_corpus(instances, n_activities=1, names=["act"])
-        genders = {c.gender for inst in corpus.instances for c in inst.candidates}
-        if bc.GenderTag.MALE in genders and bc.GenderTag.FEMALE in genders:
+        if {GENDER_CODES["M"], GENDER_CODES["W"]} <= set(corpus.gender.tolist()):
             b_star = float(rng.uniform(0.15, 0.85))
             return corpus, bc.ConstraintSet((0,), np.array([b_star]), gamma)

@@ -16,8 +16,8 @@ row that the Newton full-batch solve must match in optimum, not step for
 step. `load_corpus` and
 `write_records` are the line-by-line JSONL reader and writer that the
 chunked ones must match byte for byte and error for error.
-`synth_assemble` builds the synthetic corpus one instance at a time from
-the generator's draw arrays, as the generator's original loop did.
+`synth_assemble` builds the synthetic corpus's columns one instance at a
+time from the generator's draw arrays, as the generator's original loop did.
 """
 
 from __future__ import annotations
@@ -449,7 +449,8 @@ def load_corpus(text):
         sizes.append(size)
         golds.append(-1 if gold is None else gold)
     activity, gender, score = zip(*rows) if rows else ((), (), ())
-    return bc.Corpus._from_rows(vocab, tuple(ids), sizes, golds, activity, gender, score)
+    offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    return bc.Corpus(vocab, tuple(ids), offsets, activity, gender, score, golds)
 
 
 def write_records(corpus, key, values):
@@ -473,29 +474,28 @@ def write_records(corpus, key, values):
 
 
 def synth_assemble(config, male_counts, shares, fillers, gold_male):
-    """(corpus, stats) of `biascal.synth._draw`'s arrays, one `Instance` at a
-    time. The logs are numpy's, taken one value at a time: numpy's log can
+    """(corpus, stats) of `biascal.synth._draw`'s arrays, one instance's rows at
+    a time. The logs are numpy's, taken one value at a time: numpy's log can
     differ from `math.log` in the last bit, and the generator uses numpy's."""
     names = [f"activity_{a:03d}" for a in range(config.n_activities)]
     n_fillers = config.candidates_per_instance - 2
     gendered_mass = GENDERED_MASS if n_fillers > 0 else 1.0
     filler_prob = (1.0 - gendered_mass) / n_fillers if n_fillers > 0 else 0.0
     m = config.instances_per_activity
-    counts, instances = {}, []
+    counts, ids, offsets, golds, rows = {}, [], [0], [], []
     for a, name in enumerate(names):
         male_count = int(male_counts[a])
         counts[name] = bc.GenderCount(male_count, m - male_count)
         for i in range(m):
             share = float(shares[a, i])
-            candidates = [
-                bc.CandidateStructure(a, bc.GenderTag.MALE, float(np.log(gendered_mass * share))),
-                bc.CandidateStructure(a, bc.GenderTag.FEMALE,
-                                      float(np.log(gendered_mass * (1.0 - share)))),
-            ]
+            rows.append((a, GENDER_CODES["M"], float(np.log(gendered_mass * share))))
+            rows.append((a, GENDER_CODES["W"], float(np.log(gendered_mass * (1.0 - share)))))
             for f in range(n_fillers):
-                candidates.append(bc.CandidateStructure(
-                    int(fillers[a, i, f]), bc.GenderTag.UNGENDERED, math.log(filler_prob)))
-            gold = 0 if gold_male[a, i] else 1
-            instances.append(bc.Instance(f"{name}_{i:04d}", tuple(candidates), gold))
+                rows.append((int(fillers[a, i, f]), GENDER_CODES["-"], math.log(filler_prob)))
+            ids.append(f"{name}_{i:04d}")
+            offsets.append(len(rows))
+            golds.append(0 if gold_male[a, i] else 1)
+    activity, gender, score = zip(*rows)
     vocab = {name: a for a, name in enumerate(names)}
-    return bc.Corpus(tuple(instances), vocab), bc.TrainingStats(counts)
+    corpus = bc.Corpus(vocab, tuple(ids), offsets, activity, gender, score, golds)
+    return corpus, bc.TrainingStats(counts)

@@ -16,7 +16,8 @@ import pytest
 
 import biascal as bc
 from biascal.cli import main as cli_main
-from biascal.solver import brute_force_project, dual_objective
+from biascal.oracle import brute_force_project
+from biascal.solver import dual_objective
 from conftest import (
     feasible_single_activity_corpus,
     posteriors_of,

@@ -590,9 +590,10 @@ def child_modules(code, *argv):
     return child_output(code + "\nimport sys; print(' '.join(sorted(sys.modules)))", *argv).split()
 
 
-# what `report` never runs: the constraint set, the solver, the generator,
-# and the hash modules behind `secrets`
-NOT_FOR_REPORT = ("biascal.constraints", "biascal.solver", "biascal.synth", "secrets", "hashlib")
+# what `report` never runs: the constraint set, the solver, the grid oracle,
+# the generator, and the hash modules behind `secrets`
+NOT_FOR_REPORT = ("biascal.constraints", "biascal.solver", "biascal.oracle", "biascal.synth",
+                  "secrets", "hashlib")
 
 
 class TestProcess:
@@ -601,8 +602,8 @@ class TestProcess:
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
     def test_import_and_report_load_only_what_report_runs(self, tmp_path):
-        corpus_path, stats_path = synth_files(
-            tmp_path, n_activities=3, instances_per_activity=10, boost=1.0, seed=21
+        corpus_path, stats_path = synth_files(  # 32 candidates, within the oracle's limit
+            tmp_path, n_activities=2, instances_per_activity=4, boost=1.0, seed=21
         )
         run_cli = "import sys, biascal.cli\nassert biascal.cli.main(sys.argv[1:]) == 0"
         argv = ("--corpus", corpus_path, "--stats", stats_path)
@@ -611,15 +612,21 @@ class TestProcess:
         loaded = child_modules(run_cli, "report", *argv, "--out", tmp_path / "rep")
         assert [m for m in NOT_FOR_REPORT if m in loaded] == []
         assert (tmp_path / "rep" / "report.json").is_file()
-        # the same probe sees the solver once a command runs it
-        loaded = child_modules(run_cli, "calibrate", *argv, "--out", tmp_path / "cal")
-        assert {"biascal.constraints", "biascal.solver"} <= set(loaded)
+        # the same probe sees the solver once a command runs it, and each
+        # command loads only its own modules
+        loaded = set(child_modules(run_cli, "calibrate", *argv, "--out", tmp_path / "cal"))
+        assert {"biascal.constraints", "biascal.solver"} <= loaded
+        assert not loaded & {"biascal.synth", "biascal.oracle"}
+        loaded = set(child_modules(run_cli, "oracle", *argv, "--out", tmp_path / "orc"))
+        assert "biascal.oracle" in loaded
+        loaded = set(child_modules(run_cli, "synth", "--out", tmp_path / "syn"))
+        assert not loaded & {"biascal.constraints", "biascal.solver", "biascal.oracle"}
 
     def test_deferred_names_are_the_submodules_objects(self):
-        from biascal import constraints, solver, synth
+        from biascal import constraints, oracle, solver, synth
 
         for name, module in [("ConstraintSet", constraints), ("SolverConfig", solver),
-                             ("brute_force_project", solver), ("calibrate", solver),
+                             ("brute_force_project", oracle), ("calibrate", solver),
                              ("save_checkpoint", solver), ("solve", solver),
                              ("SynthConfig", synth), ("generate", synth)]:
             assert getattr(cli, name) is getattr(module, name)
@@ -644,11 +651,11 @@ class TestProcess:
 
     def test_synth_report_and_calibrate_build_no_instance_objects(self, tmp_path, monkeypatch):
         # the CLI runs on the corpus rows; Instance objects are only built on request
-        def forbidden(self):
+        def forbidden(self, *args, **kwargs):
             raise AssertionError(f"{type(self).__name__} constructed")
 
-        monkeypatch.setattr(bc.Instance, "__post_init__", forbidden)
-        monkeypatch.setattr(bc.CandidateStructure, "__post_init__", forbidden)
+        monkeypatch.setattr(bc.Instance, "__init__", forbidden)
+        monkeypatch.setattr(bc.CandidateStructure, "__init__", forbidden)
         corpus_path, stats_path = synth_files(
             tmp_path, n_activities=3, instances_per_activity=10, boost=1.0, seed=21
         )

@@ -13,6 +13,7 @@ from conftest import (
     posteriors_of,
     random_constraints,
     random_corpus,
+    take_instances,
 )
 
 
@@ -146,7 +147,7 @@ class TestExpectations:
 
     def test_empty_corpus_zero(self):
         cs = single_constraint(0.3, 0.001)
-        corpus = bc.Corpus(tuple(), {"act": 0})
+        corpus = make_corpus([], names=["act"])
         table = bc.instance_posterior(corpus)
         assert_allclose(bc.corpus_expectation(corpus, table, cs), np.zeros(2), atol=0)
 
@@ -166,24 +167,17 @@ class TestExpectations:
         corpus = make_corpus(
             [("i", [(0, "M", 0.2), (0, "W", -0.4)])], names=["act"]
         )
-        doubled = bc.Corpus(
-            corpus.instances
-            + (bc.Instance("i2", corpus.instances[0].candidates, None),),
-            corpus.activities,
-        )
+        doubled = take_instances(corpus, [0, 0], ids=("i", "i2"))
         single = bc.corpus_expectation(corpus, posteriors_of(corpus), cs)
         both = bc.corpus_expectation(doubled, posteriors_of(doubled), cs)
         assert_allclose(both, 2.0 * single, rtol=1e-14)
 
     def test_additive_over_disjoint_unions(self):
         rng = np.random.default_rng(11)
-        part_a = random_corpus(rng, n_activities=2, max_instances=6)
-        part_b = random_corpus(rng, n_activities=2, max_instances=6)
-        renamed = tuple(
-            bc.Instance(f"b_{inst.id}", inst.candidates, inst.gold)
-            for inst in part_b.instances
-        )
-        union = bc.Corpus(part_a.instances + renamed, part_a.activities)
+        union = random_corpus(rng, n_activities=2, max_instances=12)
+        cut = int(rng.integers(len(union) + 1))
+        part_a = take_instances(union, range(cut))
+        part_b = take_instances(union, range(cut, len(union)))
         cs = bc.ConstraintSet((0, 1), rng.uniform(0.1, 0.9, 2), 0.01)
         total = bc.corpus_expectation(union, posteriors_of(union), cs)
         split = bc.corpus_expectation(

@@ -16,7 +16,7 @@ import biascal as bc
 import biascal.corpus
 import loop_reference as ref
 from biascal.corpus import CHUNK_LINES, atomic_write, dump_posteriors
-from conftest import INT_DIGIT_LIMIT, make_corpus
+from conftest import INT_DIGIT_LIMIT, make_corpus, take_instances
 from test_flat_reference import corpora
 
 ARRAYS = ("offsets", "activity", "gender", "score", "gold", "sizes", "segment_ids", "male",
@@ -261,7 +261,7 @@ class TestRoundTrip:
         again = io.StringIO()
         bc.dump_corpus(loaded, again)
         assert again.getvalue() == text.getvalue()
-        rebuilt = bc.Corpus(loaded.instances, loaded.activities)
+        rebuilt = bc.Corpus(**fields_of(loaded))
         assert rebuilt.ids == loaded.ids
         for name in ARRAYS:
             assert np.array_equal(getattr(rebuilt, name), getattr(loaded, name))
@@ -423,67 +423,170 @@ class TestConstrainedActivities:
             {"x": {"male": 1, "female": 0}, "y": {"male": 0, "female": 2}, "z": {"male": 1, "female": 1}}
         )
         forward = make_corpus(entries, n_activities=3, names=["x", "y", "z"])
-        backward = bc.Corpus(tuple(reversed(forward.instances)), forward.activities)
+        backward = take_instances(forward, [2, 1, 0])
         assert bc.constrained_activities(stats, forward) == bc.constrained_activities(stats, backward)
 
 
+def fields_of(corpus):
+    """The corpus's fields, as its constructor takes them."""
+    return {f.name: getattr(corpus, f.name) for f in dataclasses.fields(corpus)}
+
+
+def two_instances(**changes):
+    """The constructor's fields of a small valid corpus, with ``changes``."""
+    return {"activities": {"x": 0, "y": 1}, "ids": ("a", "b"), "offsets": [0, 2, 3],
+            "activity": [0, 1, 1], "gender": [1, 2, 0], "score": [1.0, -2.5, 0.25],
+            "gold": [1, -1], **changes}
+
+
+def corruptions(corpus, draw):
+    """(field, value, message): each value breaks one corpus rule in one field of ``corpus``,
+    and the message is what the constructor raises for it."""
+    i = draw(st.integers(0, len(corpus) - 1))
+    r = draw(st.integers(0, corpus.n_rows - 1))
+    inst, owner = corpus.ids[i], corpus.ids[corpus.segment_ids[r]]
+    size, n = int(corpus.sizes[i]), corpus.n_activities
+
+    def put(name, index, value):
+        array = getattr(corpus, name).copy()
+        array[index] = value
+        return array
+
+    def renamed(value):
+        return corpus.ids[:i] + (value,) + corpus.ids[i + 1:]
+
+    cases = [
+        ("ids", renamed(""), "instance id must be a nonempty string, got ''"),
+        ("ids", renamed(7), "instance id must be a nonempty string, got 7"),
+        ("activity", put("activity", r, -1),
+         f"instance {owner!r}: activity_id -1 not in vocabulary of size {n}"),
+        ("activity", put("activity", r, n),
+         f"instance {owner!r}: activity_id {n} not in vocabulary of size {n}"),
+        ("gender", put("gender", r, 3), f"instance {owner!r}: gender code 3 is not 0, 1 or 2"),
+        ("score", put("score", r, np.nan),
+         f"instance {owner!r}: candidate score must be finite, got nan"),
+        ("score", put("score", r, np.inf),
+         f"instance {owner!r}: candidate score must be finite, got inf"),
+        ("gold", put("gold", i, size),
+         f"instance {inst!r}: gold index {size} out of range for {size} candidates"),
+        ("gold", put("gold", i, -2),
+         f"instance {inst!r}: gold index -2 out of range for {size} candidates"),
+    ]
+    if i > 0:  # instance i - 1 ends where it starts
+        cases.append(("offsets", put("offsets", i, corpus.offsets[i - 1]),
+                      f"instance {corpus.ids[i - 1]!r}: candidate list is empty"))
+    for name in ("offsets", "activity", "gender", "gold"):
+        for dtype in (bool, np.float64):
+            cases.append((name, getattr(corpus, name).astype(dtype),
+                          f"{name} must be integer indices, got dtype {np.dtype(dtype)}"))
+    return cases
+
+
 class TestInvariants:
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(case=corpora(), data=st.data())
+    def test_the_constructor_is_the_one_gate(self, case, data):
+        corpus, _ = case
+        text = io.StringIO()
+        bc.dump_corpus(corpus, text)
+        loaded = bc.load_corpus(io.StringIO(text.getvalue()))
+        assert bc.Corpus(*fields_of(loaded).values()) == loaded
+        # what the constructor accepts comes back from a file unchanged, its
+        # activity ids renumbered in order of first appearance
+        assert loaded.ids == corpus.ids
+        for name in ("offsets", "gender", "score", "gold"):
+            assert np.array_equal(getattr(loaded, name), getattr(corpus, name))
+        names = np.array(corpus.activity_names, dtype=object)
+        assert np.array_equal(np.array(loaded.activity_names, dtype=object)[loaded.activity],
+                              names[corpus.activity])
+        for name, value, message in corruptions(corpus, data.draw):
+            with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
+                bc.Corpus(**{**fields_of(corpus), name: value})
+
     def test_candidate_requires_finite_score(self):
-        with pytest.raises(bc.ValidationError):
-            bc.CandidateStructure(0, bc.GenderTag.MALE, float("nan"))
+        for score in (float("nan"), float("inf"), -float("inf")):
+            message = f"^instance 'a': candidate score must be finite, got {score}$"
+            with pytest.raises(bc.ValidationError, match=message):
+                bc.Corpus(**two_instances(score=[1.0, score, 0.25]))
 
     @pytest.mark.parametrize("activity_id, gender, message", [
-        (0, "M", "gender must be a GenderTag, got 'M'"),
-        (-1, bc.GenderTag.MALE, "activity_id must be nonnegative, got -1"),
-        (0.9, bc.GenderTag.MALE, "activity_id must be an integer, got 0.9"),
-        (True, bc.GenderTag.MALE, "activity_id must be an integer, got True"),
-        ("0", bc.GenderTag.MALE, "activity_id must be an integer, got '0'"),
+        (0, 3, "instance 'a': gender code 3 is not 0, 1 or 2"),
+        (-1, 1, "instance 'a': activity_id -1 not in vocabulary of size 1"),
+        (0.9, 1, "activity must be integer indices, got dtype float64"),
+        (True, 1, "activity must be integer indices, got dtype bool"),
+        ("0", 1, "activity must be integer indices, got dtype <U1"),
     ])
-    def test_candidate_requires_a_tag_and_an_activity_id(self, activity_id, gender, message):
-        with pytest.raises(bc.ValidationError, match=f"^{message}$"):
-            bc.CandidateStructure(activity_id, gender, 0.0)
+    def test_candidate_requires_a_gender_code_and_an_activity_id(self, activity_id, gender,
+                                                                 message):
+        with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
+            bc.Corpus({"x": 0}, ("a",), [0, 1], [activity_id], [gender], [0.0], [-1])
 
     @pytest.mark.parametrize("inst_id, gold, message", [
         ("", None, "instance id must be a nonempty string, got ''"),
         (7, None, "instance id must be a nonempty string, got 7"),
-        ("a", True, "instance 'a': gold must be an integer index, got True"),
-        ("a", 1.7, "instance 'a': gold must be an integer index, got 1.7"),
-        ("a", 0.0, "instance 'a': gold must be an integer index, got 0.0"),
+        ("a", True, "gold must be integer indices, got dtype bool"),
+        ("a", 1.7, "gold must be integer indices, got dtype float64"),
+        ("a", 0.0, "gold must be integer indices, got dtype float64"),
     ])
     def test_instance_requires_a_nonempty_id_and_an_integer_gold(self, inst_id, gold, message):
-        candidates = (bc.CandidateStructure(0, bc.GenderTag.MALE, 0.0),) * 2
         with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
-            bc.Instance(inst_id, candidates, gold)
+            bc.Corpus({"x": 0}, (inst_id,), [0, 2], [0, 0], [1, 1], [0.0, 0.0],
+                      [-1 if gold is None else gold])
 
     def test_numpy_integers_are_integers(self):
-        candidate = bc.CandidateStructure(np.int64(0), bc.GenderTag.MALE, 0.0)
-        corpus = bc.Corpus((bc.Instance("a", (candidate,), np.int32(0)),), {"x": 0})
-        assert corpus.activity.tolist() == [0] and corpus.gold.tolist() == [0]
+        corpus = bc.Corpus(**two_instances(offsets=np.array([0, 2, 3], np.int32),
+                                           activity=np.array([0, 1, 1], np.uint8),
+                                           gender=np.array([1, 2, 0], np.int64),
+                                           gold=np.array([1, -1], np.int16)))
+        assert corpus == bc.Corpus(**two_instances())
+        assert [array.dtype for array in (corpus.offsets, corpus.activity, corpus.gender,
+                                          corpus.score, corpus.gold)] == [
+            np.int64, np.int64, np.int8, np.float64, np.int64]
 
     def test_instance_requires_candidates(self):
-        with pytest.raises(bc.ValidationError):
-            bc.Instance("a", tuple())
+        with pytest.raises(bc.ValidationError, match="^instance 'a': candidate list is empty$"):
+            bc.Corpus(**two_instances(offsets=[0, 0, 3], gold=[-1, -1]))
 
     def test_instance_gold_indexes_a_candidate(self):
-        candidate = bc.CandidateStructure(0, bc.GenderTag.MALE, 0.0)
-        with pytest.raises(bc.ValidationError,
-                           match="^instance 'a': gold index 1 out of range for 1 candidates$"):
-            bc.Instance("a", (candidate,), gold=1)
+        for gold, message in [
+            ([2, -1], "instance 'a': gold index 2 out of range for 2 candidates"),
+            ([1, -2], "instance 'b': gold index -2 out of range for 1 candidates"),
+        ]:
+            with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
+                bc.Corpus(**two_instances(gold=gold))
 
     def test_corpus_rejects_unknown_activity_id(self):
-        inst = bc.Instance("a", (bc.CandidateStructure(3, bc.GenderTag.MALE, 0.0),))
-        with pytest.raises(bc.ValidationError, match="vocabulary"):
-            bc.Corpus((inst,), {"only": 0})
+        with pytest.raises(bc.ValidationError,
+                           match="^instance 'b': activity_id 2 not in vocabulary of size 2$"):
+            bc.Corpus(**two_instances(activity=[0, 1, 2]))
 
     def test_corpus_rejects_activity_ids_not_a_range(self):
-        with pytest.raises(bc.ValidationError, match="0..n-1"):
-            bc.Corpus((), {"x": 1})
+        with pytest.raises(bc.ValidationError, match="^activity ids must be exactly 0..n-1$"):
+            bc.Corpus({"x": 1}, (), [0], [], [], [], [])
 
     def test_corpus_checks_duplicate_ids_before_activity_range(self):
-        first = bc.Instance("a", (bc.CandidateStructure(3, bc.GenderTag.MALE, 0.0),))
-        second = bc.Instance("a", (bc.CandidateStructure(0, bc.GenderTag.MALE, 0.0),))
-        with pytest.raises(bc.ValidationError, match="duplicate instance id 'a'"):
-            bc.Corpus((first, second), {"only": 0})
+        with pytest.raises(bc.ValidationError, match="^duplicate instance id 'a'$"):
+            bc.Corpus(**two_instances(ids=("a", "a"), activity=[5, 0, 0]))
+
+    @pytest.mark.parametrize("changes", [
+        {"offsets": [0, 3]},
+        {"offsets": [1, 2, 3]},
+        {"offsets": [0, 2, 4]},
+        {"offsets": [0, 3, 2, 3], "ids": ("a", "b", "c"), "gold": [-1, -1, -1]},
+        {"gold": [1]},
+        {"gender": [1, 2]},
+        {"score": [[1.0, -2.5, 0.25]]},
+    ])
+    def test_columns_must_fit_the_offsets(self, changes):
+        with pytest.raises(bc.ValidationError,
+                           match="^corpus offsets do not match its ids, rows and gold$"):
+            bc.Corpus(**two_instances(**changes))
+
+    def test_keeps_copies_of_its_columns(self):
+        score = np.array([1.0, -2.5, 0.25])
+        corpus = bc.Corpus(**two_instances(score=score))
+        score[0] = 9.0
+        assert score.flags.writeable and corpus.score[0] == 1.0
 
     def test_corpus_is_immutable(self):
         corpus = corpus_of(
@@ -508,8 +611,8 @@ class TestInvariants:
         first, second = bc.load_corpus(io.StringIO(text)), bc.load_corpus(io.StringIO(text))
         assert first == second
         assert "instances" not in vars(first) and "instances" not in vars(second)
-        assert first == bc.Corpus(first.instances, first.activities)
-        renamed = bc.Corpus(first.instances, {"y": 0, "x": 1})
+        assert first == bc.Corpus(**fields_of(first))
+        renamed = dataclasses.replace(first, activities={"y": 0, "x": 1})
         assert renamed != first
         assert first != bc.load_corpus(io.StringIO(text.replace("2.0", "2.5")))
         assert first != bc.load_corpus(io.StringIO(text.replace('"gold":0,', "")))
@@ -526,13 +629,13 @@ class TestInvariants:
             bc.Instance("b", (bc.CandidateStructure(1, bc.GenderTag.UNGENDERED, 0.25),)),
         )
         assert corpus.instances is corpus.instances
+        assert corpus == bc.Corpus(**two_instances())
 
 
 # Names and ids that json.dumps must escape: quote, backslash, non-ASCII, U+2028.
 AWKWARD_TEXT = ['say "hi"', "back\\slash", "café", "line break", "tab\tnul\x00", "\U0001d11e"]
 # Scores whose repr is at an edge: subnormal, exponent switch, signed zero.
 EDGE_SCORES = [5e-324, 1e16, -0.0, 0.0, 1e-5, 1e22, 2.0**53, -1.5, 0.1, 123456789.0]
-TAGS = list(bc.GenderTag)
 
 
 @st.composite
@@ -546,17 +649,15 @@ def chunked_corpora(draw):
     scores = EDGE_SCORES + draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                          max_size=8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    instances = []
-    for i in range(int(rng.integers(2 * CHUNK_LINES + 1, 3 * CHUNK_LINES))):
-        size = int(rng.integers(1, 5))
-        candidates = tuple(
-            bc.CandidateStructure(int(rng.integers(len(names))), TAGS[rng.integers(3)],
-                                  scores[rng.integers(len(scores))])
-            for _ in range(size)
-        )
-        gold = int(rng.integers(size)) if rng.random() < 0.5 else None
-        instances.append(bc.Instance(f"{id_stem}{i}", candidates, gold))
-    corpus = bc.Corpus(instances, {name: a for a, name in enumerate(names)})
+    n = int(rng.integers(2 * CHUNK_LINES + 1, 3 * CHUNK_LINES))
+    sizes = rng.integers(1, 5, n)
+    rows = int(sizes.sum())
+    gold = np.where(rng.random(n) < 0.5, rng.integers(sizes), -1)
+    corpus = bc.Corpus({name: a for a, name in enumerate(names)},
+                       tuple(f"{id_stem}{i}" for i in range(n)),
+                       np.concatenate(([0], np.cumsum(sizes))),
+                       rng.integers(len(names), size=rows), rng.integers(3, size=rows),
+                       np.array(scores)[rng.integers(len(scores), size=rows)], gold)
     return ref.load_corpus(ref.write_records(corpus, "score", corpus.score.tolist()))
 
 
@@ -658,13 +759,14 @@ class TestChunkedIO:
         # throughout, one-row instances and no instances at all
         pool = data.draw(st.lists(st.sampled_from(EDGE_SCORES), min_size=2, max_size=3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        singles = bc.Corpus([bc.Instance(inst.id, inst.candidates[:1],
-                                         None if inst.gold is None else 0)
-                             for inst in corpus.instances], corpus.activities)
+        firsts = corpus.offsets[:-1]
+        singles = bc.Corpus(corpus.activities, corpus.ids, np.arange(len(corpus) + 1),
+                            corpus.activity[firsts], corpus.gender[firsts], corpus.score[firsts],
+                            np.minimum(corpus.gold, 0))
         for case in (corpus, singles):
             assert_writers_match(case, run_values(rng, pool, case.offsets))
             assert_writers_match(case, np.full(case.n_rows, pool[0]))
-        assert_writers_match(bc.Corpus([], {}), np.zeros(0))
+        assert_writers_match(bc.Corpus({}, (), [0], [], [], [], []), np.zeros(0))
 
     @settings(deadline=None, max_examples=15, derandomize=True)
     @given(corpus=chunked_corpora(), data=st.data())

@@ -137,7 +137,7 @@ class TestKLDivergence:
         assert_allclose(expected, 0.1308, atol=5e-5)
 
     def test_empty_corpus_is_zero(self):
-        table = bc.instance_posterior(bc.Corpus((), {"act": 0}))
+        table = bc.instance_posterior(make_corpus([], names=["act"]))
         assert bc.kl_divergence(table, table) == 0.0
 
     def test_infinite_when_not_absolutely_continuous(self):

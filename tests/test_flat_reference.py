@@ -18,7 +18,7 @@ from biascal.solver import (
     _type_mass,
     featurize,
 )
-from conftest import feasible_single_activity_corpus, make_corpus, rows_of
+from conftest import feasible_single_activity_corpus, make_corpus, rows_of, take_instances
 
 # Tied scores come from a small pool; 1 to 12 candidates straddle the length
 # at which numpy switches to pairwise summation.
@@ -112,7 +112,7 @@ def test_features_and_expectations(case, data):
     types = feature_types(corpus.activity, corpus.gender, cs)
     values, coords = type_features(cs)
     for i, (inst, post) in enumerate(zip(corpus.instances, posteriors)):
-        single = bc.Corpus((inst,), corpus.activities)
+        single = take_instances(corpus, [i])
         one_table = bc.PosteriorTable((inst.id,), [0, len(post)], post)
         expected = ref.instance_expectation(inst, post, cs)
         assert np.array_equal(bc.corpus_expectation(single, one_table, cs), expected)

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biascal as bc
-from conftest import rows_of
+from conftest import make_corpus, rows_of, take_instances
 
 METAMORPHIC = settings(deadline=None, max_examples=25, derandomize=True)
 FULL_BATCH = bc.SolverConfig(mode="full_batch")
@@ -49,11 +49,11 @@ def generated(draw):
     return corpus, stats, draw(st.sampled_from([0.001, 0.01, 0.05]))
 
 
-def reloaded(instances, activities):
-    """The corpus of ``instances`` as a file would give it back: activity ids
-    in order of first appearance."""
+def reloaded(corpus):
+    """``corpus`` as a file would give it back: activity ids in order of
+    first appearance."""
     buffer = io.StringIO()
-    bc.dump_corpus(bc.Corpus(tuple(instances), activities), buffer)
+    bc.dump_corpus(corpus, buffer)
     buffer.seek(0)
     return bc.load_corpus(buffer)
 
@@ -106,8 +106,9 @@ STOPS_ONE_STEP_EARLY = (
 @example(case=STOPS_ONE_STEP_EARLY)
 def test_duplicating_every_instance_moves_nothing(case):
     corpus, stats, gamma = case
-    copies = [replace(inst, id=f"{inst.id}/copy") for inst in corpus.instances]
-    doubled = bc.Corpus(corpus.instances + tuple(copies), corpus.activities)
+    n = len(corpus)
+    doubled = take_instances(corpus, [*range(n), *range(n)],
+                             ids=corpus.ids + tuple(f"{inst_id}/copy" for inst_id in corpus.ids))
     lam, q, _ = project(corpus, stats, gamma)
     lam2, q2, _ = project(doubled, stats, gamma)
     assert_lam_close(lam2, lam)
@@ -123,7 +124,7 @@ def test_duplicating_every_instance_moves_nothing(case):
 def test_permuting_instances_moves_nothing(case, seed):
     corpus, stats, gamma = case
     order = np.random.default_rng(seed).permutation(len(corpus))
-    permuted = reloaded([corpus.instances[i] for i in order], corpus.activities)
+    permuted = reloaded(take_instances(corpus, order))
     lam, q, _ = project(corpus, stats, gamma)
     lam2, q2, _ = project(permuted, stats, gamma)
     assert_lam_close(lam2, lam)
@@ -138,21 +139,19 @@ def test_padding_without_constrained_candidates_moves_nothing(case, pads, seed):
     corpus, stats, gamma = case
     rng = np.random.default_rng(seed)
     unlabelled = corpus.n_activities
-    activities = {**corpus.activities, "unlabelled": unlabelled}
-    gender = {"M": bc.GenderTag.MALE, "W": bc.GenderTag.FEMALE}
     padding = []
     for k in range(pads):
-        plain = int(rng.integers(unlabelled))
-        candidates = [bc.CandidateStructure(plain, bc.GenderTag.UNGENDERED, float(rng.normal()))]
-        candidates += [bc.CandidateStructure(unlabelled, gender[g], float(rng.normal()))
-                       for g in "MW"[: int(rng.integers(3))]]
-        padding.append(bc.Instance(f"pad_{k}", tuple(candidates)))
+        triples = [(int(rng.integers(unlabelled)), "-", float(rng.normal()))]
+        triples += [(unlabelled, g, float(rng.normal())) for g in "MW"[: int(rng.integers(3))]]
+        padding.append((f"pad_{k}", triples))
     at = sorted(rng.integers(0, len(corpus) + 1, pads))
-    instances = list(corpus.instances)
+    specs = [(inst.id, [(c.activity_id, c.gender.value, c.score) for c in inst.candidates],
+              inst.gold) for inst in corpus.instances]
     for offset, (position, pad) in enumerate(zip(at, padding)):
-        instances.insert(position + offset, pad)
+        specs.insert(position + offset, pad)
+    padded = make_corpus(specs, names=[*corpus.activity_names, "unlabelled"])
     lam, q, _ = project(corpus, stats, gamma)
-    lam2, q2, _ = project(reloaded(instances, activities), stats, gamma)
+    lam2, q2, _ = project(reloaded(padded), stats, gamma)
     assert_lam_close(lam2, lam)
     assert_rows_close(q2, q, corpus.ids)
 
@@ -165,7 +164,7 @@ def test_renaming_activities_changes_no_number(case, stochastic, salt):
     new = {name: f"{(salt * (aid + 1)) % 997:03d}-{aid}"
            for name, aid in corpus.activities.items()}
     activities = {new[name]: aid for name, aid in corpus.activities.items()}
-    renamed = bc.Corpus(corpus.instances, activities)
+    renamed = replace(corpus, activities=activities)
     renamed_stats = bc.TrainingStats({new[name]: count for name, count in stats.counts.items()})
     config = STOCHASTIC if stochastic else FULL_BATCH
     lam, q, state = project(corpus, stats, gamma, config)

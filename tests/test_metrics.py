@@ -1,5 +1,6 @@
 """Bias ratios, amplification, and report assembly."""
 
+import dataclasses
 import io
 import json
 
@@ -141,7 +142,7 @@ class TestBiasInTopPredictions:
             bc.bias_in_top_predictions(predictions, corpus, 0)
 
     def test_empty_predictions_for_an_empty_corpus(self):
-        corpus = bc.Corpus((), {"act": 0})
+        corpus = make_corpus([], names=["act"])
         assert bc.bias_in_top_predictions([], corpus, 0) is None
 
 
@@ -241,10 +242,7 @@ class TestBuildReport:
         corpus, stats, posteriors, predictions = two_activity_setup(0.76)
         report = bc.build_report(corpus, stats, posteriors, predictions, gamma_eval=0.05)
         assert report.accuracy == 1.0
-        no_gold = bc.Corpus(
-            tuple(bc.Instance(i.id, i.candidates, None) for i in corpus.instances),
-            corpus.activities,
-        )
+        no_gold = dataclasses.replace(corpus, gold=np.full(len(corpus), -1))
         report = bc.build_report(no_gold, stats, posteriors, predictions, gamma_eval=0.05)
         assert report.accuracy is None
 

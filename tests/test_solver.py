@@ -12,7 +12,8 @@ from scipy.optimize import brentq
 import biascal as bc
 from biascal import solver
 from biascal.distribution import segment_sum
-from biascal.solver import _batch_step, _check_finite, brute_force_project, featurize
+from biascal.oracle import brute_force_project
+from biascal.solver import _batch_step, _check_finite, featurize
 from conftest import (
     feasible_single_activity_corpus,
     make_corpus,
@@ -20,6 +21,7 @@ from conftest import (
     random_constraints,
     random_corpus,
     rows_of,
+    take_instances,
 )
 
 
@@ -94,7 +96,7 @@ class TestDualObjective:
             )
 
     def test_empty_corpus_is_zero(self):
-        corpus = bc.Corpus((), {"act": 0})
+        corpus = make_corpus([], names=["act"])
         cs = bc.ConstraintSet((0,), np.array([0.4]), 0.01)
         table = bc.instance_posterior(corpus)
         assert bc.dual_objective(np.array([1.0, 2.0]), corpus, table, cs) == 0.0
@@ -239,14 +241,9 @@ class TestSolve:
     def test_duplicated_corpus_same_solution(self):
         rng = np.random.default_rng(71)
         corpus, cs = feasible_single_activity_corpus(rng, gamma=0.01)
-        doubled = bc.Corpus(
-            corpus.instances
-            + tuple(
-                bc.Instance(f"{inst.id}_copy", inst.candidates, inst.gold)
-                for inst in corpus.instances
-            ),
-            corpus.activities,
-        )
+        n = len(corpus)
+        doubled = take_instances(corpus, [*range(n), *range(n)],
+                                 ids=corpus.ids + tuple(f"{i}_copy" for i in corpus.ids))
         state_single = bc.solve(corpus, posteriors_of(corpus), cs, full_batch_config())
         state_double = bc.solve(doubled, posteriors_of(doubled), cs, full_batch_config())
         assert_allclose(state_double.lam, state_single.lam, atol=1e-6)
@@ -366,7 +363,7 @@ class TestSolve:
         if empty == "constraints":
             cs = bc.ConstraintSet((), np.zeros(0), 0.01)
         else:
-            corpus = bc.Corpus((), corpus.activities)
+            corpus = take_instances(corpus, [])
         config = bc.SolverConfig()
         state = bc.solve(corpus, bc.instance_posterior(corpus), cs, config)
         assert_same_state(state, bc.DualState.zeros(cs.dimension, config.initial_lr))
@@ -552,7 +549,7 @@ class TestBruteForce:
         if empty == "constraints":
             cs = bc.ConstraintSet((), np.zeros(0), 0.01)
         else:
-            corpus = bc.Corpus((), corpus.activities)
+            corpus = take_instances(corpus, [])
         table = bc.instance_posterior(corpus)
         projected, lam = brute_force_project(corpus, table, cs)
         assert np.array_equal(lam, np.zeros(cs.dimension))
