@@ -58,20 +58,18 @@ for i, inst_id in enumerate(posteriors.ids):
     row = posteriors.probs[posteriors.offsets[i]:posteriors.offsets[i + 1]]
     print(f"  {inst_id}: {[round(float(p), 3) for p in row]}")
 
-cooking = corpus.activities["cooking"]
-b_star = bc.dataset_bias(stats, corpus, cooking)
-bias_dist = bc.bias_in_distribution(posteriors, corpus, cooking)
-bias_top = bc.bias_in_top_predictions(predictions, corpus, cooking)
-
-print(f"\ntraining male ratio (b*):        {b_star:.3f}")
-print(f"male ratio in posterior mass:    {bias_dist:.3f}")
-print(f"male ratio in top predictions:   {bias_top:.3f}")
-print(f"amplification (distribution):    {bc.amplification(bias_dist, b_star):+.3f}")
-print(f"amplification (top predictions): {bc.amplification(bias_top, b_star):+.3f}")
-
-# The full report aggregates this over every constrained activity and flags
-# violations of |amplification| <= gamma.
+# The report works out the numbers of every constrained activity at once;
+# cooking is the only one here ("driving" has no gendered candidate).
 report = bc.build_report(corpus, stats, posteriors, predictions, gamma_eval=0.05)
+cooking = next(entry for entry in report.entries if entry.activity == "cooking")
+
+print(f"\ntraining male ratio (b*):        {cooking.b_star:.3f}")
+print(f"male ratio in posterior mass:    {cooking.bias_dist:.3f}")
+print(f"male ratio in top predictions:   {cooking.bias_top:.3f}")
+print(f"amplification (distribution):    {cooking.amp_dist:+.3f}")
+print(f"amplification (top predictions): {cooking.amp_top:+.3f}")
+
+# It also counts violations of |amplification| <= gamma over those activities.
 print(f"\nviolations at margin 0.05: {report.n_violations_dist} (distribution), "
       f"{report.n_violations_top} (top)")
 print(f"MAP accuracy vs gold: {report.accuracy:.3f}")

@@ -55,12 +55,7 @@ _EXPORTS = {
     "metrics": (
         "ActivityBias",
         "BiasReport",
-        "amplification",
-        "bias_in_distribution",
-        "bias_in_top_predictions",
         "build_report",
-        "dataset_bias",
-        "mean_amplification",
     ),
     "solver": (
         "DualState",

@@ -30,7 +30,7 @@ from . import _EXPORTS
 from .corpus import FEMALE_CODE, UNGENDERED_CODE, Corpus, TrainingStats, constrained_activities
 from .distribution import PosteriorTable, as_table
 from .errors import UndefinedBiasError, ValidationError
-from .metrics import activity_mass, check_margin, dataset_bias
+from .metrics import activity_mass, check_margin, training_ratios
 
 __all__ = list(_EXPORTS["constraints"])
 
@@ -73,10 +73,7 @@ class ConstraintSet:
     def from_stats(cls, corpus: Corpus, stats: TrainingStats, gamma: float) -> "ConstraintSet":
         """Build constraints for every activity eligible under the given corpus."""
         ids = constrained_activities(stats, corpus)
-        b_star = np.array(
-            [dataset_bias(stats, corpus, aid) for aid in ids], dtype=np.float64
-        )
-        return cls(tuple(ids), b_star, gamma)
+        return cls(tuple(ids), training_ratios(stats, corpus, ids), gamma)
 
     @property
     def n_constraints(self) -> int:

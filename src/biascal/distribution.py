@@ -47,16 +47,15 @@ def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_indices(name: str, values, bound, allow_empty: bool = False) -> np.ndarray:
+def check_indices(name: str, values, bound) -> np.ndarray:
     """``values`` as int64 indices in [0, bound), ``bound`` one for all or one each.
 
     Raises ValidationError, naming ``name``, for a non-integer dtype (bool
-    included), an index out of range, or no index unless ``allow_empty``.
+    included), another shape than one dimension, or an index out of range.
     """
-    indices = np.asarray(values)
-    if indices.size == 0 and not allow_empty:
-        raise ValidationError(f"{name} must hold at least one index")
-    indices = integer_indices(name, indices).astype(np.int64, copy=False)
+    indices = integer_indices(name, np.asarray(values)).astype(np.int64, copy=False)
+    if indices.ndim != 1:
+        raise ValidationError(f"{name} must be one-dimensional, got shape {indices.shape}")
     outside = np.flatnonzero((indices < 0) | (indices >= bound))
     if outside.size:
         raise ValidationError(f"{name}[{outside[0]}] = {indices[outside[0]]} is out of range")

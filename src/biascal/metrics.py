@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,13 +30,12 @@ def check_margin(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be a finite nonnegative real, got {value}")
 
 
-def dataset_bias(stats: TrainingStats, corpus: Corpus, activity_id: int) -> float:
-    """Male share of the gendered training labels for one activity."""
-    name = corpus.activity_name(activity_id)
-    count = stats.counts.get(name)
-    if count is None or count.total == 0:
-        raise UndefinedBiasError(f"activity {name!r} has no gendered training labels")
-    return count.male / count.total
+def training_ratios(
+    stats: TrainingStats, corpus: Corpus, activity_ids: Sequence[int]
+) -> np.ndarray:
+    """b*: the male share of each constrained activity's gendered training labels."""
+    counts = [stats.counts[corpus.activity_name(aid)] for aid in activity_ids]
+    return np.array([count.male / count.total for count in counts], dtype=np.float64)
 
 
 def activity_mass(corpus: Corpus, table: PosteriorTable) -> tuple[np.ndarray, np.ndarray]:
@@ -52,14 +51,6 @@ def activity_mass(corpus: Corpus, table: PosteriorTable) -> tuple[np.ndarray, np
     return mass(corpus.male), mass(corpus.gendered)
 
 
-def _check_predictions(corpus: Corpus, predictions: Sequence[int]) -> np.ndarray:
-    if len(predictions) != corpus.n_instances:
-        raise ValidationError(
-            f"{len(predictions)} predictions for {corpus.n_instances} instances"
-        )
-    return check_indices("predictions", predictions, corpus.sizes, allow_empty=True)
-
-
 def top_counts(corpus: Corpus, predictions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Male and gendered MAP-prediction counts of every activity, indexed by activity id."""
     rows = corpus.offsets[:-1] + predictions
@@ -68,60 +59,6 @@ def top_counts(corpus: Corpus, predictions: np.ndarray) -> tuple[np.ndarray, np.
         return np.bincount(corpus.activity[rows[chosen[rows]]], minlength=corpus.n_activities)
 
     return count(corpus.male), count(corpus.gendered)
-
-
-def _distribution_ratio(corpus: Corpus, male: np.ndarray, gendered: np.ndarray, aid: int) -> float:
-    if gendered[aid] <= 0.0:
-        raise UndefinedBiasError(
-            f"activity {corpus.activity_name(aid)!r} has no gendered posterior mass"
-        )
-    return float(male[aid] / gendered[aid])
-
-
-def _top_ratio(male: np.ndarray, gendered: np.ndarray, aid: int) -> float | None:
-    if gendered[aid] == 0:
-        return None
-    return int(male[aid]) / int(gendered[aid])
-
-
-def bias_in_distribution(
-    posteriors: PosteriorTable, corpus: Corpus, activity_id: int
-) -> float:
-    """Male share of the activity's gendered posterior mass across the corpus.
-
-    Ungendered candidates contribute to neither numerator nor denominator.
-    """
-    male, gendered = activity_mass(corpus, as_table(posteriors, corpus))
-    return _distribution_ratio(corpus, male, gendered, activity_id)
-
-
-def bias_in_top_predictions(
-    predictions: Sequence[int], corpus: Corpus, activity_id: int
-) -> float | None:
-    """Male share among gendered MAP predictions of the activity.
-
-    Returns None when no instance has a gendered MAP prediction of this
-    activity (the ratio is then not evaluable, as opposed to an error).
-    """
-    male, gendered = top_counts(corpus, _check_predictions(corpus, predictions))
-    return _top_ratio(male, gendered, activity_id)
-
-
-def amplification(bias: float, b_star: float) -> float:
-    """Deviation of bias from b_star, signed toward the training majority.
-
-    sgn(b_star - 0.5) * (bias - b_star), with sgn(0) = 0 so activities whose
-    training ratio is exactly balanced contribute nothing.
-    """
-    return float(np.sign(b_star - 0.5) * (bias - b_star))
-
-
-def mean_amplification(amplifications: Iterable[float]) -> float:
-    """Arithmetic mean over the constrained activity set; errors when empty."""
-    values = list(amplifications)
-    if not values:
-        raise UndefinedBiasError("mean amplification over an empty activity set")
-    return float(np.mean(values))
 
 
 @dataclass(frozen=True)
@@ -200,48 +137,53 @@ def build_report(
     """
     check_margin("gamma_eval", gamma_eval)
     table = as_table(posteriors, corpus)
-    predictions = _check_predictions(corpus, predictions)
+    if len(predictions) != corpus.n_instances:
+        raise ValidationError(f"{len(predictions)} predictions for {corpus.n_instances} instances")
+    predictions = check_indices("predictions", predictions, corpus.sizes)
     activity_ids = constrained_activities(stats, corpus)
     if not activity_ids:
         raise UndefinedBiasError("no constrained activities")
 
-    male, gendered = activity_mass(corpus, table)
-    top_male, top_gendered = top_counts(corpus, predictions)
-    entries = []
-    for aid in activity_ids:
-        b_star = dataset_bias(stats, corpus, aid)
-        bias_dist = _distribution_ratio(corpus, male, gendered, aid)
-        bias_top = _top_ratio(top_male, top_gendered, aid)
-        amp_dist = amplification(bias_dist, b_star)
-        amp_top = None if bias_top is None else amplification(bias_top, b_star)
-        entries.append(
-            ActivityBias(
-                activity_id=aid,
-                activity=corpus.activity_name(aid),
-                b_star=b_star,
-                bias_dist=bias_dist,
-                bias_top=bias_top,
-                amp_dist=amp_dist,
-                amp_top=amp_top,
-                violated_dist=bool(abs(amp_dist) > gamma_eval),
-                violated_top=bool(amp_top is not None and abs(amp_top) > gamma_eval),
-            )
-        )
+    ids = np.array(activity_ids)
+    male, gendered = (mass[ids] for mass in activity_mass(corpus, table))
+    empty = np.flatnonzero(gendered <= 0.0)
+    if empty.size:
+        name = corpus.activity_name(activity_ids[empty[0]])
+        raise UndefinedBiasError(f"activity {name!r} has no gendered posterior mass")
+    top_male, top_gendered = (count[ids] for count in top_counts(corpus, predictions))
+    evaluable = top_gendered > 0
+    b_star = training_ratios(stats, corpus, activity_ids)
+    bias_dist = male / gendered
+    with np.errstate(invalid="ignore"):
+        bias_top = top_male / top_gendered  # NaN where no prediction is gendered
+    toward_majority = np.sign(b_star - 0.5)
+    amp_dist = toward_majority * (bias_dist - b_star)
+    amp_top = toward_majority * (bias_top - b_star)
+    violated_dist = np.abs(amp_dist) > gamma_eval
+    violated_top = evaluable & (np.abs(amp_top) > gamma_eval)
 
-    top_amps = [e.amp_top for e in entries if e.amp_top is not None]
+    def or_none(values: np.ndarray) -> list[float | None]:
+        return [v if ok else None for v, ok in zip(values.tolist(), evaluable.tolist())]
+
+    names = corpus.activity_names
+    entries = tuple(
+        ActivityBias(names[aid], aid, *values) for aid, *values in zip(
+            activity_ids, b_star.tolist(), bias_dist.tolist(), or_none(bias_top),
+            amp_dist.tolist(), or_none(amp_top), violated_dist.tolist(), violated_top.tolist())
+    )
     accuracy = None
     gold = corpus.gold
     if np.all(gold >= 0):
         accuracy = int(np.count_nonzero(predictions == gold)) / gold.size
 
     return BiasReport(
-        entries=tuple(entries),
+        entries=entries,
         gamma_eval=gamma_eval,
-        mean_amp_dist=mean_amplification(e.amp_dist for e in entries),
-        mean_amp_top=mean_amplification(top_amps) if top_amps else None,
-        n_violations_dist=sum(e.violated_dist for e in entries),
-        n_violations_top=sum(e.violated_top for e in entries),
-        n_not_evaluable_top=sum(e.bias_top is None for e in entries),
-        n_bstar_at_half=sum(e.b_star == 0.5 for e in entries),
+        mean_amp_dist=float(np.mean(amp_dist)),
+        mean_amp_top=float(np.mean(amp_top[evaluable])) if evaluable.any() else None,
+        n_violations_dist=int(np.count_nonzero(violated_dist)),
+        n_violations_top=int(np.count_nonzero(violated_top)),
+        n_not_evaluable_top=int(np.count_nonzero(~evaluable)),
+        n_bstar_at_half=int(np.count_nonzero(b_star == 0.5)),
         accuracy=accuracy,
     )

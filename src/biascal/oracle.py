@@ -24,6 +24,8 @@ __all__ = list(_EXPORTS["oracle"])
 
 MAX_ORACLE_DIMENSION = 4
 MAX_ORACLE_CANDIDATES = 64
+# Each grid holds several float64 arrays of this many points by the featurized rows.
+MAX_ORACLE_GRID_POINTS = 2**16
 ORACLE_LAM_MAX = 50.0
 ORACLE_REFINE_PASSES = 18
 
@@ -66,7 +68,9 @@ def brute_force_project(
     basins (the feasible set itself is a thin shell that a KL-guided search
     can get stuck on). Returns (posteriors, lam), the posteriors as the
     `PosteriorTable` that `calibrate` returns. Refuses problems with
-    more than two constrained activities or more than 64 total candidates.
+    more than two constrained activities or more than 64 total candidates,
+    and a ``resolution`` whose grid, ``resolution**dim`` points, exceeds
+    `MAX_ORACLE_GRID_POINTS`.
     If no grid point is ever feasible (infeasible constraint system), falls
     back to the dual-argmax point.
     """
@@ -83,6 +87,11 @@ def brute_force_project(
     if resolution < 3:
         raise ValidationError("grid resolution must be at least 3")
     dim = cs.dimension
+    if resolution**dim > MAX_ORACLE_GRID_POINTS:
+        raise OracleSizeError(
+            f"brute force supports grids of at most {MAX_ORACLE_GRID_POINTS} points, "
+            f"got resolution {resolution} in dimension {dim}"
+        )
     if dim == 0 or corpus.n_instances == 0:
         return calibrate(corpus, posteriors, cs, np.zeros(dim)), np.zeros(dim)
     fc = featurize(corpus, posteriors, cs)

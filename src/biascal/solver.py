@@ -36,14 +36,14 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
 from . import _EXPORTS
 from .constraints import ConstraintSet, feature_types, type_features
 from .corpus import Corpus, dump_json, is_integer, load_json
-from .distribution import PosteriorTable, as_table, check_indices, reweight
+from .distribution import PosteriorTable, as_table, reweight
 from .errors import DegenerateDistributionError, SolverDivergenceError, ValidationError
 
 __all__ = [*_EXPORTS["solver"], "FeaturizedCorpus", "featurize"]
@@ -94,8 +94,15 @@ class SolverConfig:
     max_steps: int = 20000
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "seed", "max_steps"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))  # numpy integers are not JSON serializable
         if self.batch_size < 1 or self.epochs < 1 or self.max_steps < 1:
             raise ValidationError("batch_size, epochs and max_steps must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if not (self.initial_lr > 0.0 and np.isfinite(self.initial_lr)):
             raise ValidationError(f"initial_lr must be positive, got {self.initial_lr}")
         if not (0.0 < self.lr_decay <= 1.0):
@@ -285,20 +292,16 @@ def dual_gradient(
     corpus: Corpus,
     posteriors: PosteriorTable,
     cs: ConstraintSet,
-    batch: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Ascent gradient of J: the reweighted expectation of the features.
 
     Equals the derivative of `dual_objective`, i.e. the summed expectation
-    of the constraint features under the lam-reweighted posteriors. With a
-    ``batch`` of instance indices the batch sum is scaled by
-    corpus_size / batch_size, making it an unbiased full-gradient estimate.
+    of the constraint features under the lam-reweighted posteriors. The
+    stochastic solve's scaled mini-batch gradient is `_batch_step`'s.
     """
     fc = featurize(corpus, posteriors, cs)
-    sub = fc if batch is None else _gather(fc, check_indices("batch", batch, fc.n_instances))
-    probs = _reweighted(sub, _checked_lam(lam, cs))
-    gradient = _expectation(sub, _type_mass(sub.types, probs, sub.dim))
-    return gradient if batch is None else (fc.n_instances / sub.n_instances) * gradient
+    probs = _reweighted(fc, _checked_lam(lam, cs))
+    return _expectation(fc, _type_mass(fc.types, probs, fc.dim))
 
 
 def _adam_step(state: DualState, gradient: np.ndarray, lr_decay: float) -> None:

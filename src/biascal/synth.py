@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .corpus import FEMALE_CODE, MALE_CODE, UNGENDERED_CODE, Corpus, GenderCount, TrainingStats
+from .corpus import (FEMALE_CODE, MALE_CODE, UNGENDERED_CODE, Corpus, GenderCount, TrainingStats,
+                     is_integer)
 from .errors import ValidationError
 
 __all__ = list(_EXPORTS["synth"])
@@ -55,6 +56,12 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_activities", "instances_per_activity", "candidates_per_instance", "seed"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if self.n_activities < 1 or self.instances_per_activity < 1:
             raise ValidationError("n_activities and instances_per_activity must be positive")
         if self.candidates_per_instance < 2:

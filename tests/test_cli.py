@@ -68,6 +68,11 @@ class TestSynthCommand:
     def test_invalid_bias_range_fails(self, tmp_path):
         assert run("synth", "--out", tmp_path / "x", "--bias-range", "0.9", "0.1") == 1
 
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys):
+        assert run("synth", "--out", tmp_path / "x", "--seed", "-1") == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert not (tmp_path / "x").exists()
+
     def test_unset_flags_take_the_generator_defaults(self, tmp_path):
         synth_files(tmp_path, "cli", instances_per_activity=2, boost=0.5)
         corpus, stats = bc.generate(bc.SynthConfig(instances_per_activity=2,
@@ -317,6 +322,18 @@ class TestOracleCommand:
         assert run("oracle", "--corpus", corpus_path, "--stats", stats_path,
                    "--out", tmp_path / "cmp") == 3
 
+    def test_a_grid_over_the_point_cap_exits_three(self, tmp_path, capsys):
+        corpus_path, stats_path = synth_files(
+            tmp_path, n_activities=2, instances_per_activity=4, boost=1.0, seed=1
+        )
+        capsys.readouterr()
+        assert run("oracle", "--corpus", corpus_path, "--stats", stats_path,
+                   "--out", tmp_path / "cmp", "--resolution", 60) == 3
+        assert capsys.readouterr().err == (
+            "error: brute force supports grids of at most 65536 points, "
+            "got resolution 60 in dimension 4\n"
+        )
+
     def test_notes_excluded_activities(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.jsonl"
         corpus_path.write_text(
@@ -410,6 +427,7 @@ class TestSettingsCheckedFirst:
         ("oracle", ["--gamma-solve", "nan"], "gamma_solve must be a finite nonnegative real"),
         ("oracle", ["--max-steps", "0"], "batch_size, epochs and max_steps must be positive"),
         ("oracle", ["--resolution", "2"], "resolution must be at least 3, got 2"),
+        ("calibrate", ["--seed", "-1"], "seed must be nonnegative, got -1"),
     ])
     def test_bad_setting_exits_one_before_loading(self, tmp_path, capsys, subcommand, flags,
                                                    message):

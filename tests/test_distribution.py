@@ -239,7 +239,6 @@ class TestTablesOnly:
     CALLS = {
         "build_report": lambda c, cs, post: bc.build_report(
             c, bc.TrainingStats({"act": bc.GenderCount(1, 1)}), post, [0, 0], 0.05),
-        "bias_in_distribution": lambda c, cs, post: bc.bias_in_distribution(post, c, 0),
         "corpus_expectation": lambda c, cs, post: bc.corpus_expectation(c, post, cs),
         "check_equivalence": lambda c, cs, post: bc.check_equivalence(c, post, cs, 0),
         "featurize": lambda c, cs, post: featurize(c, post, cs),

@@ -25,29 +25,55 @@ def point_masses(corpus, indices):
     return bc.PosteriorTable(corpus.ids, corpus.offsets, probs)
 
 
+def report_of(corpus, posteriors, predictions=None, counts=None):
+    """`build_report` at margin 0.05, with each activity's training counts
+    (default one male and one female label) and MAP predictions by default."""
+    counts = counts or {aid: (1, 1) for aid in range(corpus.n_activities)}
+    if predictions is None:
+        predictions = bc.map_predict(posteriors)
+    return bc.build_report(corpus, stats_for(corpus, counts), posteriors, predictions, 0.05)
+
+
+def pair_report(counts, shares):
+    """The report of one instance per activity a, a male and a female
+    candidate with male share ``shares[a]``, and training counts ``counts[a]``."""
+    corpus = make_corpus([(f"i{a}", [(a, "M", 0.0), (a, "W", 0.0)]) for a in range(len(shares))])
+    probs = np.ravel([[share, 1.0 - share] for share in shares])
+    posteriors = bc.PosteriorTable(corpus.ids, corpus.offsets, probs)
+    return report_of(corpus, posteriors, counts=dict(enumerate(counts)))
+
+
 class TestDatasetBias:
+    """b*, the male share of an activity's gendered training labels."""
+
     def test_direct_ratio(self):
         corpus = make_corpus([("a", [(0, "M", 0.0)])], names=["cooking"])
-        stats = stats_for(corpus, {0: (30, 70)})
-        assert bc.dataset_bias(stats, corpus, 0) == 0.3
+        report = report_of(corpus, posteriors_of(corpus), counts={0: (30, 70)})
+        assert report.entries[0].b_star == 0.3
 
     def test_balanced(self):
         corpus = make_corpus([("a", [(0, "M", 0.0)])], names=["cooking"])
-        stats = stats_for(corpus, {0: (50, 50)})
-        assert bc.dataset_bias(stats, corpus, 0) == 0.5
+        report = report_of(corpus, posteriors_of(corpus), counts={0: (50, 50)})
+        assert report.entries[0].b_star == 0.5
+        assert report.n_bstar_at_half == 1
 
     def test_zero_counts_error(self):
-        corpus = make_corpus([("a", [(0, "M", 0.0)])], names=["cooking"])
-        stats = stats_for(corpus, {0: (0, 0)})
-        with pytest.raises(bc.UndefinedBiasError):
-            bc.dataset_bias(stats, corpus, 0)
+        # an activity without gendered training labels has no b*: it is left
+        # out of the report, and a report of no activity is an error
+        corpus = make_corpus([("a", [(0, "M", 0.0), (1, "W", 0.0)])], names=["cooking", "driving"])
+        report = report_of(corpus, posteriors_of(corpus), counts={0: (0, 0), 1: (1, 3)})
+        assert [e.activity for e in report.entries] == ["driving"]
+        with pytest.raises(bc.UndefinedBiasError, match="^no constrained activities$"):
+            report_of(corpus, posteriors_of(corpus), counts={0: (0, 0)})
 
 
 class TestBiasInDistribution:
+    """The male share of an activity's gendered posterior mass."""
+
     def test_single_instance(self):
         corpus = make_corpus([("a", [(0, "M", 0.0), (0, "W", 0.0)])])
         posteriors = bc.PosteriorTable(("a",), [0, 2], [0.6, 0.4])
-        assert_allclose(bc.bias_in_distribution(posteriors, corpus, 0), 0.6, rtol=1e-15)
+        assert_allclose(report_of(corpus, posteriors).entries[0].bias_dist, 0.6, rtol=1e-15)
 
     def test_two_instances_hand_sum(self):
         # (0.3 + 0.3) / (0.4 + 0.4) evaluated by hand
@@ -58,13 +84,24 @@ class TestBiasInDistribution:
             ]
         )
         posteriors = bc.PosteriorTable(("a", "b"), [0, 3, 6], [0.3, 0.1, 0.6] * 2)
-        assert_allclose(bc.bias_in_distribution(posteriors, corpus, 0), 0.75, rtol=1e-15)
+        assert_allclose(report_of(corpus, posteriors).entries[0].bias_dist, 0.75, rtol=1e-15)
 
     def test_all_ungendered_error(self):
-        corpus = make_corpus([("a", [(0, "-", 0.0), (0, "-", 0.0)])])
-        posteriors = posteriors_of(corpus)
-        with pytest.raises(bc.UndefinedBiasError):
-            bc.bias_in_distribution(posteriors, corpus, 0)
+        # the posterior puts all mass on ungendered candidates; the error
+        # names the first such activity in constraint order
+        corpus = make_corpus(
+            [("a", [(0, "M", 0.0), (0, "W", 0.0), (2, "-", 0.0)]),
+             ("b", [(1, "M", 0.0), (2, "-", 0.0)])],
+            names=["cooking", "driving", "other"],
+        )
+        posteriors = bc.PosteriorTable(("a", "b"), [0, 3, 5], [0.0, 0.0, 1.0, 0.0, 1.0])
+        with pytest.raises(bc.UndefinedBiasError,
+                           match="^activity 'cooking' has no gendered posterior mass$"):
+            report_of(corpus, posteriors)
+        posteriors = bc.PosteriorTable(("a", "b"), [0, 3, 5], [0.5, 0.5, 0.0, 0.0, 1.0])
+        with pytest.raises(bc.UndefinedBiasError,
+                           match="^activity 'driving' has no gendered posterior mass$"):
+            report_of(corpus, posteriors)
 
     def test_invariant_to_other_mass(self):
         """Changing ungendered or other-activity mass while preserving the
@@ -76,8 +113,8 @@ class TestBiasInDistribution:
         p_a = bc.PosteriorTable(("a",), [0, 3], [0.30, 0.10, 0.60])
         p_b = bc.PosteriorTable(("a",), [0, 4], [0.30, 0.10, 0.25, 0.35])
         assert_allclose(
-            bc.bias_in_distribution(p_a, corpus_a, 0),
-            bc.bias_in_distribution(p_b, corpus_b, 0),
+            report_of(corpus_a, p_a).entries[0].bias_dist,
+            report_of(corpus_b, p_b).entries[0].bias_dist,
             rtol=1e-15,
         )
 
@@ -86,13 +123,15 @@ class TestBiasInDistribution:
         small = bc.PosteriorTable(("a",), [0, 3], [0.30, 0.10, 0.60])
         doubled = bc.PosteriorTable(("a",), [0, 3], [0.60, 0.20, 0.20])
         assert_allclose(
-            bc.bias_in_distribution(small, corpus, 0),
-            bc.bias_in_distribution(doubled, corpus, 0),
+            report_of(corpus, small).entries[0].bias_dist,
+            report_of(corpus, doubled).entries[0].bias_dist,
             rtol=1e-15,
         )
 
 
 class TestBiasInTopPredictions:
+    """The male share of an activity's gendered MAP predictions."""
+
     def test_counting(self):
         corpus = make_corpus(
             [
@@ -101,17 +140,20 @@ class TestBiasInTopPredictions:
                 ("c", [(0, "M", 0.0), (0, "W", 0.0)]),
             ]
         )
-        assert_allclose(
-            bc.bias_in_top_predictions([0, 0, 1], corpus, 0), 2 / 3, rtol=1e-15
-        )
+        report = report_of(corpus, posteriors_of(corpus), [0, 0, 1])
+        assert_allclose(report.entries[0].bias_top, 2 / 3, rtol=1e-15)
 
     def test_not_evaluable(self):
         corpus = make_corpus([("a", [(0, "M", 0.0), (1, "-", 0.0)])])
-        assert bc.bias_in_top_predictions([1], corpus, 0) is None
+        report = report_of(corpus, posteriors_of(corpus), [1])
+        entry = report.entries[0]
+        assert entry.bias_top is None and entry.amp_top is None and not entry.violated_top
+        assert report.mean_amp_top is None
+        assert report.n_not_evaluable_top == 1
 
     def test_single_male(self):
         corpus = make_corpus([("a", [(0, "M", 0.0), (0, "W", 0.0)])])
-        assert bc.bias_in_top_predictions([0], corpus, 0) == 1.0
+        assert report_of(corpus, posteriors_of(corpus), [0]).entries[0].bias_top == 1.0
 
     def test_matches_distribution_on_point_masses(self):
         corpus = make_corpus(
@@ -122,10 +164,8 @@ class TestBiasInTopPredictions:
             ]
         )
         predictions = [0, 0, 1]
-        posteriors = point_masses(corpus, predictions)
-        top = bc.bias_in_top_predictions(predictions, corpus, 0)
-        dist = bc.bias_in_distribution(posteriors, corpus, 0)
-        assert_allclose(top, dist, rtol=1e-15)
+        entry = report_of(corpus, point_masses(corpus, predictions), predictions).entries[0]
+        assert_allclose(entry.bias_top, entry.bias_dist, rtol=1e-15)
 
     @pytest.mark.parametrize(
         "predictions, message",
@@ -133,55 +173,78 @@ class TestBiasInTopPredictions:
          ([True, False], "predictions must be integer indices"),
          ([0, -1], r"predictions\[1\] = -1 is out of range"),
          ([2, 0], r"predictions\[0\] = 2 is out of range"),
-         ([0], "1 predictions for 2 instances")],
-        ids=["fraction", "bool", "negative", "past_the_end", "too_few"],
+         ([0], "1 predictions for 2 instances"),
+         ([[0], [0]], r"predictions must be one-dimensional, got shape \(2, 1\)")],
+        ids=["fraction", "bool", "negative", "past_the_end", "too_few", "two_dimensional"],
     )
     def test_predictions_must_be_candidate_indices(self, predictions, message):
         corpus = make_corpus([("a", [(0, "M", 0.0), (0, "W", 0.0)]), ("b", [(0, "W", 0.0)])])
         with pytest.raises(bc.ValidationError, match=message):
-            bc.bias_in_top_predictions(predictions, corpus, 0)
+            report_of(corpus, posteriors_of(corpus), predictions)
 
     def test_empty_predictions_for_an_empty_corpus(self):
+        # they pass the prediction checks; the corpus then has no activity to report
         corpus = make_corpus([], names=["act"])
-        assert bc.bias_in_top_predictions([], corpus, 0) is None
+        with pytest.raises(bc.UndefinedBiasError, match="^no constrained activities$"):
+            report_of(corpus, posteriors_of(corpus), [])
 
 
 class TestAmplification:
+    """The deviation of a ratio from b*, signed toward the training majority."""
+
     def test_male_leaning_amplified(self):
-        assert_allclose(bc.amplification(0.8, 0.7), 0.1, atol=1e-15)
+        entry = pair_report([(7, 3)], [0.8]).entries[0]
+        assert_allclose(entry.amp_dist, 0.1, atol=1e-15)
+        assert_allclose(entry.amp_top, 0.3, atol=1e-15)
 
     def test_female_leaning_amplified(self):
-        assert_allclose(bc.amplification(0.1, 0.3), 0.2, atol=1e-15)
+        entry = pair_report([(3, 7)], [0.1]).entries[0]
+        assert_allclose(entry.amp_dist, 0.2, atol=1e-15)
+        assert_allclose(entry.amp_top, 0.3, atol=1e-15)
 
     def test_balanced_training_ratio_contributes_zero(self):
-        assert bc.amplification(0.9, 0.5) == 0.0
+        entry = pair_report([(5, 5)], [0.9]).entries[0]
+        assert entry.amp_dist == 0.0 and entry.amp_top == 0.0
 
     def test_relabeling_invariance(self):
         # swapping the gender labels flips both the sign convention and the
         # deviation, leaving the score unchanged
         rng = np.random.default_rng(0)
         for _ in range(100):
-            bias, b_star = rng.uniform(0, 1, 2)
-            assert_allclose(
-                bc.amplification(1.0 - bias, 1.0 - b_star),
-                bc.amplification(bias, b_star),
-                atol=1e-12,
-            )
+            share = rng.uniform(0, 1)
+            male, female = (int(n) for n in rng.integers(1, 100, 2))
+            entry = pair_report([(male, female)], [share]).entries[0]
+            swapped = pair_report([(female, male)], [1.0 - share]).entries[0]
+            assert_allclose(swapped.amp_dist, entry.amp_dist, atol=1e-12)
+            assert_allclose(swapped.amp_top, entry.amp_top, atol=1e-12)
 
 
 class TestMeanAmplification:
+    """The mean amplification over the constrained activities."""
+
     def test_cancellation(self):
-        assert bc.mean_amplification([0.1, -0.1]) == 0.0
+        report = pair_report([(3, 1), (3, 1)], [0.875, 0.625])
+        assert [e.amp_dist for e in report.entries] == [0.125, -0.125]
+        assert report.mean_amp_dist == 0.0
 
     def test_single(self):
-        assert bc.mean_amplification([0.2]) == 0.2
+        report = pair_report([(3, 1)], [0.875])
+        assert report.mean_amp_dist == report.entries[0].amp_dist == 0.125
+        assert report.mean_amp_top == report.entries[0].amp_top == 0.25
 
     def test_mean(self):
-        assert_allclose(bc.mean_amplification([0.05, 0.15, 0.10]), 0.10, rtol=1e-15)
+        report = pair_report([(3, 1)] * 3, [0.8, 0.9, 0.85])
+        assert_allclose([e.amp_dist for e in report.entries], [0.05, 0.15, 0.10], rtol=1e-14)
+        assert_allclose(report.mean_amp_dist, 0.10, rtol=1e-14)
 
     def test_empty_errors(self):
-        with pytest.raises(bc.UndefinedBiasError):
-            bc.mean_amplification([])
+        # no activity's top prediction is gendered: the top mean is None
+        corpus = make_corpus([("a", [(0, "M", 0.0), (1, "-", 1.0)])])
+        assert report_of(corpus, posteriors_of(corpus)).mean_amp_top is None
+        # no constrained activity: there is no mean, and no report
+        corpus = make_corpus([("a", [(0, "-", 0.0)])])
+        with pytest.raises(bc.UndefinedBiasError, match="^no constrained activities$"):
+            report_of(corpus, posteriors_of(corpus))
 
 
 def two_activity_setup(male_prob):

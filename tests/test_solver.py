@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 import biascal as bc
-from biascal import solver
+from biascal import oracle, solver
 from biascal.distribution import segment_sum
+from biascal.metrics import activity_mass
 from biascal.oracle import brute_force_project
 from biascal.solver import _batch_step, _check_finite, featurize
 from conftest import (
@@ -34,6 +36,12 @@ def half_toy(male_prob=0.5, b_star=0.5, gamma=0.0):
     )
     cs = bc.ConstraintSet((0,), np.array([b_star]), gamma)
     return corpus, posteriors_of(corpus), cs
+
+
+def male_ratio(corpus, table):
+    """Activity 0's male share of its gendered posterior mass."""
+    male, gendered = activity_mass(corpus, table)
+    return male[0] / gendered[0]
 
 
 def same_table(got, want):
@@ -175,32 +183,6 @@ class TestDualGradient:
                 ) / (2 * h)
                 assert abs(fd - gradient[j]) <= 1e-5 * max(1.0, abs(gradient[j]))
 
-    def test_batch_scaling(self):
-        rng = np.random.default_rng(61)
-        corpus = random_corpus(rng, n_activities=1, max_instances=6)
-        cs = bc.ConstraintSet((0,), np.array([0.4]), 0.01)
-        posteriors = posteriors_of(corpus)
-        lam = np.array([0.5, 0.1])
-        n = len(corpus)
-        full = bc.dual_gradient(lam, corpus, posteriors, cs)
-        batched = sum(
-            bc.dual_gradient(lam, corpus, posteriors, cs, batch=[i]) for i in range(n)
-        )
-        assert_allclose(batched / n, full, atol=1e-12)
-
-    @pytest.mark.parametrize(
-        "batch, message",
-        [([0.5], "batch must be integer indices"), ([True], "batch must be integer indices"),
-         ([], "batch must hold at least one index"), ([-1], r"batch\[0\] = -1 is out of range"),
-         ([0, 2], r"batch\[1\] = 2 is out of range")],
-        ids=["fraction", "bool", "empty", "negative", "past_the_end"],
-    )
-    def test_batch_must_be_instance_indices(self, batch, message):
-        corpus = make_corpus([("i", [(0, "M", 0.1), (0, "W", 0.2)]), ("j", [(0, "M", 0.3)])])
-        cs = bc.ConstraintSet((0,), np.array([0.4]), 0.01)
-        with pytest.raises(bc.ValidationError, match=message):
-            bc.dual_gradient(np.zeros(2), corpus, posteriors_of(corpus), cs, batch=batch)
-
 
 class TestSolve:
     def test_feasible_input_keeps_lambda_zero(self):
@@ -223,7 +205,7 @@ class TestSolve:
         assert_allclose(root, math.log(7.0 / 3.0), atol=1e-10)
         assert_allclose(state.lam[0] - state.lam[1], root, atol=1e-6)
         calibrated = bc.calibrate(corpus, posteriors, cs, state.lam)
-        assert_allclose(bc.bias_in_distribution(calibrated, corpus, 0), 0.5, atol=1e-6)
+        assert_allclose(male_ratio(corpus, calibrated), 0.5, atol=1e-6)
 
     def test_boundary_solution_unique_with_margin(self):
         # a positive margin lifts the ray degeneracy: the optimum pins the
@@ -271,7 +253,7 @@ class TestSolve:
             posteriors = posteriors_of(corpus)
             state = bc.solve(corpus, posteriors, cs, full_batch_config())
             calibrated = bc.calibrate(corpus, posteriors, cs, state.lam)
-            ratio = bc.bias_in_distribution(calibrated, corpus, 0)
+            ratio = male_ratio(corpus, calibrated)
             assert abs(ratio - float(cs.b_star[0])) <= gamma + 1e-6
 
     def test_primal_feasibility_beside_an_activity_at_b_star_zero(self):
@@ -285,7 +267,7 @@ class TestSolve:
         posteriors = bc.instance_posterior(corpus)
         state = bc.solve(corpus, posteriors, cs, full_batch_config(max_steps=1000))
         calibrated = bc.calibrate(corpus, posteriors, cs, state.lam)
-        ratio = bc.bias_in_distribution(calibrated, corpus, 0)
+        ratio = male_ratio(corpus, calibrated)
         assert abs(ratio - float(cs.b_star[0])) <= 0.01 + 1e-6
 
     @pytest.mark.parametrize("case", ["one_gender_activity", "random_seed_3"])
@@ -377,6 +359,29 @@ class TestSolve:
     def test_convergence_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(bc.ValidationError, match="convergence_tol must be finite and positive"):
             bc.SolverConfig(mode="full_batch", convergence_tol=tol)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 1.5), ("max_steps", 2.5), ("batch_size", True), ("seed", 3.0), ("seed", "3"),
+    ])
+    def test_integer_settings_must_be_integers(self, field, value):
+        with pytest.raises(bc.ValidationError,
+                           match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            bc.SolverConfig(**{field: value})
+
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(bc.ValidationError, match="^seed must be nonnegative, got -1$"):
+            bc.SolverConfig(seed=-1)
+
+    def test_numpy_integer_settings_are_stored_as_ints(self, tmp_path):
+        config = bc.SolverConfig(batch_size=np.int32(2), epochs=np.uint8(3), seed=np.int64(3),
+                                 max_steps=np.int16(40))
+        fields = ("batch_size", "epochs", "seed", "max_steps")
+        assert [type(getattr(config, name)) for name in fields] == [int] * 4
+        plain = bc.SolverConfig(batch_size=2, epochs=3, seed=3, max_steps=40)
+        corpus, posteriors, cs = half_toy(male_prob=0.7)
+        state = bc.solve(corpus, posteriors, cs, config)
+        bc.save_checkpoint(tmp_path / "checkpoint.json", state, config, cs)
+        assert_same_state(bc.load_checkpoint(tmp_path / "checkpoint.json", plain, cs), state)
 
     def test_moment_shape_mismatch_rejected(self):
         with pytest.raises(bc.ValidationError, match="moments"):
@@ -578,6 +583,26 @@ class TestBruteForce:
         cs = bc.ConstraintSet((0,), np.array([0.5]), 0.01)
         with pytest.raises(bc.OracleSizeError):
             brute_force_project(corpus, posteriors_of(corpus), cs)
+
+    @pytest.mark.parametrize("n_activities, resolution", [(1, 257), (2, 17), (2, 60)])
+    def test_refuses_a_grid_over_the_point_cap(self, n_activities, resolution):
+        # 256**2 and 16**4 are the largest grids; each point holds several
+        # float64 rows of the featurized corpus, so 60**4 would need gigabytes
+        corpus = make_corpus([("i", [(a, g, 0.0) for a in range(n_activities) for g in "MW"])],
+                             names=["a", "b"][:n_activities])
+        cs = bc.ConstraintSet(tuple(range(n_activities)), np.full(n_activities, 0.5), 0.01)
+        message = (f"^brute force supports grids of at most 65536 points, "
+                   f"got resolution {resolution} in dimension {2 * n_activities}$")
+        with pytest.raises(bc.OracleSizeError, match=message):
+            brute_force_project(corpus, posteriors_of(corpus), cs, resolution=resolution)
+
+    def test_the_grid_cap_admits_a_grid_of_its_size(self, monkeypatch):
+        corpus, posteriors, cs = half_toy(male_prob=0.7)
+        monkeypatch.setattr(oracle, "MAX_ORACLE_GRID_POINTS", 11**2 - 1)
+        with pytest.raises(bc.OracleSizeError):
+            brute_force_project(corpus, posteriors, cs)
+        monkeypatch.setattr(oracle, "MAX_ORACLE_GRID_POINTS", 11**2)
+        brute_force_project(corpus, posteriors, cs)
 
 
 class TestCheckpoint:

@@ -3,6 +3,7 @@ and the array assembly against a per-instance one."""
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,11 +23,10 @@ def serialize(corpus, stats):
     return corpus_buffer.getvalue(), stats_buffer.getvalue()
 
 
-def mean_amp_dist(corpus, stats):
+def report_of(corpus, stats):
     posteriors = bc.instance_posterior(corpus)
     predictions = bc.map_predict(posteriors)
-    report = bc.build_report(corpus, stats, posteriors, predictions, gamma_eval=0.05)
-    return report.mean_amp_dist
+    return bc.build_report(corpus, stats, posteriors, predictions, gamma_eval=0.05)
 
 
 class TestConfigValidation:
@@ -46,6 +46,26 @@ class TestConfigValidation:
     def test_requires_positive_sizes(self, field):
         with pytest.raises(bc.ValidationError, match="must be positive"):
             bc.SynthConfig(**{field: 0})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_activities", 2.5), ("instances_per_activity", True),
+        ("candidates_per_instance", 3.0), ("seed", "1"),
+    ])
+    def test_sizes_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(bc.ValidationError,
+                           match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            bc.SynthConfig(**{field: value})
+
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(bc.ValidationError, match="^seed must be nonnegative, got -1$"):
+            bc.SynthConfig(seed=-1)
+
+    def test_numpy_integers_are_integers(self):
+        config = bc.SynthConfig(n_activities=np.int64(2), instances_per_activity=np.uint8(3),
+                                candidates_per_instance=np.int32(3), seed=np.int16(4))
+        plain = bc.SynthConfig(n_activities=2, instances_per_activity=3,
+                               candidates_per_instance=3, seed=4)
+        assert serialize(*bc.generate(config)) == serialize(*bc.generate(plain))
 
     @pytest.mark.parametrize("gold_noise", [-0.1, 1.5, float("nan")])
     def test_requires_gold_noise_in_the_unit_interval(self, gold_noise):
@@ -79,10 +99,9 @@ class TestGenerate:
         corpus, stats = bc.generate(
             bc.SynthConfig(n_activities=6, instances_per_activity=37, seed=5)
         )
-        for name, count in stats.counts.items():
-            assert count.total == 37
-            b_star = bc.dataset_bias(stats, corpus, corpus.activities[name])
-            assert b_star == count.male / 37
+        assert all(count.total == 37 for count in stats.counts.values())
+        b_star = {e.activity: e.b_star for e in report_of(corpus, stats).entries}
+        assert b_star == {name: count.male / 37 for name, count in stats.counts.items()}
 
     def test_zero_boost_matches_training_bias(self):
         corpus, stats = bc.generate(
@@ -93,11 +112,10 @@ class TestGenerate:
                 seed=8,
             )
         )
-        posteriors = bc.instance_posterior(corpus)
-        for name, aid in corpus.activities.items():
-            bias = bc.bias_in_distribution(posteriors, corpus, aid)
-            b_star = bc.dataset_bias(stats, corpus, aid)
-            assert abs(bias - b_star) <= 0.02
+        entries = report_of(corpus, stats).entries
+        assert len(entries) == 5
+        for entry in entries:
+            assert abs(entry.bias_dist - entry.b_star) <= 0.02
 
     def test_positive_boost_amplifies_toward_majority(self):
         corpus, stats = bc.generate(
@@ -109,11 +127,9 @@ class TestGenerate:
                 seed=9,
             )
         )
-        posteriors = bc.instance_posterior(corpus)
-        for aid in corpus.activities.values():
-            bias = bc.bias_in_distribution(posteriors, corpus, aid)
-            b_star = bc.dataset_bias(stats, corpus, aid)
-            assert bc.amplification(bias, b_star) > 0
+        entries = report_of(corpus, stats).entries
+        assert len(entries) == 5
+        assert all(entry.amp_dist > 0 for entry in entries)
 
     def test_mean_amplification_monotone_in_boost(self):
         amps = []
@@ -126,7 +142,7 @@ class TestGenerate:
                     seed=13,
                 )
             )
-            amps.append(mean_amp_dist(corpus, stats))
+            amps.append(report_of(corpus, stats).mean_amp_dist)
         assert all(a < b for a, b in zip(amps, amps[1:]))
 
     def test_round_trips_through_files(self):
