@@ -134,7 +134,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _start(config: RunConfig):
-    """Load the inputs, note the exclusions, create --out and compute the posteriors."""
+    """Load the inputs, note the exclusions and compute the posteriors."""
     if not config.corpus or not config.stats:
         raise ValidationError("--corpus and --stats are required")
     corpus = load_corpus(config.corpus)
@@ -147,9 +147,14 @@ def _start(config: RunConfig):
             f"(no gendered training labels or no gendered candidates): {shown}",
             file=sys.stderr,
         )
-    out_dir = Path(config.out)
+    return corpus, stats, instance_posterior(corpus)
+
+
+def _out_dir(out: str) -> Path:
+    """``out``, created on the first write, so that a command failing before it leaves none."""
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return corpus, stats, out_dir, instance_posterior(corpus)
+    return out_dir
 
 
 def _write_report_files(out_dir: Path, tag: str, report) -> None:
@@ -163,10 +168,10 @@ def _fmt(value: float | None) -> str:
 
 def cmd_report(config: RunConfig) -> int:
     check_margin("gamma_eval", config.gamma_eval)
-    corpus, stats, out_dir, posteriors = _start(config)
+    corpus, stats, posteriors = _start(config)
     predictions = map_predict(posteriors)
     report = build_report(corpus, stats, posteriors, predictions, config.gamma_eval)
-    _write_report_files(out_dir, "", report)
+    _write_report_files(_out_dir(config.out), "", report)
     print(
         f"A_dist {report.mean_amp_dist:.4f} | A_top {_fmt(report.mean_amp_top)} | "
         f"violations(dist) {report.n_violations_dist}/{len(report.entries)} | "
@@ -179,7 +184,7 @@ def cmd_calibrate(config: RunConfig) -> int:
     check_margin("gamma_eval", config.gamma_eval)
     check_margin("gamma_solve", config.gamma_solve)
     solver_config = config.solver_config()
-    corpus, stats, out_dir, posteriors = _start(config)
+    corpus, stats, posteriors = _start(config)
     predictions = map_predict(posteriors)
     before = build_report(corpus, stats, posteriors, predictions, config.gamma_eval)
 
@@ -189,6 +194,7 @@ def cmd_calibrate(config: RunConfig) -> int:
     predictions_after = map_predict(calibrated)
     after = build_report(corpus, stats, calibrated, predictions_after, config.gamma_eval)
 
+    out_dir = _out_dir(config.out)
     _write_report_files(out_dir, "_before", before)
     _write_report_files(out_dir, "_after", after)
     dump_posteriors(corpus, calibrated.probs, out_dir / "calibrated.jsonl")
@@ -208,8 +214,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     given = {k: tuple(v) if k == "bias_range" else v for k, v in given.items() if v is not None}
     synth_config = _module.SynthConfig(**given)
     corpus, stats = _module.generate(synth_config)
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out or ".")
     dump_corpus(corpus, out_dir / "corpus.jsonl")
     dump_training_stats(stats, out_dir / "stats.json")
     print(f"wrote {len(corpus)} instances over {corpus.n_activities} activities to {out_dir}")
@@ -222,7 +227,7 @@ def cmd_oracle(config: RunConfig) -> int:
         raise ValidationError(f"resolution must be at least 3, got {config.resolution}")
     solver_config = config.solver_config()
     solver_config.mode = "full_batch"
-    corpus, stats, out_dir, posteriors = _start(config)
+    corpus, stats, posteriors = _start(config)
     cs = _module.ConstraintSet.from_stats(corpus, stats, config.gamma_solve)
     oracle_q, oracle_lam = _module.brute_force_project(
         corpus, posteriors, cs, resolution=config.resolution
@@ -240,7 +245,7 @@ def cmd_oracle(config: RunConfig) -> int:
         "lambda_solver": [float(x) for x in state.lam],
         "lambda_oracle": [float(x) for x in oracle_lam],
     }
-    dump_json(payload, out_dir / "comparison.json")
+    dump_json(payload, _out_dir(config.out) / "comparison.json")
     print(
         f"KL solver {payload['kl_solver']:.6f} | KL oracle {payload['kl_oracle']:.6f} | "
         f"max TV {max_tv:.2e}"

@@ -27,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _EXPORTS
-from .corpus import FEMALE_CODE, UNGENDERED_CODE, Corpus, TrainingStats, constrained_activities
+from .corpus import (FEMALE_CODE, UNGENDERED_CODE, Corpus, TrainingStats, constrained_activities,
+                     integer_indices)
 from .distribution import PosteriorTable, as_table
 from .errors import UndefinedBiasError, ValidationError
 from .metrics import activity_mass, check_margin, training_ratios
@@ -38,14 +39,14 @@ __all__ = list(_EXPORTS["constraints"])
 EQUIVALENCE_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSet:
     """The 2n-dimensional constraint family over an ordered activity list.
 
-    ``activity_ids`` must be strictly increasing; activity j in that order
-    owns coordinates 2j (upper ratio bound) and 2j+1 (lower ratio bound).
-    The constraint threshold vector is fixed at zero, so the margin is baked
-    into the feature values themselves.
+    ``activity_ids`` must be strictly increasing integers; activity j in
+    that order owns coordinates 2j (upper ratio bound) and 2j+1 (lower).
+    The threshold vector is fixed at zero, so the margin is baked into the
+    feature values. Sets with equal ids, b* and gamma are equal.
     """
 
     activity_ids: tuple[int, ...]
@@ -53,21 +54,27 @@ class ConstraintSet:
     gamma: float
 
     def __post_init__(self):
-        ids = tuple(int(a) for a in self.activity_ids)
+        ids = integer_indices("activity_ids", self.activity_ids)
         b_star = np.asarray(self.b_star, dtype=np.float64)
-        if any(b <= a for a, b in zip(ids, ids[1:])) or (ids and ids[0] < 0):
-            raise ValidationError("activity_ids must be strictly increasing and nonnegative")
+        if ids.ndim != 1 or np.any(ids[1:] <= ids[:-1]) or np.any(ids < 0):
+            raise ValidationError(
+                "activity_ids must be a strictly increasing sequence of nonnegative ids")
         if b_star.shape != (len(ids),):
             raise ValidationError(
                 f"b_star has shape {b_star.shape}, expected ({len(ids)},)"
             )
-        if b_star.size and (np.any(b_star < 0.0) or np.any(b_star > 1.0)):
+        if not np.all((b_star >= 0.0) & (b_star <= 1.0)):  # NaN fails too
             raise ValidationError("b_star entries must lie in [0, 1]")
         check_margin("gamma", self.gamma)
         b_star.flags.writeable = False
-        object.__setattr__(self, "activity_ids", ids)
+        object.__setattr__(self, "activity_ids", tuple(ids.tolist()))
         object.__setattr__(self, "b_star", b_star)
-        object.__setattr__(self, "_slot", {aid: j for j, aid in enumerate(ids)})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConstraintSet):
+            return NotImplemented
+        return (self.activity_ids == other.activity_ids and self.gamma == other.gamma
+                and np.array_equal(self.b_star, other.b_star))
 
     @classmethod
     def from_stats(cls, corpus: Corpus, stats: TrainingStats, gamma: float) -> "ConstraintSet":
@@ -76,16 +83,8 @@ class ConstraintSet:
         return cls(tuple(ids), training_ratios(stats, corpus, ids), gamma)
 
     @property
-    def n_constraints(self) -> int:
-        return len(self.activity_ids)
-
-    @property
     def dimension(self) -> int:
         return 2 * len(self.activity_ids)
-
-    def slot(self, activity_id: int) -> int | None:
-        """Position of an activity in the constraint order, or None if unconstrained."""
-        return self._slot.get(activity_id)
 
 
 def feature_types(activity: np.ndarray, gender: np.ndarray, cs: ConstraintSet) -> np.ndarray:
@@ -97,7 +96,7 @@ def feature_types(activity: np.ndarray, gender: np.ndarray, cs: ConstraintSet) -
     """
     size = max(int(activity.max(initial=-1)), max(cs.activity_ids, default=-1)) + 1
     lookup = np.full(size, -1, dtype=np.int64)
-    lookup[list(cs.activity_ids)] = np.arange(cs.n_constraints)
+    lookup[list(cs.activity_ids)] = np.arange(len(cs.activity_ids))
     slot = np.where(gender != UNGENDERED_CODE, lookup[activity], -1)
     return np.where(slot >= 0, 2 * slot + (gender == FEMALE_CODE), cs.dimension)
 
@@ -175,16 +174,16 @@ def check_equivalence(
     so each expectation is <= 0 exactly when the corresponding ratio bound
     holds. Requires positive gendered mass on the activity.
     """
-    j = cs.slot(activity_id)
-    if j is None:
+    if activity_id not in cs.activity_ids:
         raise ValidationError(f"activity id {activity_id} is not constrained")
+    j = cs.activity_ids.index(activity_id)
     table = as_table(posteriors, corpus)
     male, gendered = activity_mass(corpus, table)
     male_mass = float(male[activity_id])
     gendered_mass = float(gendered[activity_id])
     if gendered_mass <= 0.0:
         raise UndefinedBiasError(
-            f"activity {corpus.activity_name(activity_id)!r} has no gendered mass"
+            f"activity {corpus.activity_names[activity_id]!r} has no gendered mass"
         )
     ratio = male_mass / gendered_mass
     r = float(cs.b_star[j])

@@ -227,9 +227,6 @@ class Corpus:
         """Vocabulary ordered by activity id."""
         return tuple(sorted(self.activities, key=self.activities.__getitem__))
 
-    def activity_name(self, activity_id: int) -> str:
-        return self.activity_names[activity_id]
-
     @property
     def n_activities(self) -> int:
         return len(self.activities)
@@ -291,11 +288,6 @@ class TrainingStats:
                     raise ValidationError(f"activity {name!r}: {key} count must be nonnegative")
         object.__setattr__(self, "counts", {name: GenderCount._make(map(int, count))
                                             for name, count in self.counts.items()})
-
-    def is_constrained(self, name: str) -> bool:
-        """True when the activity has at least one gendered training label."""
-        count = self.counts.get(name)
-        return count is not None and count.total > 0
 
 
 @contextmanager
@@ -620,7 +612,7 @@ def constrained_activities(stats: TrainingStats, corpus: Corpus) -> list[int]:
     has_gendered_mass[corpus.activity[corpus.gendered]] = True
     return [
         aid for aid, name in enumerate(corpus.activity_names)
-        if stats.is_constrained(name) and has_gendered_mass[aid]
+        if name in stats.counts and stats.counts[name].total > 0 and has_gendered_mass[aid]
     ]
 
 

@@ -24,8 +24,8 @@ class DegenerateDistributionError(BiasCalError):
 class SolverDivergenceError(BiasCalError):
     """The dual solver produced a non-finite value.
 
-    ``coordinate`` is the first offending index of the dual vector, or None
-    when the objective itself went non-finite.
+    ``coordinate`` is the index of the first non-finite entry of the vector
+    the message names, the gradient or the dual vector.
     """
 
     def __init__(self, message: str, coordinate: int | None = None):

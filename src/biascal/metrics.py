@@ -34,7 +34,7 @@ def training_ratios(
     stats: TrainingStats, corpus: Corpus, activity_ids: Sequence[int]
 ) -> np.ndarray:
     """b*: the male share of each constrained activity's gendered training labels."""
-    counts = [stats.counts[corpus.activity_name(aid)] for aid in activity_ids]
+    counts = [stats.counts[corpus.activity_names[aid]] for aid in activity_ids]
     return np.array([count.male / count.total for count in counts], dtype=np.float64)
 
 
@@ -148,7 +148,7 @@ def build_report(
     male, gendered = (mass[ids] for mass in activity_mass(corpus, table))
     empty = np.flatnonzero(gendered <= 0.0)
     if empty.size:
-        name = corpus.activity_name(activity_ids[empty[0]])
+        name = corpus.activity_names[activity_ids[empty[0]]]
         raise UndefinedBiasError(f"activity {name!r} has no gendered posterior mass")
     top_male, top_gendered = (count[ids] for count in top_counts(corpus, predictions))
     evaluable = top_gendered > 0

@@ -17,8 +17,7 @@ from .constraints import ConstraintSet
 from .corpus import Corpus
 from .distribution import PosteriorTable
 from .errors import OracleSizeError, ValidationError
-from .solver import (FeaturizedCorpus, _check_shift, _partition, _type_penalties, calibrate,
-                     featurize)
+from .solver import FeaturizedCorpus, _log_partition, calibrate, featurize
 
 __all__ = list(_EXPORTS["oracle"])
 
@@ -38,11 +37,7 @@ def _evaluate_grid(
     Feasibility reads each activity's male mass off its male type 2j and its
     gendered mass off types 2j and 2j+1.
     """
-    penalties = _type_penalties(fc.values, fc.coords, lam_grid)[:, fc.types]
-    shift, exps, sums = _partition(fc.log_p - penalties, fc.seg_ids, fc.offsets[:-1])
-    _check_shift(shift)
-    log_z = shift + np.log(sums)
-    probs = exps / sums[:, fc.seg_ids]
+    penalties, log_z, probs = _log_partition(fc, lam_grid)
     objective = -log_z.sum(axis=1)
     kl = (probs * (-penalties - log_z[:, fc.seg_ids])).sum(axis=1)
     mass = probs @ (fc.types[:, None] == np.arange(fc.dim))
@@ -77,7 +72,7 @@ def brute_force_project(
     if cs.dimension > MAX_ORACLE_DIMENSION:
         raise OracleSizeError(
             f"brute force supports at most {MAX_ORACLE_DIMENSION // 2} constrained "
-            f"activities, got {cs.n_constraints}"
+            f"activities, got {len(cs.activity_ids)}"
         )
     if corpus.n_rows > MAX_ORACLE_CANDIDATES:
         raise OracleSizeError(

@@ -115,9 +115,9 @@ class SolverConfig:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class DualState:
-    """Nonnegative dual vector plus Adam moments; one solver owns it at a time."""
+    """Nonnegative dual vector plus Adam moments; one solver owns it. Compared by identity."""
 
     lam: np.ndarray
     first_moment: np.ndarray
@@ -253,12 +253,12 @@ def _checked_lam(lam, cs: ConstraintSet) -> np.ndarray:
     return lam
 
 
-def _reweighted(fc: FeaturizedCorpus, lam: np.ndarray) -> np.ndarray:
-    """Per-row probabilities reweighted by exp(-lam . phi)."""
-    penalty = _type_penalties(fc.values, fc.coords, lam).take(fc.types)
+def _log_partition(fc: FeaturizedCorpus, lam: np.ndarray) -> tuple:
+    """Row penalties lam . phi, log Z_i and reweighted rows; a leading axis of lam is kept."""
+    penalty = _type_penalties(fc.values, fc.coords, lam).take(fc.types, axis=-1)
     shift, exps, sums = _partition(fc.log_p - penalty, fc.seg_ids, fc.offsets[:-1])
     _check_shift(shift)
-    return exps / sums.take(fc.seg_ids)
+    return penalty, shift + np.log(sums), exps / sums.take(fc.seg_ids, axis=-1)
 
 
 def _type_mass(types: np.ndarray, probs: np.ndarray, dim: int) -> np.ndarray:
@@ -279,12 +279,8 @@ def dual_objective(
     cs: ConstraintSet,
 ) -> float:
     """J(lam) = -sum_i log Z_i(lam); zero at lam = 0 by normalization."""
-    fc = featurize(corpus, posteriors, cs)
-    lam = _checked_lam(lam, cs)
-    penalty = _type_penalties(fc.values, fc.coords, lam).take(fc.types)
-    shift, _, sums = _partition(fc.log_p - penalty, fc.seg_ids, fc.offsets[:-1])
-    _check_shift(shift)
-    return float(-(shift + np.log(sums)).sum())
+    _, log_z, _ = _log_partition(featurize(corpus, posteriors, cs), _checked_lam(lam, cs))
+    return float(-log_z.sum())
 
 
 def dual_gradient(
@@ -300,7 +296,7 @@ def dual_gradient(
     stochastic solve's scaled mini-batch gradient is `_batch_step`'s.
     """
     fc = featurize(corpus, posteriors, cs)
-    probs = _reweighted(fc, _checked_lam(lam, cs))
+    _, _, probs = _log_partition(fc, _checked_lam(lam, cs))
     return _expectation(fc, _type_mass(fc.types, probs, fc.dim))
 
 
@@ -430,7 +426,7 @@ def _newton_ascent(fc: FeaturizedCorpus, state: DualState, config: SolverConfig)
     state.lam = np.column_stack([np.maximum(signed, 0.0), np.maximum(-signed, 0.0)]).ravel()
     group, group_pair = _pair_groups(fc)
     for _ in range(config.max_steps):
-        probs = _reweighted(fc, state.lam)
+        _, _, probs = _log_partition(fc, state.lam)
         mass = _type_mass(fc.types, probs, fc.dim)
         gradient = _expectation(fc, mass)
         _check_finite(state, gradient)

@@ -97,7 +97,7 @@ def constrained_activities(stats, corpus):
     return sorted(
         aid
         for name, aid in corpus.activities.items()
-        if stats.is_constrained(name) and aid in has_gendered_mass
+        if name in stats.counts and stats.counts[name].total > 0 and aid in has_gendered_mass
     )
 
 
@@ -112,7 +112,7 @@ def build_report(corpus, stats, posteriors, predictions, gamma_eval):
         raise bc.UndefinedBiasError("no constrained activities")
     entries = []
     for aid in ids:
-        count = stats.counts[corpus.activity_name(aid)]
+        count = stats.counts[corpus.activity_names[aid]]
         b_star = count.male / (count.male + count.female)
         male, gendered = activity_mass(posteriors, corpus, aid)
         if gendered <= 0.0:
@@ -124,7 +124,7 @@ def build_report(corpus, stats, posteriors, predictions, gamma_eval):
         entries.append(
             bc.ActivityBias(
                 activity_id=aid,
-                activity=corpus.activity_name(aid),
+                activity=corpus.activity_names[aid],
                 b_star=b_star,
                 bias_dist=bias_dist,
                 bias_top=bias_top,
@@ -153,9 +153,9 @@ def build_report(corpus, stats, posteriors, predictions, gamma_eval):
 
 
 def feature_vector(candidate, cs):
-    j = cs.slot(candidate.activity_id)
-    if j is None or not candidate.gender.is_gendered:
+    if candidate.activity_id not in cs.activity_ids or not candidate.gender.is_gendered:
         return []
+    j = cs.activity_ids.index(candidate.activity_id)
     r = float(cs.b_star[j])
     g = cs.gamma
     if candidate.gender is bc.GenderTag.MALE:

@@ -353,6 +353,26 @@ class TestOracleCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command, shape, flags, unrelated_stats, code", [
+        ("oracle", (2, 40), (), False, 3),
+        ("oracle", (2, 4), ("--resolution", 60), False, 3),
+        ("report", (2, 4), (), True, 1),
+        ("calibrate", (2, 4), (), True, 1),
+        ("calibrate", (3, 30), ("--lr", "1e308", "--epochs", 3), False, 2),
+    ], ids=["oracle_320_candidates", "oracle_wide_grid", "report_no_constraints",
+            "calibrate_no_constraints", "calibrate_divergence"])
+    def test_a_failed_run_leaves_no_out(self, tmp_path, capsys, command, shape, flags,
+                                        unrelated_stats, code):
+        corpus_path, stats_path = synth_files(tmp_path, n_activities=shape[0],
+                                              instances_per_activity=shape[1], boost=1.0, seed=1)
+        if unrelated_stats:  # names no activity of the corpus, so nothing is constrained
+            stats_path = tmp_path / "unrelated.json"
+            stats_path.write_text('{"not_in_the_corpus": {"male": 1, "female": 1}}\n')
+        out = tmp_path / "out"
+        assert run(command, "--corpus", corpus_path, "--stats", stats_path, "--out", out,
+                   *flags) == code
+        assert not out.exists()
+
     @pytest.mark.parametrize("error, code", [
         (bc.SolverDivergenceError("boom"), 2),
         (bc.OracleSizeError("boom"), 3),

@@ -25,19 +25,46 @@ class TestConstraintSet:
     def test_dimension_and_layout(self):
         cs = bc.ConstraintSet((2, 5), np.array([0.3, 0.6]), 0.001)
         assert cs.dimension == 4
-        assert cs.slot(2) == 0
-        assert cs.slot(5) == 1
-        assert cs.slot(4) is None
+        assert cs.activity_ids.index(2) == 0
+        assert cs.activity_ids.index(5) == 1
+        assert 4 not in cs.activity_ids
 
     def test_requires_increasing_ids(self):
         with pytest.raises(bc.ValidationError):
             bc.ConstraintSet((5, 2), np.array([0.3, 0.6]), 0.001)
+
+    @pytest.mark.parametrize("ids", [(2, 2), (-1, 2), [[2, 5]], 2])
+    def test_requires_a_sequence_of_distinct_nonnegative_ids(self, ids):
+        with pytest.raises(bc.ValidationError, match="^activity_ids must be a strictly increasing"):
+            bc.ConstraintSet(ids, np.array([0.3, 0.6]), 0.001)
 
     def test_requires_valid_b_star(self):
         with pytest.raises(bc.ValidationError):
             bc.ConstraintSet((0,), np.array([1.2]), 0.001)
         with pytest.raises(bc.ValidationError, match=r"^b_star has shape \(2,\), expected \(1,\)$"):
             bc.ConstraintSet((0,), np.array([0.5, 0.5]), 0.001)
+
+    def test_refuses_a_nan_b_star(self):
+        with pytest.raises(bc.ValidationError, match=r"^b_star entries must lie in \[0, 1\]$"):
+            bc.ConstraintSet((0, 1), np.array([0.5, np.nan]), 0.001)
+
+    @pytest.mark.parametrize("ids", [(0.7,), (True,), ("1",), (0, 1.0)])
+    def test_refuses_activity_ids_that_are_not_integers(self, ids):
+        with pytest.raises(bc.ValidationError, match="^activity_ids must be integer indices"):
+            bc.ConstraintSet(ids, np.full(len(ids), 0.5), 0.001)
+
+    def test_takes_numpy_integer_ids_as_ints(self):
+        cs = bc.ConstraintSet(np.array([1, 3], dtype=np.int32), np.array([0.3, 0.6]), 0.001)
+        assert cs.activity_ids == (1, 3)
+        assert all(type(aid) is int for aid in cs.activity_ids)
+
+    def test_sets_compare_by_value(self):
+        cs = bc.ConstraintSet((0, 1), np.array([0.3, 0.6]), 0.01)
+        assert cs == bc.ConstraintSet([0, 1], [0.3, 0.6], 0.01)
+        assert cs != bc.ConstraintSet((0, 1), np.array([0.3, 0.7]), 0.01)
+        assert cs != bc.ConstraintSet((0, 2), np.array([0.3, 0.6]), 0.01)
+        assert cs != bc.ConstraintSet((0, 1), np.array([0.3, 0.6]), 0.02)
+        assert cs != ((0, 1), (0.3, 0.6), 0.01)
 
     def test_rejects_negative_gamma(self):
         with pytest.raises(bc.ValidationError):
@@ -104,10 +131,10 @@ class TestFeatureVector:
         for aid in range(4):
             for gender in bc.GenderTag:
                 t, coords, values = candidate_features(aid, gender, cs)
-                j = cs.slot(aid)
-                if j is None or not gender.is_gendered:
+                if aid not in cs.activity_ids or not gender.is_gendered:
                     assert t == cs.dimension and values.tolist() == [0.0, 0.0]
                 else:
+                    j = cs.activity_ids.index(aid)
                     assert coords == [2 * j, 2 * j + 1]
 
     def test_balanced_zero_margin_sides_negate(self):

@@ -300,15 +300,19 @@ class TestAtomicWrite:
         assert os.listdir(tmp_path) == ["corpus.jsonl"]
 
 
+# one instance with one male candidate of the activity "cooking"
+COOKING = make_corpus([("i0", [(0, "M", 0.0)])], names=["cooking"])
+
+
 class TestLoadTrainingStats:
     def test_single_activity(self):
         stats = stats_of({"cooking": {"male": 30, "female": 70}})
         assert stats.counts["cooking"] == bc.GenderCount(30, 70)
-        assert stats.is_constrained("cooking")
+        assert bc.constrained_activities(stats, COOKING) == [0]
 
     def test_zero_counts_unconstrained(self):
         stats = stats_of({"cooking": {"male": 0, "female": 0}})
-        assert not stats.is_constrained("cooking")
+        assert bc.constrained_activities(stats, COOKING) == []
 
     def test_negative_count_rejected(self):
         with pytest.raises(bc.ValidationError, match="nonnegative"):

@@ -13,8 +13,8 @@ from biascal.distribution import segment_sum
 from biascal.metrics import activity_mass, top_counts
 from biascal.solver import (
     _hessian_diagonal,
+    _log_partition,
     _pair_groups,
-    _reweighted,
     _type_mass,
     featurize,
 )
@@ -169,7 +169,7 @@ def test_hessian_diagonal_is_the_diagonal_of_the_covariance(case, data):
     expected = ref.dual_hessian(corpus, posteriors, cs, lam)
 
     fc = featurize(corpus, bc.instance_posterior(corpus), cs)
-    probs = _reweighted(fc, lam)
+    _, _, probs = _log_partition(fc, lam)
     mass = _type_mass(fc.types, probs, fc.dim)
     curvature, _ = _hessian_diagonal(fc, probs, mass, *_pair_groups(fc))
     np.testing.assert_allclose(curvature, np.diag(expected), rtol=1e-9, atol=1e-12)

@@ -63,7 +63,7 @@ def project(corpus, stats, gamma, config=FULL_BATCH):
     posteriors = bc.instance_posterior(corpus)
     cs = bc.ConstraintSet.from_stats(corpus, stats, gamma)
     state = bc.solve(corpus, posteriors, cs, config)
-    names = [corpus.activity_name(aid) for aid in cs.activity_ids]
+    names = [corpus.activity_names[aid] for aid in cs.activity_ids]
     lam = {name: state.lam[2 * j: 2 * j + 2] for j, name in enumerate(names)}
     return lam, bc.calibrate(corpus, posteriors, cs, state.lam), state
 

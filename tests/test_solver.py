@@ -15,7 +15,7 @@ from biascal import oracle, solver
 from biascal.distribution import segment_sum
 from biascal.metrics import activity_mass
 from biascal.oracle import brute_force_project
-from biascal.solver import _batch_step, _check_finite, featurize
+from biascal.solver import _batch_step, _check_finite, _log_partition, featurize
 from conftest import (
     feasible_single_activity_corpus,
     make_corpus,
@@ -117,6 +117,23 @@ class TestDualObjective:
             expected = -math.log(math.cosh(0.5 * s))
             actual = bc.dual_objective(np.array([s, 0.0]), corpus, posteriors, cs)
             assert_allclose(actual, expected, atol=1e-12)
+
+    def test_a_grid_of_dual_vectors_matches_each_vector_alone(self):
+        # the oracle evaluates a grid of lam at once through the solver's own
+        # log-partition, and the grid axis may not change a single bit
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            corpus = random_corpus(rng, n_activities=3, max_instances=8, max_candidates=12)
+            cs = random_constraints(rng, corpus, gamma=0.01)
+            if cs is None:
+                continue
+            fc = featurize(corpus, posteriors_of(corpus), cs)
+            shape = (int(rng.integers(1, 9)), cs.dimension)
+            lam_grid = rng.uniform(0, 5, shape) * (rng.random(shape) < 0.7)
+            on_grid = _log_partition(fc, lam_grid)
+            for g, lam in enumerate(lam_grid):
+                for grid_value, value in zip(on_grid, _log_partition(fc, lam)):
+                    assert np.array_equal(grid_value[g], value)
 
     def test_concavity_along_random_segments(self):
         rng = np.random.default_rng(31)
@@ -412,6 +429,11 @@ class TestSolve:
         # lr_decay can underflow a long run's rate to 0, and a saved state must load
         state = bc.DualState(np.zeros(2), np.zeros(2), np.zeros(2), np.int64(3), 0.0)
         assert (state.step, state.learning_rate) == (3, 0.0)
+
+    def test_dual_states_compare_by_identity(self):
+        state = bc.DualState.zeros(2, 0.1)
+        assert state == state
+        assert state != bc.DualState.zeros(2, 0.1)
 
     def test_non_finite_gradient_diagnosed(self):
         state = bc.DualState.zeros(3, 0.1)
