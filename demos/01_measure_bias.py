@@ -54,8 +54,8 @@ posteriors = bc.instance_posterior(corpus)
 predictions = bc.map_predict(posteriors)
 
 print("per-instance posteriors:")
-for i, inst_id in enumerate(posteriors.ids):
-    row = posteriors.probs[posteriors.offsets[i]:posteriors.offsets[i + 1]]
+for i, inst_id in enumerate(corpus.ids):
+    row = posteriors.probs[corpus.offsets[i]:corpus.offsets[i + 1]]
     print(f"  {inst_id}: {[round(float(p), 3) for p in row]}")
 
 # The report works out the numbers of every constrained activity at once;

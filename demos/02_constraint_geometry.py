@@ -29,12 +29,13 @@ for name, code in (("male", 1), ("female", 2), ("ungendered", 0)):
     print(f"  {name:10s} -> {nonzero}")
 
 # one instance with a male/female candidate pair; the posterior male share
-# sweeps from well below the lower bound to well above the upper bound
+# sweeps from well below the lower bound to well above the upper bound. A
+# posterior table is a corpus and one probability per row of it
 corpus = bc.Corpus({"cooking": 0}, ("i0",), [0, 2], [0, 0], [1, 2], [0.0, 0.0], [-1])
 
 print(f"\n{'male share':>10s} {'E[upper]':>10s} {'E[lower]':>10s} {'in bounds':>10s}")
 for male_share in (0.10, 0.25, B_STAR - GAMMA, 0.30, B_STAR + GAMMA, 0.40, 0.60):
-    posterior = bc.PosteriorTable(("i0",), [0, 2], [male_share, 1.0 - male_share])
+    posterior = bc.PosteriorTable(corpus, [male_share, 1.0 - male_share])
     expectation = bc.corpus_expectation(corpus, posterior, cs)
     result = bc.check_equivalence(corpus, posterior, cs, 0)
     inside = expectation[0] <= 1e-12 and expectation[1] <= 1e-12

@@ -44,7 +44,7 @@ oracle, oracle_lam = brute_force_project(corpus, posteriors, cs)
 print(f"\nsolver lam: {np.round(state.lam, 6)}  ({state.step} steps)")
 print(f"oracle lam: {np.round(oracle_lam, 6)}")
 
-rows = zip(solved.offsets[:-1], solved.offsets[1:])
+rows = zip(corpus.offsets[:-1], corpus.offsets[1:])
 max_tv = max(
     0.5 * float(np.abs(solved.probs[i:j] - oracle.probs[i:j]).sum()) for i, j in rows
 )

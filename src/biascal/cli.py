@@ -225,8 +225,8 @@ def cmd_oracle(config: RunConfig) -> int:
     check_margin("gamma_solve", config.gamma_solve)
     if config.resolution < 3:
         raise ValidationError(f"resolution must be at least 3, got {config.resolution}")
-    solver_config = config.solver_config()
-    solver_config.mode = "full_batch"
+    solver_config = _module.SolverConfig(mode="full_batch", max_steps=config.max_steps,
+                                         convergence_tol=config.convergence_tol)
     corpus, stats, posteriors = _start(config)
     cs = _module.ConstraintSet.from_stats(corpus, stats, config.gamma_solve)
     oracle_q, oracle_lam = _module.brute_force_project(

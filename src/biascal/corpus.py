@@ -170,6 +170,11 @@ class Corpus:
                 and score.shape == activity.shape == gender.shape == (score.size,)):
             raise ValidationError("corpus offsets do not match its ids, rows and gold")
         n = len(activities)
+        for name, aid in activities.items():
+            if not (isinstance(name, str) and name):
+                raise ValidationError(f"activity name must be a nonempty string, got {name!r}")
+            if not is_integer(aid):
+                raise ValidationError(f"activity {name!r}: id must be an integer, got {aid!r}")
         if sorted(activities.values()) != list(range(n)):
             raise ValidationError("activity ids must be exactly 0..n-1")
         if not (set(map(type, ids)) <= {str} and all(ids) and len(set(ids)) == len(ids)):
@@ -198,9 +203,10 @@ class Corpus:
                 inst = np.searchsorted(offsets, hits[0], side="right") - 1 if per_row else hits[0]
                 raise ValidationError(f"instance {ids[inst]!r}: {message(hits[0])}")
         self.__dict__.update(  # astype copies, so no caller's array is shared
-            activities=dict(activities), ids=ids, offsets=_read_only(offsets.astype(np.int64)),
-            activity=_read_only(activity.astype(np.int64)), score=_read_only(score),
-            gender=_read_only(gender.astype(np.int8)), gold=_read_only(gold.astype(np.int64)))
+            activities={name: int(aid) for name, aid in activities.items()}, ids=ids,
+            offsets=_read_only(offsets.astype(np.int64)), score=_read_only(score),
+            activity=_read_only(activity.astype(np.int64)), gold=_read_only(gold.astype(np.int64)),
+            gender=_read_only(gender.astype(np.int8)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):

@@ -8,10 +8,12 @@ per-instance posteriors, and corpus-level reductions here always accumulate
 in instance order so repeated runs are bitwise identical.
 
 Every kernel works on flat rows split into segments by an ``offsets``
-array (see `Corpus`). A `PosteriorTable` holds the posteriors of a whole
-corpus that way and is the one form in which the public functions take
+array (see `Corpus`). A `PosteriorTable` is a corpus and one probability
+per row of it, and is the one form in which the public functions take
 posteriors; instance i's posterior is the row slice
-``probs[offsets[i]:offsets[i + 1]]``.
+``probs[corpus.offsets[i]:corpus.offsets[i + 1]]``. A table is refused by
+the functions that take another corpus, even one with the same ids and
+candidate counts.
 """
 
 from __future__ import annotations
@@ -69,61 +71,47 @@ def _segment_of(offsets: np.ndarray, row: int) -> int:
 class PosteriorTable:
     """Posteriors of every instance of a corpus as one flat probability array.
 
-    Instance i owns ``probs[offsets[i]:offsets[i + 1]]``, in the row order of
-    its `Corpus`. On construction each segment must be finite, within [0, 1]
-    and sum to 1, and a failing one is named; ``probs`` is then read-only.
+    ``corpus`` is the `Corpus` the table belongs to, and ``probs`` holds one
+    probability per row of it: instance i owns
+    ``probs[corpus.offsets[i]:corpus.offsets[i + 1]]``. On construction each
+    segment must be finite, within [0, 1] and sum to 1, and a failing one is
+    named; ``probs`` is then read-only.
     """
 
-    __slots__ = ("ids", "offsets", "probs")
+    __slots__ = ("corpus", "probs")
 
-    def __init__(self, ids: Sequence[str], offsets: np.ndarray, probs: np.ndarray):
+    def __init__(self, corpus: Corpus, probs: np.ndarray):
+        if not isinstance(corpus, Corpus):
+            raise TypeError(f"a PosteriorTable belongs to a Corpus, got {type(corpus).__name__}")
         probs = np.asarray(probs, dtype=np.float64)
-        offsets = np.asarray(offsets, dtype=np.int64)
-        if (offsets.shape != (len(ids) + 1,) or offsets[0] != 0
-                or np.any(offsets[1:] < offsets[:-1]) or probs.shape != (offsets[-1],)):
-            raise ValidationError("posterior table offsets do not match its ids and rows")
+        if probs.shape != (corpus.n_rows,):
+            raise ValidationError(f"{probs.shape} probabilities for {corpus.n_rows} candidates")
         with np.errstate(invalid="ignore"):
             for bad, what in (
                 (~np.isfinite(probs), "has non-finite entries"),
                 ((probs < 0.0) | (probs > 1.0 + SUM_TOLERANCE), "has entries outside [0, 1]"),
             ):
                 if bad.any():
-                    first = _segment_of(offsets, int(np.argmax(bad)))
-                    raise ValidationError(f"posterior for {ids[first]!r} {what}")
-        sums = segment_sum(probs, offsets)
+                    first = _segment_of(corpus.offsets, int(np.argmax(bad)))
+                    raise ValidationError(f"posterior for {corpus.ids[first]!r} {what}")
+        sums = segment_sum(probs, corpus.offsets)
         bad = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOLERANCE)
         if bad.size:
-            raise ValidationError(
-                f"posterior for {ids[bad[0]]!r} sums to {float(sums[bad[0]])!r}, expected 1"
-            )
+            raise ValidationError(f"posterior for {corpus.ids[bad[0]]!r} sums to "
+                                  f"{float(sums[bad[0]])!r}, expected 1")
         probs.flags.writeable = False
-        self.ids = tuple(ids)
-        self.offsets = offsets
+        self.corpus = corpus
         self.probs = probs
 
-    def __len__(self) -> int:
-        return len(self.ids)
 
-
-def as_table(posteriors: PosteriorTable, like: Corpus | PosteriorTable | None = None
-             ) -> PosteriorTable:
+def as_table(posteriors: PosteriorTable, corpus: Corpus | None = None) -> PosteriorTable:
     """``posteriors``, which must be a `PosteriorTable`, after checking that it
-    lists the instances of ``like`` (a corpus or a table), if given, with their
-    candidate counts. The first instance out of line is named.
+    belongs to ``corpus``, if given: that corpus or one equal to it.
     """
     if not isinstance(posteriors, PosteriorTable):
         raise TypeError(f"posteriors must be a PosteriorTable, got {type(posteriors).__name__}")
-    if like is not None and not (posteriors.ids == like.ids
-                                 and np.array_equal(posteriors.offsets, like.offsets)):
-        if len(posteriors) != len(like):
-            raise ValidationError(f"{len(posteriors)} posteriors for {len(like)} instances")
-        for q_id, p_id, q_size, p_size in zip(posteriors.ids, like.ids, np.diff(
-                posteriors.offsets).tolist(), np.diff(like.offsets).tolist()):
-            if q_id != p_id:
-                raise ValidationError(f"posterior {q_id!r} does not match instance {p_id!r}")
-            if q_size != p_size:
-                raise ValidationError(
-                    f"instance {p_id!r}: {q_size} probabilities for {p_size} candidates")
+    if corpus is not None and posteriors.corpus is not corpus and posteriors.corpus != corpus:
+        raise ValidationError("posteriors belong to another corpus")
     return posteriors
 
 
@@ -146,7 +134,7 @@ def instance_posterior(corpus: Corpus) -> PosteriorTable:
     candidate scores, probs[k] = exp(score_k - logsumexp(scores))."""
     if not isinstance(corpus, Corpus):
         raise TypeError(f"instance_posterior takes a Corpus, got {type(corpus).__name__}")
-    return PosteriorTable(corpus.ids, corpus.offsets, _softmax(corpus.score, corpus.offsets))
+    return PosteriorTable(corpus, _softmax(corpus.score, corpus.offsets))
 
 
 def reweight(
@@ -187,7 +175,7 @@ def segment_argmax(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def map_predict(posteriors: PosteriorTable) -> np.ndarray:
     """Index of each instance's most probable candidate; ties break toward the lowest index."""
     table = as_table(posteriors)
-    return segment_argmax(table.probs, table.offsets)
+    return segment_argmax(table.probs, table.corpus.offsets)
 
 
 def _rel_entr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -214,14 +202,14 @@ def _rel_entr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def kl_divergence(q: PosteriorTable, p: PosteriorTable) -> float:
     """KL(q || p) summed over instances, with the 0 log 0 = 0 convention.
 
-    Both are `PosteriorTable` objects over the same instances. Returns inf
-    when q puts mass where p has none (q not absolutely continuous w.r.t.
-    p on the candidate support).
+    Both are `PosteriorTable` objects, and q must belong to p's corpus.
+    Returns inf when q puts mass where p has none (q not absolutely
+    continuous w.r.t. p on the candidate support).
     """
     p_table = as_table(p)
-    q_table = as_table(q, p_table)
-    if len(q_table) == 0:
+    q_table = as_table(q, p_table.corpus)
+    if q_table.probs.size == 0:
         return 0.0
-    per_instance = segment_sum(_rel_entr(q_table.probs, p_table.probs), q_table.offsets)
+    per_instance = segment_sum(_rel_entr(q_table.probs, p_table.probs), p_table.corpus.offsets)
     # accumulate is a left-to-right running sum, the order of adding instance by instance
     return float(np.add.accumulate(per_instance)[-1])

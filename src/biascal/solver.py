@@ -483,10 +483,10 @@ def solve(
     ``step`` counts Newton iterations, and it leaves the moments and the
     learning rate as they were. It stops at the stationarity tolerance, at
     ``config.max_steps``, or when the line search can no longer gain
-    anything at working precision. If the constraint system is infeasible
-    (for example an activity whose corpus candidates are all one gender with
-    the training ratio bounded away from it), the dual has no maximum and
-    full-batch mode returns the last iterate, finite but possibly large.
+    anything at working precision. The dual has no maximum if the constraint
+    system is infeasible or feasible only on its boundary (an all-male
+    activity with b* + gamma < 1 meets its bound only with no mass on it);
+    full-batch mode then returns the last iterate, finite but possibly large.
     """
     fc = featurize(corpus, posteriors, cs)
     if initial_state is None:
@@ -543,7 +543,7 @@ def calibrate(
     is_touched = np.zeros(corpus.n_instances, dtype=bool)
     is_touched[corpus.segment_ids[penalty != 0.0]] = True
     probs = np.where(np.repeat(is_touched, corpus.sizes), reweighted, table.probs)
-    return PosteriorTable(table.ids, table.offsets, probs)
+    return PosteriorTable(corpus, probs)
 
 
 def _config_hash(config: SolverConfig, cs: ConstraintSet) -> str:

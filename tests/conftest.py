@@ -54,9 +54,20 @@ def posteriors_of(corpus):
     return bc.instance_posterior(corpus)
 
 
+def table_of(rows, ids=None):
+    """The `PosteriorTable` with these per-instance probability rows, over a corpus
+    of one activity's ungendered candidates, its instances named ``ids`` (default
+    i0, i1, ...)."""
+    ids = [f"i{i}" for i in range(len(rows))] if ids is None else ids
+    corpus = make_corpus([(inst_id, [(0, "-", 0.0)] * len(row)) for inst_id, row in zip(ids, rows)],
+                         names=["act"])
+    return bc.PosteriorTable(corpus, np.concatenate([[], *rows]))
+
+
 def rows_of(table):
-    """Each instance's row slice ``probs[offsets[i]:offsets[i + 1]]`` of a `PosteriorTable`."""
-    bounds = table.offsets.tolist()
+    """Each instance's row slice ``probs[offsets[i]:offsets[i + 1]]`` of a `PosteriorTable`,
+    ``offsets`` its corpus's."""
+    bounds = table.corpus.offsets.tolist()
     return [table.probs[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
 
 

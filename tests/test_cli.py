@@ -185,7 +185,8 @@ class TestCalibrateCommand:
         assert checkpoint["lambda"] == [0.0, 0.0]
 
     def test_unbounded_dual_exits_zero(self, tmp_path):
-        # male-only "cook" against a 3/7 training ratio: the dual is unbounded
+        # male-only "cook" against a 3/7 training ratio: feasible only with no mass
+        # on "cook", so the dual is bounded but has no maximum
         corpus_path = tmp_path / "corpus.jsonl"
         corpus_path.write_text(
             '{"id":"a","candidates":['
@@ -265,7 +266,7 @@ class TestCalibrateCommand:
                 assert record["id"] == inst_id
                 probs = np.array([c["prob"] for c in record["candidates"]])
                 rows.append(probs / probs.sum())
-        posteriors = bc.PosteriorTable(corpus.ids, corpus.offsets, np.concatenate(rows))
+        posteriors = bc.PosteriorTable(corpus, np.concatenate(rows))
         predictions = bc.map_predict(posteriors)
         report = bc.build_report(corpus, stats, posteriors, predictions, gamma_eval=0.05)
         emitted = json.loads((out / "report_after.json").read_text())
@@ -526,6 +527,22 @@ class TestConfigPrecedence:
         config_path.write_text(json.dumps({"resolution": "5"}))
         assert run("report", "--corpus", corpus_path, "--stats", stats_path,
                    "--out", tmp_path / "bad", "--config", config_path) == 1
+
+    def test_a_setting_is_checked_only_by_the_commands_that_read_it(self, tmp_path, capsys):
+        corpus_path, stats_path = synth_files(
+            tmp_path, n_activities=2, instances_per_activity=4, boost=1.0, seed=1
+        )
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"epochs": 0}))
+        for command in ("report", "oracle"):
+            assert run(command, "--corpus", corpus_path, "--stats", stats_path,
+                       "--out", tmp_path / command, "--config", config_path) == 0
+        capsys.readouterr()
+        assert run("calibrate", "--corpus", corpus_path, "--stats", stats_path,
+                   "--out", tmp_path / "calibrate", "--config", config_path) == 1
+        assert capsys.readouterr().err == (
+            "error: batch_size, epochs and max_steps must be positive\n")
+        assert not (tmp_path / "calibrate").exists()
 
     def test_unknown_config_key_fails(self, tmp_path):
         corpus_path, stats_path = synth_files(tmp_path, n_activities=2,

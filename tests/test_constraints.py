@@ -95,7 +95,7 @@ def candidate_features(activity_id, gender, cs):
 def one_instance(triples, probs):
     """A corpus of one instance "i" and a posterior table of the given probabilities."""
     corpus = make_corpus([("i", triples)], names=["act"])
-    return corpus, bc.PosteriorTable(("i",), [0, len(probs)], probs)
+    return corpus, bc.PosteriorTable(corpus, probs)
 
 
 class TestFeatureVector:
@@ -168,8 +168,10 @@ class TestExpectations:
     def test_one_probability_per_candidate(self):
         cs = single_constraint(0.3, 0.001)
         corpus, _ = one_instance([(0, "M", 0.0), (0, "W", 0.0)], [0.5, 0.5])
-        short = bc.PosteriorTable(("i",), [0, 1], [1.0])
-        with pytest.raises(bc.ValidationError, match="^instance 'i': 1 probabilities for 2 candidates$"):
+        with pytest.raises(bc.ValidationError, match=r"^\(1,\) probabilities for 2 candidates$"):
+            bc.PosteriorTable(corpus, [1.0])
+        _, short = one_instance([(0, "M", 0.0)], [1.0])
+        with pytest.raises(bc.ValidationError, match="^posteriors belong to another corpus$"):
             bc.corpus_expectation(corpus, short, cs)
 
     def test_empty_corpus_zero(self):

@@ -507,6 +507,25 @@ class TestInvariants:
             with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
                 bc.Corpus(**{**fields_of(corpus), name: value})
 
+    @pytest.mark.parametrize("activities, message", [
+        ({1: 0}, "activity name must be a nonempty string, got 1"),
+        ({"": 0}, "activity name must be a nonempty string, got ''"),
+        ({"a": 0.0}, "activity 'a': id must be an integer, got 0.0"),
+        ({"a": False}, "activity 'a': id must be an integer, got False"),
+    ])
+    def test_the_vocabulary_is_what_a_file_can_hold(self, activities, message):
+        # dump_corpus writes the names and load_corpus numbers them, so only
+        # nonempty string names with integer ids can come back from a file
+        with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
+            bc.Corpus(activities, ("i",), [0, 1], [0], [1], [0.0], [-1])
+
+    def test_numpy_integer_activity_ids_are_stored_as_ints(self):
+        corpus = bc.Corpus({"a": np.int64(0)}, ("i",), [0, 1], [0], [1], [0.0], [-1])
+        assert corpus.activities == {"a": 0} and type(corpus.activities["a"]) is int
+        text = io.StringIO()
+        bc.dump_corpus(corpus, text)
+        assert bc.load_corpus(io.StringIO(text.getvalue())) == corpus
+
     def test_candidate_requires_finite_score(self):
         for score in (float("nan"), float("inf"), -float("inf")):
             message = f"^instance 'a': candidate score must be finite, got {score}$"

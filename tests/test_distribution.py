@@ -15,7 +15,9 @@ import biascal as bc
 from biascal.constraints import feature_types, type_features
 from biascal.distribution import _rel_entr, as_table, reweight
 from biascal.solver import featurize
-from conftest import make_corpus, posteriors_of, random_constraints, random_corpus, rows_of
+from conftest import (
+    make_corpus, posteriors_of, random_constraints, random_corpus, rows_of, table_of,
+)
 
 
 def scored(scores):
@@ -58,7 +60,7 @@ def male_vs_plain(probs):
     """A male and an ungendered candidate of one instance, their posterior table, and
     constraints under which the male candidate's upper-side feature is exactly 1."""
     corpus = make_corpus([("i", [(0, "M", 0.0), (0, "-", 0.0)])])
-    return corpus, bc.PosteriorTable(("i",), [0, 2], probs), bc.ConstraintSet((0,), [0.0], 0.0)
+    return corpus, bc.PosteriorTable(corpus, probs), bc.ConstraintSet((0,), [0.0], 0.0)
 
 
 class TestReweightedPosterior:
@@ -97,11 +99,11 @@ class TestReweightedPosterior:
 
 class TestMapPredict:
     def test_plain_argmax(self):
-        posteriors = bc.PosteriorTable(("i",), [0, 3], [0.2, 0.7, 0.1])
+        posteriors = table_of([[0.2, 0.7, 0.1]])
         assert bc.map_predict(posteriors).tolist() == [1]
 
     def test_tie_breaks_low(self):
-        posteriors = bc.PosteriorTable(("i", "j"), [0, 2, 5], [0.5, 0.5, 0.2, 0.4, 0.4])
+        posteriors = table_of([[0.5, 0.5], [0.2, 0.4, 0.4]])
         assert bc.map_predict(posteriors).tolist() == [0, 1]
 
     def test_composition_with_reweighting(self):
@@ -119,20 +121,20 @@ class TestMapPredict:
 
 class TestKLDivergence:
     def test_identical_is_zero(self):
-        p = bc.PosteriorTable(("a",), [0, 2], [0.3, 0.7])
+        p = table_of([[0.3, 0.7]])
         assert bc.kl_divergence(p, p) == 0.0
 
     def test_point_mass_vs_uniform(self):
-        q = bc.PosteriorTable(("a",), [0, 2], [1.0, 0.0])
-        p = bc.PosteriorTable(("a",), [0, 2], [0.5, 0.5])
+        q = table_of([[1.0, 0.0]])
+        p = table_of([[0.5, 0.5]])
         assert_allclose(bc.kl_divergence(q, p), math.log(2.0), rtol=1e-14)
 
     def test_closed_form_sum(self):
         # independent evaluation of sum_k q_k log(q_k / p_k)
         q_probs, p_probs = [0.25, 0.75], [0.5, 0.5]
         expected = sum(qk * math.log(qk / pk) for qk, pk in zip(q_probs, p_probs))
-        q = bc.PosteriorTable(("a",), [0, 2], q_probs)
-        p = bc.PosteriorTable(("a",), [0, 2], p_probs)
+        q = table_of([q_probs])
+        p = table_of([p_probs])
         assert_allclose(bc.kl_divergence(q, p), expected, rtol=1e-14)
         assert_allclose(expected, 0.1308, atol=5e-5)
 
@@ -141,14 +143,14 @@ class TestKLDivergence:
         assert bc.kl_divergence(table, table) == 0.0
 
     def test_infinite_when_not_absolutely_continuous(self):
-        q = bc.PosteriorTable(("a",), [0, 2], [0.5, 0.5])
-        p = bc.PosteriorTable(("a",), [0, 2], [1.0, 0.0])
+        q = table_of([[0.5, 0.5]])
+        p = table_of([[1.0, 0.0]])
         assert bc.kl_divergence(q, p) == float("inf")
 
     def test_alignment_enforced(self):
-        q = bc.PosteriorTable(("a",), [0, 1], [1.0])
-        p = bc.PosteriorTable(("b",), [0, 1], [1.0])
-        with pytest.raises(bc.ValidationError, match="^posterior 'a' does not match instance 'b'$"):
+        q = table_of([[1.0]], ids=["a"])
+        p = table_of([[1.0]], ids=["b"])
+        with pytest.raises(bc.ValidationError, match="^posteriors belong to another corpus$"):
             bc.kl_divergence(q, p)
         with pytest.raises(TypeError, match="^posteriors must be a PosteriorTable, got list$"):
             bc.kl_divergence([p.probs], p)
@@ -172,10 +174,7 @@ class TestKLDivergence:
         expected = 0.0
         for term in terms:
             expected += float(term.sum())
-        ids = [f"i{i}" for i in range(len(pairs))]
-        offsets = np.cumsum([0] + [pair.shape[1] for pair in pairs])
-        q, p = (bc.PosteriorTable(ids, offsets, np.concatenate([pair[side] for pair in pairs]))
-                for side in (0, 1))
+        q, p = (table_of([pair[side] for pair in pairs]) for side in (0, 1))
         ours = _rel_entr(q.probs, p.probs)
         np.testing.assert_array_max_ulp(ours, np.concatenate(terms), maxulp=4)
         kl = bc.kl_divergence(q, p)
@@ -196,8 +195,8 @@ class TestKLDivergence:
         )
         q_probs = np.array(raw_q) / np.sum(raw_q)
         p_probs = np.array(raw_p) / np.sum(raw_p)
-        q = bc.PosteriorTable(("a",), [0, q_probs.size], q_probs)
-        p = bc.PosteriorTable(("a",), [0, p_probs.size], p_probs)
+        q = table_of([q_probs])
+        p = table_of([p_probs])
         kl = bc.kl_divergence(q, p)
         assert kl >= -1e-15
         if kl < 1e-12:
@@ -207,21 +206,24 @@ class TestKLDivergence:
 
 
 class TestAlignment:
-    """Posteriors must list a corpus's (or another table's) instances with their sizes."""
+    """A table belongs to its corpus, and the functions given another corpus refuse it."""
 
     CORPUS_SPECS = [("a", [(0, "M", 0.0), (0, "W", 1.0)]), ("b", [(0, "-", 0.0)])]
+    # the ids and candidate counts of CORPUS_SPECS, with other genders and scores
+    SAME_LAYOUT_SPECS = [("a", [(0, "W", 0.5), (0, "M", 0.0)]), ("b", [(0, "-", 2.0)])]
 
-    @pytest.mark.parametrize("posteriors, message", [
-        ((("a",), [0, 2], [0.5, 0.5]), "1 posteriors for 2 instances"),
-        ((("b", "a"), [0, 1, 3], [1.0, 0.5, 0.5]), "posterior 'b' does not match instance 'a'"),
-        ((("a", "b"), [0, 2, 4], [0.5] * 4), "instance 'b': 2 probabilities for 1 candidates"),
-    ])
-    def test_first_offender_named(self, posteriors, message):
+    @pytest.mark.parametrize("specs", [
+        CORPUS_SPECS[:1],
+        CORPUS_SPECS[::-1],
+        [CORPUS_SPECS[0], ("b", [(0, "-", 0.0), (0, "-", 0.0)])],
+        SAME_LAYOUT_SPECS,
+    ], ids=["fewer_instances", "other_order", "other_sizes", "same_ids_and_sizes"])
+    def test_another_corpus_is_refused(self, specs):
         corpus = make_corpus(self.CORPUS_SPECS, names=["act"])
-        posteriors = bc.PosteriorTable(*posteriors)
-        with pytest.raises(bc.ValidationError, match=message):
+        posteriors = bc.instance_posterior(make_corpus(specs, names=["act"]))
+        with pytest.raises(bc.ValidationError, match="^posteriors belong to another corpus$"):
             as_table(posteriors, corpus)
-        with pytest.raises(bc.ValidationError, match=message):
+        with pytest.raises(bc.ValidationError, match="^posteriors belong to another corpus$"):
             bc.kl_divergence(posteriors, bc.instance_posterior(corpus))
 
     def test_aligned_table_passes_through(self):
@@ -229,12 +231,16 @@ class TestAlignment:
         table = bc.instance_posterior(corpus)
         assert as_table(table, corpus) is table
         assert as_table(table) is table
+        # a corpus built again from the same columns is equal, so the table is its table
+        again = make_corpus(self.CORPUS_SPECS, names=["act"])
+        assert again is not corpus and as_table(table, again) is table
         with pytest.raises(TypeError, match="^posteriors must be a PosteriorTable, got list$"):
             as_table(rows_of(table), corpus)
 
 
 class TestTablesOnly:
-    """Every public function that takes posteriors takes them as a `PosteriorTable` only."""
+    """Every public function that takes posteriors takes them as a `PosteriorTable` only,
+    and every one that also takes a corpus refuses a table of another corpus."""
 
     CALLS = {
         "build_report": lambda c, cs, post: bc.build_report(
@@ -260,6 +266,15 @@ class TestTablesOnly:
         with pytest.raises(TypeError, match="^posteriors must be a PosteriorTable, got list$"):
             self.CALLS[name](corpus, cs, listed)
 
+    @pytest.mark.parametrize("name", [name for name in CALLS if name != "map_predict"])
+    def test_a_table_of_another_corpus_is_refused(self, name):
+        corpus = make_corpus(TestAlignment.CORPUS_SPECS, names=["act"])
+        other = make_corpus(TestAlignment.SAME_LAYOUT_SPECS, names=["act"])
+        assert other.ids == corpus.ids and np.array_equal(other.offsets, corpus.offsets)
+        cs = bc.ConstraintSet((0,), np.array([0.5]), 0.05)
+        with pytest.raises(bc.ValidationError, match="^posteriors belong to another corpus$"):
+            self.CALLS[name](corpus, cs, bc.instance_posterior(other))
+
 
 class TestProbabilityChecks:
     """Each posterior vector must be finite, within [0, 1] and sum to 1."""
@@ -272,18 +287,18 @@ class TestProbabilityChecks:
     ])
     def test_bad_vector_named(self, probs, message):
         with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
-            bc.PosteriorTable(["b"], np.array([0, 2]), np.array(probs))
+            table_of([probs], ids=["b"])
         with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
-            bc.PosteriorTable(["a", "b"], np.array([0, 1, 3]), np.array([1.0, *probs]))
+            table_of([[1.0], probs], ids=["a", "b"])
 
     @pytest.mark.parametrize("probs, message", [
-        ([], "posterior for 'b' sums to 0.0, expected 1"),
-        ([[0.5, 0.5]], "posterior table offsets do not match its ids and rows"),
+        ([], "(0,) probabilities for 2 candidates"),
+        ([[0.5, 0.5]], "(1, 2) probabilities for 2 candidates"),
     ], ids=["empty", "two_dimensional"])
     def test_one_posterior_is_a_nonempty_vector(self, probs, message):
-        probs = np.array(probs)
+        corpus = make_corpus([("b", [(0, "M", 0.0), (0, "W", 0.0)])])
         with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
-            bc.PosteriorTable(["b"], np.array([0, probs.size]), probs)
+            bc.PosteriorTable(corpus, np.array(probs))
 
     @pytest.mark.parametrize("offsets, n_probs", [
         ([0, 1], 3), ([0, 1, 2], 3), ([0, 1, 3], 2),
@@ -291,13 +306,28 @@ class TestProbabilityChecks:
         ([0, 3, 2], 2),  # decreasing
     ])
     def test_offsets_must_match_ids_and_rows(self, offsets, n_probs):
-        with pytest.raises(bc.ValidationError, match="offsets do not match its ids and rows"):
-            bc.PosteriorTable(["a", "b"], np.array(offsets), np.full(n_probs, 0.5))
+        # a table has the layout of its corpus: the Corpus refuses offsets that
+        # do not match its ids and rows, and the table another number of rows
+        rows = offsets[-1]
+        with pytest.raises(bc.ValidationError,
+                           match=r"^corpus offsets do not match its ids, rows and gold$"
+                                 r"|^\(\d+,\) probabilities for \d+ candidates$"):
+            corpus = bc.Corpus({"act": 0}, ("a", "b"), offsets, [0] * rows, [0] * rows,
+                               [0.0] * rows, [-1, -1])
+            bc.PosteriorTable(corpus, np.full(n_probs, 0.5))
 
     def test_rows_before_the_first_offset_are_refused(self):
-        # the one row, [0.3, 0.5], sums to 0.8, while all three values sum to 1
-        with pytest.raises(bc.ValidationError, match="offsets do not match its ids and rows"):
-            bc.PosteriorTable(("a",), [1, 3], [0.2, 0.3, 0.5])
+        # the one row, [0.3, 0.5], would sum to 0.8, while all three values sum
+        # to 1; no corpus has such rows, so no table has them either
+        with pytest.raises(bc.ValidationError,
+                           match="^corpus offsets do not match its ids, rows and gold$"):
+            bc.Corpus({"act": 0}, ("a",), [1, 3], [0] * 3, [0] * 3, [0.0] * 3, [-1])
+
+    def test_a_table_belongs_to_a_corpus(self):
+        with pytest.raises(TypeError, match="^a PosteriorTable belongs to a Corpus, got tuple$"):
+            bc.PosteriorTable(("a",), [1.0])
+        table = table_of([[0.25, 0.75]])
+        assert table.__slots__ == ("corpus", "probs") and not hasattr(table, "__dict__")
 
 
 class TestJointFactorization:

@@ -58,8 +58,9 @@ def random_constraint_set(data, corpus):
 
 
 def assert_rows_equal(table, corpus, posteriors):
-    assert table.ids == tuple(inst.id for inst in corpus.instances)
-    assert len(table) == len(posteriors)
+    assert table.corpus is corpus
+    assert table.corpus.ids == tuple(inst.id for inst in corpus.instances)
+    assert table.corpus.n_instances == len(posteriors)
     for row, post in zip(rows_of(table), posteriors):
         assert np.array_equal(row, post)
 
@@ -113,7 +114,7 @@ def test_features_and_expectations(case, data):
     values, coords = type_features(cs)
     for i, (inst, post) in enumerate(zip(corpus.instances, posteriors)):
         single = take_instances(corpus, [i])
-        one_table = bc.PosteriorTable((inst.id,), [0, len(post)], post)
+        one_table = bc.PosteriorTable(single, post)
         expected = ref.instance_expectation(inst, post, cs)
         assert np.array_equal(bc.corpus_expectation(single, one_table, cs), expected)
         # the featured candidates in order, then one plain row with the rest's mass

@@ -76,8 +76,8 @@ def assert_lam_close(got, want):
 
 def assert_rows_close(got, want, ids):
     """The rows of the instances ``ids`` agree between two tables."""
-    got_rows = dict(zip(got.ids, rows_of(got)))
-    want_rows = dict(zip(want.ids, rows_of(want)))
+    got_rows = dict(zip(got.corpus.ids, rows_of(got)))
+    want_rows = dict(zip(want.corpus.ids, rows_of(want)))
     for inst_id in ids:
         assert np.max(np.abs(got_rows[inst_id] - want_rows[inst_id])) <= TOLERANCE, inst_id
 
@@ -113,8 +113,8 @@ def test_duplicating_every_instance_moves_nothing(case):
     lam2, q2, _ = project(doubled, stats, gamma)
     assert_lam_close(lam2, lam)
     assert_rows_close(q2, q, corpus.ids)
-    copied = {f"{inst_id}/copy": row for inst_id, row in zip(q.ids, rows_of(q))}
-    for inst_id, row in zip(q2.ids, rows_of(q2)):
+    copied = {f"{inst_id}/copy": row for inst_id, row in zip(q.corpus.ids, rows_of(q))}
+    for inst_id, row in zip(q2.corpus.ids, rows_of(q2)):
         if inst_id in copied:
             assert np.max(np.abs(row - copied[inst_id])) <= TOLERANCE
 
@@ -171,7 +171,7 @@ def test_renaming_activities_changes_no_number(case, stochastic, salt):
     lam2, q2, state2 = project(renamed, renamed_stats, gamma, config)
     assert {new[name]: value.tolist() for name, value in lam.items()} == {
         name: value.tolist() for name, value in lam2.items()}
-    assert np.array_equal(q2.probs, q.probs) and q2.ids == q.ids
+    assert np.array_equal(q2.probs, q.probs) and q2.corpus.ids == q.corpus.ids
     assert state2.step == state.step and state2.learning_rate == state.learning_rate
     assert np.array_equal(state2.first_moment, state.first_moment)
     assert np.array_equal(state2.second_moment, state.second_moment)

@@ -22,7 +22,7 @@ def point_masses(corpus, indices):
     """The table that puts each instance's whole mass on its candidate at ``indices``."""
     probs = np.zeros(corpus.n_rows)
     probs[corpus.offsets[:-1] + indices] = 1.0
-    return bc.PosteriorTable(corpus.ids, corpus.offsets, probs)
+    return bc.PosteriorTable(corpus, probs)
 
 
 def report_of(corpus, posteriors, predictions=None, counts=None):
@@ -39,7 +39,7 @@ def pair_report(counts, shares):
     candidate with male share ``shares[a]``, and training counts ``counts[a]``."""
     corpus = make_corpus([(f"i{a}", [(a, "M", 0.0), (a, "W", 0.0)]) for a in range(len(shares))])
     probs = np.ravel([[share, 1.0 - share] for share in shares])
-    posteriors = bc.PosteriorTable(corpus.ids, corpus.offsets, probs)
+    posteriors = bc.PosteriorTable(corpus, probs)
     return report_of(corpus, posteriors, counts=dict(enumerate(counts)))
 
 
@@ -72,7 +72,7 @@ class TestBiasInDistribution:
 
     def test_single_instance(self):
         corpus = make_corpus([("a", [(0, "M", 0.0), (0, "W", 0.0)])])
-        posteriors = bc.PosteriorTable(("a",), [0, 2], [0.6, 0.4])
+        posteriors = bc.PosteriorTable(corpus, [0.6, 0.4])
         assert_allclose(report_of(corpus, posteriors).entries[0].bias_dist, 0.6, rtol=1e-15)
 
     def test_two_instances_hand_sum(self):
@@ -83,7 +83,7 @@ class TestBiasInDistribution:
                 ("b", [(0, "M", 0.0), (0, "W", 0.0), (1, "-", 0.0)]),
             ]
         )
-        posteriors = bc.PosteriorTable(("a", "b"), [0, 3, 6], [0.3, 0.1, 0.6] * 2)
+        posteriors = bc.PosteriorTable(corpus, [0.3, 0.1, 0.6] * 2)
         assert_allclose(report_of(corpus, posteriors).entries[0].bias_dist, 0.75, rtol=1e-15)
 
     def test_all_ungendered_error(self):
@@ -94,11 +94,11 @@ class TestBiasInDistribution:
              ("b", [(1, "M", 0.0), (2, "-", 0.0)])],
             names=["cooking", "driving", "other"],
         )
-        posteriors = bc.PosteriorTable(("a", "b"), [0, 3, 5], [0.0, 0.0, 1.0, 0.0, 1.0])
+        posteriors = bc.PosteriorTable(corpus, [0.0, 0.0, 1.0, 0.0, 1.0])
         with pytest.raises(bc.UndefinedBiasError,
                            match="^activity 'cooking' has no gendered posterior mass$"):
             report_of(corpus, posteriors)
-        posteriors = bc.PosteriorTable(("a", "b"), [0, 3, 5], [0.5, 0.5, 0.0, 0.0, 1.0])
+        posteriors = bc.PosteriorTable(corpus, [0.5, 0.5, 0.0, 0.0, 1.0])
         with pytest.raises(bc.UndefinedBiasError,
                            match="^activity 'driving' has no gendered posterior mass$"):
             report_of(corpus, posteriors)
@@ -110,8 +110,8 @@ class TestBiasInDistribution:
         corpus_b = make_corpus(
             [("a", [(0, "M", 0.0), (0, "W", 0.0), (1, "-", 0.0), (1, "M", 0.0)])]
         )
-        p_a = bc.PosteriorTable(("a",), [0, 3], [0.30, 0.10, 0.60])
-        p_b = bc.PosteriorTable(("a",), [0, 4], [0.30, 0.10, 0.25, 0.35])
+        p_a = bc.PosteriorTable(corpus_a, [0.30, 0.10, 0.60])
+        p_b = bc.PosteriorTable(corpus_b, [0.30, 0.10, 0.25, 0.35])
         assert_allclose(
             report_of(corpus_a, p_a).entries[0].bias_dist,
             report_of(corpus_b, p_b).entries[0].bias_dist,
@@ -120,8 +120,8 @@ class TestBiasInDistribution:
 
     def test_invariant_to_uniform_gendered_scaling(self):
         corpus = make_corpus([("a", [(0, "M", 0.0), (0, "W", 0.0), (1, "-", 0.0)])])
-        small = bc.PosteriorTable(("a",), [0, 3], [0.30, 0.10, 0.60])
-        doubled = bc.PosteriorTable(("a",), [0, 3], [0.60, 0.20, 0.20])
+        small = bc.PosteriorTable(corpus, [0.30, 0.10, 0.60])
+        doubled = bc.PosteriorTable(corpus, [0.60, 0.20, 0.20])
         assert_allclose(
             report_of(corpus, small).entries[0].bias_dist,
             report_of(corpus, doubled).entries[0].bias_dist,
@@ -253,7 +253,7 @@ def two_activity_setup(male_prob):
         names=["cooking"],
     )
     stats = stats_for(corpus, {0: (70, 30)})
-    posteriors = bc.PosteriorTable(("a",), [0, 2], [male_prob, 1.0 - male_prob])
+    posteriors = bc.PosteriorTable(corpus, [male_prob, 1.0 - male_prob])
     predictions = bc.map_predict(posteriors)
     return corpus, stats, posteriors, predictions
 
@@ -306,6 +306,7 @@ class TestBuildReport:
         report = bc.build_report(corpus, stats, posteriors, predictions, gamma_eval=0.05)
         assert report.accuracy == 1.0
         no_gold = dataclasses.replace(corpus, gold=np.full(len(corpus), -1))
+        posteriors = bc.PosteriorTable(no_gold, posteriors.probs)
         report = bc.build_report(no_gold, stats, posteriors, predictions, gamma_eval=0.05)
         assert report.accuracy is None
 
@@ -315,7 +316,7 @@ class TestBuildReport:
             names=["cooking", "driving"],
         )
         stats = stats_for(corpus, {0: (50, 50), 1: (60, 40)})
-        posteriors = bc.PosteriorTable(("a",), [0, 2], [0.4, 0.6])
+        posteriors = bc.PosteriorTable(corpus, [0.4, 0.6])
         predictions = [1]
         report = bc.build_report(corpus, stats, posteriors, predictions, gamma_eval=0.05)
         by_name = {e.activity: e for e in report.entries}

@@ -45,14 +45,15 @@ def male_ratio(corpus, table):
 
 
 def same_table(got, want):
-    """Two posterior tables hold the same ids, offsets and probabilities."""
-    return (got.ids == want.ids and np.array_equal(got.offsets, want.offsets)
-            and np.array_equal(got.probs, want.probs))
+    """Two posterior tables belong to the same corpus and hold the same probabilities."""
+    return got.corpus == want.corpus and np.array_equal(got.probs, want.probs)
 
 
 def one_gender_corpus():
     """Two instances whose only gendered candidates are male "cook"s, with a
-    training ratio of 3/7: no reweighting reaches it, so the dual is unbounded."""
+    training ratio of 3/7. Each instance can put all its mass on its ungendered
+    candidate, so the system is feasible, but only on its boundary: the dual is
+    bounded by -sum_i log p_i(other) = 2.16762 and has no maximum."""
     corpus = make_corpus(
         [("a", [(0, "M", 1.0), (1, "-", 0.0)]), ("b", [(0, "M", 0.5), (1, "-", 0.2)])],
         names=["cook", "other"],
@@ -289,8 +290,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("case", ["one_gender_activity", "random_seed_3"])
     def test_unbounded_dual_returns_a_finite_state(self, case):
-        # both constraint systems are infeasible, so the dual has no maximum;
-        # full-batch must still stop within max_steps with a finite vector
+        # neither dual has a maximum: the one-gender system is feasible only on
+        # its boundary, at infinite lam, and random_seed_3's is infeasible, its
+        # dual unbounded; full-batch must still stop within max_steps with a
+        # finite vector
         if case == "one_gender_activity":
             corpus, stats = one_gender_corpus()
             cs = bc.ConstraintSet.from_stats(corpus, stats, 0.001)
@@ -302,6 +305,27 @@ class TestSolve:
         state = bc.solve(corpus, posteriors_of(corpus), cs, config)
         assert 0 < state.step <= config.max_steps
         assert np.all(np.isfinite(state.lam)) and state.lam.max() > 10.0
+
+    def test_one_gender_activity_is_bounded_but_not_attained(self):
+        corpus, stats = one_gender_corpus()
+        cs = bc.ConstraintSet.from_stats(corpus, stats, 0.001)
+        posteriors = posteriors_of(corpus)
+        bound = -sum(math.log(p) for p in posteriors.probs[corpus.gender == 0].tolist())
+        assert round(bound, 5) == 2.16762
+        # J climbs towards the bound while lam grows; after about 35 Newton
+        # steps exp(-lam f) underflows and J rounds to the bound itself
+        previous_objective, previous_lam = -math.inf, 0.0
+        for max_steps in (10, 20, 30):
+            state = bc.solve(corpus, posteriors, cs, full_batch_config(max_steps=max_steps))
+            objective = bc.dual_objective(state.lam, corpus, posteriors, cs)
+            assert previous_objective < objective < bound
+            assert state.lam[0] > previous_lam
+            previous_objective, previous_lam = objective, state.lam[0]
+        assert bound - objective <= 1e-12
+        # the full solve stops at working precision, with J not beyond the bound
+        state = bc.solve(corpus, posteriors, cs, full_batch_config())
+        assert state.lam[0] > previous_lam
+        assert 0.0 <= bound - bc.dual_objective(state.lam, corpus, posteriors, cs) <= 1e-12
 
     @pytest.mark.parametrize("gamma", [0.0, 0.001, 0.01, 0.05])
     def test_full_batch_without_ungendered_candidates_takes_few_steps(self, gamma):
