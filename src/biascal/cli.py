@@ -20,14 +20,14 @@ import numpy as np
 from .corpus import (
     dump_corpus,
     dump_json,
-    dump_posteriors,
     dump_training_stats,
     excluded_activities,
     load_corpus,
     load_json,
     load_training_stats,
 )
-from .distribution import instance_posterior, kl_divergence, map_predict, segment_sum
+from .distribution import (dump_posteriors, instance_posterior, kl_divergence, map_predict,
+                           segment_sum)
 from .errors import BiasCalError, OracleSizeError, SolverDivergenceError, ValidationError
 from .metrics import build_report, check_margin
 
@@ -197,7 +197,7 @@ def cmd_calibrate(config: RunConfig) -> int:
     out_dir = _out_dir(config.out)
     _write_report_files(out_dir, "_before", before)
     _write_report_files(out_dir, "_after", after)
-    dump_posteriors(corpus, calibrated.probs, out_dir / "calibrated.jsonl")
+    dump_posteriors(calibrated, out_dir / "calibrated.jsonl")
     _module.save_checkpoint(out_dir / "checkpoint.json", state, solver_config, cs)
     print(
         f"A_dist {before.mean_amp_dist:.4f} -> {after.mean_amp_dist:.4f} | "

@@ -55,7 +55,7 @@ class ConstraintSet:
 
     def __post_init__(self):
         ids = integer_indices("activity_ids", self.activity_ids)
-        b_star = np.asarray(self.b_star, dtype=np.float64)
+        b_star = np.array(self.b_star, dtype=np.float64)  # a copy: the caller's array stays theirs
         if ids.ndim != 1 or np.any(ids[1:] <= ids[:-1]) or np.any(ids < 0):
             raise ValidationError(
                 "activity_ids must be a strictly increasing sequence of nonnegative ids")

@@ -68,7 +68,7 @@ import numpy as np
 from . import _EXPORTS
 from .errors import CorpusFormatError, ValidationError
 
-__all__ = [*_EXPORTS["corpus"], "dump_posteriors"]
+__all__ = list(_EXPORTS["corpus"])
 
 
 class GenderTag(str, Enum):
@@ -523,7 +523,8 @@ def _write_records(corpus: Corpus, key: str, values: np.ndarray, sink) -> None:
     The bytes are those of one ``json.dumps`` per record: each candidate is
     its (activity, gender) prefix, escaped by ``json.dumps``, followed by the
     value's ``float.__repr__``, which is how ``json.dumps`` writes a finite
-    float; ids are escaped by the function ``json.dumps`` uses for a str.
+    float (the values, a corpus's scores or a table's probabilities, were
+    checked finite when built); ids are escaped as ``json.dumps`` escapes a str.
     Most rows repeat the value of the row before them (a synth instance's
     fillers share one score, and keep one probability after calibration), so
     each run of repeats within a chunk is formatted once. Runs are runs of
@@ -532,11 +533,6 @@ def _write_records(corpus: Corpus, key: str, values: np.ndarray, sink) -> None:
     array of separator, prefix and value text, where an instance's first
     separator closes the record before it and opens its own.
     """
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        row = bad[0]
-        raise ValidationError(f"instance {corpus.ids[corpus.segment_ids[row]]!r}: "
-                              f"{key} must be finite, got {float(values[row])!r}")
     prefixes = np.array([
         f'{{"activity": {json.dumps(name)}, "gender": {json.dumps(tag.value)}, '
         f'{json.dumps(key)}: '
@@ -567,18 +563,6 @@ def _write_records(corpus: Corpus, key: str, values: np.ndarray, sink) -> None:
 def dump_corpus(corpus: Corpus, sink) -> None:
     """Write a corpus back to JSONL; round-trips exactly through load_corpus."""
     _write_records(corpus, "score", corpus.score, sink)
-
-
-def dump_posteriors(corpus: Corpus, probs: np.ndarray, sink) -> None:
-    """Per-candidate probabilities in the corpus JSONL schema, "prob" in place of "score".
-
-    Raises ValidationError when the probabilities do not match the rows or
-    one is not finite.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != (corpus.n_rows,):
-        raise ValidationError(f"{probs.shape} probabilities for {corpus.n_rows} candidates")
-    _write_records(corpus, "prob", probs, sink)
 
 
 def load_training_stats(source) -> TrainingStats:

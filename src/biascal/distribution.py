@@ -7,26 +7,26 @@ independent: the joint distribution over a corpus is the product of the
 per-instance posteriors, and corpus-level reductions here always accumulate
 in instance order so repeated runs are bitwise identical.
 
-Every kernel works on flat rows split into segments by an ``offsets``
-array (see `Corpus`). A `PosteriorTable` is a corpus and one probability
-per row of it, and is the one form in which the public functions take
-posteriors; instance i's posterior is the row slice
-``probs[corpus.offsets[i]:corpus.offsets[i + 1]]``. A table is refused by
-the functions that take another corpus, even one with the same ids and
-candidate counts.
+The kernels read the instance layout (see `Corpus`) from the corpus they are
+given; only `segment_sum` takes raw ``offsets``. A `PosteriorTable`, the one
+form in which the public functions take posteriors, is a corpus and one
+probability per row of it, checked when built and never changed after;
+instance i's posterior is ``probs[corpus.offsets[i]:corpus.offsets[i + 1]]``.
+A table is refused by the functions that take another corpus, even one with
+the same ids and candidate counts.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _EXPORTS
-from .corpus import Corpus, integer_indices
-from .errors import DegenerateDistributionError, ValidationError
+from .corpus import Corpus, _write_records, integer_indices
+from .errors import ValidationError
 
-__all__ = list(_EXPORTS["distribution"])
+__all__ = [*_EXPORTS["distribution"], "dump_posteriors"]
 
 SUM_TOLERANCE = 1e-12
 
@@ -64,10 +64,7 @@ def check_indices(name: str, values, bound) -> np.ndarray:
     return indices
 
 
-def _segment_of(offsets: np.ndarray, row: int) -> int:
-    return int(np.searchsorted(offsets, row, side="right")) - 1
-
-
+@dataclass(frozen=True, eq=False, init=False)
 class PosteriorTable:
     """Posteriors of every instance of a corpus as one flat probability array.
 
@@ -75,15 +72,16 @@ class PosteriorTable:
     probability per row of it: instance i owns
     ``probs[corpus.offsets[i]:corpus.offsets[i + 1]]``. On construction each
     segment must be finite, within [0, 1] and sum to 1, and a failing one is
-    named; ``probs`` is then read-only.
+    named; ``probs`` is a read-only copy, and neither field can be reassigned.
     """
 
-    __slots__ = ("corpus", "probs")
+    corpus: Corpus
+    probs: np.ndarray
 
     def __init__(self, corpus: Corpus, probs: np.ndarray):
         if not isinstance(corpus, Corpus):
             raise TypeError(f"a PosteriorTable belongs to a Corpus, got {type(corpus).__name__}")
-        probs = np.asarray(probs, dtype=np.float64)
+        probs = np.array(probs, dtype=np.float64)  # a copy: no caller's array is shared
         if probs.shape != (corpus.n_rows,):
             raise ValidationError(f"{probs.shape} probabilities for {corpus.n_rows} candidates")
         with np.errstate(invalid="ignore"):
@@ -92,7 +90,7 @@ class PosteriorTable:
                 ((probs < 0.0) | (probs > 1.0 + SUM_TOLERANCE), "has entries outside [0, 1]"),
             ):
                 if bad.any():
-                    first = _segment_of(corpus.offsets, int(np.argmax(bad)))
+                    first = corpus.segment_ids[int(np.argmax(bad))]
                     raise ValidationError(f"posterior for {corpus.ids[first]!r} {what}")
         sums = segment_sum(probs, corpus.offsets)
         bad = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOLERANCE)
@@ -100,8 +98,10 @@ class PosteriorTable:
             raise ValidationError(f"posterior for {corpus.ids[bad[0]]!r} sums to "
                                   f"{float(sums[bad[0]])!r}, expected 1")
         probs.flags.writeable = False
-        self.corpus = corpus
-        self.probs = probs
+        self.__dict__.update(corpus=corpus, probs=probs)
+
+    def __reduce__(self):  # a copied or unpickled table is built, so checked and frozen, again
+        return PosteriorTable, (self.corpus, self.probs)
 
 
 def as_table(posteriors: PosteriorTable, corpus: Corpus | None = None) -> PosteriorTable:
@@ -115,14 +115,14 @@ def as_table(posteriors: PosteriorTable, corpus: Corpus | None = None) -> Poster
     return posteriors
 
 
-def _softmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment softmax, by the steps of ``scipy.special.log_softmax``.
+def _softmax(corpus: Corpus) -> np.ndarray:
+    """Each instance's softmax of its scores, by the steps of ``scipy.special.log_softmax``.
 
     Max-shift, exp, sum, log and subtract give the log probabilities; their
     exp is then renormalized by its own sum.
     """
-    sizes = offsets[1:] - offsets[:-1]
-    shifted = scores - np.repeat(np.maximum.reduceat(scores, offsets[:-1]), sizes)
+    offsets, sizes = corpus.offsets, corpus.sizes
+    shifted = corpus.score - np.repeat(np.maximum.reduceat(corpus.score, offsets[:-1]), sizes)
     log_norm = np.log(segment_sum(np.exp(shifted), offsets))
     probs = np.exp(shifted - np.repeat(log_norm, sizes))
     probs /= np.repeat(segment_sum(probs, offsets), sizes)
@@ -134,48 +134,42 @@ def instance_posterior(corpus: Corpus) -> PosteriorTable:
     candidate scores, probs[k] = exp(score_k - logsumexp(scores))."""
     if not isinstance(corpus, Corpus):
         raise TypeError(f"instance_posterior takes a Corpus, got {type(corpus).__name__}")
-    return PosteriorTable(corpus, _softmax(corpus.score, corpus.offsets))
+    return PosteriorTable(corpus, _softmax(corpus))
 
 
-def reweight(
-    probs: np.ndarray, penalty: np.ndarray, offsets: np.ndarray, ids: Sequence[str]
-) -> np.ndarray:
-    """Rows reweighted by exp(-penalty) and renormalized within each segment.
+def reweight(table: PosteriorTable, penalty: np.ndarray) -> np.ndarray:
+    """A table's rows reweighted by exp(-penalty) and renormalized within each instance.
 
-    Computed in log space; zero-mass rows stay at zero for any finite
-    penalty. Raises for the first segment with a non-finite penalty or
-    with no mass left.
+    Computed in log space. For a finite penalty, zero-mass rows stay at zero
+    and a row with p > 0 keeps a finite log weight, so no instance loses all
+    its mass. Raises for the first instance with a non-finite penalty.
     """
+    corpus = table.corpus
     nonfinite = ~np.isfinite(penalty)
     if nonfinite.any():
-        first = _segment_of(offsets, int(np.argmax(nonfinite)))
-        raise ValidationError(f"instance {ids[first]!r}: penalty entries must be finite")
+        first = corpus.segment_ids[int(np.argmax(nonfinite))]
+        raise ValidationError(f"instance {corpus.ids[first]!r}: penalty entries must be finite")
     with np.errstate(divide="ignore"):
-        log_q = np.log(probs) - penalty
-    shift = np.maximum.reduceat(log_q, offsets[:-1])
-    degenerate = np.flatnonzero(~np.isfinite(shift))
-    if degenerate.size:
-        raise DegenerateDistributionError(
-            f"instance {ids[degenerate[0]]!r}: reweighting left no mass on the support"
-        )
-    sizes = offsets[1:] - offsets[:-1]
-    weights = np.exp(log_q - np.repeat(shift, sizes))
-    return weights / np.repeat(segment_sum(weights, offsets), sizes)
-
-
-def segment_argmax(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Index within each segment of its first maximum, as ``np.argmax`` breaks ties."""
-    starts = offsets[:-1]
-    sizes = offsets[1:] - offsets[:-1]
-    peak = np.repeat(np.maximum.reduceat(values, starts), sizes)
-    within = np.arange(values.size) - np.repeat(starts, sizes)
-    return np.minimum.reduceat(np.where(values == peak, within, values.size), starts)
+        log_q = np.log(table.probs) - penalty
+    shift = np.maximum.reduceat(log_q, corpus.offsets[:-1])
+    weights = np.exp(log_q - np.repeat(shift, corpus.sizes))
+    return weights / np.repeat(segment_sum(weights, corpus.offsets), corpus.sizes)
 
 
 def map_predict(posteriors: PosteriorTable) -> np.ndarray:
     """Index of each instance's most probable candidate; ties break toward the lowest index."""
     table = as_table(posteriors)
-    return segment_argmax(table.probs, table.corpus.offsets)
+    probs, starts, sizes = table.probs, table.corpus.offsets[:-1], table.corpus.sizes
+    peak = np.repeat(np.maximum.reduceat(probs, starts), sizes)
+    within = np.arange(probs.size) - np.repeat(starts, sizes)
+    return np.minimum.reduceat(np.where(probs == peak, within, probs.size), starts)
+
+
+def dump_posteriors(posteriors: PosteriorTable, sink) -> None:
+    """A table's probabilities in the corpus JSONL schema, "prob" in place of
+    "score", to a path (atomically) or to a stream (left open)."""
+    table = as_table(posteriors)
+    _write_records(table.corpus, "prob", table.probs, sink)
 
 
 def _rel_entr(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -68,7 +68,7 @@ CURVATURE_FLOOR = 1e-12
 RATIO_TOL_FACTOR = 1e-2
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Dual-ascent hyperparameters.
 
@@ -98,7 +98,7 @@ class SolverConfig:
             value = getattr(self, name)
             if not is_integer(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))  # numpy integers are not JSON serializable
+            object.__setattr__(self, name, int(value))  # numpy ints are not JSON serializable
         if self.batch_size < 1 or self.epochs < 1 or self.max_steps < 1:
             raise ValidationError("batch_size, epochs and max_steps must be positive")
         if self.seed < 0:
@@ -539,7 +539,7 @@ def calibrate(
     lam = _checked_lam(lam, cs)
     types = feature_types(corpus.activity, corpus.gender, cs)
     penalty = _type_penalties(*type_features(cs), lam).take(types)
-    reweighted = reweight(table.probs, penalty, corpus.offsets, corpus.ids)
+    reweighted = reweight(table, penalty)
     is_touched = np.zeros(corpus.n_instances, dtype=bool)
     is_touched[corpus.segment_ids[penalty != 0.0]] = True
     probs = np.where(np.repeat(is_touched, corpus.sizes), reweighted, table.probs)

@@ -66,6 +66,13 @@ class TestConstraintSet:
         assert cs != bc.ConstraintSet((0, 1), np.array([0.3, 0.6]), 0.02)
         assert cs != ((0, 1), (0.3, 0.6), 0.01)
 
+    def test_b_star_is_copied(self):
+        b = np.array([0.3, 0.4, 0.5])
+        cs = bc.ConstraintSet((0, 1, 2), b, 0.001)
+        assert cs.b_star is not b and b.flags.writeable and not cs.b_star.flags.writeable
+        b[0] = 7.0
+        assert cs.b_star.tolist() == [0.3, 0.4, 0.5]
+
     def test_rejects_negative_gamma(self):
         with pytest.raises(bc.ValidationError):
             bc.ConstraintSet((0,), np.array([0.5]), -0.01)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import biascal as bc
 import biascal.corpus
 import loop_reference as ref
-from biascal.corpus import CHUNK_LINES, atomic_write, dump_posteriors
+from biascal.corpus import CHUNK_LINES, _write_records, atomic_write
+from biascal.distribution import dump_posteriors
 from conftest import INT_DIGIT_LIMIT, make_corpus, take_instances
 from test_flat_reference import corpora
 
@@ -215,21 +216,13 @@ class TestRoundTrip:
             '{"id":"b","candidates":[{"activity":"y","gender":"-","score":-0.5}]}',
         )
         buffer = io.StringIO()
-        dump_posteriors(corpus, [0.75, 0.25, 1.0], buffer)
+        dump_posteriors(bc.PosteriorTable(corpus, [0.75, 0.25, 1.0]), buffer)
         assert [json.loads(line) for line in buffer.getvalue().splitlines()] == [
             {"id": "a", "gold": 0, "candidates": [
                 {"activity": "x", "gender": "M", "prob": 0.75},
                 {"activity": "y", "gender": "W", "prob": 0.25}]},
             {"id": "b", "candidates": [{"activity": "y", "gender": "-", "prob": 1.0}]},
         ]
-        with pytest.raises(bc.ValidationError, match="3 candidates"):
-            dump_posteriors(corpus, [0.75, 0.25], io.StringIO())
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_posteriors_must_be_finite(self, bad):
-        corpus = corpus_of(VALID % "a", VALID % "b")
-        with pytest.raises(bc.ValidationError, match=f"^instance 'b': prob must be finite, got {bad!r}$"):
-            dump_posteriors(corpus, [1.0, bad], io.StringIO())
 
     def test_generated_corpora(self):
         # serialize(load(x)) must reload equal to load(x): activity ids are
@@ -294,7 +287,7 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(biascal.corpus, "encode_basestring_ascii", failing_escape)
         with pytest.raises(OSError, match="disk full"):
-            dump_posteriors(corpus, np.full(corpus.n_rows, 0.25), target)
+            dump_posteriors(bc.instance_posterior(corpus), target)
         assert len(escaped) == CHUNK_LINES + 1
         assert target.read_bytes() == previous
         assert os.listdir(tmp_path) == ["corpus.jsonl"]
@@ -755,7 +748,7 @@ def assert_writers_match(corpus, values):
     bc.dump_corpus(scored, text)
     assert text.getvalue() == ref.write_records(scored, "score", values.tolist())
     text = io.StringIO()
-    dump_posteriors(corpus, values, text)
+    _write_records(corpus, "prob", values, text)
     assert text.getvalue() == ref.write_records(corpus, "prob", values.tolist())
 
 
@@ -771,8 +764,14 @@ class TestChunkedIO:
         edges = rng.random(corpus.n_rows) < 0.2
         probs[edges] = rng.choice(EDGE_SCORES, edges.sum())
         text = io.StringIO()
-        dump_posteriors(corpus, probs, text)
+        _write_records(corpus, "prob", probs, text)
         assert text.getvalue() == ref.write_records(corpus, "prob", probs.tolist())
+        # a table is written as its corpus and probabilities are
+        table = bc.instance_posterior(corpus)
+        text, expected = io.StringIO(), io.StringIO()
+        dump_posteriors(table, text)
+        _write_records(table.corpus, "prob", table.probs, expected)
+        assert text.getvalue() == expected.getvalue()
 
     @settings(deadline=None, max_examples=15, derandomize=True)
     @given(corpus=chunked_corpora(), data=st.data())

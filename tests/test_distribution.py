@@ -1,7 +1,11 @@
 """Posterior computation, reweighting, MAP, and KL divergence."""
 
+import copy
+import dataclasses
+import io
 import itertools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -13,7 +17,7 @@ from scipy.special import rel_entr
 
 import biascal as bc
 from biascal.constraints import feature_types, type_features
-from biascal.distribution import _rel_entr, as_table, reweight
+from biascal.distribution import _rel_entr, as_table, dump_posteriors, reweight, segment_sum
 from biascal.solver import featurize
 from conftest import (
     make_corpus, posteriors_of, random_constraints, random_corpus, rows_of, table_of,
@@ -82,19 +86,34 @@ class TestReweightedPosterior:
         assert_allclose(out.probs, [0.25, 0.75], atol=1e-12)
 
     def test_zero_mass_stays_zero(self):
-        out = reweight(np.array([1.0, 0.0]), np.array([5.0, -7.0]), np.array([0, 2]), ("i",))
-        assert_allclose(out, [1.0, 0.0], atol=0)
-
-    def test_no_support_raises(self):
-        # tables refuse an all-zero posterior, so the kernel is given one directly
-        with pytest.raises(bc.DegenerateDistributionError,
-                           match="^instance 'i': reweighting left no mass on the support$"):
-            reweight(np.zeros(2), np.zeros(2), np.array([0, 2]), ("i",))
+        _, base, _ = male_vs_plain([1.0, 0.0])
+        assert_allclose(reweight(base, np.array([5.0, -7.0])), [1.0, 0.0], atol=0)
 
     def test_penalty_must_be_finite(self):
+        _, base, _ = male_vs_plain([0.5, 0.5])
         with pytest.raises(bc.ValidationError,
                            match="^instance 'i': penalty entries must be finite$"):
-            reweight(np.array([0.5, 0.5]), np.array([np.inf, 0.0]), np.array([0, 2]), ("i",))
+            reweight(base, np.array([np.inf, 0.0]))
+
+    PENALTIES = [0.0, 1e-300, -1e-300, 3.0, -3.0, 40.0, -40.0, 745.0, -745.0, 1e300, -1e300]
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_instance_keeps_its_mass(self, seed):
+        # why reweight needs no branch for an instance left without mass: a
+        # table gives every instance a row with p > 0, so |log p| <= 745 and,
+        # for any finite penalty, that row's log weight is finite. Scores up
+        # to about 800 underflow some probabilities to 0.
+        rng = np.random.default_rng(seed)
+        corpus = random_corpus(rng, 2, max_candidates=8, score_scale=rng.uniform(1.0, 300.0))
+        table = bc.instance_posterior(corpus)
+        penalty = np.where(rng.random(corpus.n_rows) < 0.5,
+                           rng.choice(self.PENALTIES, corpus.n_rows),
+                           rng.normal(0.0, rng.choice([1.0, 100.0, 1e6]), corpus.n_rows))
+        out = reweight(table, penalty)
+        assert np.isfinite(out).all()
+        assert np.abs(segment_sum(out, corpus.offsets) - 1.0).max() <= 1e-12
+        assert (out[table.probs == 0.0] == 0.0).all()
 
 
 class TestMapPredict:
@@ -254,6 +273,7 @@ class TestTablesOnly:
         "calibrate": lambda c, cs, post: bc.calibrate(c, post, cs, np.zeros(2)),
         "brute_force_project": lambda c, cs, post: bc.brute_force_project(c, post, cs),
         "map_predict": lambda c, cs, post: bc.map_predict(post),
+        "dump_posteriors": lambda c, cs, post: dump_posteriors(post, io.StringIO()),
         "kl_divergence(q)": lambda c, cs, post: bc.kl_divergence(post, bc.instance_posterior(c)),
         "kl_divergence(p)": lambda c, cs, post: bc.kl_divergence(bc.instance_posterior(c), post),
     }
@@ -266,7 +286,8 @@ class TestTablesOnly:
         with pytest.raises(TypeError, match="^posteriors must be a PosteriorTable, got list$"):
             self.CALLS[name](corpus, cs, listed)
 
-    @pytest.mark.parametrize("name", [name for name in CALLS if name != "map_predict"])
+    @pytest.mark.parametrize("name", [name for name in CALLS
+                                      if name not in ("map_predict", "dump_posteriors")])
     def test_a_table_of_another_corpus_is_refused(self, name):
         corpus = make_corpus(TestAlignment.CORPUS_SPECS, names=["act"])
         other = make_corpus(TestAlignment.SAME_LAYOUT_SPECS, names=["act"])
@@ -327,7 +348,34 @@ class TestProbabilityChecks:
         with pytest.raises(TypeError, match="^a PosteriorTable belongs to a Corpus, got tuple$"):
             bc.PosteriorTable(("a",), [1.0])
         table = table_of([[0.25, 0.75]])
-        assert table.__slots__ == ("corpus", "probs") and not hasattr(table, "__dict__")
+        assert [field.name for field in dataclasses.fields(table)] == ["corpus", "probs"]
+
+    @pytest.mark.parametrize("name", ["corpus", "probs"])
+    def test_a_table_cannot_be_changed(self, name):
+        table = table_of([[0.25, 0.75]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(table, name, np.array([5.0, -4.0]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(table, name)
+        with pytest.raises(ValueError, match="read-only"):
+            table.probs[0] = 5.0
+        assert table.probs.tolist() == [0.25, 0.75]
+
+    def test_the_callers_array_is_copied(self):
+        corpus = make_corpus([("i", [(0, "M", 0.0), (0, "W", 0.0)])])
+        probs = np.array([0.25, 0.75])
+        table = bc.PosteriorTable(corpus, probs)
+        assert table.probs is not probs and probs.flags.writeable
+        probs[0] = 5.0
+        assert table.probs.tolist() == [0.25, 0.75]
+
+    def test_pickle_and_deepcopy_give_the_same_table(self):
+        table = bc.instance_posterior(make_corpus(TestAlignment.CORPUS_SPECS, names=["act"]))
+        for again in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+            assert again is not table and again.corpus == table.corpus
+            assert np.array_equal(again.probs.view(np.int64), table.probs.view(np.int64))
+            # the copy is built and checked again, so its probabilities are read-only too
+            assert not again.probs.flags.writeable
 
 
 class TestJointFactorization:

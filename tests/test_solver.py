@@ -1,5 +1,6 @@
 """Dual objective and gradient, projected Adam ascent, and the oracle."""
 
+import dataclasses
 import io
 import json
 import math
@@ -423,6 +424,18 @@ class TestSolve:
         state = bc.solve(corpus, posteriors, cs, config)
         bc.save_checkpoint(tmp_path / "checkpoint.json", state, config, cs)
         assert_same_state(bc.load_checkpoint(tmp_path / "checkpoint.json", plain, cs), state)
+
+    def test_a_config_cannot_be_changed_after_its_checks(self):
+        config = bc.SolverConfig()
+        for name, value in (("epochs", -3), ("mode", "fullbatch"), ("batch_size", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, name, value)
+        assert config == bc.SolverConfig()
+        # a changed copy is checked as a new config is
+        with pytest.raises(bc.ValidationError,
+                           match="^batch_size, epochs and max_steps must be positive$"):
+            dataclasses.replace(config, epochs=-3)
+        assert dataclasses.replace(config, epochs=np.int64(2)).epochs == 2
 
     def test_moment_shape_mismatch_rejected(self):
         with pytest.raises(bc.ValidationError, match="moments"):
