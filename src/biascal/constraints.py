@@ -60,15 +60,15 @@ class ConstraintSet:
             raise ValidationError(
                 "activity_ids must be a strictly increasing sequence of nonnegative ids")
         if b_star.shape != (len(ids),):
-            raise ValidationError(
-                f"b_star has shape {b_star.shape}, expected ({len(ids)},)"
-            )
+            raise ValidationError(f"b_star has shape {b_star.shape}, expected ({len(ids)},)")
         if not np.all((b_star >= 0.0) & (b_star <= 1.0)):  # NaN fails too
             raise ValidationError("b_star entries must lie in [0, 1]")
         check_margin("gamma", self.gamma)
         b_star.flags.writeable = False
-        object.__setattr__(self, "activity_ids", tuple(ids.tolist()))
-        object.__setattr__(self, "b_star", b_star)
+        self.__dict__.update(activity_ids=tuple(ids.tolist()), b_star=b_star)
+
+    def __reduce__(self):  # a copied or unpickled set is built, so checked and read-only, again
+        return ConstraintSet, (self.activity_ids, self.b_star, self.gamma)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConstraintSet):
@@ -143,7 +143,8 @@ def corpus_expectation(
 
 
 class EquivalenceCheck(NamedTuple):
-    """Agreement between expectation-side and ratio-side constraint tests.
+    """Agreement between expectation-side and ratio-side constraint tests, as
+    one entry per constrained activity in ``cs.activity_ids`` order.
 
     ``residual_minus`` is ratio - (b_star + gamma); positive means the upper
     bound is violated. ``residual_plus`` is (b_star - gamma) - ratio;
@@ -152,44 +153,41 @@ class EquivalenceCheck(NamedTuple):
     (positive) gendered-mass denominator, to `EQUIVALENCE_SLACK`.
     """
 
-    minus_ok: bool
-    plus_ok: bool
-    residual_minus: float
-    residual_plus: float
+    minus_ok: np.ndarray
+    plus_ok: np.ndarray
+    residual_minus: np.ndarray
+    residual_plus: np.ndarray
 
 
-def check_equivalence(
-    corpus: Corpus,
-    posteriors: PosteriorTable,
-    cs: ConstraintSet,
-    activity_id: int,
-) -> EquivalenceCheck:
-    """Verify that the two feature expectations encode the ratio bounds.
+def check_equivalence(corpus: Corpus, posteriors: PosteriorTable,
+                      cs: ConstraintSet) -> EquivalenceCheck:
+    """Verify that the two feature expectations of every constrained activity
+    encode its ratio bounds.
 
-    For activity j the identity is
+    For the activity in slot j the identity is
 
         E[feature_2j]   = (ratio - (b* + gamma)) * gendered_mass
         E[feature_2j+1] = ((b* - gamma) - ratio) * gendered_mass
 
     so each expectation is <= 0 exactly when the corresponding ratio bound
-    holds. Requires positive gendered mass on the activity.
+    holds. Every constrained activity must be in the corpus vocabulary and
+    have positive gendered mass; the first, in ``cs`` order, that has not is named.
     """
-    if activity_id not in cs.activity_ids:
-        raise ValidationError(f"activity id {activity_id} is not constrained")
-    j = cs.activity_ids.index(activity_id)
     table = as_table(posteriors, corpus)
-    male, gendered = activity_mass(corpus, table)
-    male_mass = float(male[activity_id])
-    gendered_mass = float(gendered[activity_id])
-    if gendered_mass <= 0.0:
-        raise UndefinedBiasError(
-            f"activity {corpus.activity_names[activity_id]!r} has no gendered mass"
-        )
-    ratio = male_mass / gendered_mass
-    r = float(cs.b_star[j])
+    outside = [aid for aid in cs.activity_ids if aid >= corpus.n_activities]
+    if outside:
+        raise ValidationError(f"constrained activity id {outside[0]} is not in the corpus "
+                              f"vocabulary of {corpus.n_activities} activities")
+    ids = np.array(cs.activity_ids, dtype=np.int64)
+    male, gendered = (mass[ids] for mass in activity_mass(corpus, table))
+    empty = np.flatnonzero(gendered <= 0.0)
+    if empty.size:
+        name = corpus.activity_names[cs.activity_ids[empty[0]]]
+        raise UndefinedBiasError(f"activity {name!r} has no gendered mass")
+    ratio = male / gendered
     expectation = corpus_expectation(corpus, table, cs)
-    residual_minus = ratio - (r + cs.gamma)
-    residual_plus = (r - cs.gamma) - ratio
-    minus_ok = abs(expectation[2 * j] - residual_minus * gendered_mass) <= EQUIVALENCE_SLACK
-    plus_ok = abs(expectation[2 * j + 1] - residual_plus * gendered_mass) <= EQUIVALENCE_SLACK
-    return EquivalenceCheck(bool(minus_ok), bool(plus_ok), residual_minus, residual_plus)
+    residual_minus = ratio - (cs.b_star + cs.gamma)
+    residual_plus = (cs.b_star - cs.gamma) - ratio
+    minus_ok = np.abs(expectation[0::2] - residual_minus * gendered) <= EQUIVALENCE_SLACK
+    plus_ok = np.abs(expectation[1::2] - residual_plus * gendered) <= EQUIVALENCE_SLACK
+    return EquivalenceCheck(minus_ok, plus_ok, residual_minus, residual_plus)

@@ -61,7 +61,8 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple, NoReturn, Sequence
+from types import MappingProxyType
+from typing import IO, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -143,14 +144,14 @@ class Corpus:
     row r holds the candidate's ``activity`` id, ``gender`` code (0
     ungendered, 1 male, 2 female; see `GENDER_TAGS`) and ``score``.
     ``gold`` holds one index per instance, -1 where the instance has none.
-    ``activities`` maps activity name to id. Every array is read-only, and
-    two corpora are equal when their vocabularies and arrays are.
+    ``activities`` is a read-only mapping of activity name to id. Every array
+    is read-only, and two corpora are equal when their vocabularies and arrays are.
 
     The constructor takes these fields in this order, checks every corpus rule
     over the whole arrays and raises ValidationError, naming the instance.
     """
 
-    activities: dict[str, int]
+    activities: Mapping[str, int]
     ids: tuple[str, ...]
     offsets: np.ndarray
     activity: np.ndarray
@@ -158,7 +159,7 @@ class Corpus:
     score: np.ndarray
     gold: np.ndarray
 
-    def __init__(self, activities: dict[str, int], ids: Sequence[str], offsets, activity,
+    def __init__(self, activities: Mapping[str, int], ids: Sequence[str], offsets, activity,
                  gender, score, gold):
         ids = tuple(ids)
         offsets, activity, gender, gold = (
@@ -203,10 +204,14 @@ class Corpus:
                 inst = np.searchsorted(offsets, hits[0], side="right") - 1 if per_row else hits[0]
                 raise ValidationError(f"instance {ids[inst]!r}: {message(hits[0])}")
         self.__dict__.update(  # astype copies, so no caller's array is shared
-            activities={name: int(aid) for name, aid in activities.items()}, ids=ids,
-            offsets=_read_only(offsets.astype(np.int64)), score=_read_only(score),
+            activities=MappingProxyType({name: int(aid) for name, aid in activities.items()}),
+            ids=ids, offsets=_read_only(offsets.astype(np.int64)), score=_read_only(score),
             activity=_read_only(activity.astype(np.int64)), gold=_read_only(gold.astype(np.int64)),
             gender=_read_only(gender.astype(np.int8)))
+
+    def __reduce__(self):  # a copied or unpickled corpus is built, so checked and read-only, again
+        return Corpus, (dict(self.activities), self.ids, self.offsets, self.activity,
+                        self.gender, self.score, self.gold)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):
@@ -278,9 +283,9 @@ class GenderCount(NamedTuple):
 
 @dataclass(frozen=True)
 class TrainingStats:
-    """Per-activity male/female label counts from the training set, kept as Python ints."""
+    """Per-activity male/female label counts from the training set: Python ints, read-only."""
 
-    counts: dict[str, GenderCount] = field(default_factory=dict)
+    counts: Mapping[str, GenderCount] = field(default_factory=dict)
 
     def __post_init__(self):
         for name, count in self.counts.items():
@@ -292,8 +297,11 @@ class TrainingStats:
                     raise ValidationError(f"activity {name!r}: {key} count must be an integer")
                 if value < 0:
                     raise ValidationError(f"activity {name!r}: {key} count must be nonnegative")
-        object.__setattr__(self, "counts", {name: GenderCount._make(map(int, count))
-                                            for name, count in self.counts.items()})
+        object.__setattr__(self, "counts", MappingProxyType(
+            {name: GenderCount._make(map(int, count)) for name, count in self.counts.items()}))
+
+    def __reduce__(self):  # a mapping proxy does not pickle; a copy is built and checked again
+        return TrainingStats, (dict(self.counts),)
 
 
 @contextmanager

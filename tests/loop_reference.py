@@ -16,8 +16,10 @@ row that the Newton full-batch solve must match in optimum, not step for
 step. `load_corpus` and
 `write_records` are the line-by-line JSONL reader and writer that the
 chunked ones must match byte for byte and error for error.
-`synth_assemble` builds the synthetic corpus's columns one instance at a
-time from the generator's draw arrays, as the generator's original loop did.
+`check_equivalence` checks one constrained activity per call, as the
+package's first version did. `synth_assemble` builds the synthetic
+corpus's columns one instance at a time from the generator's draw arrays,
+as the generator's original loop did.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from scipy.special import log_softmax
 
 import biascal as bc
-from biascal.constraints import feature_types, type_features
+from biascal.constraints import EQUIVALENCE_SLACK, feature_types, type_features
 from biascal.corpus import GENDER_TAGS
 from biascal.solver import (
     ADAM_BETA1,
@@ -176,6 +178,24 @@ def corpus_expectation(corpus, posteriors, cs):
     for inst, post in zip(corpus.instances, posteriors):
         out += instance_expectation(inst, post, cs)
     return out
+
+
+def check_equivalence(corpus, posteriors, cs, activity_id):
+    """One constrained activity's `EquivalenceCheck` entries, one activity per call."""
+    j = cs.activity_ids.index(activity_id)
+    male_mass, gendered_mass = activity_mass(posteriors, corpus, activity_id)
+    if gendered_mass <= 0.0:
+        raise bc.UndefinedBiasError(
+            f"activity {corpus.activity_names[activity_id]!r} has no gendered mass"
+        )
+    ratio = male_mass / gendered_mass
+    r = float(cs.b_star[j])
+    expectation = corpus_expectation(corpus, posteriors, cs)
+    residual_minus = ratio - (r + cs.gamma)
+    residual_plus = (r - cs.gamma) - ratio
+    minus_ok = abs(expectation[2 * j] - residual_minus * gendered_mass) <= EQUIVALENCE_SLACK
+    plus_ok = abs(expectation[2 * j + 1] - residual_plus * gendered_mass) <= EQUIVALENCE_SLACK
+    return bc.EquivalenceCheck(bool(minus_ok), bool(plus_ok), residual_minus, residual_plus)
 
 
 def reweighted_posterior(base, penalty):

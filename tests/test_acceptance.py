@@ -87,18 +87,17 @@ def test_criterion_1_expectation_ratio_equivalence():
             continue
         posteriors = posteriors_of(corpus)
         expectation = bc.corpus_expectation(corpus, posteriors, cs)
-        for j, aid in enumerate(cs.activity_ids):
-            result = bc.check_equivalence(corpus, posteriors, cs, aid)
-            assert result.minus_ok and result.plus_ok
-            for coord, residual in (
-                (expectation[2 * j], result.residual_minus),
-                (expectation[2 * j + 1], result.residual_plus),
-            ):
-                sign_conflict = (coord > 1e-9 and residual < -1e-9) or (
-                    coord < -1e-9 and residual > 1e-9
-                )
-                assert not sign_conflict
-            checks_done += 1
+        result = bc.check_equivalence(corpus, posteriors, cs)
+        assert result.minus_ok.all() and result.plus_ok.all()
+        for coord, residual in (
+            (expectation[0::2], result.residual_minus),
+            (expectation[1::2], result.residual_plus),
+        ):
+            sign_conflict = ((coord > 1e-9) & (residual < -1e-9)) | (
+                (coord < -1e-9) & (residual > 1e-9)
+            )
+            assert not sign_conflict.any()
+        checks_done += len(cs.activity_ids)
         corpora_done += 1
     elapsed = time.monotonic() - started
     check(

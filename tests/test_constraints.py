@@ -1,5 +1,8 @@
 """Constraint feature values, expectations, and the ratio equivalence."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -72,6 +75,13 @@ class TestConstraintSet:
         assert cs.b_star is not b and b.flags.writeable and not cs.b_star.flags.writeable
         b[0] = 7.0
         assert cs.b_star.tolist() == [0.3, 0.4, 0.5]
+
+    def test_copies_are_built_and_read_only(self):
+        cs = bc.ConstraintSet((0, 2), np.array([0.3, 0.6]), 0.01)
+        for again in (pickle.loads(pickle.dumps(cs)), copy.deepcopy(cs)):
+            assert again is not cs and again == cs
+            # the copy is built and checked again, so its b* is read-only too
+            assert not again.b_star.flags.writeable
 
     def test_rejects_negative_gamma(self):
         with pytest.raises(bc.ValidationError):
@@ -230,8 +240,9 @@ class TestCheckEquivalence:
     def test_interior_point(self):
         corpus, posteriors = biased_pair_corpus(0.3)
         cs = single_constraint(0.3, 0.05)
-        result = bc.check_equivalence(corpus, posteriors, cs, 0)
-        assert result.minus_ok and result.plus_ok
+        result = bc.check_equivalence(corpus, posteriors, cs)
+        assert all(field.shape == (1,) for field in result)
+        assert result.minus_ok.all() and result.plus_ok.all()
         expectation = bc.corpus_expectation(corpus, posteriors, cs)
         assert expectation[0] <= 0 and expectation[1] <= 0
 
@@ -241,31 +252,39 @@ class TestCheckEquivalence:
         cs = single_constraint(0.3, 0.05)
         expectation = bc.corpus_expectation(corpus, posteriors, cs)
         assert_allclose(expectation[0], 0.0, atol=1e-9)
-        result = bc.check_equivalence(corpus, posteriors, cs, 0)
-        assert result.minus_ok
-        assert_allclose(result.residual_minus, 0.0, atol=1e-9)
+        result = bc.check_equivalence(corpus, posteriors, cs)
+        assert result.minus_ok.all()
+        assert_allclose(result.residual_minus, [0.0], atol=1e-9)
 
     def test_violated_upper_side(self):
         corpus, posteriors = biased_pair_corpus(0.40)
         cs = single_constraint(0.3, 0.05)
         expectation = bc.corpus_expectation(corpus, posteriors, cs)
         assert expectation[0] > 0
-        result = bc.check_equivalence(corpus, posteriors, cs, 0)
-        assert result.minus_ok
-        assert result.residual_minus > 0
+        result = bc.check_equivalence(corpus, posteriors, cs)
+        assert result.minus_ok.all()
+        assert result.residual_minus[0] > 0
 
-    def test_unconstrained_activity_rejected(self):
+    def test_constraint_outside_the_vocabulary_is_named(self):
         corpus, posteriors = biased_pair_corpus(0.4)
-        cs = single_constraint(0.3, 0.05)
-        with pytest.raises(bc.ValidationError):
-            bc.check_equivalence(corpus, posteriors, cs, 7)
+        cs = bc.ConstraintSet((0, 5), np.array([0.5, 0.5]), 0.05)
+        with pytest.raises(bc.ValidationError, match="^constrained activity id 5 is not in the "
+                                                     "corpus vocabulary of 1 activities$"):
+            bc.check_equivalence(corpus, posteriors, cs)
 
     def test_no_gendered_mass_errors(self):
         corpus = make_corpus([("i", [(0, "-", 0.0)])], names=["act"])
         posteriors = posteriors_of(corpus)
         cs = single_constraint(0.3, 0.05)
-        with pytest.raises(bc.UndefinedBiasError):
-            bc.check_equivalence(corpus, posteriors, cs, 0)
+        with pytest.raises(bc.UndefinedBiasError, match="^activity 'act' has no gendered mass$"):
+            bc.check_equivalence(corpus, posteriors, cs)
+
+    def test_first_activity_without_gendered_mass_is_named(self):
+        corpus = make_corpus([("i", [(0, "M", 0.0), (1, "-", 0.0), (2, "-", 0.0)])],
+                             names=["a", "b", "c"])
+        cs = bc.ConstraintSet((0, 1, 2), np.array([0.5, 0.5, 0.5]), 0.05)
+        with pytest.raises(bc.UndefinedBiasError, match="^activity 'b' has no gendered mass$"):
+            bc.check_equivalence(corpus, posteriors_of(corpus), cs)
 
     def test_equivalence_on_random_corpora(self):
         """Sign of each expectation coordinate must match the ratio residual
@@ -279,16 +298,11 @@ class TestCheckEquivalence:
                 continue
             posteriors = posteriors_of(corpus)
             expectation = bc.corpus_expectation(corpus, posteriors, cs)
-            for j, aid in enumerate(cs.activity_ids):
-                result = bc.check_equivalence(corpus, posteriors, cs, aid)
-                assert result.minus_ok and result.plus_ok
-                if expectation[2 * j] > 1e-9:
-                    assert result.residual_minus > -1e-9
-                if expectation[2 * j] < -1e-9:
-                    assert result.residual_minus < 1e-9
-                if expectation[2 * j + 1] > 1e-9:
-                    assert result.residual_plus > -1e-9
-                if expectation[2 * j + 1] < -1e-9:
-                    assert result.residual_plus < 1e-9
-                checked += 1
+            result = bc.check_equivalence(corpus, posteriors, cs)
+            assert result.minus_ok.all() and result.plus_ok.all()
+            for coord, residual in ((expectation[0::2], result.residual_minus),
+                                    (expectation[1::2], result.residual_plus)):
+                assert np.all(residual[coord > 1e-9] > -1e-9)
+                assert np.all(residual[coord < -1e-9] < 1e-9)
+            checked += len(cs.activity_ids)
         assert checked > 30

@@ -1,9 +1,11 @@
 """Loading, validation, and round-trip of corpora and training stats."""
 
+import copy
 import dataclasses
 import io
 import json
 import os
+import pickle
 import re
 import types
 
@@ -331,6 +333,26 @@ class TestLoadTrainingStats:
         with pytest.raises(bc.ValidationError, match=f"^activity 'cooking': {message}$"):
             bc.TrainingStats({"cooking": bc.GenderCount(1, female)})
 
+    def test_counts_are_read_only(self):
+        stats = stats_of({"cooking": {"male": 30, "female": 70}})
+        with pytest.raises(TypeError):
+            stats.counts["cooking"] = (-5, "x")
+        with pytest.raises(TypeError):
+            del stats.counts["cooking"]
+        assert stats.counts == {"cooking": bc.GenderCount(30, 70)}
+        written = io.StringIO()
+        bc.dump_training_stats(stats, written)
+        assert json.loads(written.getvalue()) == {"cooking": {"male": 30, "female": 70}}
+
+    def test_copies_are_built_and_read_only(self):
+        stats = stats_of({"cooking": {"male": 30, "female": 70},
+                          "driving": {"male": 4, "female": 1}})
+        for again in (pickle.loads(pickle.dumps(stats)), copy.deepcopy(stats)):
+            assert again is not stats and again == stats
+            assert list(again.counts) == ["cooking", "driving"]
+            with pytest.raises(TypeError):
+                again.counts["cooking"] = bc.GenderCount(1, 1)
+
     def test_numpy_counts_are_stored_as_ints(self):
         """np.int64 counts write the same stats, report JSON and scatter CSV as ints."""
         corpus = make_corpus([("a", [(0, "M", 0.3), (0, "W", 0.0)]),
@@ -617,6 +639,24 @@ class TestInvariants:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
+
+    def test_copies_are_built_and_read_only(self):
+        corpus, _ = bc.generate(bc.SynthConfig(3, 30, seed=5))
+        for again in (pickle.loads(pickle.dumps(corpus)), copy.deepcopy(corpus), copy.copy(corpus)):
+            assert again is not corpus and again == corpus
+            # the copy is built and checked again, so its arrays are read-only too
+            for name in ARRAYS:
+                assert not getattr(again, name).flags.writeable
+            with pytest.raises(TypeError):
+                again.activities["ghost"] = 3
+
+    def test_vocabulary_is_read_only(self):
+        corpus = bc.Corpus(**two_instances())
+        with pytest.raises(TypeError):
+            corpus.activities["ghost"] = 2
+        with pytest.raises(TypeError):
+            del corpus.activities["x"]
+        assert corpus.n_activities == 2 and corpus.activities == {"x": 0, "y": 1}
 
     def test_corpus_equality_compares_rows_not_objects(self):
         text = (

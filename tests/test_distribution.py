@@ -265,7 +265,7 @@ class TestTablesOnly:
         "build_report": lambda c, cs, post: bc.build_report(
             c, bc.TrainingStats({"act": bc.GenderCount(1, 1)}), post, [0, 0], 0.05),
         "corpus_expectation": lambda c, cs, post: bc.corpus_expectation(c, post, cs),
-        "check_equivalence": lambda c, cs, post: bc.check_equivalence(c, post, cs, 0),
+        "check_equivalence": lambda c, cs, post: bc.check_equivalence(c, post, cs),
         "featurize": lambda c, cs, post: featurize(c, post, cs),
         "dual_objective": lambda c, cs, post: bc.dual_objective(np.zeros(2), c, post, cs),
         "dual_gradient": lambda c, cs, post: bc.dual_gradient(np.zeros(2), c, post, cs),

@@ -1,5 +1,7 @@
 """The flat column kernels must reproduce the per-instance loops bit for bit."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,10 +53,11 @@ def corpora(draw):
     return corpus, bc.TrainingStats(counts)
 
 
-def random_constraint_set(data, corpus):
-    ids = data.draw(st.lists(st.integers(0, corpus.n_activities - 1), unique=True))
+def random_constraint_set(data, corpus, gammas=st.floats(0.0, 0.1), min_size=0):
+    ids = data.draw(st.lists(st.integers(0, corpus.n_activities - 1), unique=True,
+                             min_size=min_size))
     b_star = [data.draw(st.floats(0.0, 1.0)) for _ in ids]
-    return bc.ConstraintSet(tuple(sorted(ids)), np.array(b_star), data.draw(st.floats(0.0, 0.1)))
+    return bc.ConstraintSet(tuple(sorted(ids)), np.array(b_star), data.draw(gammas))
 
 
 def assert_rows_equal(table, corpus, posteriors):
@@ -139,6 +142,27 @@ def test_features_and_expectations(case, data):
     assert fc.values[cs.dimension].tolist() == [0.0, 0.0]
     expected = ref.corpus_expectation(corpus, posteriors, cs)
     assert np.array_equal(bc.corpus_expectation(corpus, table, cs), expected)
+
+
+@PROPERTY
+@given(case=corpora(), data=st.data())
+def test_equivalence_check(case, data):
+    """The one array check gives, entry for entry, the reference's one-activity
+    checks bit for bit, and both refuse the same corpora with the same error."""
+    corpus, _ = case
+    cs = random_constraint_set(data, corpus, st.sampled_from([0.0, 0.001, 0.05]), min_size=1)
+    posteriors = [ref.posterior(inst) for inst in corpus.instances]
+    table = bc.instance_posterior(corpus)
+    try:
+        expected = [ref.check_equivalence(corpus, posteriors, cs, aid) for aid in cs.activity_ids]
+    except bc.UndefinedBiasError as exc:
+        with pytest.raises(bc.UndefinedBiasError, match=f"^{re.escape(str(exc))}$"):
+            bc.check_equivalence(corpus, table, cs)
+        return
+    result = bc.check_equivalence(corpus, table, cs)
+    for name, got in zip(bc.EquivalenceCheck._fields, result):
+        want = np.array([getattr(entry, name) for entry in expected], dtype=got.dtype)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @PROPERTY
