@@ -125,7 +125,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                 raise ValidationError(
                     f"config key {key!r} must be of type {known[key]}, got {value!r}"
                 )
-            setattr(config, key, value)
+            setattr(config, key, float(value) if known[key] == "float" else value)  # as a flag
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:

@@ -27,11 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _EXPORTS
-from .corpus import (FEMALE_CODE, UNGENDERED_CODE, Corpus, TrainingStats, constrained_activities,
-                     integer_indices)
+from .corpus import FEMALE_CODE, UNGENDERED_CODE, Corpus, TrainingStats, integer_indices
 from .distribution import PosteriorTable, as_table
-from .errors import UndefinedBiasError, ValidationError
-from .metrics import activity_mass, check_margin, training_ratios
+from .errors import ValidationError
+from .metrics import activity_ratios, check_margin, training_ratios
 
 __all__ = list(_EXPORTS["constraints"])
 
@@ -65,7 +64,8 @@ class ConstraintSet:
             raise ValidationError("b_star entries must lie in [0, 1]")
         check_margin("gamma", self.gamma)
         b_star.flags.writeable = False
-        self.__dict__.update(activity_ids=tuple(ids.tolist()), b_star=b_star)
+        self.__dict__.update(activity_ids=tuple(ids.tolist()), b_star=b_star,
+                             gamma=float(self.gamma))
 
     def __reduce__(self):  # a copied or unpickled set is built, so checked and read-only, again
         return ConstraintSet, (self.activity_ids, self.b_star, self.gamma)
@@ -79,26 +79,30 @@ class ConstraintSet:
     @classmethod
     def from_stats(cls, corpus: Corpus, stats: TrainingStats, gamma: float) -> "ConstraintSet":
         """Build constraints for every activity eligible under the given corpus."""
-        ids = constrained_activities(stats, corpus)
-        return cls(tuple(ids), training_ratios(stats, corpus, ids), gamma)
+        ids, b_star = training_ratios(stats, corpus)
+        return cls(tuple(ids), b_star, gamma)
 
     @property
     def dimension(self) -> int:
         return 2 * len(self.activity_ids)
 
 
-def feature_types(activity: np.ndarray, gender: np.ndarray, cs: ConstraintSet) -> np.ndarray:
-    """Feature type of candidate rows given their activity ids and gender codes.
+def feature_types(corpus: Corpus, cs: ConstraintSet) -> np.ndarray:
+    """Feature type of every candidate row of the corpus.
 
     A gendered row of the activity in constraint slot j has type 2j if male
     and 2j+1 if female; every other row has type ``cs.dimension`` and no
     features. Features depend on nothing but the type: see `type_features`.
+    A set that names an activity outside the corpus vocabulary is refused.
     """
-    size = max(int(activity.max(initial=-1)), max(cs.activity_ids, default=-1)) + 1
-    lookup = np.full(size, -1, dtype=np.int64)
+    outside = [aid for aid in cs.activity_ids if aid >= corpus.n_activities]
+    if outside:
+        raise ValidationError(f"constrained activity id {outside[0]} is not in the corpus "
+                              f"vocabulary of {corpus.n_activities} activities")
+    lookup = np.full(corpus.n_activities, -1, dtype=np.int64)
     lookup[list(cs.activity_ids)] = np.arange(len(cs.activity_ids))
-    slot = np.where(gender != UNGENDERED_CODE, lookup[activity], -1)
-    return np.where(slot >= 0, 2 * slot + (gender == FEMALE_CODE), cs.dimension)
+    slot = np.where(corpus.gender != UNGENDERED_CODE, lookup[corpus.activity], -1)
+    return np.where(slot >= 0, 2 * slot + (corpus.gender == FEMALE_CODE), cs.dimension)
 
 
 def type_features(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +134,7 @@ def corpus_expectation(
     order; the solver's gradient instead folds the mass of each feature type.
     """
     probs = as_table(posteriors, corpus).probs
-    types = feature_types(corpus.activity, corpus.gender, cs)
+    types = feature_types(corpus, cs)
     rows = np.flatnonzero(types < cs.dimension)
     values, coords = (table[types[rows]] for table in type_features(cs))
     out = np.zeros(cs.dimension)
@@ -170,22 +174,12 @@ def check_equivalence(corpus: Corpus, posteriors: PosteriorTable,
         E[feature_2j+1] = ((b* - gamma) - ratio) * gendered_mass
 
     so each expectation is <= 0 exactly when the corresponding ratio bound
-    holds. Every constrained activity must be in the corpus vocabulary and
-    have positive gendered mass; the first, in ``cs`` order, that has not is named.
+    holds. Every constrained activity must be in the corpus vocabulary
+    (`feature_types`) and have positive gendered mass (`activity_ratios`).
     """
     table = as_table(posteriors, corpus)
-    outside = [aid for aid in cs.activity_ids if aid >= corpus.n_activities]
-    if outside:
-        raise ValidationError(f"constrained activity id {outside[0]} is not in the corpus "
-                              f"vocabulary of {corpus.n_activities} activities")
-    ids = np.array(cs.activity_ids, dtype=np.int64)
-    male, gendered = (mass[ids] for mass in activity_mass(corpus, table))
-    empty = np.flatnonzero(gendered <= 0.0)
-    if empty.size:
-        name = corpus.activity_names[cs.activity_ids[empty[0]]]
-        raise UndefinedBiasError(f"activity {name!r} has no gendered mass")
-    ratio = male / gendered
     expectation = corpus_expectation(corpus, table, cs)
+    ratio, gendered = activity_ratios(table, cs.activity_ids)
     residual_minus = ratio - (cs.b_star + cs.gamma)
     residual_plus = (cs.b_star - cs.gamma) - ratio
     minus_ok = np.abs(expectation[0::2] - residual_minus * gendered) <= EQUIVALENCE_SLACK

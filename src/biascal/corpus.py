@@ -89,6 +89,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer or float; a bool is not one."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CandidateStructure:
     """One scored joint assignment (activity, gender tag) for an instance."""

@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .corpus import Corpus, TrainingStats, _open_for_write, constrained_activities, dump_json
+from .corpus import (Corpus, TrainingStats, _open_for_write, constrained_activities, dump_json,
+                     is_real)
 from .distribution import PosteriorTable, as_table, check_indices
 from .errors import UndefinedBiasError, ValidationError
 
@@ -25,40 +26,41 @@ SCATTER_COLUMNS = ("activity", "b_star", "bias_dist", "bias_top", "violated_dist
 
 
 def check_margin(name: str, value: float) -> None:
-    """Refuse a ratio margin (gamma) that is not a finite nonnegative real."""
-    if not (np.isfinite(value) and value >= 0.0):
+    """Refuse a ratio margin (gamma) that is not a finite nonnegative real; a bool is not one."""
+    if not (is_real(value) and np.isfinite(value) and value >= 0.0):
         raise ValidationError(f"{name} must be a finite nonnegative real, got {value}")
 
 
-def training_ratios(
-    stats: TrainingStats, corpus: Corpus, activity_ids: Sequence[int]
-) -> np.ndarray:
-    """b*: the male share of each constrained activity's gendered training labels."""
-    counts = [stats.counts[corpus.activity_names[aid]] for aid in activity_ids]
-    return np.array([count.male / count.total for count in counts], dtype=np.float64)
+def training_ratios(stats: TrainingStats, corpus: Corpus) -> tuple[list[int], np.ndarray]:
+    """The constrained activity ids, and b*: each one's male share of gendered training labels."""
+    ids = constrained_activities(stats, corpus)
+    counts = [stats.counts[corpus.activity_names[aid]] for aid in ids]
+    return ids, np.array([count.male / count.total for count in counts], dtype=np.float64)
 
 
-def activity_mass(corpus: Corpus, table: PosteriorTable) -> tuple[np.ndarray, np.ndarray]:
-    """Male and gendered posterior mass of every activity, indexed by activity id.
+def activity_mass(corpus: Corpus, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Male and gendered sums of per-row weights of every activity, indexed by activity id.
 
-    ``np.bincount`` adds the rows in corpus order, so each entry is the
-    same float as a candidate-by-candidate running sum.
+    The weights are a table's probabilities (posterior mass) or 1 at each
+    MAP row (top-prediction counts, exact as floats). ``np.bincount`` adds
+    the rows in corpus order, so each entry is the same float as a
+    candidate-by-candidate running sum.
     """
-    def mass(rows: np.ndarray) -> np.ndarray:
-        return np.bincount(corpus.activity[rows], weights=table.probs[rows],
-                           minlength=corpus.n_activities)
-
-    return mass(corpus.male), mass(corpus.gendered)
+    return tuple(np.bincount(corpus.activity[rows], weights[rows], corpus.n_activities)
+                 for rows in (corpus.male, corpus.gendered))
 
 
-def top_counts(corpus: Corpus, predictions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Male and gendered MAP-prediction counts of every activity, indexed by activity id."""
-    rows = corpus.offsets[:-1] + predictions
-
-    def count(chosen: np.ndarray) -> np.ndarray:
-        return np.bincount(corpus.activity[rows[chosen[rows]]], minlength=corpus.n_activities)
-
-    return count(corpus.male), count(corpus.gendered)
+def activity_ratios(table: PosteriorTable,
+                    activity_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Male share and gendered posterior mass of each listed activity, in list order; the
+    first listed activity without gendered mass, whose share is undefined, is refused."""
+    male, gendered = (mass[list(activity_ids)]
+                      for mass in activity_mass(table.corpus, table.probs))
+    empty = np.flatnonzero(gendered <= 0.0)
+    if empty.size:
+        name = table.corpus.activity_names[activity_ids[empty[0]]]
+        raise UndefinedBiasError(f"activity {name!r} has no gendered posterior mass")
+    return male / gendered, gendered
 
 
 @dataclass(frozen=True)
@@ -140,20 +142,14 @@ def build_report(
     if len(predictions) != corpus.n_instances:
         raise ValidationError(f"{len(predictions)} predictions for {corpus.n_instances} instances")
     predictions = check_indices("predictions", predictions, corpus.sizes)
-    activity_ids = constrained_activities(stats, corpus)
+    activity_ids, b_star = training_ratios(stats, corpus)
     if not activity_ids:
         raise UndefinedBiasError("no constrained activities")
 
-    ids = np.array(activity_ids)
-    male, gendered = (mass[ids] for mass in activity_mass(corpus, table))
-    empty = np.flatnonzero(gendered <= 0.0)
-    if empty.size:
-        name = corpus.activity_names[activity_ids[empty[0]]]
-        raise UndefinedBiasError(f"activity {name!r} has no gendered posterior mass")
-    top_male, top_gendered = (count[ids] for count in top_counts(corpus, predictions))
+    bias_dist, _ = activity_ratios(table, activity_ids)
+    top = np.bincount(corpus.offsets[:-1] + predictions, minlength=corpus.n_rows)  # 1 at MAP rows
+    top_male, top_gendered = (count[activity_ids] for count in activity_mass(corpus, top))
     evaluable = top_gendered > 0
-    b_star = training_ratios(stats, corpus, activity_ids)
-    bias_dist = male / gendered
     with np.errstate(invalid="ignore"):
         bias_top = top_male / top_gendered  # NaN where no prediction is gendered
     toward_majority = np.sign(b_star - 0.5)

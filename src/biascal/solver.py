@@ -42,7 +42,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .constraints import ConstraintSet, feature_types, type_features
-from .corpus import Corpus, dump_json, is_integer, load_json
+from .corpus import Corpus, dump_json, is_integer, is_real, load_json
 from .distribution import PosteriorTable, as_table, reweight
 from .errors import DegenerateDistributionError, SolverDivergenceError, ValidationError
 
@@ -99,6 +99,11 @@ class SolverConfig:
             if not is_integer(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))  # numpy ints are not JSON serializable
+        for name in ("initial_lr", "lr_decay", "convergence_tol"):
+            value = getattr(self, name)
+            if not is_real(value):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))  # so equal configs hash equal
         if self.batch_size < 1 or self.epochs < 1 or self.max_steps < 1:
             raise ValidationError("batch_size, epochs and max_steps must be positive")
         if self.seed < 0:
@@ -182,7 +187,7 @@ def featurize(
     """Compress the corpus to its featured rows and one plain row per instance."""
     probs = as_table(posteriors, corpus).probs
     n, dim = corpus.n_instances, cs.dimension
-    row_types = feature_types(corpus.activity, corpus.gender, cs)
+    row_types = feature_types(corpus, cs)
     featured = np.flatnonzero(row_types < dim)
     seg = corpus.segment_ids[featured]
     offsets = np.concatenate([[0], np.cumsum(np.bincount(seg, minlength=n) + 1)])
@@ -537,7 +542,7 @@ def calibrate(
     """
     table = as_table(posteriors, corpus)
     lam = _checked_lam(lam, cs)
-    types = feature_types(corpus.activity, corpus.gender, cs)
+    types = feature_types(corpus, cs)
     penalty = _type_penalties(*type_features(cs), lam).take(types)
     reweighted = reweight(table, penalty)
     is_touched = np.zeros(corpus.n_instances, dtype=bool)

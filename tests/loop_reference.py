@@ -77,7 +77,7 @@ def activity_mass(posteriors, corpus, activity_id):
     return male, gendered
 
 
-def bias_in_top_predictions(predictions, corpus, activity_id):
+def top_counts(predictions, corpus, activity_id):
     male = 0
     gendered = 0
     for inst, k in zip(corpus.instances, predictions):
@@ -87,6 +87,11 @@ def bias_in_top_predictions(predictions, corpus, activity_id):
         gendered += 1
         if cand.gender is bc.GenderTag.MALE:
             male += 1
+    return male, gendered
+
+
+def bias_in_top_predictions(predictions, corpus, activity_id):
+    male, gendered = top_counts(predictions, corpus, activity_id)
     return None if gendered == 0 else male / gendered
 
 
@@ -186,7 +191,7 @@ def check_equivalence(corpus, posteriors, cs, activity_id):
     male_mass, gendered_mass = activity_mass(posteriors, corpus, activity_id)
     if gendered_mass <= 0.0:
         raise bc.UndefinedBiasError(
-            f"activity {corpus.activity_names[activity_id]!r} has no gendered mass"
+            f"activity {corpus.activity_names[activity_id]!r} has no gendered posterior mass"
         )
     ratio = male_mass / gendered_mass
     r = float(cs.b_star[j])
@@ -326,7 +331,7 @@ def naive_stochastic_solve(corpus, posteriors, cs, config):
 
 def _candidate_rows(corpus, posteriors, cs):
     """Every candidate as its own row, with two feature columns and values."""
-    types = feature_types(corpus.activity, corpus.gender, cs)
+    types = feature_types(corpus, cs)
     values, coords = type_features(cs)
     with np.errstate(divide="ignore"):
         log_p = np.log(posteriors.probs)

@@ -579,6 +579,21 @@ class TestConfigPrecedence:
                    "--out", out, "--config", config_path) == 0
         assert json.loads((out / "report_before.json").read_text())["gamma_eval"] == 0
 
+    def test_a_setting_by_flag_or_by_config_file_writes_the_same_bytes(self, tmp_path):
+        # an integer in the file is read as the float the flag parses
+        corpus_path, stats_path = synth_files(tmp_path, n_activities=3,
+                                              instances_per_activity=20, boost=1.0, seed=1)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"gamma_eval": 0, "gamma_solve": 0, "lr": 1}))
+        flags = {"report": ["--gamma-eval", 0],
+                 "calibrate": ["--gamma-eval", 0, "--gamma-solve", 0, "--lr", 1]}
+        for command, given in flags.items():
+            by_flag, by_file = tmp_path / f"{command}-flags", tmp_path / f"{command}-file"
+            inputs = ("--corpus", corpus_path, "--stats", stats_path)
+            assert run(command, *inputs, "--out", by_flag, *given) == 0
+            assert run(command, *inputs, "--out", by_file, "--config", config_path) == 0
+            assert read_bytes_map(by_flag) == read_bytes_map(by_file)
+
 
 class TestAtomicOutputs:
     def test_every_output_replaces_its_target(self, tmp_path, monkeypatch):

@@ -9,8 +9,9 @@ from numpy.testing import assert_allclose
 
 import biascal as bc
 import loop_reference as ref
+from biascal import solver
 from biascal.constraints import feature_types, type_features
-from biascal.corpus import GENDER_TAGS
+from biascal.solver import featurize
 from conftest import (
     make_corpus,
     posteriors_of,
@@ -90,6 +91,23 @@ class TestConstraintSet:
     def test_zero_gamma_allowed(self):
         assert bc.ConstraintSet((0,), np.array([0.5]), 0.0).gamma == 0.0
 
+    @pytest.mark.parametrize("gamma", [0.05, np.float64(0.05), np.float32(0.05), 0, np.int64(0)])
+    def test_gamma_is_stored_as_a_python_float(self, gamma):
+        cs = bc.ConstraintSet((0,), [0.5], gamma)
+        assert type(cs.gamma) is float and cs.gamma == float(gamma)
+
+    def test_equal_sets_hash_equal(self):
+        # the checkpoint hash of a float gamma is unchanged
+        for gamma in (0.05, np.float64(0.05)):
+            cs = bc.ConstraintSet((0,), [0.5], gamma)
+            assert solver._config_hash(bc.SolverConfig(), cs) == "dc07ae5654907bfe"
+
+    @pytest.mark.parametrize("gamma", [True, np.bool_(False), "x", None, np.array([0.1, 0.2]),
+                                       [0.1], float("nan"), float("inf")])
+    def test_gamma_must_be_a_finite_nonnegative_real(self, gamma):
+        with pytest.raises(bc.ValidationError, match="^gamma must be a finite nonnegative real"):
+            bc.ConstraintSet((0,), [0.5], gamma)
+
     def test_from_stats(self):
         corpus = make_corpus(
             [("a", [(0, "M", 0.0), (1, "-", 0.0)])], names=["cooking", "driving"]
@@ -104,7 +122,9 @@ class TestConstraintSet:
 
 def candidate_features(activity_id, gender, cs):
     """One candidate's feature type, and the coordinates and values of that type."""
-    (t,) = feature_types(np.array([activity_id]), np.array([GENDER_TAGS.index(gender)]), cs)
+    corpus = make_corpus([("i", [(activity_id, gender.value, 0.0)])],
+                         n_activities=max(activity_id, *cs.activity_ids) + 1)
+    (t,) = feature_types(corpus, cs)
     values, coords = type_features(cs)
     return t, coords[t].tolist(), values[t]
 
@@ -265,25 +285,52 @@ class TestCheckEquivalence:
         assert result.minus_ok.all()
         assert result.residual_minus[0] > 0
 
-    def test_constraint_outside_the_vocabulary_is_named(self):
+    @pytest.mark.parametrize("call", [
+        featurize,
+        lambda corpus, table, cs: bc.solve(corpus, table, cs, bc.SolverConfig()),
+        lambda corpus, table, cs: bc.calibrate(corpus, table, cs, np.zeros(cs.dimension)),
+        lambda corpus, table, cs: bc.dual_objective(np.zeros(cs.dimension), corpus, table, cs),
+        lambda corpus, table, cs: bc.dual_gradient(np.zeros(cs.dimension), corpus, table, cs),
+        bc.corpus_expectation,
+        lambda corpus, table, cs: bc.brute_force_project(corpus, table, cs, resolution=3),
+        bc.check_equivalence,
+    ], ids=["featurize", "solve", "calibrate", "dual_objective", "dual_gradient",
+            "corpus_expectation", "brute_force_project", "check_equivalence"])
+    def test_constraint_outside_the_vocabulary_is_refused(self, call):
         corpus, posteriors = biased_pair_corpus(0.4)
         cs = bc.ConstraintSet((0, 5), np.array([0.5, 0.5]), 0.05)
         with pytest.raises(bc.ValidationError, match="^constrained activity id 5 is not in the "
                                                      "corpus vocabulary of 1 activities$"):
-            bc.check_equivalence(corpus, posteriors, cs)
+            call(corpus, posteriors, cs)
+
+    def test_report_and_check_refuse_underflowed_mass_alike(self):
+        # the gendered candidates' posterior underflows to exactly 0
+        corpus = make_corpus([("i", [(0, "M", -1000.0), (0, "W", -1000.0), (1, "-", 0.0)])],
+                             names=["cooking", "other"])
+        stats = bc.TrainingStats({"cooking": bc.GenderCount(3, 7)})
+        table = bc.instance_posterior(corpus)
+        assert table.probs[:2].tolist() == [0.0, 0.0]
+        cs = bc.ConstraintSet.from_stats(corpus, stats, 0.05)
+        message = "^activity 'cooking' has no gendered posterior mass$"
+        with pytest.raises(bc.UndefinedBiasError, match=message):
+            bc.build_report(corpus, stats, table, bc.map_predict(table), 0.05)
+        with pytest.raises(bc.UndefinedBiasError, match=message):
+            bc.check_equivalence(corpus, table, cs)
 
     def test_no_gendered_mass_errors(self):
         corpus = make_corpus([("i", [(0, "-", 0.0)])], names=["act"])
         posteriors = posteriors_of(corpus)
         cs = single_constraint(0.3, 0.05)
-        with pytest.raises(bc.UndefinedBiasError, match="^activity 'act' has no gendered mass$"):
+        with pytest.raises(bc.UndefinedBiasError,
+                           match="^activity 'act' has no gendered posterior mass$"):
             bc.check_equivalence(corpus, posteriors, cs)
 
     def test_first_activity_without_gendered_mass_is_named(self):
         corpus = make_corpus([("i", [(0, "M", 0.0), (1, "-", 0.0), (2, "-", 0.0)])],
                              names=["a", "b", "c"])
         cs = bc.ConstraintSet((0, 1, 2), np.array([0.5, 0.5, 0.5]), 0.05)
-        with pytest.raises(bc.UndefinedBiasError, match="^activity 'b' has no gendered mass$"):
+        with pytest.raises(bc.UndefinedBiasError,
+                           match="^activity 'b' has no gendered posterior mass$"):
             bc.check_equivalence(corpus, posteriors_of(corpus), cs)
 
     def test_equivalence_on_random_corpora(self):

@@ -410,7 +410,7 @@ class TestJointFactorization:
             posteriors = posteriors_of(corpus)
             lam = rng.uniform(0.0, 2.0, cs.dimension)
             values, coords = type_features(cs)
-            types = feature_types(corpus.activity, corpus.gender, cs)
+            types = feature_types(corpus, cs)
             penalty = (lam[coords[types]] * values[types]).sum(axis=1)
 
             sizes = [len(inst.candidates) for inst in corpus.instances]

@@ -41,7 +41,7 @@ def half_toy(male_prob=0.5, b_star=0.5, gamma=0.0):
 
 def male_ratio(corpus, table):
     """Activity 0's male share of its gendered posterior mass."""
-    male, gendered = activity_mass(corpus, table)
+    male, gendered = activity_mass(corpus, table.probs)
     return male[0] / gendered[0]
 
 
@@ -409,6 +409,24 @@ class TestSolve:
         with pytest.raises(bc.ValidationError,
                            match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
             bc.SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["initial_lr", "lr_decay", "convergence_tol"])
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "0.5", None])
+    def test_real_settings_must_be_reals(self, field, value):
+        with pytest.raises(bc.ValidationError,
+                           match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+            bc.SolverConfig(**{field: value})
+
+    def test_real_settings_are_stored_as_floats(self):
+        config = bc.SolverConfig(initial_lr=1, lr_decay=np.float32(0.5),
+                                 convergence_tol=np.int64(1))
+        fields = ("initial_lr", "lr_decay", "convergence_tol")
+        assert [type(getattr(config, name)) for name in fields] == [float] * 3
+        # equal configs hash equal, and a float setting's hash is unchanged
+        cs = bc.ConstraintSet((0,), [0.5], 0.05)
+        assert config == bc.SolverConfig(initial_lr=1.0, lr_decay=0.5, convergence_tol=1.0)
+        for lr in (1, 1.0, np.float64(1.0)):
+            assert solver._config_hash(bc.SolverConfig(initial_lr=lr), cs) == "b34eb4f06c05919e"
 
     def test_seed_must_be_nonnegative(self):
         with pytest.raises(bc.ValidationError, match="^seed must be nonnegative, got -1$"):
