@@ -23,7 +23,7 @@ cs = bc.ConstraintSet((0,), np.array([B_STAR]), GAMMA)
 # per instance the gold index (-1 for none)
 print(f"feature values for b* = {B_STAR}, gamma = {GAMMA}:")
 for name, code in (("male", 1), ("female", 2), ("ungendered", 0)):
-    single = bc.Corpus({"cooking": 0}, ("c",), [0, 1], [0], [code], [0.0], [-1])
+    single = bc.Corpus(("cooking",), ("c",), [0, 1], [0], [code], [0.0], [-1])
     features = bc.corpus_expectation(single, bc.instance_posterior(single), cs)
     nonzero = [(int(k), float(features[k])) for k in np.flatnonzero(features)]
     print(f"  {name:10s} -> {nonzero}")
@@ -31,7 +31,7 @@ for name, code in (("male", 1), ("female", 2), ("ungendered", 0)):
 # one instance with a male/female candidate pair; the posterior male share
 # sweeps from well below the lower bound to well above the upper bound. A
 # posterior table is a corpus and one probability per row of it
-corpus = bc.Corpus({"cooking": 0}, ("i0",), [0, 2], [0, 0], [1, 2], [0.0, 0.0], [-1])
+corpus = bc.Corpus(("cooking",), ("i0",), [0, 2], [0, 0], [1, 2], [0.0, 0.0], [-1])
 
 print(f"\n{'male share':>10s} {'E[upper]':>10s} {'E[lower]':>10s} {'in bounds':>10s}")
 for male_share in (0.10, 0.25, B_STAR - GAMMA, 0.30, B_STAR + GAMMA, 0.40, 0.60):

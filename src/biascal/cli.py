@@ -211,8 +211,7 @@ def cmd_calibrate(config: RunConfig) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     given = {f.name: getattr(args, f.name) for f in fields(_module.SynthConfig)}
-    given = {k: tuple(v) if k == "bias_range" else v for k, v in given.items() if v is not None}
-    synth_config = _module.SynthConfig(**given)
+    synth_config = _module.SynthConfig(**{k: v for k, v in given.items() if v is not None})
     corpus, stats = _module.generate(synth_config)
     out_dir = _out_dir(args.out or ".")
     dump_corpus(corpus, out_dir / "corpus.jsonl")

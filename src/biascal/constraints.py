@@ -62,10 +62,9 @@ class ConstraintSet:
             raise ValidationError(f"b_star has shape {b_star.shape}, expected ({len(ids)},)")
         if not np.all((b_star >= 0.0) & (b_star <= 1.0)):  # NaN fails too
             raise ValidationError("b_star entries must lie in [0, 1]")
-        check_margin("gamma", self.gamma)
         b_star.flags.writeable = False
         self.__dict__.update(activity_ids=tuple(ids.tolist()), b_star=b_star,
-                             gamma=float(self.gamma))
+                             gamma=check_margin("gamma", self.gamma))
 
     def __reduce__(self):  # a copied or unpickled set is built, so checked and read-only, again
         return ConstraintSet, (self.activity_ids, self.b_star, self.gamma)

@@ -18,7 +18,7 @@ counts::
 
     {"cooking": {"male": 30, "female": 70}}
 
-Activity ids are assigned in order of first appearance in the corpus file.
+Activity ids are positions in the vocabulary, the names in order of first appearance.
 
 Flat rows
 ---------
@@ -54,15 +54,16 @@ import json
 import math
 import operator
 import os
+from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterator, Mapping, NamedTuple, NoReturn, Sequence
+from typing import IO, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -84,14 +85,28 @@ class GenderTag(str, Enum):
         return self is not GenderTag.UNGENDERED
 
 
-def is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def as_number(name: str, value, kind: type[int] | type[float]) -> int | float:
+    """``value`` as a Python ``kind``, int or float, or a ValidationError naming ``name``: an
+    integer is a Python or numpy int, a real is one within the float range or a Python or
+    numpy float, and a bool is neither."""
+    shown = None
+    if not isinstance(value, bool) and isinstance(
+            value, (int, np.integer) if kind is int else (int, float, np.integer, np.floating)):
+        try:
+            return kind(value)
+        except OverflowError:  # an int beyond the float range, which may be too long for repr
+            shown = "an integer beyond the float range"
+    noun = "an integer" if kind is int else "a real number"
+    raise ValidationError(f"{name} must be {noun}, got {shown or repr(value)}")
 
 
-def is_real(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer or float; a bool is not one."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+def read_numbers(settings) -> None:
+    """Store each field of a dataclass annotated "int" or "float" (a string, under
+    ``from __future__ import annotations``) as `as_number` reads it."""
+    for f in fields(settings):
+        kind = {"int": int, "float": float}.get(f.type)
+        if kind is not None:
+            object.__setattr__(settings, f.name, as_number(f.name, getattr(settings, f.name), kind))
 
 
 @dataclass(frozen=True)
@@ -141,6 +156,23 @@ def integer_indices(name: str, values) -> np.ndarray:
     return indices
 
 
+def _names(field_name: str, noun: str, values) -> tuple[str, ...]:
+    """``values`` as a tuple of nonempty, distinct strs, or a ValidationError naming
+    the first bad one; a bare str or a mapping is refused, not read as its items."""
+    if isinstance(values, (str, Mapping)) or not isinstance(values, Iterable):
+        raise ValidationError(f"{field_name} must be a sequence of {noun}s, got {values!r}")
+    names = tuple(values)
+    if not (set(map(type, names)) <= {str} and all(names) and len(set(names)) == len(names)):
+        seen: set[str] = set()
+        for name in names:
+            if not isinstance(name, str) or not name:
+                raise ValidationError(f"{noun} must be a nonempty string, got {name!r}")
+            if name in seen:
+                raise ValidationError(f"duplicate {noun} {name!r}")
+            seen.add(name)
+    return names
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Corpus:
     """An immutable corpus: one flat row per candidate plus the activity vocabulary.
@@ -149,14 +181,14 @@ class Corpus:
     row r holds the candidate's ``activity`` id, ``gender`` code (0
     ungendered, 1 male, 2 female; see `GENDER_TAGS`) and ``score``.
     ``gold`` holds one index per instance, -1 where the instance has none.
-    ``activities`` is a read-only mapping of activity name to id. Every array
-    is read-only, and two corpora are equal when their vocabularies and arrays are.
+    ``activities`` holds the activity names in id order, so an id is a position in
+    it. Every array is read-only, and two corpora are equal when their fields are.
 
     The constructor takes these fields in this order, checks every corpus rule
     over the whole arrays and raises ValidationError, naming the instance.
     """
 
-    activities: Mapping[str, int]
+    activities: tuple[str, ...]
     ids: tuple[str, ...]
     offsets: np.ndarray
     activity: np.ndarray
@@ -164,9 +196,10 @@ class Corpus:
     score: np.ndarray
     gold: np.ndarray
 
-    def __init__(self, activities: Mapping[str, int], ids: Sequence[str], offsets, activity,
+    def __init__(self, activities: Sequence[str], ids: Sequence[str], offsets, activity,
                  gender, score, gold):
-        ids = tuple(ids)
+        activities = _names("activities", "activity name", activities)
+        ids = _names("ids", "instance id", ids)
         offsets, activity, gender, gold = (
             integer_indices(name, values) for name, values in
             (("offsets", offsets), ("activity", activity), ("gender", gender), ("gold", gold)))
@@ -176,22 +209,6 @@ class Corpus:
                 and score.shape == activity.shape == gender.shape == (score.size,)):
             raise ValidationError("corpus offsets do not match its ids, rows and gold")
         n = len(activities)
-        for name, aid in activities.items():
-            if not (isinstance(name, str) and name):
-                raise ValidationError(f"activity name must be a nonempty string, got {name!r}")
-            if not is_integer(aid):
-                raise ValidationError(f"activity {name!r}: id must be an integer, got {aid!r}")
-        if sorted(activities.values()) != list(range(n)):
-            raise ValidationError("activity ids must be exactly 0..n-1")
-        if not (set(map(type, ids)) <= {str} and all(ids) and len(set(ids)) == len(ids)):
-            seen: set[str] = set()
-            for inst_id in ids:
-                if not isinstance(inst_id, str) or not inst_id:
-                    raise ValidationError(
-                        f"instance id must be a nonempty string, got {inst_id!r}")
-                if inst_id in seen:
-                    raise ValidationError(f"duplicate instance id {inst_id!r}")
-                seen.add(inst_id)
         sizes = np.diff(offsets)
         for bad, per_row, message in (  # message(i) for the first bad instance or row i
             (sizes == 0, False, lambda i: "candidate list is empty"),
@@ -209,13 +226,12 @@ class Corpus:
                 inst = np.searchsorted(offsets, hits[0], side="right") - 1 if per_row else hits[0]
                 raise ValidationError(f"instance {ids[inst]!r}: {message(hits[0])}")
         self.__dict__.update(  # astype copies, so no caller's array is shared
-            activities=MappingProxyType({name: int(aid) for name, aid in activities.items()}),
-            ids=ids, offsets=_read_only(offsets.astype(np.int64)), score=_read_only(score),
-            activity=_read_only(activity.astype(np.int64)), gold=_read_only(gold.astype(np.int64)),
-            gender=_read_only(gender.astype(np.int8)))
+            activities=activities, ids=ids, offsets=_read_only(offsets.astype(np.int64)),
+            score=_read_only(score), activity=_read_only(activity.astype(np.int64)),
+            gold=_read_only(gold.astype(np.int64)), gender=_read_only(gender.astype(np.int8)))
 
     def __reduce__(self):  # a copied or unpickled corpus is built, so checked and read-only, again
-        return Corpus, (dict(self.activities), self.ids, self.offsets, self.activity,
+        return Corpus, (self.activities, self.ids, self.offsets, self.activity,
                         self.gender, self.score, self.gold)
 
     def __eq__(self, other) -> bool:
@@ -237,11 +253,6 @@ class Corpus:
             Instance(inst_id, tuple(candidates[lo:hi]), None if gold < 0 else gold)
             for inst_id, lo, hi, gold in zip(self.ids, bounds, bounds[1:], self.gold.tolist())
         )
-
-    @cached_property
-    def activity_names(self) -> tuple[str, ...]:
-        """Vocabulary ordered by activity id."""
-        return tuple(sorted(self.activities, key=self.activities.__getitem__))
 
     @property
     def n_activities(self) -> int:
@@ -298,9 +309,7 @@ class TrainingStats:
                 raise ValidationError(f"activity {name!r}: count must be a (male, female) pair, "
                                       f"got {count!r}")
             for key, value in zip(GenderCount._fields, count):
-                if not is_integer(value):
-                    raise ValidationError(f"activity {name!r}: {key} count must be an integer")
-                if value < 0:
+                if as_number(f"activity {name!r}: {key} count", value, int) < 0:
                     raise ValidationError(f"activity {name!r}: {key} count must be nonnegative")
         object.__setattr__(self, "counts", MappingProxyType(
             {name: GenderCount._make(map(int, count)) for name, count in self.counts.items()}))
@@ -402,12 +411,7 @@ def _check_candidate(raw, where: str) -> None:
         raise CorpusFormatError(f"{where}: activity must be a nonempty string")
     if not isinstance(gender, str) or gender not in _CODE_OF_VALUE:
         raise CorpusFormatError(f"{where}: gender must be one of 'M', 'W', '-', got {gender!r}")
-    if isinstance(score, bool) or not isinstance(score, (int, float)):
-        raise ValidationError(f"{where}: score must be a number, got {score!r}")
-    try:
-        score = float(score)
-    except OverflowError:  # an integer beyond the float range
-        score = math.inf
+    score = as_number(f"{where}: score", score, float)
     if not math.isfinite(score):
         raise ValidationError(f"{where}: score must be finite, got {score!r}")
 
@@ -434,9 +438,7 @@ def _check_record(line: str, lineno: int) -> None:
         _check_candidate(raw, where)
     gold = record.get("gold")
     if gold is not None:
-        if isinstance(gold, bool) or not isinstance(gold, int):
-            raise CorpusFormatError(f"{where}: gold must be an integer index")
-        if not (0 <= gold < len(raw_candidates)):
+        if not (0 <= as_number(f"{where}: gold", gold, int) < len(raw_candidates)):
             raise ValidationError(
                 f"{where}: gold index {gold} out of range for {len(raw_candidates)} candidates"
             )
@@ -526,7 +528,7 @@ def load_corpus(source) -> Corpus:
             first_lineno += len(lines)
     ids, *columns = zip(*chunks) if chunks else ((),) * 6
     sizes, *rows = (np.concatenate(parts) if parts else () for parts in columns)
-    return Corpus(vocab, tuple(itertools.chain.from_iterable(ids)),
+    return Corpus(tuple(vocab), tuple(itertools.chain.from_iterable(ids)),
                   np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))), *rows)
 
 
@@ -549,7 +551,7 @@ def _write_records(corpus: Corpus, key: str, values: np.ndarray, sink) -> None:
     prefixes = np.array([
         f'{{"activity": {json.dumps(name)}, "gender": {json.dumps(tag.value)}, '
         f'{json.dumps(key)}: '
-        for name in corpus.activity_names for tag in GENDER_TAGS
+        for name in corpus.activities for tag in GENDER_TAGS
     ], dtype=object)
     prefix_of_row = corpus.activity * len(GENDER_TAGS) + corpus.gender
     with _open_for_write(sink) as stream:
@@ -614,7 +616,7 @@ def constrained_activities(stats: TrainingStats, corpus: Corpus) -> list[int]:
     has_gendered_mass = np.zeros(corpus.n_activities, dtype=bool)
     has_gendered_mass[corpus.activity[corpus.gendered]] = True
     return [
-        aid for aid, name in enumerate(corpus.activity_names)
+        aid for aid, name in enumerate(corpus.activities)
         if name in stats.counts and stats.counts[name].total > 0 and has_gendered_mass[aid]
     ]
 
@@ -626,4 +628,4 @@ def excluded_activities(stats: TrainingStats, corpus: Corpus) -> list[str]:
     report exclusions instead of dropping them silently.
     """
     keep = set(constrained_activities(stats, corpus))
-    return [name for aid, name in enumerate(corpus.activity_names) if aid not in keep]
+    return [name for aid, name in enumerate(corpus.activities) if aid not in keep]

@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .corpus import (Corpus, TrainingStats, _open_for_write, constrained_activities, dump_json,
-                     is_real)
+from .corpus import (Corpus, TrainingStats, _open_for_write, as_number, constrained_activities,
+                     dump_json)
 from .distribution import PosteriorTable, as_table, check_indices
 from .errors import UndefinedBiasError, ValidationError
 
@@ -25,16 +25,19 @@ __all__ = list(_EXPORTS["metrics"])
 SCATTER_COLUMNS = ("activity", "b_star", "bias_dist", "bias_top", "violated_dist", "violated_top")
 
 
-def check_margin(name: str, value: float) -> None:
-    """Refuse a ratio margin (gamma) that is not a finite nonnegative real; a bool is not one."""
-    if not (is_real(value) and np.isfinite(value) and value >= 0.0):
+def check_margin(name: str, value: float) -> float:
+    """A ratio margin (gamma) as a Python float; one that is not a finite nonnegative
+    real, a bool included, is refused."""
+    value = as_number(name, value, float)
+    if not (np.isfinite(value) and value >= 0.0):
         raise ValidationError(f"{name} must be a finite nonnegative real, got {value}")
+    return value
 
 
 def training_ratios(stats: TrainingStats, corpus: Corpus) -> tuple[list[int], np.ndarray]:
     """The constrained activity ids, and b*: each one's male share of gendered training labels."""
     ids = constrained_activities(stats, corpus)
-    counts = [stats.counts[corpus.activity_names[aid]] for aid in ids]
+    counts = [stats.counts[corpus.activities[aid]] for aid in ids]
     return ids, np.array([count.male / count.total for count in counts], dtype=np.float64)
 
 
@@ -58,7 +61,7 @@ def activity_ratios(table: PosteriorTable,
                       for mass in activity_mass(table.corpus, table.probs))
     empty = np.flatnonzero(gendered <= 0.0)
     if empty.size:
-        name = table.corpus.activity_names[activity_ids[empty[0]]]
+        name = table.corpus.activities[activity_ids[empty[0]]]
         raise UndefinedBiasError(f"activity {name!r} has no gendered posterior mass")
     return male / gendered, gendered
 
@@ -161,9 +164,8 @@ def build_report(
     def or_none(values: np.ndarray) -> list[float | None]:
         return [v if ok else None for v, ok in zip(values.tolist(), evaluable.tolist())]
 
-    names = corpus.activity_names
     entries = tuple(
-        ActivityBias(names[aid], aid, *values) for aid, *values in zip(
+        ActivityBias(corpus.activities[aid], aid, *values) for aid, *values in zip(
             activity_ids, b_star.tolist(), bias_dist.tolist(), or_none(bias_top),
             amp_dist.tolist(), or_none(amp_top), violated_dist.tolist(), violated_top.tolist())
     )

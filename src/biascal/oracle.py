@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .constraints import ConstraintSet
-from .corpus import Corpus
+from .corpus import Corpus, as_number
 from .distribution import PosteriorTable
 from .errors import OracleSizeError, ValidationError
 from .solver import FeaturizedCorpus, _log_partition, calibrate, featurize
@@ -79,6 +79,7 @@ def brute_force_project(
             f"brute force supports at most {MAX_ORACLE_CANDIDATES} candidates, "
             f"got {corpus.n_rows}"
         )
+    resolution = as_number("resolution", resolution, int)
     if resolution < 3:
         raise ValidationError("grid resolution must be at least 3")
     dim = cs.dimension

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .constraints import ConstraintSet, feature_types, type_features
-from .corpus import Corpus, dump_json, is_integer, is_real, load_json
+from .corpus import Corpus, dump_json, load_json, read_numbers
 from .distribution import PosteriorTable, as_table, reweight
 from .errors import DegenerateDistributionError, SolverDivergenceError, ValidationError
 
@@ -94,16 +94,7 @@ class SolverConfig:
     max_steps: int = 20000
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "seed", "max_steps"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # numpy ints are not JSON serializable
-        for name in ("initial_lr", "lr_decay", "convergence_tol"):
-            value = getattr(self, name)
-            if not is_real(value):
-                raise ValidationError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))  # so equal configs hash equal
+        read_numbers(self)  # numpy numbers are not JSON serializable; equal configs hash equal
         if self.batch_size < 1 or self.epochs < 1 or self.max_steps < 1:
             raise ValidationError("batch_size, epochs and max_steps must be positive")
         if self.seed < 0:
@@ -140,7 +131,8 @@ class DualState:
             raise ValidationError("dual vector must be nonnegative")
         if not all(np.isfinite(v).all() for v in (self.lam, self.first_moment, self.second_moment)):
             raise ValidationError("dual state must be finite")
-        if not (is_integer(self.step) and self.step >= 0):
+        read_numbers(self)
+        if self.step < 0:
             raise ValidationError(f"step must be a nonnegative integer, got {self.step!r}")
         # 0 stays allowed: lr_decay can underflow a long run's rate to it
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
@@ -593,7 +585,7 @@ def load_checkpoint(path: str | Path, config: SolverConfig, cs: ConstraintSet) -
         first_moment=np.array(_checked(payload, "first_moment", list), dtype=np.float64),
         second_moment=np.array(_checked(payload, "second_moment", list), dtype=np.float64),
         step=_checked(payload, "step", int),
-        learning_rate=float(_checked(payload, "learning_rate", (int, float))),
+        learning_rate=_checked(payload, "learning_rate", (int, float)),
     )
 
 

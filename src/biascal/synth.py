@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .corpus import (FEMALE_CODE, MALE_CODE, UNGENDERED_CODE, Corpus, GenderCount, TrainingStats,
-                     is_integer)
+                     as_number, read_numbers)
 from .errors import ValidationError
 
 __all__ = list(_EXPORTS["synth"])
@@ -56,17 +56,20 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_activities", "instances_per_activity", "candidates_per_instance", "seed"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        read_numbers(self)
+        try:
+            lo, hi = self.bias_range
+        except (TypeError, ValueError):  # not iterable, or not two items
+            raise ValidationError(
+                f"bias_range must be a (lo, hi) pair, got {self.bias_range!r}") from None
+        lo, hi = as_number("bias_range lo", lo, float), as_number("bias_range hi", hi, float)
+        object.__setattr__(self, "bias_range", (lo, hi))
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if self.n_activities < 1 or self.instances_per_activity < 1:
             raise ValidationError("n_activities and instances_per_activity must be positive")
         if self.candidates_per_instance < 2:
             raise ValidationError("candidates_per_instance must be at least 2")
-        lo, hi = self.bias_range
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValidationError(f"bias_range must be ordered within [0, 1], got {self.bias_range}")
         if not (self.amplification_boost >= 0.0 and math.isfinite(self.amplification_boost)):
@@ -135,8 +138,8 @@ def _assemble(male_counts: np.ndarray, shares: np.ndarray, fillers: np.ndarray,
     suffixes = [f"_{i:04d}" for i in range(m)]
     ids = tuple(name + suffix for name in names for suffix in suffixes)
     offsets = np.concatenate(([0], np.cumsum(np.full(n * m, k))))
-    corpus = Corpus({name: a for a, name in enumerate(names)}, ids, offsets, activity.ravel(),
-                    gender.ravel(), score.ravel(), np.where(gold_male, 0, 1).ravel())
+    corpus = Corpus(names, ids, offsets, activity.ravel(), gender.ravel(), score.ravel(),
+                    np.where(gold_male, 0, 1).ravel())
     counts = {name: GenderCount(male, m - male)
               for name, male in zip(names, male_counts)}
     return corpus, TrainingStats(counts)

@@ -11,6 +11,12 @@ import biascal as bc
 # Longest integer literal Python parses, or 0 when unlimited.
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
+# Python ints no float holds, by test id; the second is also too long for repr
+# where the interpreter has a digit limit. A real setting refuses either, and its
+# message shows HUGE_SHOWN in place of the digits.
+HUGE_INTS = {"past_float_range": 10**400, "past_digit_limit": 10**max(INT_DIGIT_LIMIT, 400)}
+HUGE_SHOWN = "an integer beyond the float range"
+
 # The gender code of each character a spec's triples use.
 GENDER_CODES = {"-": 0, "M": 1, "W": 2}
 
@@ -26,7 +32,7 @@ def make_corpus(instance_specs, n_activities=None, names=None):
     sizes = [len(entry[1]) for entry in instance_specs]
     gold = [-1 if len(entry) < 3 or entry[2] is None else entry[2] for entry in instance_specs]
     return bc.Corpus(
-        {name: a for a, name in enumerate(names)},
+        names,
         tuple(entry[0] for entry in instance_specs),
         np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
         [a for a, _, _ in rows],

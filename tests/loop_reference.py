@@ -103,7 +103,7 @@ def constrained_activities(stats, corpus):
                 has_gendered_mass.add(cand.activity_id)
     return sorted(
         aid
-        for name, aid in corpus.activities.items()
+        for aid, name in enumerate(corpus.activities)
         if name in stats.counts and stats.counts[name].total > 0 and aid in has_gendered_mass
     )
 
@@ -119,7 +119,7 @@ def build_report(corpus, stats, posteriors, predictions, gamma_eval):
         raise bc.UndefinedBiasError("no constrained activities")
     entries = []
     for aid in ids:
-        count = stats.counts[corpus.activity_names[aid]]
+        count = stats.counts[corpus.activities[aid]]
         b_star = count.male / (count.male + count.female)
         male, gendered = activity_mass(posteriors, corpus, aid)
         if gendered <= 0.0:
@@ -131,7 +131,7 @@ def build_report(corpus, stats, posteriors, predictions, gamma_eval):
         entries.append(
             bc.ActivityBias(
                 activity_id=aid,
-                activity=corpus.activity_names[aid],
+                activity=corpus.activities[aid],
                 b_star=b_star,
                 bias_dist=bias_dist,
                 bias_top=bias_top,
@@ -191,7 +191,7 @@ def check_equivalence(corpus, posteriors, cs, activity_id):
     male_mass, gendered_mass = activity_mass(posteriors, corpus, activity_id)
     if gendered_mass <= 0.0:
         raise bc.UndefinedBiasError(
-            f"activity {corpus.activity_names[activity_id]!r} has no gendered posterior mass"
+            f"activity {corpus.activities[activity_id]!r} has no gendered posterior mass"
         )
     ratio = male_mass / gendered_mass
     r = float(cs.b_star[j])
@@ -425,11 +425,13 @@ def _parse_candidate(raw, vocab, where):
     if not isinstance(gender, str) or gender not in GENDER_CODES:
         raise bc.CorpusFormatError(f"{where}: gender must be one of 'M', 'W', '-', got {gender!r}")
     if isinstance(score, bool) or not isinstance(score, (int, float)):
-        raise bc.ValidationError(f"{where}: score must be a number, got {score!r}")
+        raise bc.ValidationError(f"{where}: score must be a real number, got {score!r}")
     try:
         score = float(score)
     except OverflowError:
-        score = math.inf
+        raise bc.ValidationError(
+            f"{where}: score must be a real number, got an integer beyond the float range"
+        ) from None
     if not math.isfinite(score):
         raise bc.ValidationError(f"{where}: score must be finite, got {score!r}")
     if activity not in vocab:
@@ -465,7 +467,7 @@ def load_corpus(text):
         gold = record.get("gold")
         if gold is not None:
             if isinstance(gold, bool) or not isinstance(gold, int):
-                raise bc.CorpusFormatError(f"{where}: gold must be an integer index")
+                raise bc.ValidationError(f"{where}: gold must be an integer, got {gold!r}")
             if not (0 <= gold < size):
                 raise bc.ValidationError(
                     f"{where}: gold index {gold} out of range for {size} candidates"
@@ -475,13 +477,13 @@ def load_corpus(text):
         golds.append(-1 if gold is None else gold)
     activity, gender, score = zip(*rows) if rows else ((), (), ())
     offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-    return bc.Corpus(vocab, tuple(ids), offsets, activity, gender, score, golds)
+    return bc.Corpus(tuple(vocab), tuple(ids), offsets, activity, gender, score, golds)
 
 
 def write_records(corpus, key, values):
     """One ``json.dumps`` per instance record, as text; ``values`` holds each
     row's value as a Python number."""
-    names = corpus.activity_names
+    names = corpus.activities
     tags = [tag.value for tag in GENDER_TAGS]
     bounds = corpus.offsets.tolist()
     lines = []
@@ -521,6 +523,5 @@ def synth_assemble(config, male_counts, shares, fillers, gold_male):
             offsets.append(len(rows))
             golds.append(0 if gold_male[a, i] else 1)
     activity, gender, score = zip(*rows)
-    vocab = {name: a for a, name in enumerate(names)}
-    corpus = bc.Corpus(vocab, tuple(ids), offsets, activity, gender, score, golds)
+    corpus = bc.Corpus(names, tuple(ids), offsets, activity, gender, score, golds)
     return corpus, bc.TrainingStats(counts)

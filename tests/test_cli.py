@@ -141,7 +141,8 @@ class TestReportCommand:
         assert capsys.readouterr().err == "error: line 1: invalid JSON (nested too deeply)\n"
 
     @pytest.mark.parametrize("past, message", [
-        ("float range", "error: line 2: instance 'b': score must be finite, got inf\n"),
+        ("float range", "error: line 2: instance 'b': score must be a real number, "
+                        "got an integer beyond the float range\n"),
         ("digit limit", "error: line 2: invalid JSON (Exceeds the limit ("),
     ])
     def test_huge_integer_score_exits_one(self, tmp_path, capsys, past, message):

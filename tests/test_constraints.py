@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from biascal import solver
 from biascal.constraints import feature_types, type_features
 from biascal.solver import featurize
 from conftest import (
+    HUGE_INTS,
+    HUGE_SHOWN,
     make_corpus,
     posteriors_of,
     random_constraints,
@@ -102,10 +105,18 @@ class TestConstraintSet:
             cs = bc.ConstraintSet((0,), [0.5], gamma)
             assert solver._config_hash(bc.SolverConfig(), cs) == "dc07ae5654907bfe"
 
-    @pytest.mark.parametrize("gamma", [True, np.bool_(False), "x", None, np.array([0.1, 0.2]),
-                                       [0.1], float("nan"), float("inf")])
+    @pytest.mark.parametrize("gamma", [
+        True, np.bool_(False), "x", None, np.array([0.1, 0.2]), [0.1], float("nan"), float("inf"),
+        *(pytest.param(gamma, id=name) for name, gamma in HUGE_INTS.items())])
     def test_gamma_must_be_a_finite_nonnegative_real(self, gamma):
-        with pytest.raises(bc.ValidationError, match="^gamma must be a finite nonnegative real"):
+        # a value that is not a real (a bool, an int past the float range) is refused
+        # before its range is checked
+        if type(gamma) is float:
+            message = f"gamma must be a finite nonnegative real, got {gamma}"
+        else:
+            shown = HUGE_SHOWN if type(gamma) is int else repr(gamma)
+            message = f"gamma must be a real number, got {shown}"
+        with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
             bc.ConstraintSet((0,), [0.5], gamma)
 
     def test_from_stats(self):

@@ -333,7 +333,7 @@ class TestProbabilityChecks:
         with pytest.raises(bc.ValidationError,
                            match=r"^corpus offsets do not match its ids, rows and gold$"
                                  r"|^\(\d+,\) probabilities for \d+ candidates$"):
-            corpus = bc.Corpus({"act": 0}, ("a", "b"), offsets, [0] * rows, [0] * rows,
+            corpus = bc.Corpus(("act",), ("a", "b"), offsets, [0] * rows, [0] * rows,
                                [0.0] * rows, [-1, -1])
             bc.PosteriorTable(corpus, np.full(n_probs, 0.5))
 
@@ -342,7 +342,7 @@ class TestProbabilityChecks:
         # to 1; no corpus has such rows, so no table has them either
         with pytest.raises(bc.ValidationError,
                            match="^corpus offsets do not match its ids, rows and gold$"):
-            bc.Corpus({"act": 0}, ("a",), [1, 3], [0] * 3, [0] * 3, [0.0] * 3, [-1])
+            bc.Corpus(("act",), ("a",), [1, 3], [0] * 3, [0] * 3, [0.0] * 3, [-1])
 
     def test_a_table_belongs_to_a_corpus(self):
         with pytest.raises(TypeError, match="^a PosteriorTable belongs to a Corpus, got tuple$"):

@@ -63,7 +63,7 @@ def project(corpus, stats, gamma, config=FULL_BATCH):
     posteriors = bc.instance_posterior(corpus)
     cs = bc.ConstraintSet.from_stats(corpus, stats, gamma)
     state = bc.solve(corpus, posteriors, cs, config)
-    names = [corpus.activity_names[aid] for aid in cs.activity_ids]
+    names = [corpus.activities[aid] for aid in cs.activity_ids]
     lam = {name: state.lam[2 * j: 2 * j + 2] for j, name in enumerate(names)}
     return lam, bc.calibrate(corpus, posteriors, cs, state.lam), state
 
@@ -149,7 +149,7 @@ def test_padding_without_constrained_candidates_moves_nothing(case, pads, seed):
               inst.gold) for inst in corpus.instances]
     for offset, (position, pad) in enumerate(zip(at, padding)):
         specs.insert(position + offset, pad)
-    padded = make_corpus(specs, names=[*corpus.activity_names, "unlabelled"])
+    padded = make_corpus(specs, names=[*corpus.activities, "unlabelled"])
     lam, q, _ = project(corpus, stats, gamma)
     lam2, q2, _ = project(reloaded(padded), stats, gamma)
     assert_lam_close(lam2, lam)
@@ -162,9 +162,8 @@ def test_renaming_activities_changes_no_number(case, stochastic, salt):
     # new names in another alphabetical order, the same order of first appearance
     corpus, stats, gamma = case
     new = {name: f"{(salt * (aid + 1)) % 997:03d}-{aid}"
-           for name, aid in corpus.activities.items()}
-    activities = {new[name]: aid for name, aid in corpus.activities.items()}
-    renamed = replace(corpus, activities=activities)
+           for aid, name in enumerate(corpus.activities)}
+    renamed = replace(corpus, activities=tuple(new.values()))
     renamed_stats = bc.TrainingStats({new[name]: count for name, count in stats.counts.items()})
     config = STOCHASTIC if stochastic else FULL_BATCH
     lam, q, state = project(corpus, stats, gamma, config)

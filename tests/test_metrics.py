@@ -14,7 +14,7 @@ from conftest import make_corpus, posteriors_of
 
 def stats_for(corpus, counts):
     return bc.TrainingStats(
-        {corpus.activity_names[aid]: bc.GenderCount(m, f) for aid, (m, f) in counts.items()}
+        {corpus.activities[aid]: bc.GenderCount(m, f) for aid, (m, f) in counts.items()}
     )
 
 

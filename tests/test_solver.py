@@ -18,6 +18,8 @@ from biascal.metrics import activity_mass
 from biascal.oracle import brute_force_project
 from biascal.solver import _batch_step, _check_finite, _log_partition, featurize
 from conftest import (
+    HUGE_INTS,
+    HUGE_SHOWN,
     feasible_single_activity_corpus,
     make_corpus,
     posteriors_of,
@@ -411,10 +413,12 @@ class TestSolve:
             bc.SolverConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["initial_lr", "lr_decay", "convergence_tol"])
-    @pytest.mark.parametrize("value", [True, np.bool_(True), "0.5", None])
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "0.5", None, *(
+        pytest.param(value, id=name) for name, value in HUGE_INTS.items())])
     def test_real_settings_must_be_reals(self, field, value):
+        shown = HUGE_SHOWN if type(value) is int else repr(value)
         with pytest.raises(bc.ValidationError,
-                           match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+                           match=f"^{field} must be a real number, got {re.escape(shown)}$"):
             bc.SolverConfig(**{field: value})
 
     def test_real_settings_are_stored_as_floats(self):
@@ -466,24 +470,32 @@ class TestSolve:
         ([np.inf, 0.0], [0.0, 0.0], {}, "dual state must be finite"),
         ([0.0, 0.0], [np.nan, 0.0], {}, "dual state must be finite"),
         ([0.0, 0.0], [0.0, 0.0], {"step": -1}, "step must be a nonnegative integer, got -1"),
-        ([0.0, 0.0], [0.0, 0.0], {"step": 2.0}, "step must be a nonnegative integer, got 2.0"),
-        ([0.0, 0.0], [0.0, 0.0], {"step": True}, "step must be a nonnegative integer, got True"),
+        ([0.0, 0.0], [0.0, 0.0], {"step": 2.0}, "step must be an integer, got 2.0"),
+        ([0.0, 0.0], [0.0, 0.0], {"step": True}, "step must be an integer, got True"),
         ([0.0, 0.0], [0.0, 0.0], {"learning_rate": -1.0},
          "learning_rate must be finite and nonnegative, got -1.0"),
         ([0.0, 0.0], [0.0, 0.0], {"learning_rate": np.nan},
          "learning_rate must be finite and nonnegative, got nan"),
         ([0.0, 0.0], [0.0, 0.0], {"learning_rate": np.inf},
          "learning_rate must be finite and nonnegative, got inf"),
+        ([0.0, 0.0], [0.0, 0.0], {"learning_rate": "0.1"},
+         "learning_rate must be a real number, got '0.1'"),
+        ([0.0, 0.0], [0.0, 0.0], {"learning_rate": True},
+         "learning_rate must be a real number, got True"),
+        ([0.0, 0.0], [0.0, 0.0], {"learning_rate": HUGE_INTS["past_digit_limit"]},
+         f"learning_rate must be a real number, got {HUGE_SHOWN}"),
     ], ids=["negative_lam", "infinite_lam", "nan_moment", "negative_step", "float_step",
-            "bool_step", "negative_rate", "nan_rate", "infinite_rate"])
+            "bool_step", "negative_rate", "nan_rate", "infinite_rate", "str_rate", "bool_rate",
+            "huge_rate"])
     def test_dual_state_must_be_nonnegative_and_finite(self, lam, moment, counters, message):
         with pytest.raises(bc.ValidationError, match=f"^{message}$"):
             bc.DualState(np.array(lam), np.array(moment), np.zeros(2), **counters)
 
     def test_dual_state_takes_a_numpy_step_and_a_zero_rate(self):
         # lr_decay can underflow a long run's rate to 0, and a saved state must load
-        state = bc.DualState(np.zeros(2), np.zeros(2), np.zeros(2), np.int64(3), 0.0)
+        state = bc.DualState(np.zeros(2), np.zeros(2), np.zeros(2), np.int64(3), np.float32(0))
         assert (state.step, state.learning_rate) == (3, 0.0)
+        assert (type(state.step), type(state.learning_rate)) == (int, float)
 
     def test_dual_states_compare_by_identity(self):
         state = bc.DualState.zeros(2, 0.1)
@@ -643,6 +655,13 @@ class TestBruteForce:
         with pytest.raises(bc.ValidationError, match="^grid resolution must be at least 3$"):
             brute_force_project(corpus, posteriors, cs, resolution=2)
 
+    @pytest.mark.parametrize("resolution", [3.5, 11.0, True, "11"])
+    def test_resolution_must_be_an_integer(self, resolution):
+        corpus, posteriors, cs = half_toy()
+        with pytest.raises(bc.ValidationError, match="^resolution must be an integer, got "
+                                                     f"{re.escape(repr(resolution))}$"):
+            brute_force_project(corpus, posteriors, cs, resolution=resolution)
+
     def test_refuses_three_activities(self):
         corpus = make_corpus(
             [("i", [(0, "M", 0.0), (1, "W", 0.0), (2, "M", 0.0)])],
@@ -790,6 +809,8 @@ class TestCheckpoint:
         ("learning_rate", float("nan"), "learning_rate must be finite and nonnegative, got nan"),
         ("learning_rate", -1.0, "learning_rate must be finite and nonnegative, got -1.0"),
         ("step", -1, "step must be a nonnegative integer, got -1"),
+        pytest.param("learning_rate", HUGE_INTS["past_float_range"],
+                     f"learning_rate must be a real number, got {HUGE_SHOWN}", id="huge_rate"),
     ])
     def test_out_of_range_counter_rejected(self, tmp_path, key, value, message):
         corpus, posteriors, cs = half_toy(male_prob=0.7)

@@ -14,6 +14,7 @@ import biascal as bc
 import loop_reference as ref
 from biascal import synth
 from biascal.corpus import UNGENDERED_CODE
+from conftest import HUGE_INTS, HUGE_SHOWN
 
 
 def serialize(corpus, stats):
@@ -55,6 +56,34 @@ class TestConfigValidation:
         with pytest.raises(bc.ValidationError,
                            match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
             bc.SynthConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("amplification_boost", True, "amplification_boost must be a real number, got True"),
+        ("gold_noise", "x", "gold_noise must be a real number, got 'x'"),
+        ("gold_noise", np.bool_(0), f"gold_noise must be a real number, got {np.bool_(0)!r}"),
+        ("bias_range", (0, True), "bias_range hi must be a real number, got True"),
+        ("bias_range", ("0.1", 0.9), "bias_range lo must be a real number, got '0.1'"),
+        ("bias_range", (0.1,), "bias_range must be a (lo, hi) pair, got (0.1,)"),
+        ("bias_range", (0.1, 0.2, 0.3), "bias_range must be a (lo, hi) pair, got (0.1, 0.2, 0.3)"),
+        ("bias_range", 0.5, "bias_range must be a (lo, hi) pair, got 0.5"),
+        *[pytest.param(field, value, f"{field} must be a real number, got {HUGE_SHOWN}",
+                       id=f"{field}-{name}")
+          for field in ("amplification_boost", "gold_noise") for name, value in HUGE_INTS.items()],
+        pytest.param("bias_range", (0, HUGE_INTS["past_digit_limit"]),
+                     f"bias_range hi must be a real number, got {HUGE_SHOWN}",
+                     id="bias_range-past_digit_limit"),
+    ])
+    def test_real_settings_must_be_reals(self, field, value, message):
+        with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
+            bc.SynthConfig(**{field: value})
+
+    def test_real_settings_are_stored_as_floats(self):
+        config = bc.SynthConfig(bias_range=[0, np.float32(0.5)], amplification_boost=np.int64(1),
+                                gold_noise=0)
+        assert config == bc.SynthConfig(bias_range=(0.0, 0.5), amplification_boost=1.0,
+                                        gold_noise=0.0)
+        assert {type(x) for x in (*config.bias_range, config.amplification_boost,
+                                  config.gold_noise)} == {float}
 
     def test_seed_must_be_nonnegative(self):
         with pytest.raises(bc.ValidationError, match="^seed must be nonnegative, got -1$"):
