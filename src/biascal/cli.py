@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import (
+    as_number,
     dump_corpus,
     dump_json,
     dump_training_stats,
@@ -125,7 +126,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                 raise ValidationError(
                     f"config key {key!r} must be of type {known[key]}, got {value!r}"
                 )
-            setattr(config, key, float(value) if known[key] == "float" else value)  # as a flag
+            if known[key] in ("int", "float"):  # read as the flag's type, the last one listed
+                value = as_number(f"config key {key!r}", value, _CONFIG_TYPES[known[key]][-1])
+            setattr(config, key, value)
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:

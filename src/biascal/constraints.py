@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _EXPORTS
-from .corpus import FEMALE_CODE, UNGENDERED_CODE, Corpus, TrainingStats, integer_indices
+from .corpus import FEMALE_CODE, UNGENDERED_CODE, Corpus, TrainingStats, as_array
 from .distribution import PosteriorTable, as_table
 from .errors import ValidationError
 from .metrics import activity_ratios, check_margin, training_ratios
@@ -42,10 +42,10 @@ EQUIVALENCE_SLACK = 1e-9
 class ConstraintSet:
     """The 2n-dimensional constraint family over an ordered activity list.
 
-    ``activity_ids`` must be strictly increasing integers; activity j in
-    that order owns coordinates 2j (upper ratio bound) and 2j+1 (lower).
-    The threshold vector is fixed at zero, so the margin is baked into the
-    feature values. Sets with equal ids, b* and gamma are equal.
+    ``activity_ids`` must be strictly increasing integers and ``b_star`` reals in
+    [0, 1], both read by `as_array`; activity j in that order owns coordinates 2j
+    (upper ratio bound) and 2j+1 (lower). The threshold vector is fixed at zero, so
+    the margin is baked into the feature values. Sets with equal ids, b* and gamma are equal.
     """
 
     activity_ids: tuple[int, ...]
@@ -53,8 +53,8 @@ class ConstraintSet:
     gamma: float
 
     def __post_init__(self):
-        ids = integer_indices("activity_ids", self.activity_ids)
-        b_star = np.array(self.b_star, dtype=np.float64)  # a copy: the caller's array stays theirs
+        ids = as_array("activity_ids", self.activity_ids, int)
+        b_star = as_array("b_star", self.b_star, float).astype(np.float64)  # a copy: none shared
         if ids.ndim != 1 or np.any(ids[1:] <= ids[:-1]) or np.any(ids < 0):
             raise ValidationError(
                 "activity_ids must be a strictly increasing sequence of nonnegative ids")

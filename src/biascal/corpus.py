@@ -87,17 +87,30 @@ class GenderTag(str, Enum):
 
 def as_number(name: str, value, kind: type[int] | type[float]) -> int | float:
     """``value`` as a Python ``kind``, int or float, or a ValidationError naming ``name``: an
-    integer is a Python or numpy int, a real is one within the float range or a Python or
-    numpy float, and a bool is neither."""
+    integer is a Python or numpy int within the 64-bit range, a real is one within the float
+    range or a Python or numpy float, and a bool is neither; an int too large is not printed."""
     shown = None
     if not isinstance(value, bool) and isinstance(
             value, (int, np.integer) if kind is int else (int, float, np.integer, np.floating)):
         try:
-            return kind(value)
-        except OverflowError:  # an int beyond the float range, which may be too long for repr
+            if kind is float or -2**63 <= value < 2**63:
+                return kind(value)
+            shown = "an integer beyond the 64-bit range"
+        except OverflowError:  # float() of an int beyond the float range
             shown = "an integer beyond the float range"
     noun = "an integer" if kind is int else "a real number"
     raise ValidationError(f"{name} must be {noun}, got {shown or repr(value)}")
+
+
+def as_array(name: str, values, kind: type[int] | type[float]) -> np.ndarray:
+    """``values`` as an array, the column form of `as_number`: unless it is empty, the dtype
+    numpy gives the whole column must be an integer one, or for ``kind`` float also a floating
+    one, or a ValidationError names ``name``. A bool, complex, str or object dtype is neither."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in ("iu" if kind is int else "iuf"):
+        noun = "integer indices" if kind is int else "real numbers"
+        raise ValidationError(f"{name} must be {noun}, got dtype {array.dtype}")
+    return array
 
 
 def read_numbers(settings) -> None:
@@ -147,15 +160,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def integer_indices(name: str, values) -> np.ndarray:
-    """``values`` as an array. Unless it is empty, a bool or other non-integer
-    dtype is refused with a ValidationError that names ``name``."""
-    indices = np.asarray(values)
-    if indices.size and (indices.dtype == bool or not np.issubdtype(indices.dtype, np.integer)):
-        raise ValidationError(f"{name} must be integer indices, got dtype {indices.dtype}")
-    return indices
-
-
 def _names(field_name: str, noun: str, values) -> tuple[str, ...]:
     """``values`` as a tuple of nonempty, distinct strs, or a ValidationError naming
     the first bad one; a bare str or a mapping is refused, not read as its items."""
@@ -184,8 +188,8 @@ class Corpus:
     ``activities`` holds the activity names in id order, so an id is a position in
     it. Every array is read-only, and two corpora are equal when their fields are.
 
-    The constructor takes these fields in this order, checks every corpus rule
-    over the whole arrays and raises ValidationError, naming the instance.
+    The constructor takes these fields in this order, reads its columns with `as_array`, checks
+    every corpus rule over the whole arrays and raises ValidationError, naming the instance.
     """
 
     activities: tuple[str, ...]
@@ -200,10 +204,9 @@ class Corpus:
                  gender, score, gold):
         activities = _names("activities", "activity name", activities)
         ids = _names("ids", "instance id", ids)
-        offsets, activity, gender, gold = (
-            integer_indices(name, values) for name, values in
-            (("offsets", offsets), ("activity", activity), ("gender", gender), ("gold", gold)))
-        score = np.array(score, dtype=np.float64)
+        offsets, activity, gender, gold, score = map(
+            as_array, ("offsets", "activity", "gender", "gold", "score"),
+            (offsets, activity, gender, gold, score), (int, int, int, int, float))
         if not (offsets.shape == (len(ids) + 1,) and offsets[0] == 0 and offsets[-1] == score.size
                 and (offsets[1:] >= offsets[:-1]).all() and gold.shape == (len(ids),)
                 and score.shape == activity.shape == gender.shape == (score.size,)):
@@ -227,7 +230,8 @@ class Corpus:
                 raise ValidationError(f"instance {ids[inst]!r}: {message(hits[0])}")
         self.__dict__.update(  # astype copies, so no caller's array is shared
             activities=activities, ids=ids, offsets=_read_only(offsets.astype(np.int64)),
-            score=_read_only(score), activity=_read_only(activity.astype(np.int64)),
+            score=_read_only(score.astype(np.float64)),
+            activity=_read_only(activity.astype(np.int64)),
             gold=_read_only(gold.astype(np.int64)), gender=_read_only(gender.astype(np.int8)))
 
     def __reduce__(self):  # a copied or unpickled corpus is built, so checked and read-only, again
@@ -590,7 +594,10 @@ def load_training_stats(source) -> TrainingStats:
     for name, entry in raw.items():
         if not isinstance(entry, dict):
             raise CorpusFormatError(f"activity {name!r}: counts must be an object")
-        for key in ("male", "female"):
+        for key in entry:
+            if key not in GenderCount._fields:
+                raise CorpusFormatError(f"activity {name!r}: unknown key {key!r}")
+        for key in GenderCount._fields:
             if key not in entry:
                 raise CorpusFormatError(f"activity {name!r}: missing {key!r} count")
         counts[name] = GenderCount(entry["male"], entry["female"])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .corpus import Corpus, _write_records, integer_indices
+from .corpus import Corpus, _write_records, as_array
 from .errors import ValidationError
 
 __all__ = [*_EXPORTS["distribution"], "dump_posteriors"]
@@ -55,7 +55,7 @@ def check_indices(name: str, values, bound) -> np.ndarray:
     Raises ValidationError, naming ``name``, for a non-integer dtype (bool
     included), another shape than one dimension, or an index out of range.
     """
-    indices = integer_indices(name, np.asarray(values)).astype(np.int64, copy=False)
+    indices = as_array(name, values, int).astype(np.int64, copy=False)
     if indices.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {indices.shape}")
     outside = np.flatnonzero((indices < 0) | (indices >= bound))
@@ -70,9 +70,9 @@ class PosteriorTable:
 
     ``corpus`` is the `Corpus` the table belongs to, and ``probs`` holds one
     probability per row of it: instance i owns
-    ``probs[corpus.offsets[i]:corpus.offsets[i + 1]]``. On construction each
-    segment must be finite, within [0, 1] and sum to 1, and a failing one is
-    named; ``probs`` is a read-only copy, and neither field can be reassigned.
+    ``probs[corpus.offsets[i]:corpus.offsets[i + 1]]``. ``probs`` must have a real dtype
+    (`as_array`), and each segment must be finite, within [0, 1] and sum to 1, or the first
+    failing one is named; ``probs`` is a read-only copy, and neither field can be reassigned.
     """
 
     corpus: Corpus
@@ -81,7 +81,7 @@ class PosteriorTable:
     def __init__(self, corpus: Corpus, probs: np.ndarray):
         if not isinstance(corpus, Corpus):
             raise TypeError(f"a PosteriorTable belongs to a Corpus, got {type(corpus).__name__}")
-        probs = np.array(probs, dtype=np.float64)  # a copy: no caller's array is shared
+        probs = as_array("probs", probs, float).astype(np.float64)  # a copy: none shared
         if probs.shape != (corpus.n_rows,):
             raise ValidationError(f"{probs.shape} probabilities for {corpus.n_rows} candidates")
         with np.errstate(invalid="ignore"):

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .constraints import ConstraintSet, feature_types, type_features
-from .corpus import Corpus, dump_json, load_json, read_numbers
+from .corpus import Corpus, as_array, as_number, dump_json, load_json, read_numbers
 from .distribution import PosteriorTable, as_table, reweight
 from .errors import DegenerateDistributionError, SolverDivergenceError, ValidationError
 
@@ -113,7 +113,8 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class DualState:
-    """Nonnegative dual vector plus Adam moments; one solver owns it. Compared by identity."""
+    """Nonnegative dual vector plus Adam moments, each a finite real column (`as_array`), and
+    the step and rate (`as_number`); one solver owns it. Compared by identity."""
 
     lam: np.ndarray
     first_moment: np.ndarray
@@ -122,9 +123,9 @@ class DualState:
     learning_rate: float = 0.1
 
     def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=np.float64)
-        self.first_moment = np.asarray(self.first_moment, dtype=np.float64)
-        self.second_moment = np.asarray(self.second_moment, dtype=np.float64)
+        for name in ("lam", "first_moment", "second_moment"):
+            vector = as_array(name, getattr(self, name), float)
+            setattr(self, name, vector.astype(np.float64, copy=False))
         if not (self.first_moment.shape == self.second_moment.shape == self.lam.shape):
             raise ValidationError(f"Adam moments must match the shape {self.lam.shape} of lam")
         if np.any(self.lam < 0.0):
@@ -141,13 +142,7 @@ class DualState:
 
     @classmethod
     def zeros(cls, dimension: int, learning_rate: float) -> "DualState":
-        return cls(
-            lam=np.zeros(dimension),
-            first_moment=np.zeros(dimension),
-            second_moment=np.zeros(dimension),
-            step=0,
-            learning_rate=learning_rate,
-        )
+        return cls(np.zeros(dimension), np.zeros(dimension), np.zeros(dimension), 0, learning_rate)
 
 
 @dataclass(frozen=True)
@@ -239,14 +234,14 @@ def _check_shift(shift: np.ndarray) -> None:
         )
 
 
-def _checked_lam(lam, cs: ConstraintSet) -> np.ndarray:
+def _checked_lam(lam, cs: ConstraintSet, name: str = "lam") -> np.ndarray:
     """``lam`` as a float vector of the constraint dimension with finite entries."""
-    lam = np.asarray(lam, dtype=np.float64)
+    lam = as_array(name, lam, float).astype(np.float64, copy=False)
     if lam.shape != (cs.dimension,):
-        raise ValidationError(f"lam has shape {lam.shape}, expected ({cs.dimension},)")
+        raise ValidationError(f"{name} has shape {lam.shape}, expected ({cs.dimension},)")
     bad = np.flatnonzero(~np.isfinite(lam))
     if bad.size:
-        raise ValidationError(f"lam[{bad[0]}] = {float(lam[bad[0]])!r} is not finite")
+        raise ValidationError(f"{name}[{bad[0]}] = {float(lam[bad[0]])!r} is not finite")
     return lam
 
 
@@ -570,7 +565,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path, config: SolverConfig, cs: ConstraintSet) -> DualState:
-    """Load a checkpoint saved under ``config`` and ``cs``; the config hash is always verified."""
+    """Load a checkpoint saved under ``config`` and ``cs``, always verifying the config hash;
+    each of its three vectors must hold ``cs.dimension`` finite entries, read by `as_number`."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = load_json(handle, ValidationError, "checkpoint")
     version = payload.get("schema_version") if isinstance(payload, dict) else None
@@ -580,21 +576,13 @@ def load_checkpoint(path: str | Path, config: SolverConfig, cs: ConstraintSet) -
         raise ValidationError(
             "checkpoint config hash mismatch: refusing to resume with different settings"
         )
-    return DualState(
-        lam=np.array(_checked(payload, "lambda", list), dtype=np.float64),
-        first_moment=np.array(_checked(payload, "first_moment", list), dtype=np.float64),
-        second_moment=np.array(_checked(payload, "second_moment", list), dtype=np.float64),
-        step=_checked(payload, "step", int),
-        learning_rate=_checked(payload, "learning_rate", (int, float)),
-    )
-
-
-def _checked(payload: dict, key: str, kind: type | tuple[type, ...]):
-    """``payload[key]`` if it is a ``kind`` holding JSON numbers (never booleans)."""
-    if key not in payload:
-        raise ValidationError(f"checkpoint is missing {key!r}")
-    value = payload[key]
-    items = value if isinstance(value, list) else [value]
-    if not isinstance(value, kind) or not all(type(x) in (int, float) for x in items):
-        raise ValidationError(f"checkpoint {key!r} has the wrong type: {value!r}")
-    return value
+    for key, kind in (("lambda", list), ("first_moment", list), ("second_moment", list),
+                      ("step", int), ("learning_rate", (int, float))):
+        if key not in payload:
+            raise ValidationError(f"checkpoint is missing {key!r}")
+        if isinstance(payload[key], bool) or not isinstance(payload[key], kind):
+            raise ValidationError(f"checkpoint {key!r} has the wrong type: {payload[key]!r}")
+    lam, first_moment, second_moment = (
+        _checked_lam([as_number(f"checkpoint {key!r}", x, float) for x in payload[key]], cs,
+                     f"checkpoint {key!r}") for key in ("lambda", "first_moment", "second_moment"))
+    return DualState(lam, first_moment, second_moment, payload["step"], payload["learning_rate"])

@@ -13,9 +13,11 @@ INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 # Python ints no float holds, by test id; the second is also too long for repr
 # where the interpreter has a digit limit. A real setting refuses either, and its
-# message shows HUGE_SHOWN in place of the digits.
+# message shows HUGE_SHOWN in place of the digits; an integer setting refuses either
+# sign of them, showing INT64_SHOWN, as it does any int outside the 64-bit range.
 HUGE_INTS = {"past_float_range": 10**400, "past_digit_limit": 10**max(INT_DIGIT_LIMIT, 400)}
 HUGE_SHOWN = "an integer beyond the float range"
+INT64_SHOWN = "an integer beyond the 64-bit range"
 
 # The gender code of each character a spec's triples use.
 GENDER_CODES = {"-": 0, "M": 1, "W": 2}

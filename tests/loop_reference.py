@@ -468,6 +468,9 @@ def load_corpus(text):
         if gold is not None:
             if isinstance(gold, bool) or not isinstance(gold, int):
                 raise bc.ValidationError(f"{where}: gold must be an integer, got {gold!r}")
+            if not -2**63 <= gold < 2**63:
+                raise bc.ValidationError(
+                    f"{where}: gold must be an integer, got an integer beyond the 64-bit range")
             if not (0 <= gold < size):
                 raise bc.ValidationError(
                     f"{where}: gold index {gold} out of range for {size} candidates"

@@ -567,6 +567,22 @@ class TestConfigPrecedence:
         [key] = values
         assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be of type")
 
+    @pytest.mark.parametrize("key, value, message", [
+        pytest.param("lr", 10**400, "config key 'lr' must be a real number, got an integer "
+                     "beyond the float range", id="lr"),
+        pytest.param("seed", 2**64, "config key 'seed' must be an integer, got an integer "
+                     "beyond the 64-bit range", id="seed"),
+    ])
+    def test_huge_config_integer_is_one_error_line(self, tmp_path, capsys, key, value, message):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({key: value}))
+        out = tmp_path / "cal"
+        assert run("calibrate", "--corpus", tmp_path / "missing.jsonl",
+                   "--stats", tmp_path / "missing.json", "--out", out,
+                   "--config", config_path) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_every_config_field_type_is_checked(self):
         assert {f.type for f in dataclasses.fields(cli.RunConfig)} <= set(cli._CONFIG_TYPES)
 

@@ -19,7 +19,7 @@ import biascal.corpus
 import loop_reference as ref
 from biascal.corpus import CHUNK_LINES, _write_records, atomic_write
 from biascal.distribution import dump_posteriors
-from conftest import INT_DIGIT_LIMIT, make_corpus, take_instances
+from conftest import INT64_SHOWN, INT_DIGIT_LIMIT, make_corpus, take_instances
 from test_flat_reference import corpora
 
 ARRAYS = ("offsets", "activity", "gender", "score", "gold", "sizes", "segment_ids", "male",
@@ -141,6 +141,10 @@ class TestLoadCorpus:
         pytest.param(['{"id":"a","gold":true,"candidates":[{"activity":"x","gender":"M","score":1}]}'],
                      bc.ValidationError, "line 1: instance 'a': gold must be an integer, got True",
                      id="gold_true"),
+        pytest.param(['{"id":"a","gold":%d,"candidates":[{"activity":"x","gender":"M","score":1}]}'
+                      % 2**64],
+                     bc.ValidationError, f"line 1: instance 'a': gold must be an integer, got "
+                     f"{INT64_SHOWN}", id="gold_beyond_int64"),
         pytest.param(['{"id":"a","candidates":[{"activity":"x","gender":[],"score":1}]}'],
                      bc.CorpusFormatError,
                      "line 1: instance 'a': gender must be one of 'M', 'W', '-', got []",
@@ -321,10 +325,22 @@ class TestLoadTrainingStats:
         with pytest.raises(bc.CorpusFormatError, match="female"):
             stats_of({"cooking": {"male": 1}})
 
+    @pytest.mark.parametrize("entry, key", [
+        ({"male": 1, "female": 2, "mael": 3}, "mael"),
+        ({"mael": 1, "female": 2}, "mael"),  # named before the missing 'male'
+        ({"male": 1, "female": 2, "unknown": 0, "other": 0}, "unknown"),
+    ])
+    def test_unknown_key_rejected(self, entry, key):
+        # a misspelt count would otherwise be dropped without a word
+        with pytest.raises(bc.CorpusFormatError, match=f"^activity 'cooking': unknown key '{key}'$"):
+            stats_of({"cooking": entry})
+
     @pytest.mark.parametrize("female, message", [
         (True, "female count must be an integer, got True"),
         (5.0, "female count must be an integer, got 5.0"),
         (-2, "female count must be nonnegative"),
+        pytest.param(2**64, f"female count must be an integer, got {INT64_SHOWN}",
+                     id="beyond_int64"),
     ])
     def test_count_checked_once_with_the_same_message(self, female, message):
         # the loader and the constructor share one check, in TrainingStats
@@ -745,7 +761,7 @@ def record_mutations():
         setter("id", ""), setter("id", 7), setter("id", None), setter("candidates", []),
         setter("candidates", {}), setter("candidates", "ab"), setter("candidates", [3]),
         setter("gold", -1), setter("gold", True), setter("gold", 1.0), setter("gold", 99),
-        setter("gold", None), setter("gold", 0), drop_candidate_key,
+        setter("gold", None), setter("gold", 0), setter("gold", 2**64), drop_candidate_key,
         candidate("activity", ""), candidate("activity", 5), candidate("activity", 'new "one"'),
         candidate("gender", "X"), candidate("gender", []), candidate("gender", 1),
         candidate("score", "1"), candidate("score", True), candidate("score", float("nan")),

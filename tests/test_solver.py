@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from biascal.solver import _batch_step, _check_finite, _log_partition, featurize
 from conftest import (
     HUGE_INTS,
     HUGE_SHOWN,
+    INT64_SHOWN,
     feasible_single_activity_corpus,
     make_corpus,
     posteriors_of,
@@ -406,10 +408,14 @@ class TestSolve:
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", 1.5), ("max_steps", 2.5), ("batch_size", True), ("seed", 3.0), ("seed", "3"),
+        # past the digit limit, so neither a range message nor the config hash could print it
+        pytest.param("seed", -HUGE_INTS["past_digit_limit"], id="seed-negative_past_digit_limit"),
+        pytest.param("seed", HUGE_INTS["past_digit_limit"], id="seed-past_digit_limit"),
     ])
     def test_integer_settings_must_be_integers(self, field, value):
+        shown = INT64_SHOWN if type(value) is int else repr(value)
         with pytest.raises(bc.ValidationError,
-                           match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+                           match=f"^{field} must be an integer, got {re.escape(shown)}$"):
             bc.SolverConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["initial_lr", "lr_decay", "convergence_tol"])
@@ -472,6 +478,8 @@ class TestSolve:
         ([0.0, 0.0], [0.0, 0.0], {"step": -1}, "step must be a nonnegative integer, got -1"),
         ([0.0, 0.0], [0.0, 0.0], {"step": 2.0}, "step must be an integer, got 2.0"),
         ([0.0, 0.0], [0.0, 0.0], {"step": True}, "step must be an integer, got True"),
+        ([0.0, 0.0], [0.0, 0.0], {"step": -HUGE_INTS["past_digit_limit"]},
+         f"step must be an integer, got {INT64_SHOWN}"),
         ([0.0, 0.0], [0.0, 0.0], {"learning_rate": -1.0},
          "learning_rate must be finite and nonnegative, got -1.0"),
         ([0.0, 0.0], [0.0, 0.0], {"learning_rate": np.nan},
@@ -485,8 +493,8 @@ class TestSolve:
         ([0.0, 0.0], [0.0, 0.0], {"learning_rate": HUGE_INTS["past_digit_limit"]},
          f"learning_rate must be a real number, got {HUGE_SHOWN}"),
     ], ids=["negative_lam", "infinite_lam", "nan_moment", "negative_step", "float_step",
-            "bool_step", "negative_rate", "nan_rate", "infinite_rate", "str_rate", "bool_rate",
-            "huge_rate"])
+            "bool_step", "huge_step", "negative_rate", "nan_rate", "infinite_rate", "str_rate",
+            "bool_rate", "huge_rate"])
     def test_dual_state_must_be_nonnegative_and_finite(self, lam, moment, counters, message):
         with pytest.raises(bc.ValidationError, match=f"^{message}$"):
             bc.DualState(np.array(lam), np.array(moment), np.zeros(2), **counters)
@@ -581,6 +589,36 @@ def test_lam_is_checked_before_use(user, lam, message):
     corpus, posteriors, cs = half_toy()
     with pytest.raises(bc.ValidationError, match=message):
         LAM_USERS[user](np.array(lam), corpus, posteriors, cs)
+
+
+# Every real-valued array input, as a call that passes it a two-entry value: half_toy's
+# corpus has two rows and its constraint set dimension 2.
+REAL_ARRAY_INPUTS = {
+    "score": lambda toy, value: bc.Corpus(("act",), ("i",), [0, 2], [0, 0], [1, 2], value, [-1]),
+    "probs": lambda toy, value: bc.PosteriorTable(toy[0], value),
+    "b_star": lambda toy, value: bc.ConstraintSet((0, 1), value, 0.1),
+    **{f"lam-{name}": lambda toy, value, user=user: user(value, *toy)
+       for name, user in LAM_USERS.items()},
+    "lam-DualState": lambda toy, value: bc.DualState(value, np.zeros(2), np.zeros(2)),
+    "first_moment": lambda toy, value: bc.DualState(np.zeros(2), value, np.zeros(2)),
+    "second_moment": lambda toy, value: bc.DualState(np.zeros(2), np.zeros(2), value),
+}
+# Columns whose dtype is not real: numpy gives the last two the object dtype.
+NOT_REAL_COLUMNS = {
+    "str": ["1.5", "0.5"], "bool": np.array([True, False]), "complex": np.array([0.5 + 1j, 0.5]),
+    "none": [None, 1.0], "huge_int": [HUGE_INTS["past_float_range"], 0.0],
+}
+
+
+@pytest.mark.parametrize("value", NOT_REAL_COLUMNS.values(), ids=NOT_REAL_COLUMNS)
+@pytest.mark.parametrize("use", REAL_ARRAY_INPUTS)
+def test_real_arrays_must_have_a_real_dtype(use, value):
+    field = use.split("-")[0]
+    message = f"{field} must be real numbers, got dtype {np.asarray(value).dtype}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a complex column is refused, not cast with a warning
+        with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
+            REAL_ARRAY_INPUTS[use](half_toy(), value)
 
 
 class TestCalibrate:
@@ -754,7 +792,29 @@ class TestCheckpoint:
         payload = json.loads(path.read_text())
         payload["first_moment"] = payload["first_moment"][:1]
         path.write_text(json.dumps(payload))
-        with pytest.raises(bc.ValidationError, match="moments"):
+        with pytest.raises(bc.ValidationError,
+                           match=r"^checkpoint 'first_moment' has shape \(1,\), expected \(2,\)$"):
+            bc.load_checkpoint(path, config, cs)
+
+    @pytest.mark.parametrize("changes, message", [
+        pytest.param({key: [0.0] for key in ("lambda", "first_moment", "second_moment")},
+                     "checkpoint 'lambda' has shape (1,), expected (2,)", id="all_short"),
+        pytest.param({"second_moment": [0.0, 0.0, 0.0]},
+                     "checkpoint 'second_moment' has shape (3,), expected (2,)", id="long_moment"),
+        pytest.param({"lambda": [HUGE_INTS["past_float_range"], 0.0]},
+                     f"checkpoint 'lambda' must be a real number, got {HUGE_SHOWN}",
+                     id="huge_lambda"),
+        pytest.param({"first_moment": [float("nan"), 0.0]},
+                     "checkpoint 'first_moment'[0] = nan is not finite", id="nan_moment"),
+    ])
+    def test_vectors_are_read_against_the_constraint_set(self, tmp_path, changes, message):
+        # three vectors that agree with each other but not with cs are refused on loading
+        corpus, posteriors, cs = half_toy(male_prob=0.7)
+        config = full_batch_config()
+        path = tmp_path / "checkpoint.json"
+        bc.save_checkpoint(path, bc.solve(corpus, posteriors, cs, config), config, cs)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+        with pytest.raises(bc.ValidationError, match=f"^{re.escape(message)}$"):
             bc.load_checkpoint(path, config, cs)
 
     @pytest.mark.parametrize("key", ["lambda", "first_moment", "second_moment", "step",

@@ -14,7 +14,7 @@ import biascal as bc
 import loop_reference as ref
 from biascal import synth
 from biascal.corpus import UNGENDERED_CODE
-from conftest import HUGE_INTS, HUGE_SHOWN
+from conftest import HUGE_INTS, HUGE_SHOWN, INT64_SHOWN
 
 
 def serialize(corpus, stats):
@@ -51,10 +51,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("n_activities", 2.5), ("instances_per_activity", True),
         ("candidates_per_instance", 3.0), ("seed", "1"),
+        pytest.param("seed", -HUGE_INTS["past_digit_limit"], id="seed-negative_past_digit_limit"),
     ])
     def test_sizes_and_seed_must_be_integers(self, field, value):
+        shown = INT64_SHOWN if type(value) is int else repr(value)
         with pytest.raises(bc.ValidationError,
-                           match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+                           match=f"^{field} must be an integer, got {re.escape(shown)}$"):
             bc.SynthConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value, message", [
