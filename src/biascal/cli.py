@@ -209,6 +209,12 @@ def cmd_calibrate(config: RunConfig) -> int:
         f"violations(top) {before.n_violations_top} -> {after.n_violations_top} | "
         f"accuracy {_fmt(before.accuracy)} -> {_fmt(after.accuracy)}"
     )
+    # a stochastic solve has no stopping test, so say when it left the ratios further off
+    worst = [max((abs(e.bias_dist - e.b_star) for e in r.entries), default=0.0)
+             for r in (before, after)]
+    if solver_config.mode == "stochastic" and worst[1] > worst[0]:
+        print(f"warning: the stochastic solve raised the largest |bias_dist - b_star| from "
+              f"{worst[0]:.4f} to {worst[1]:.4f}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -54,6 +54,7 @@ import json
 import math
 import operator
 import os
+import warnings
 from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -71,6 +72,8 @@ from . import _EXPORTS
 from .errors import CorpusFormatError, ValidationError
 
 __all__ = list(_EXPORTS["corpus"])
+
+_RAGGED_WARNING = getattr(np, "exceptions", np).VisibleDeprecationWarning  # np.exceptions: 1.25+
 
 
 class GenderTag(str, Enum):
@@ -105,10 +108,16 @@ def as_number(name: str, value, kind: type[int] | type[float]) -> int | float:
 def as_array(name: str, values, kind: type[int] | type[float]) -> np.ndarray:
     """``values`` as an array, the column form of `as_number`: unless it is empty, the dtype
     numpy gives the whole column must be an integer one, or for ``kind`` float also a floating
-    one, or a ValidationError names ``name``. A bool, complex, str or object dtype is neither."""
-    array = np.asarray(values)
+    one, or a ValidationError names ``name``. A bool, complex, str or object dtype is neither,
+    and neither is a ragged nesting, whose rows differ in length."""
+    noun = "integer indices" if kind is int else "real numbers"
+    try:
+        with warnings.catch_warnings():  # numpy < 1.24 warns and makes an object array
+            warnings.simplefilter("error", _RAGGED_WARNING)
+            array = np.asarray(values)
+    except (ValueError, _RAGGED_WARNING):
+        raise ValidationError(f"{name} must be {noun}, got a ragged sequence") from None
     if array.size and array.dtype.kind not in ("iu" if kind is int else "iuf"):
-        noun = "integer indices" if kind is int else "real numbers"
         raise ValidationError(f"{name} must be {noun}, got dtype {array.dtype}")
     return array
 
@@ -539,11 +548,10 @@ def load_corpus(source) -> Corpus:
 def _write_records(corpus: Corpus, key: str, values: np.ndarray, sink) -> None:
     """One corpus-schema JSONL record per instance, ``key`` holding each row's value.
 
-    The bytes are those of one ``json.dumps`` per record: each candidate is
-    its (activity, gender) prefix, escaped by ``json.dumps``, followed by the
-    value's ``float.__repr__``, which is how ``json.dumps`` writes a finite
-    float (the values, a corpus's scores or a table's probabilities, were
-    checked finite when built); ids are escaped as ``json.dumps`` escapes a str.
+    The bytes are those of one ``json.dumps`` per record: each candidate is its
+    (activity, gender) prefix, each name in it escaped once as ``json.dumps`` escapes
+    a str, as ids are, then the value's ``float.__repr__``, which is how ``json.dumps``
+    writes a finite float (the values were checked finite when built).
     Most rows repeat the value of the row before them (a synth instance's
     fillers share one score, and keep one probability after calibration), so
     each run of repeats within a chunk is formatted once. Runs are runs of
@@ -552,11 +560,10 @@ def _write_records(corpus: Corpus, key: str, values: np.ndarray, sink) -> None:
     array of separator, prefix and value text, where an instance's first
     separator closes the record before it and opens its own.
     """
-    prefixes = np.array([
-        f'{{"activity": {json.dumps(name)}, "gender": {json.dumps(tag.value)}, '
-        f'{json.dumps(key)}: '
-        for name in corpus.activities for tag in GENDER_TAGS
-    ], dtype=object)
+    tails = [f', "gender": {encode_basestring_ascii(tag.value)}, {encode_basestring_ascii(key)}: '
+             for tag in GENDER_TAGS]
+    prefixes = np.array([f'{{"activity": {name}{tail}' for name in map(
+        encode_basestring_ascii, corpus.activities) for tail in tails], dtype=object)
     prefix_of_row = corpus.activity * len(GENDER_TAGS) + corpus.gender
     with _open_for_write(sink) as stream:
         for start in range(0, corpus.n_instances, CHUNK_LINES):

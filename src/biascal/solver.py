@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from itertools import pairwise
 from pathlib import Path
 from typing import Literal
 
@@ -191,21 +191,6 @@ def featurize(
     types[at] = row_types[featured]
     seg_ids = np.repeat(np.arange(n), np.diff(offsets))
     return FeaturizedCorpus(offsets, seg_ids, log_p, types, *type_features(cs), dim, n)
-
-
-def _gather(fc: FeaturizedCorpus, indices: np.ndarray) -> FeaturizedCorpus:
-    """The instances at ``indices``, in that order, as a new compressed corpus."""
-    lens = np.diff(fc.offsets)[indices]
-    offsets = np.concatenate([[0], np.cumsum(lens)])
-    rows = np.repeat(fc.offsets[indices] - offsets[:-1], lens) + np.arange(offsets[-1])
-    return replace(
-        fc,
-        offsets=offsets,
-        seg_ids=np.repeat(np.arange(len(indices)), lens),
-        log_p=fc.log_p[rows],
-        types=fc.types[rows],
-        n_instances=len(indices),
-    )
 
 
 def _type_penalties(values: np.ndarray, coords: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -501,19 +486,20 @@ def solve(
     # overflow warnings would only come before its error
     with np.errstate(invalid="ignore", over="ignore"):
         for _ in range(config.epochs):
-            # gather the shuffled corpus once; each mini-batch is then a
-            # contiguous run of its rows, whose instances and first rows are
-            # numbered from the batch's own start
-            shuffled = _gather(fc, rng.permutation(n))
-            seg_ids = shuffled.seg_ids % size
-            starts = shuffled.offsets[:-1] - np.repeat(shuffled.offsets[edges[:-1]], size)[:n]
-            bounds = shuffled.offsets[edges].tolist()
-            for (first, last), (lo, hi) in zip(
-                itertools.pairwise(edges), itertools.pairwise(bounds)
-            ):
-                _batch_step(state, fc, shuffled.log_p[lo:hi], shuffled.types[lo:hi],
-                            seg_ids[lo:hi], starts[first:last], n / (last - first),
-                            config.lr_decay)
+            # lay the rows out in the epoch's instance order once; each
+            # mini-batch is then a contiguous run of them, whose instances and
+            # first rows are numbered from the batch's own start
+            order = rng.permutation(n)
+            lens = np.diff(fc.offsets)[order]
+            offsets = np.concatenate([[0], np.cumsum(lens)])
+            rows = np.repeat(fc.offsets[order] - offsets[:-1], lens) + np.arange(offsets[-1])
+            log_p, types = fc.log_p[rows], fc.types[rows]
+            seg_ids = np.repeat(np.arange(n) % size, lens)
+            starts = offsets[:-1] - np.repeat(offsets[edges[:-1]], size)[:n]
+            bounds = offsets[edges].tolist()
+            for (first, last), (lo, hi) in zip(pairwise(edges), pairwise(bounds)):
+                _batch_step(state, fc, log_p[lo:hi], types[lo:hi], seg_ids[lo:hi],
+                            starts[first:last], n / (last - first), config.lr_decay)
     return state
 
 

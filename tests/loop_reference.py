@@ -10,8 +10,8 @@ out b*, amplification and its mean itself. The ``naive_*`` dual
 functions work one instance and one candidate at a time on the
 uncompressed candidates, without `featurize`; the solver matches them to
 rounding. `stochastic_solve` gathers every mini-batch from the whole
-compressed corpus and must match the solver's per-epoch gather bit for
-bit. `full_batch_solve` is a slow first-order ascent on every candidate
+compressed corpus and must match the solver's per-epoch row layout bit
+for bit. `full_batch_solve` is a slow first-order ascent on every candidate
 row that the Newton full-batch solve must match in optimum, not step for
 step. `load_corpus` and
 `write_records` are the line-by-line JSONL reader and writer that the

@@ -228,6 +228,20 @@ class TestCalibrateCommand:
         assert err.count("\n") == 1
         assert not (out / "calibrated.jsonl").exists()
 
+    def test_stochastic_solve_that_moves_a_ratio_away_warns(self, tmp_path, capsys):
+        # a rate of 1e300 throws lam far past the optimum without overflowing it
+        corpus_path, stats_path = synth_files(
+            tmp_path, n_activities=3, instances_per_activity=30, boost=1.0, seed=1
+        )
+        capsys.readouterr()
+        out = tmp_path / "cal"
+        assert run("calibrate", "--corpus", corpus_path, "--stats", stats_path, "--out", out,
+                   "--lr", "1e300", "--epochs", 2) == 0
+        assert capsys.readouterr().err == (
+            "warning: the stochastic solve raised the largest |bias_dist - b_star| "
+            "from 0.1187 to 0.5000\n")
+        assert len(list(out.iterdir())) == 6
+
     def test_full_batch_removes_violations(self, tmp_path):
         corpus_path, stats_path = synth_files(
             tmp_path, n_activities=10, instances_per_activity=100, boost=1.0, seed=12
@@ -274,13 +288,14 @@ class TestCalibrateCommand:
         assert report.n_violations_dist == emitted["n_violations_dist"]
         assert abs(report.mean_amp_dist - emitted["mean_amp_dist"]) < 1e-12
 
-    def test_stochastic_mode_runs(self, tmp_path):
+    def test_stochastic_mode_runs(self, tmp_path, capsys):
         corpus_path, stats_path = synth_files(
             tmp_path, n_activities=4, instances_per_activity=50, boost=1.0, seed=16
         )
         out = tmp_path / "cal"
         assert run("calibrate", "--corpus", corpus_path, "--stats", stats_path,
                    "--out", out, "--mode", "stochastic", "--epochs", 10) == 0
+        assert "warning" not in capsys.readouterr().err
         after = json.loads((out / "report_after.json").read_text())
         before = json.loads((out / "report_before.json").read_text())
         assert abs(after["mean_amp_dist"]) < abs(before["mean_amp_dist"])

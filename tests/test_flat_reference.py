@@ -265,6 +265,9 @@ def test_stochastic_solve_matches_per_batch_gather():
     cases = [
         (corpus, bc.ConstraintSet((0,), np.array([0.3]), 0.01), 2),
         (wide, bc.ConstraintSet((0, 1, 2), np.array([0.2, 0.5, 0.8]), 0.001), 39),
+        # one instance per step, and one batch per epoch
+        (wide, bc.ConstraintSet((0, 1, 2), np.array([0.2, 0.5, 0.8]), 0.001), 1),
+        (wide, bc.ConstraintSet((0, 1, 2), np.array([0.2, 0.5, 0.8]), 0.001), 500),
     ]
     for corpus, cs, batch_size in cases:
         posteriors = bc.instance_posterior(corpus)

@@ -621,6 +621,45 @@ def test_real_arrays_must_have_a_real_dtype(use, value):
             REAL_ARRAY_INPUTS[use](half_toy(), value)
 
 
+# Every array input, real-valued or an integer column of a two-row corpus.
+TWO_ROW_COLUMNS = {"offsets": [0, 2], "activity": [0, 0], "gender": [1, 2], "gold": [-1]}
+ARRAY_INPUTS = {
+    **{name: lambda toy, value, name=name: bc.Corpus(
+        ("act",), ("i",), score=[1.0, 2.0], **{**TWO_ROW_COLUMNS, name: value})
+       for name in TWO_ROW_COLUMNS},
+    **REAL_ARRAY_INPUTS,
+}
+
+
+@pytest.mark.parametrize("use", ARRAY_INPUTS)
+def test_a_ragged_array_is_refused_by_name(use):
+    field = use.split("-")[0]
+    noun, value = (("integer indices", [[0], [0, 1]]) if field in TWO_ROW_COLUMNS
+                   else ("real numbers", [[0.0], [0.0, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bc.ValidationError,
+                           match=f"^{re.escape(f'{field} must be {noun}, got a ragged sequence')}$"):
+            ARRAY_INPUTS[use](half_toy(), value)
+
+
+@pytest.mark.parametrize("action", ["always", "error"])
+def test_a_ragged_array_is_refused_where_numpy_only_warns(monkeypatch, action):
+    # numpy before 1.24 warns of a ragged nesting and makes an object array of it
+    ragged_warning = getattr(np, "exceptions", np).VisibleDeprecationWarning
+
+    def warning_asarray(values):
+        warnings.warn("Creating an ndarray from ragged nested sequences", ragged_warning)
+        return np.array(values, dtype=object)
+
+    monkeypatch.setattr(np, "asarray", warning_asarray)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        with pytest.raises(bc.ValidationError, match="^score must be real numbers, got a ragged"):
+            bc.corpus.as_array("score", [[0.0], [0.0, 1.0]], float)
+    assert caught == []
+
+
 class TestCalibrate:
     def test_zero_lambda_is_identity(self):
         corpus, posteriors, cs = half_toy(male_prob=0.7)
