@@ -47,7 +47,6 @@ _EXPORTS = {
         "BiasCalError",
         "CorpusFormatError",
         "DegenerateDistributionError",
-        "OracleSizeError",
         "SolverDivergenceError",
         "UndefinedBiasError",
         "ValidationError",
@@ -67,7 +66,6 @@ _EXPORTS = {
         "save_checkpoint",
         "solve",
     ),
-    "oracle": ("brute_force_project",),
     "synth": ("SynthConfig", "generate"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

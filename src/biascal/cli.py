@@ -1,10 +1,10 @@
-"""Command line front end: report, calibrate, synth, and oracle subcommands.
+"""Command line front end: report, calibrate and synth subcommands.
 
 Wires the pipeline load -> report -> solve -> calibrate -> re-report and
 writes machine-readable outputs (all JSON documents carry
 ``"schema_version": 1``). Exit codes: 0 success, 1 validation or usage
-error, 2 solver failure, 3 brute-force size refusal. Outputs are
-byte-identical across runs for identical inputs and configuration.
+error, 2 solver failure. Outputs are byte-identical across runs for
+identical inputs and configuration, on one numpy build and CPU dispatch class.
 """
 
 from __future__ import annotations
@@ -15,21 +15,17 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .corpus import (
     as_number,
     dump_corpus,
-    dump_json,
     dump_training_stats,
     excluded_activities,
     load_corpus,
     load_json,
     load_training_stats,
 )
-from .distribution import (dump_posteriors, instance_posterior, kl_divergence, map_predict,
-                           segment_sum)
-from .errors import BiasCalError, OracleSizeError, SolverDivergenceError, ValidationError
+from .distribution import dump_posteriors, instance_posterior, map_predict
+from .errors import BiasCalError, SolverDivergenceError, ValidationError
 from .metrics import build_report, check_margin
 
 __all__ = ["RunConfig", "main"]
@@ -38,8 +34,8 @@ __all__ = ["RunConfig", "main"]
 # loads neither the constraint set, the solver nor the generator. The
 # commands read them as attributes of this module (`_module.solve`), so a
 # name rebound here, as bench/tracing.py does, is the one called.
-_DEFERRED = ("ConstraintSet", "SolverConfig", "brute_force_project", "calibrate",
-             "save_checkpoint", "solve", "SynthConfig", "generate")
+_DEFERRED = ("ConstraintSet", "SolverConfig", "calibrate", "save_checkpoint", "solve",
+             "SynthConfig", "generate")
 _module = sys.modules[__name__]
 
 
@@ -54,7 +50,6 @@ def __getattr__(name: str):
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
-EXIT_SIZE = 3
 
 
 @dataclass
@@ -78,7 +73,6 @@ class RunConfig:
     mode: str = "stochastic"
     convergence_tol: float = 1e-8
     max_steps: int = 20000
-    resolution: int = 11
 
     def solver_config(self) -> SolverConfig:
         return _module.SolverConfig(
@@ -104,9 +98,7 @@ _CONFIG_TYPES = {
 # a config file may set any setting, so one file serves every command.
 _COMMAND_SETTINGS = {
     "report": ("corpus", "stats", "out", "gamma_eval"),
-    "calibrate": tuple(f.name for f in fields(RunConfig) if f.name != "resolution"),
-    "oracle": ("corpus", "stats", "out", "gamma_solve", "convergence_tol", "max_steps",
-               "resolution"),
+    "calibrate": tuple(f.name for f in fields(RunConfig)),
 }
 _FLAG_CHOICES = {"mode": ("stochastic", "full-batch")}
 
@@ -229,38 +221,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(config: RunConfig) -> int:
-    check_margin("gamma_solve", config.gamma_solve)
-    if config.resolution < 3:
-        raise ValidationError(f"resolution must be at least 3, got {config.resolution}")
-    solver_config = _module.SolverConfig(mode="full_batch", max_steps=config.max_steps,
-                                         convergence_tol=config.convergence_tol)
-    corpus, stats, posteriors = _start(config)
-    cs = _module.ConstraintSet.from_stats(corpus, stats, config.gamma_solve)
-    oracle_q, oracle_lam = _module.brute_force_project(
-        corpus, posteriors, cs, resolution=config.resolution
-    )
-    state = _module.solve(corpus, posteriors, cs, solver_config)
-    solver_q = _module.calibrate(corpus, posteriors, cs, state.lam)
-
-    tv = 0.5 * segment_sum(np.abs(solver_q.probs - oracle_q.probs), corpus.offsets)
-    max_tv = float(tv.max(initial=0.0))
-    payload = {
-        "schema_version": 1,
-        "kl_solver": kl_divergence(solver_q, posteriors),
-        "kl_oracle": kl_divergence(oracle_q, posteriors),
-        "max_tv": max_tv,
-        "lambda_solver": [float(x) for x in state.lam],
-        "lambda_oracle": [float(x) for x in oracle_lam],
-    }
-    dump_json(payload, _out_dir(config.out) / "comparison.json")
-    print(
-        f"KL solver {payload['kl_solver']:.6f} | KL oracle {payload['kl_oracle']:.6f} | "
-        f"max TV {max_tv:.2e}"
-    )
-    return EXIT_OK
-
-
 def _add_pipeline_command(sub, name: str, summary: str, command) -> None:
     """A subcommand with --config and one flag per `RunConfig` setting it reads."""
     parser = sub.add_parser(name, help=summary)
@@ -305,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--gold-noise", type=float)
     p_synth.add_argument("--seed", type=int)
     p_synth.set_defaults(func=cmd_synth)
-
-    _add_pipeline_command(sub, "oracle", "compare the solver against brute force", cmd_oracle)
     return parser
 
 
@@ -321,6 +279,4 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     except (BiasCalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, OracleSizeError):
-            return EXIT_SIZE
         return EXIT_SOLVER if isinstance(exc, SolverDivergenceError) else EXIT_VALIDATION

@@ -32,6 +32,3 @@ class SolverDivergenceError(BiasCalError):
         super().__init__(message)
         self.coordinate = coordinate
 
-
-class OracleSizeError(BiasCalError):
-    """A brute-force verification was requested on a problem too large to enumerate."""

@@ -194,26 +194,26 @@ def featurize(
 
 
 def _type_penalties(values: np.ndarray, coords: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """lam . phi of every type, the plain type last; a leading axis of ``lam`` (a grid) is kept."""
-    if lam.shape[-1] == 0:
-        return np.zeros(lam.shape[:-1] + (1,))
-    return np.add.reduce(values * lam[..., coords], axis=-1)
+    """lam . phi of every type, the plain type last."""
+    if lam.size == 0:
+        return np.zeros(1)
+    return np.add.reduce(values * lam[coords], axis=1)
 
 
 def _partition(weights: np.ndarray, seg_ids: np.ndarray, starts: np.ndarray) -> tuple:
     """Per-instance max shifts, shifted exponentials of per-row log weights,
-    and their per-instance sums (all along the last axis)."""
+    and their per-instance sums."""
     if starts.size == 0:
-        return weights[..., :0], weights, weights[..., :0]
-    shift = np.maximum.reduceat(weights, starts, axis=-1)
-    exps = np.exp(weights - shift.take(seg_ids, axis=-1))
-    return shift, exps, np.add.reduceat(exps, starts, axis=-1)
+        return weights[:0], weights, weights[:0]
+    shift = np.maximum.reduceat(weights, starts)
+    exps = np.exp(weights - shift.take(seg_ids))
+    return shift, exps, np.add.reduceat(exps, starts)
 
 
 def _check_shift(shift: np.ndarray) -> None:
     finite = np.isfinite(shift)
     if not finite.all():
-        bad = int(np.argwhere(~finite)[0, -1])
+        bad = int(np.flatnonzero(~finite)[0])
         raise DegenerateDistributionError(
             f"instance index {bad}: no probability mass left on the support"
         )
@@ -231,11 +231,11 @@ def _checked_lam(lam, cs: ConstraintSet, name: str = "lam") -> np.ndarray:
 
 
 def _log_partition(fc: FeaturizedCorpus, lam: np.ndarray) -> tuple:
-    """Row penalties lam . phi, log Z_i and reweighted rows; a leading axis of lam is kept."""
-    penalty = _type_penalties(fc.values, fc.coords, lam).take(fc.types, axis=-1)
+    """Row penalties lam . phi, log Z_i and reweighted rows."""
+    penalty = _type_penalties(fc.values, fc.coords, lam).take(fc.types)
     shift, exps, sums = _partition(fc.log_p - penalty, fc.seg_ids, fc.offsets[:-1])
     _check_shift(shift)
-    return penalty, shift + np.log(sums), exps / sums.take(fc.seg_ids, axis=-1)
+    return penalty, shift + np.log(sums), exps / sums.take(fc.seg_ids)
 
 
 def _type_mass(types: np.ndarray, probs: np.ndarray, dim: int) -> np.ndarray:

@@ -107,6 +107,23 @@ class TestReportCommand:
         payload = json.loads((out / "report.json").read_text())
         assert payload["n_violations_dist"] <= 0.05 * len(payload["activities"])
 
+    def test_notes_excluded_activities(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(
+            '{"id":"a","candidates":['
+            '{"activity":"x","gender":"M","score":0.0},'
+            '{"activity":"x","gender":"W","score":1.0},'
+            '{"activity":"y","gender":"M","score":0.0}]}\n'
+        )
+        stats_path = tmp_path / "stats.json"
+        stats_path.write_text('{"x": {"male": 5, "female": 5}}\n')
+        assert run("report", "--corpus", corpus_path, "--stats", stats_path,
+                   "--out", tmp_path / "rep") == 0
+        assert capsys.readouterr().err == (
+            "note: 1 activities excluded from the constraint set "
+            "(no gendered training labels or no gendered candidates): y\n"
+        )
+
     @pytest.mark.parametrize("gamma_eval", ["nan", "inf", "-1"])
     def test_gamma_eval_must_be_finite_and_nonnegative(self, tmp_path, capsys, gamma_eval):
         corpus_path, stats_path = synth_files(tmp_path, n_activities=3, instances_per_activity=5)
@@ -301,83 +318,12 @@ class TestCalibrateCommand:
         assert abs(after["mean_amp_dist"]) < abs(before["mean_amp_dist"])
 
 
-class TestOracleCommand:
-    def test_feasible_toy_tv_zero(self, tmp_path):
-        corpus_path = tmp_path / "corpus.jsonl"
-        corpus_path.write_text(
-            '{"id":"a","candidates":['
-            '{"activity":"x","gender":"M","score":0.0},'
-            '{"activity":"x","gender":"W","score":0.0}]}\n'
-        )
-        stats_path = tmp_path / "stats.json"
-        stats_path.write_text('{"x": {"male": 5, "female": 5}}\n')
-        out = tmp_path / "cmp"
-        assert run("oracle", "--corpus", corpus_path, "--stats", stats_path,
-                   "--out", out) == 0
-        payload = json.loads((out / "comparison.json").read_text())
-        assert payload["max_tv"] == 0.0
-        assert payload["lambda_solver"] == [0.0, 0.0]
-        assert payload["lambda_oracle"] == [0.0, 0.0]
-
-    def test_single_activity_agreement(self, tmp_path, capsys):
-        corpus_path, stats_path = synth_files(
-            tmp_path, n_activities=1, instances_per_activity=5,
-            candidates_per_instance=3, boost=1.0, seed=17
-        )
-        out = tmp_path / "cmp"
-        assert run("oracle", "--corpus", corpus_path, "--stats", stats_path,
-                   "--out", out) == 0
-        payload = json.loads((out / "comparison.json").read_text())
-        assert payload["schema_version"] == 1
-        assert payload["max_tv"] <= 1e-4
-        assert payload["kl_solver"] <= payload["kl_oracle"] + 1e-4
-
-    def test_three_activities_refused(self, tmp_path):
-        corpus_path, stats_path = synth_files(
-            tmp_path, n_activities=3, instances_per_activity=4, seed=18
-        )
-        assert run("oracle", "--corpus", corpus_path, "--stats", stats_path,
-                   "--out", tmp_path / "cmp") == 3
-
-    def test_a_grid_over_the_point_cap_exits_three(self, tmp_path, capsys):
-        corpus_path, stats_path = synth_files(
-            tmp_path, n_activities=2, instances_per_activity=4, boost=1.0, seed=1
-        )
-        capsys.readouterr()
-        assert run("oracle", "--corpus", corpus_path, "--stats", stats_path,
-                   "--out", tmp_path / "cmp", "--resolution", 60) == 3
-        assert capsys.readouterr().err == (
-            "error: brute force supports grids of at most 65536 points, "
-            "got resolution 60 in dimension 4\n"
-        )
-
-    def test_notes_excluded_activities(self, tmp_path, capsys):
-        corpus_path = tmp_path / "corpus.jsonl"
-        corpus_path.write_text(
-            '{"id":"a","candidates":['
-            '{"activity":"x","gender":"M","score":0.0},'
-            '{"activity":"x","gender":"W","score":1.0},'
-            '{"activity":"y","gender":"M","score":0.0}]}\n'
-        )
-        stats_path = tmp_path / "stats.json"
-        stats_path.write_text('{"x": {"male": 5, "female": 5}}\n')
-        assert run("oracle", "--corpus", corpus_path, "--stats", stats_path,
-                   "--out", tmp_path / "cmp") == 0
-        assert capsys.readouterr().err == (
-            "note: 1 activities excluded from the constraint set "
-            "(no gendered training labels or no gendered candidates): y\n"
-        )
-
-
 class TestExitCodes:
     @pytest.mark.parametrize("command, shape, flags, unrelated_stats, code", [
-        ("oracle", (2, 40), (), False, 3),
-        ("oracle", (2, 4), ("--resolution", 60), False, 3),
         ("report", (2, 4), (), True, 1),
         ("calibrate", (2, 4), (), True, 1),
         ("calibrate", (3, 30), ("--lr", "1e308", "--epochs", 3), False, 2),
-    ], ids=["oracle_320_candidates", "oracle_wide_grid", "report_no_constraints",
-            "calibrate_no_constraints", "calibrate_divergence"])
+    ], ids=["report_no_constraints", "calibrate_no_constraints", "calibrate_divergence"])
     def test_a_failed_run_leaves_no_out(self, tmp_path, capsys, command, shape, flags,
                                         unrelated_stats, code):
         corpus_path, stats_path = synth_files(tmp_path, n_activities=shape[0],
@@ -392,7 +338,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("error, code", [
         (bc.SolverDivergenceError("boom"), 2),
-        (bc.OracleSizeError("boom"), 3),
         (bc.DegenerateDistributionError("boom"), 1),
         (OSError("boom"), 1),
     ])
@@ -415,7 +360,7 @@ class TestExitCodes:
         (["calibrate", "--epochs", "ten"], "invalid int value: 'ten'"),
         (["report", "--lr", "0.1"], "unrecognized arguments: --lr 0.1"),
         (["calibrate", "--resolution", "5"], "unrecognized arguments: --resolution 5"),
-        (["oracle", "--mode", "stochastic"], "unrecognized arguments: --mode stochastic"),
+        (["oracle"], "invalid choice: 'oracle'"),
     ])
     def test_usage_error_exits_one(self, capsys, argv, message):
         # 2 is the solver-failure code, so argparse's own exit code is not passed on
@@ -440,8 +385,6 @@ class TestFlags:
 
     def test_each_pipeline_command_takes_only_the_flags_it_reads(self):
         assert self.flags("report") == self.PATHS | {"--gamma-eval"}
-        assert self.flags("oracle") == self.PATHS | {
-            "--gamma-solve", "--convergence-tol", "--max-steps", "--resolution"}
         assert self.flags("calibrate") == self.PATHS | {
             "--gamma-eval", "--gamma-solve", "--batch-size", "--epochs", "--lr", "--lr-decay",
             "--seed", "--mode", "--convergence-tol", "--max-steps"}
@@ -461,9 +404,6 @@ class TestSettingsCheckedFirst:
         ("calibrate", ["--gamma-eval", "-1"], "gamma_eval must be a finite nonnegative real"),
         ("calibrate", ["--gamma-solve", "inf"], "gamma_solve must be a finite nonnegative real"),
         ("calibrate", ["--lr-decay", "2"], "lr_decay must lie in (0, 1]"),
-        ("oracle", ["--gamma-solve", "nan"], "gamma_solve must be a finite nonnegative real"),
-        ("oracle", ["--max-steps", "0"], "batch_size, epochs and max_steps must be positive"),
-        ("oracle", ["--resolution", "2"], "resolution must be at least 3, got 2"),
         ("calibrate", ["--seed", "-1"], "seed must be nonnegative, got -1"),
     ])
     def test_bad_setting_exits_one_before_loading(self, tmp_path, capsys, subcommand, flags,
@@ -527,22 +467,26 @@ class TestConfigPrecedence:
         assert capsys.readouterr().err == "error: config file repeats key 'gamma_eval'\n"
         assert not out.exists()
 
-    def test_one_config_file_serves_every_command(self, tmp_path):
+    def test_one_config_file_serves_every_command(self, tmp_path, capsys):
         # every key is accepted, and type-checked, by every command
         corpus_path, stats_path = synth_files(
             tmp_path, n_activities=1, instances_per_activity=5, candidates_per_instance=3,
             boost=1.0, seed=17
         )
         config_path = tmp_path / "run.json"
-        config_path.write_text(json.dumps(
-            {"gamma_eval": 0.2, "lr": 0.2, "mode": "full-batch", "resolution": 5}
-        ))
-        for command in ("report", "calibrate", "oracle"):
+        config_path.write_text(json.dumps({"gamma_eval": 0.2, "lr": 0.2, "mode": "full-batch"}))
+        for command in ("report", "calibrate"):
             assert run(command, "--corpus", corpus_path, "--stats", stats_path,
                        "--out", tmp_path / command, "--config", config_path) == 0
-        config_path.write_text(json.dumps({"resolution": "5"}))
+        config_path.write_text(json.dumps({"lr": "0.2"}))
         assert run("report", "--corpus", corpus_path, "--stats", stats_path,
                    "--out", tmp_path / "bad", "--config", config_path) == 1
+        # `resolution` is no setting, so a file that sets it is refused
+        config_path.write_text(json.dumps({"resolution": 5}))
+        capsys.readouterr()
+        assert run("calibrate", "--corpus", corpus_path, "--stats", stats_path,
+                   "--out", tmp_path / "resolution", "--config", config_path) == 1
+        assert capsys.readouterr().err == "error: unknown config key 'resolution'\n"
 
     def test_a_setting_is_checked_only_by_the_commands_that_read_it(self, tmp_path, capsys):
         corpus_path, stats_path = synth_files(
@@ -550,9 +494,8 @@ class TestConfigPrecedence:
         )
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({"epochs": 0}))
-        for command in ("report", "oracle"):
-            assert run(command, "--corpus", corpus_path, "--stats", stats_path,
-                       "--out", tmp_path / command, "--config", config_path) == 0
+        assert run("report", "--corpus", corpus_path, "--stats", stats_path,
+                   "--out", tmp_path / "report", "--config", config_path) == 0
         capsys.readouterr()
         assert run("calibrate", "--corpus", corpus_path, "--stats", stats_path,
                    "--out", tmp_path / "calibrate", "--config", config_path) == 1
@@ -692,10 +635,9 @@ def child_modules(code, *argv):
     return child_output(code + "\nimport sys; print(' '.join(sorted(sys.modules)))", *argv).split()
 
 
-# what `report` never runs: the constraint set, the solver, the grid oracle,
-# the generator, and the hash modules behind `secrets`
-NOT_FOR_REPORT = ("biascal.constraints", "biascal.solver", "biascal.oracle", "biascal.synth",
-                  "secrets", "hashlib")
+# what `report` never runs: the constraint set, the solver, the generator,
+# and the hash modules behind `secrets`
+NOT_FOR_REPORT = ("biascal.constraints", "biascal.solver", "biascal.synth", "secrets", "hashlib")
 
 
 class TestProcess:
@@ -704,7 +646,7 @@ class TestProcess:
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
     def test_import_and_report_load_only_what_report_runs(self, tmp_path):
-        corpus_path, stats_path = synth_files(  # 32 candidates, within the oracle's limit
+        corpus_path, stats_path = synth_files(
             tmp_path, n_activities=2, instances_per_activity=4, boost=1.0, seed=21
         )
         run_cli = "import sys, biascal.cli\nassert biascal.cli.main(sys.argv[1:]) == 0"
@@ -718,17 +660,15 @@ class TestProcess:
         # command loads only its own modules
         loaded = set(child_modules(run_cli, "calibrate", *argv, "--out", tmp_path / "cal"))
         assert {"biascal.constraints", "biascal.solver"} <= loaded
-        assert not loaded & {"biascal.synth", "biascal.oracle"}
-        loaded = set(child_modules(run_cli, "oracle", *argv, "--out", tmp_path / "orc"))
-        assert "biascal.oracle" in loaded
+        assert "biascal.synth" not in loaded
         loaded = set(child_modules(run_cli, "synth", "--out", tmp_path / "syn"))
-        assert not loaded & {"biascal.constraints", "biascal.solver", "biascal.oracle"}
+        assert not loaded & {"biascal.constraints", "biascal.solver"}
 
     def test_deferred_names_are_the_submodules_objects(self):
-        from biascal import constraints, oracle, solver, synth
+        from biascal import constraints, solver, synth
 
         for name, module in [("ConstraintSet", constraints), ("SolverConfig", solver),
-                             ("brute_force_project", oracle), ("calibrate", solver),
+                             ("calibrate", solver),
                              ("save_checkpoint", solver), ("solve", solver),
                              ("SynthConfig", synth), ("generate", synth)]:
             assert getattr(cli, name) is getattr(module, name)
@@ -853,9 +793,8 @@ class TestMainModuleProcess:
         (None, ["report", "--no-such-flag"], 1),
         (dict(n_activities=2, instances_per_activity=20, boost=1.0, seed=1),
          ["calibrate", "--lr", "1e308", "--lr-decay", "1"], 2),
-        (dict(n_activities=3, instances_per_activity=4, seed=18), ["oracle"], 3),
         (None, ["--help"], 0),
-    ], ids=["full-batch", "unknown-flag", "overflow", "oracle-size", "help"])
+    ], ids=["full-batch", "unknown-flag", "overflow", "help"])
     def test_exit_code_stdout_stderr_and_outputs_match_in_process(
         self, tmp_path, monkeypatch, capsys, synth, argv, code
     ):

@@ -303,10 +303,9 @@ class TestCheckEquivalence:
         lambda corpus, table, cs: bc.dual_objective(np.zeros(cs.dimension), corpus, table, cs),
         lambda corpus, table, cs: bc.dual_gradient(np.zeros(cs.dimension), corpus, table, cs),
         bc.corpus_expectation,
-        lambda corpus, table, cs: bc.brute_force_project(corpus, table, cs, resolution=3),
         bc.check_equivalence,
     ], ids=["featurize", "solve", "calibrate", "dual_objective", "dual_gradient",
-            "corpus_expectation", "brute_force_project", "check_equivalence"])
+            "corpus_expectation", "check_equivalence"])
     def test_constraint_outside_the_vocabulary_is_refused(self, call):
         corpus, posteriors = biased_pair_corpus(0.4)
         cs = bc.ConstraintSet((0, 5), np.array([0.5, 0.5]), 0.05)

@@ -271,7 +271,6 @@ class TestTablesOnly:
         "dual_gradient": lambda c, cs, post: bc.dual_gradient(np.zeros(2), c, post, cs),
         "solve": lambda c, cs, post: bc.solve(c, post, cs, bc.SolverConfig()),
         "calibrate": lambda c, cs, post: bc.calibrate(c, post, cs, np.zeros(2)),
-        "brute_force_project": lambda c, cs, post: bc.brute_force_project(c, post, cs),
         "map_predict": lambda c, cs, post: bc.map_predict(post),
         "dump_posteriors": lambda c, cs, post: dump_posteriors(post, io.StringIO()),
         "kl_divergence(q)": lambda c, cs, post: bc.kl_divergence(post, bc.instance_posterior(c)),

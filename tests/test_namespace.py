@@ -14,17 +14,16 @@ import biascal as bc
 PUBLIC = [
     "ActivityBias", "BiasCalError", "BiasReport", "CandidateStructure", "ConstraintSet",
     "Corpus", "CorpusFormatError", "DegenerateDistributionError", "DualState",
-    "EquivalenceCheck", "GenderCount", "GenderTag", "Instance", "OracleSizeError",
-    "PosteriorTable", "SolverConfig", "SolverDivergenceError", "SynthConfig", "TrainingStats",
-    "UndefinedBiasError", "ValidationError", "brute_force_project", "build_report",
-    "calibrate", "check_equivalence", "constrained_activities", "corpus_expectation",
-    "dual_gradient", "dual_objective", "dump_corpus", "dump_training_stats",
-    "excluded_activities", "generate", "instance_posterior", "kl_divergence",
-    "load_checkpoint", "load_corpus", "load_training_stats", "map_predict",
-    "save_checkpoint", "solve",
+    "EquivalenceCheck", "GenderCount", "GenderTag", "Instance", "PosteriorTable",
+    "SolverConfig", "SolverDivergenceError", "SynthConfig", "TrainingStats",
+    "UndefinedBiasError", "ValidationError", "build_report", "calibrate", "check_equivalence",
+    "constrained_activities", "corpus_expectation", "dual_gradient", "dual_objective",
+    "dump_corpus", "dump_training_stats", "excluded_activities", "generate",
+    "instance_posterior", "kl_divergence", "load_checkpoint", "load_corpus",
+    "load_training_stats", "map_predict", "save_checkpoint", "solve",
 ]
-SUBMODULES = ["cli", "constraints", "corpus", "distribution", "errors", "metrics", "oracle",
-              "solver", "synth"]
+SUBMODULES = ["cli", "constraints", "corpus", "distribution", "errors", "metrics", "solver",
+              "synth"]
 
 
 def test_all_is_unchanged():

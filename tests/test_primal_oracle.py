@@ -1,18 +1,10 @@
-"""Full-batch calibration against an independent primal oracle.
+"""Full-batch calibration against the independent primal oracle.
 
-The oracle minimizes sum_i KL(q_i || p_i) directly with SLSQP over the
-calibrated probabilities themselves, subject to each instance summing to
-one and each constrained activity's ratio bounds written as male/gendered
-mass inequalities:
-
-    (b* - gamma) * gendered_j  <=  male_j  <=  (b* + gamma) * gendered_j.
-
-It reads only the corpus arrays and the base posteriors, so it shares
-nothing with the dual, the constraint features or `brute_force_project`.
-The problem is convex in q, and KL's gradient log(q / p) + 1 falls without
-bound as a probability nears 0. Over softmax logits instead, SLSQP stalled
-on about 3% of such corpora with one probability driven to 1e-10, where
-its logit's gradient vanishes.
+`conftest.primal_project` minimizes sum_i KL(q_i || p_i) directly with
+SLSQP over the calibrated probabilities, subject to each instance summing
+to one and each constrained activity's ratio bounds. It reads only the
+corpus arrays and the base posteriors, so it shares nothing with the dual
+or the constraint features.
 
 Every corpus below is feasible by construction: an instance that holds a
 gendered candidate of an activity holds both genders of it, so each
@@ -21,45 +13,10 @@ activity's ratio can be moved anywhere in (0, 1) independently.
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 import biascal as bc
 from biascal.distribution import segment_sum
-from conftest import make_corpus
-
-MALE = 1
-# SLSQP's exits at a solution: converged, or no further descent at working
-# precision ("positive directional derivative for linesearch")
-SOLVED = (0, 8)
-
-
-def primal_project(corpus, p, ids, b_star, gamma):
-    """arg min sum_i KL(q_i || p_i) over the ratio bounds, as flat probabilities."""
-    # one row a per inequality a . q >= 0: the upper bound, then the lower
-    rows = []
-    for aid, b in zip(ids, b_star):
-        male = (corpus.activity == aid) & (corpus.gender == MALE)
-        gendered = (corpus.activity == aid) & (corpus.gender != 0)
-        rows.append((b + gamma) * gendered - male)
-        rows.append(male - (b - gamma) * gendered)
-    bounds = np.array(rows, dtype=np.float64)
-    instance = np.zeros((corpus.n_instances, p.size))
-    instance[corpus.segment_ids, np.arange(p.size)] = 1.0
-
-    result = minimize(
-        lambda q: float(q @ np.log(q / p)),
-        p,
-        jac=lambda q: np.log(q / p) + 1.0,
-        bounds=[(1e-300, 1.0)] * p.size,
-        constraints=[
-            {"type": "ineq", "fun": lambda q: bounds @ q, "jac": lambda q: bounds},
-            {"type": "eq", "fun": lambda q: instance @ q - 1.0, "jac": lambda q: instance},
-        ],
-        method="SLSQP",
-        options={"ftol": 1e-15, "maxiter": 1000},
-    )
-    assert result.status in SOLVED, result.message
-    return result.x
+from conftest import make_corpus, primal_project
 
 
 def oracle_cases():

@@ -1,4 +1,4 @@
-"""Dual objective and gradient, projected Adam ascent, and the oracle."""
+"""Dual objective and gradient, projected Adam and Newton ascent, calibration and checkpoints."""
 
 import dataclasses
 import io
@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
+from scipy.special import rel_entr
 
 import biascal as bc
-from biascal import oracle, solver
+from biascal import solver
 from biascal.distribution import segment_sum
 from biascal.metrics import activity_mass
-from biascal.oracle import brute_force_project
-from biascal.solver import _batch_step, _check_finite, _log_partition, featurize
+from biascal.solver import _batch_step, _check_finite, featurize
 from conftest import (
     HUGE_INTS,
     HUGE_SHOWN,
@@ -25,6 +25,7 @@ from conftest import (
     feasible_single_activity_corpus,
     make_corpus,
     posteriors_of,
+    primal_project,
     random_constraints,
     random_corpus,
     rows_of,
@@ -123,23 +124,6 @@ class TestDualObjective:
             expected = -math.log(math.cosh(0.5 * s))
             actual = bc.dual_objective(np.array([s, 0.0]), corpus, posteriors, cs)
             assert_allclose(actual, expected, atol=1e-12)
-
-    def test_a_grid_of_dual_vectors_matches_each_vector_alone(self):
-        # the oracle evaluates a grid of lam at once through the solver's own
-        # log-partition, and the grid axis may not change a single bit
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            corpus = random_corpus(rng, n_activities=3, max_instances=8, max_candidates=12)
-            cs = random_constraints(rng, corpus, gamma=0.01)
-            if cs is None:
-                continue
-            fc = featurize(corpus, posteriors_of(corpus), cs)
-            shape = (int(rng.integers(1, 9)), cs.dimension)
-            lam_grid = rng.uniform(0, 5, shape) * (rng.random(shape) < 0.7)
-            on_grid = _log_partition(fc, lam_grid)
-            for g, lam in enumerate(lam_grid):
-                for grid_value, value in zip(on_grid, _log_partition(fc, lam)):
-                    assert np.array_equal(grid_value[g], value)
 
     def test_concavity_along_random_segments(self):
         rng = np.random.default_rng(31)
@@ -691,91 +675,17 @@ class TestCalibrate:
         assert not np.array_equal(moved, base_moved)
 
 
-class TestBruteForce:
-    def test_feasible_returns_input(self):
-        corpus, posteriors, cs = half_toy(male_prob=0.5, b_star=0.5, gamma=0.05)
-        projected, lam = brute_force_project(corpus, posteriors, cs)
-        assert np.array_equal(lam, np.zeros(2))
-        assert isinstance(projected, bc.PosteriorTable) and same_table(projected, posteriors)
-
-    def test_wide_margin_returns_input(self):
-        corpus, posteriors, cs = half_toy(male_prob=0.7, b_star=0.5, gamma=0.3)
-        projected, lam = brute_force_project(corpus, posteriors, cs)
-        assert np.array_equal(lam, np.zeros(2))
-        assert isinstance(projected, bc.PosteriorTable) and same_table(projected, posteriors)
-
+class TestPrimalOracle:
     def test_agrees_with_solver_on_toy(self):
         corpus, posteriors, cs = half_toy(male_prob=0.7, b_star=0.5, gamma=0.001)
         state = bc.solve(corpus, posteriors, cs, full_batch_config())
-        solver_q = bc.calibrate(corpus, posteriors, cs, state.lam)
-        oracle_q, _ = brute_force_project(corpus, posteriors, cs)
-        tv = 0.5 * np.abs(solver_q.probs - oracle_q.probs).sum()
+        solver_q = bc.calibrate(corpus, posteriors, cs, state.lam).probs
+        p = posteriors.probs
+        oracle_q = primal_project(corpus, p, cs.activity_ids, cs.b_star, cs.gamma)
+        tv = 0.5 * np.abs(solver_q - oracle_q).sum()
         assert tv <= 1e-4
-        gap = bc.kl_divergence(solver_q, posteriors) - bc.kl_divergence(oracle_q, posteriors)
+        gap = rel_entr(solver_q, p).sum() - rel_entr(oracle_q, p).sum()
         assert gap <= 1e-4
-
-    @pytest.mark.parametrize("empty", ["constraints", "corpus"])
-    def test_trivial_problem_returns_the_input_as_a_table(self, empty):
-        corpus, _, cs = half_toy(male_prob=0.7)
-        if empty == "constraints":
-            cs = bc.ConstraintSet((), np.zeros(0), 0.01)
-        else:
-            corpus = take_instances(corpus, [])
-        table = bc.instance_posterior(corpus)
-        projected, lam = brute_force_project(corpus, table, cs)
-        assert np.array_equal(lam, np.zeros(cs.dimension))
-        assert isinstance(projected, bc.PosteriorTable)
-        assert np.array_equal(projected.probs, table.probs)
-
-    def test_refuses_a_grid_of_fewer_than_three_points(self):
-        corpus, posteriors, cs = half_toy()
-        with pytest.raises(bc.ValidationError, match="^grid resolution must be at least 3$"):
-            brute_force_project(corpus, posteriors, cs, resolution=2)
-
-    @pytest.mark.parametrize("resolution", [3.5, 11.0, True, "11"])
-    def test_resolution_must_be_an_integer(self, resolution):
-        corpus, posteriors, cs = half_toy()
-        with pytest.raises(bc.ValidationError, match="^resolution must be an integer, got "
-                                                     f"{re.escape(repr(resolution))}$"):
-            brute_force_project(corpus, posteriors, cs, resolution=resolution)
-
-    def test_refuses_three_activities(self):
-        corpus = make_corpus(
-            [("i", [(0, "M", 0.0), (1, "W", 0.0), (2, "M", 0.0)])],
-            names=["a", "b", "c"],
-        )
-        cs = bc.ConstraintSet((0, 1, 2), np.full(3, 0.5), 0.01)
-        with pytest.raises(bc.OracleSizeError):
-            brute_force_project(corpus, posteriors_of(corpus), cs)
-
-    def test_refuses_large_candidate_count(self):
-        instances = [
-            (f"i{k}", [(0, "M", 0.0), (0, "W", 0.0), (0, "-", 0.0)]) for k in range(30)
-        ]
-        corpus = make_corpus(instances, names=["act"])
-        cs = bc.ConstraintSet((0,), np.array([0.5]), 0.01)
-        with pytest.raises(bc.OracleSizeError):
-            brute_force_project(corpus, posteriors_of(corpus), cs)
-
-    @pytest.mark.parametrize("n_activities, resolution", [(1, 257), (2, 17), (2, 60)])
-    def test_refuses_a_grid_over_the_point_cap(self, n_activities, resolution):
-        # 256**2 and 16**4 are the largest grids; each point holds several
-        # float64 rows of the featurized corpus, so 60**4 would need gigabytes
-        corpus = make_corpus([("i", [(a, g, 0.0) for a in range(n_activities) for g in "MW"])],
-                             names=["a", "b"][:n_activities])
-        cs = bc.ConstraintSet(tuple(range(n_activities)), np.full(n_activities, 0.5), 0.01)
-        message = (f"^brute force supports grids of at most 65536 points, "
-                   f"got resolution {resolution} in dimension {2 * n_activities}$")
-        with pytest.raises(bc.OracleSizeError, match=message):
-            brute_force_project(corpus, posteriors_of(corpus), cs, resolution=resolution)
-
-    def test_the_grid_cap_admits_a_grid_of_its_size(self, monkeypatch):
-        corpus, posteriors, cs = half_toy(male_prob=0.7)
-        monkeypatch.setattr(oracle, "MAX_ORACLE_GRID_POINTS", 11**2 - 1)
-        with pytest.raises(bc.OracleSizeError):
-            brute_force_project(corpus, posteriors, cs)
-        monkeypatch.setattr(oracle, "MAX_ORACLE_GRID_POINTS", 11**2)
-        brute_force_project(corpus, posteriors, cs)
 
 
 class TestCheckpoint:
