@@ -338,6 +338,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("error, code", [
         (bc.SolverDivergenceError("boom"), 2),
+        (bc.ValidationError("boom"), 1),
         (bc.DegenerateDistributionError("boom"), 1),
         (OSError("boom"), 1),
     ])
