@@ -27,7 +27,6 @@ _EXPORTS = {
         "CandidateStructure",
         "Corpus",
         "GenderCount",
-        "GenderTag",
         "Instance",
         "TrainingStats",
         "constrained_activities",

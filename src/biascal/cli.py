@@ -75,13 +75,15 @@ class RunConfig:
     max_steps: int = 20000
 
     def solver_config(self) -> SolverConfig:
+        if self.mode not in _MODES:
+            raise ValidationError(f"unknown mode {self.mode!r}")
         return _module.SolverConfig(
             batch_size=self.batch_size,
             epochs=self.epochs,
             initial_lr=self.lr,
             lr_decay=self.lr_decay,
             seed=self.seed,
-            mode=self.mode.replace("-", "_"),
+            mode=_MODES[self.mode],
             convergence_tol=self.convergence_tol,
             max_steps=self.max_steps,
         )
@@ -100,7 +102,9 @@ _COMMAND_SETTINGS = {
     "report": ("corpus", "stats", "out", "gamma_eval"),
     "calibrate": tuple(f.name for f in fields(RunConfig)),
 }
-_FLAG_CHOICES = {"mode": ("stochastic", "full-batch")}
+# Each value of --mode, and of a config file's mode, to `SolverConfig`'s name for it.
+_MODES = {"stochastic": "stochastic", "full-batch": "full_batch"}
+_FLAG_CHOICES = {"mode": tuple(_MODES)}
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:

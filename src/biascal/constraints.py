@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _EXPORTS
-from .corpus import FEMALE_CODE, UNGENDERED_CODE, Corpus, TrainingStats, as_array
+from .corpus import FEMALE_CODE, Corpus, TrainingStats, as_array
 from .distribution import PosteriorTable, as_table
 from .errors import ValidationError
 from .metrics import activity_ratios, check_margin, training_ratios
@@ -100,7 +100,7 @@ def feature_types(corpus: Corpus, cs: ConstraintSet) -> np.ndarray:
                               f"vocabulary of {corpus.n_activities} activities")
     lookup = np.full(corpus.n_activities, -1, dtype=np.int64)
     lookup[list(cs.activity_ids)] = np.arange(len(cs.activity_ids))
-    slot = np.where(corpus.gender != UNGENDERED_CODE, lookup[corpus.activity], -1)
+    slot = np.where(corpus.gendered, lookup[corpus.activity], -1)
     return np.where(slot >= 0, 2 * slot + (corpus.gender == FEMALE_CODE), cs.dimension)
 
 

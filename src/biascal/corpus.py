@@ -30,9 +30,10 @@ constructor checks every corpus rule once over the arrays, and `load_corpus`
 and `synth.generate` pass it the arrays they fill while parsing or
 generating. Numeric code downstream works on the rows with numpy segment
 reductions. `Corpus.instances` is a read view of `Instance` and
-`CandidateStructure` records built from the rows on first use. A corpus is
-immutable and safe for concurrent read access; every array is a read-only
-(``writeable=False``) copy of what the constructor was given.
+`CandidateStructure` records built from the rows on first use, each gender
+the file letter of its code (`GENDER_TAGS`). A corpus is immutable and safe
+for concurrent read access; every array is a read-only (``writeable=False``)
+copy of what the constructor was given.
 
 `load_corpus` reads `CHUNK_LINES` lines at a time, from a path or an `io`
 text or binary stream alike, which it leaves open. It decodes each line on
@@ -58,7 +59,6 @@ import warnings
 from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
@@ -74,18 +74,6 @@ from .errors import CorpusFormatError, ValidationError
 __all__ = list(_EXPORTS["corpus"])
 
 _RAGGED_WARNING = getattr(np, "exceptions", np).VisibleDeprecationWarning  # np.exceptions: 1.25+
-
-
-class GenderTag(str, Enum):
-    """Gender attribute of one candidate; an ungendered one enters no bias ratio."""
-
-    MALE = "M"
-    FEMALE = "W"
-    UNGENDERED = "-"
-
-    @property
-    def is_gendered(self) -> bool:
-        return self is not GenderTag.UNGENDERED
 
 
 def as_number(name: str, value, kind: type[int] | type[float]) -> int | float:
@@ -133,10 +121,10 @@ def read_numbers(settings) -> None:
 
 @dataclass(frozen=True)
 class CandidateStructure:
-    """One scored joint assignment (activity, gender tag) for an instance."""
+    """One scored candidate of an instance: its activity id, gender file letter and score."""
 
     activity_id: int
-    gender: GenderTag
+    gender: str
     score: float
 
 
@@ -149,10 +137,10 @@ class Instance:
     gold: int | None = None
 
 
-# The GenderTag of each gender code in `Corpus.gender`; the one table between the two.
-GENDER_TAGS = (GenderTag.UNGENDERED, GenderTag.MALE, GenderTag.FEMALE)
+# The one table from a gender code in `Corpus.gender` to its letter in files and the read view.
+GENDER_TAGS = ("-", "M", "W")
 UNGENDERED_CODE, MALE_CODE, FEMALE_CODE = range(len(GENDER_TAGS))
-_CODE_OF_VALUE = {tag.value: code for code, tag in enumerate(GENDER_TAGS)}
+_CODE_OF_VALUE = {tag: code for code, tag in enumerate(GENDER_TAGS)}
 _CANDIDATE_FIELDS = tuple(map(operator.itemgetter, ("activity", "gender", "score")))
 # json.loads is this scanner plus whitespace skipping around the value.
 _SCAN_JSON = make_scanner(json.JSONDecoder())
@@ -560,7 +548,7 @@ def _write_records(corpus: Corpus, key: str, values: np.ndarray, sink) -> None:
     array of separator, prefix and value text, where an instance's first
     separator closes the record before it and opens its own.
     """
-    tails = [f', "gender": {encode_basestring_ascii(tag.value)}, {encode_basestring_ascii(key)}: '
+    tails = [f', "gender": {encode_basestring_ascii(tag)}, {encode_basestring_ascii(key)}: '
              for tag in GENDER_TAGS]
     prefixes = np.array([f'{{"activity": {name}{tail}' for name in map(
         encode_basestring_ascii, corpus.activities) for tail in tails], dtype=object)

@@ -69,10 +69,10 @@ def activity_mass(posteriors, corpus, activity_id):
     gendered = 0.0
     for inst, post in zip(corpus.instances, posteriors):
         for prob, cand in zip(post, inst.candidates):
-            if cand.activity_id != activity_id or not cand.gender.is_gendered:
+            if cand.activity_id != activity_id or not cand.gender != "-":
                 continue
             gendered += float(prob)
-            if cand.gender is bc.GenderTag.MALE:
+            if cand.gender == "M":
                 male += float(prob)
     return male, gendered
 
@@ -82,10 +82,10 @@ def top_counts(predictions, corpus, activity_id):
     gendered = 0
     for inst, k in zip(corpus.instances, predictions):
         cand = inst.candidates[k]
-        if cand.activity_id != activity_id or not cand.gender.is_gendered:
+        if cand.activity_id != activity_id or not cand.gender != "-":
             continue
         gendered += 1
-        if cand.gender is bc.GenderTag.MALE:
+        if cand.gender == "M":
             male += 1
     return male, gendered
 
@@ -99,7 +99,7 @@ def constrained_activities(stats, corpus):
     has_gendered_mass = set()
     for inst in corpus.instances:
         for cand in inst.candidates:
-            if cand.gender.is_gendered:
+            if cand.gender != "-":
                 has_gendered_mass.add(cand.activity_id)
     return sorted(
         aid
@@ -160,12 +160,12 @@ def build_report(corpus, stats, posteriors, predictions, gamma_eval):
 
 
 def feature_vector(candidate, cs):
-    if candidate.activity_id not in cs.activity_ids or not candidate.gender.is_gendered:
+    if candidate.activity_id not in cs.activity_ids or not candidate.gender != "-":
         return []
     j = cs.activity_ids.index(candidate.activity_id)
     r = float(cs.b_star[j])
     g = cs.gamma
-    if candidate.gender is bc.GenderTag.MALE:
+    if candidate.gender == "M":
         return [(2 * j, 1.0 - r - g), (2 * j + 1, -1.0 + r - g)]
     return [(2 * j, -r - g), (2 * j + 1, r - g)]
 
@@ -487,7 +487,6 @@ def write_records(corpus, key, values):
     """One ``json.dumps`` per instance record, as text; ``values`` holds each
     row's value as a Python number."""
     names = corpus.activities
-    tags = [tag.value for tag in GENDER_TAGS]
     bounds = corpus.offsets.tolist()
     lines = []
     for i, inst_id in enumerate(corpus.ids):
@@ -495,7 +494,7 @@ def write_records(corpus, key, values):
         if corpus.gold[i] >= 0:
             record["gold"] = int(corpus.gold[i])
         record["candidates"] = [
-            {"activity": names[corpus.activity[r]], "gender": tags[corpus.gender[r]],
+            {"activity": names[corpus.activity[r]], "gender": GENDER_TAGS[corpus.gender[r]],
              key: values[r]}
             for r in range(bounds[i], bounds[i + 1])
         ]

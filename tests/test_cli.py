@@ -415,14 +415,16 @@ class TestSettingsCheckedFirst:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_setting_in_config_file_exits_one_before_loading(self, tmp_path, capsys):
+    # a file's mode takes exactly the flag's values, and an error quotes it as written
+    @pytest.mark.parametrize("mode", ["newton", "full_batch", "Full-Batch"])
+    def test_bad_setting_in_config_file_exits_one_before_loading(self, tmp_path, capsys, mode):
         config_path = tmp_path / "config.json"
-        config_path.write_text('{"mode": "newton"}\n')
+        config_path.write_text(json.dumps({"mode": mode}) + "\n")
         out = tmp_path / "out"
         assert run("calibrate", "--corpus", tmp_path / "missing.jsonl",
                    "--stats", tmp_path / "missing.json", "--out", out,
                    "--config", config_path) == 1
-        assert "unknown mode 'newton'" in capsys.readouterr().err
+        assert f"unknown mode {mode!r}" in capsys.readouterr().err
         assert not out.exists()
 
 

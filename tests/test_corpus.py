@@ -49,7 +49,7 @@ class TestLoadCorpus:
         assert len(inst.candidates) == 1
         cand = inst.candidates[0]
         assert cand.activity_id == 0
-        assert cand.gender is bc.GenderTag.MALE
+        assert cand.gender == "M"
         assert cand.score == 1.0
 
     def test_nan_score_string_rejected(self):
@@ -706,9 +706,9 @@ class TestInvariants:
             '{"id":"b","candidates":[{"activity":"y","gender":"-","score":0.25}]}',
         )
         assert corpus.instances == (
-            bc.Instance("a", (bc.CandidateStructure(0, bc.GenderTag.MALE, 1.0),
-                              bc.CandidateStructure(1, bc.GenderTag.FEMALE, -2.5)), 1),
-            bc.Instance("b", (bc.CandidateStructure(1, bc.GenderTag.UNGENDERED, 0.25),)),
+            bc.Instance("a", (bc.CandidateStructure(0, "M", 1.0),
+                              bc.CandidateStructure(1, "W", -2.5)), 1),
+            bc.Instance("b", (bc.CandidateStructure(1, "-", 0.25),)),
         )
         assert corpus.instances is corpus.instances
         assert corpus == bc.Corpus(**two_instances())

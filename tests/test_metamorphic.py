@@ -145,7 +145,7 @@ def test_padding_without_constrained_candidates_moves_nothing(case, pads, seed):
         triples += [(unlabelled, g, float(rng.normal())) for g in "MW"[: int(rng.integers(3))]]
         padding.append((f"pad_{k}", triples))
     at = sorted(rng.integers(0, len(corpus) + 1, pads))
-    specs = [(inst.id, [(c.activity_id, c.gender.value, c.score) for c in inst.candidates],
+    specs = [(inst.id, [(c.activity_id, c.gender, c.score) for c in inst.candidates],
               inst.gold) for inst in corpus.instances]
     for offset, (position, pad) in enumerate(zip(at, padding)):
         specs.insert(position + offset, pad)

@@ -14,7 +14,7 @@ import biascal as bc
 PUBLIC = [
     "ActivityBias", "BiasCalError", "BiasReport", "CandidateStructure", "ConstraintSet",
     "Corpus", "CorpusFormatError", "DegenerateDistributionError", "DualState",
-    "EquivalenceCheck", "GenderCount", "GenderTag", "Instance", "PosteriorTable",
+    "EquivalenceCheck", "GenderCount", "Instance", "PosteriorTable",
     "SolverConfig", "SolverDivergenceError", "SynthConfig", "TrainingStats",
     "UndefinedBiasError", "ValidationError", "build_report", "calibrate", "check_equivalence",
     "constrained_activities", "corpus_expectation", "dual_gradient", "dual_objective",
