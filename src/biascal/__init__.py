@@ -24,10 +24,8 @@ _EXPORTS = {
         "corpus_expectation",
     ),
     "corpus": (
-        "CandidateStructure",
         "Corpus",
         "GenderCount",
-        "Instance",
         "TrainingStats",
         "constrained_activities",
         "dump_corpus",

@@ -29,11 +29,8 @@ in candidate order. It is built one way, from those columns: its
 constructor checks every corpus rule once over the arrays, and `load_corpus`
 and `synth.generate` pass it the arrays they fill while parsing or
 generating. Numeric code downstream works on the rows with numpy segment
-reductions. `Corpus.instances` is a read view of `Instance` and
-`CandidateStructure` records built from the rows on first use, each gender
-the file letter of its code (`GENDER_TAGS`). A corpus is immutable and safe
-for concurrent read access; every array is a read-only (``writeable=False``)
-copy of what the constructor was given.
+reductions. A corpus is immutable and safe for concurrent read access; every
+array is a read-only (``writeable=False``) copy of what the constructor was given.
 
 `load_corpus` reads `CHUNK_LINES` lines at a time, from a path or an `io`
 text or binary stream alike, which it leaves open. It decodes each line on
@@ -63,7 +60,7 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from pathlib import Path
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import IO, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
@@ -119,25 +116,7 @@ def read_numbers(settings) -> None:
             object.__setattr__(settings, f.name, as_number(f.name, getattr(settings, f.name), kind))
 
 
-@dataclass(frozen=True)
-class CandidateStructure:
-    """One scored candidate of an instance: its activity id, gender file letter and score."""
-
-    activity_id: int
-    gender: str
-    score: float
-
-
-@dataclass(frozen=True)
-class Instance:
-    """One test instance with its candidates; ``gold``, when present, indexes them."""
-
-    id: str
-    candidates: tuple[CandidateStructure, ...]
-    gold: int | None = None
-
-
-# The one table from a gender code in `Corpus.gender` to its letter in files and the read view.
+# The one table from a gender code in `Corpus.gender` to its letter in the JSONL files.
 GENDER_TAGS = ("-", "M", "W")
 UNGENDERED_CODE, MALE_CODE, FEMALE_CODE = range(len(GENDER_TAGS))
 _CODE_OF_VALUE = {tag: code for code, tag in enumerate(GENDER_TAGS)}
@@ -242,18 +221,13 @@ class Corpus:
                 and all(np.array_equal(getattr(self, name), getattr(other, name))
                         for name in ("offsets", "activity", "gender", "score", "gold")))
 
-    @cached_property
-    def instances(self) -> tuple[Instance, ...]:
-        """A read view: the instances as records, built from the rows on first use."""
-        candidates = [
-            CandidateStructure(a, GENDER_TAGS[g], s)
-            for a, g, s in zip(self.activity.tolist(), self.gender.tolist(), self.score.tolist())
-        ]
+    @property
+    def instances(self) -> list[SimpleNamespace]:
+        """Not API: ``SimpleNamespace(candidates=range(lo, hi))`` over each instance's rows.
+        Its one reader is ``bench/run.py``, which counts candidates with it; it goes when
+        that line reads `n_rows`."""
         bounds = self.offsets.tolist()
-        return tuple(
-            Instance(inst_id, tuple(candidates[lo:hi]), None if gold < 0 else gold)
-            for inst_id, lo, hi, gold in zip(self.ids, bounds, bounds[1:], self.gold.tolist())
-        )
+        return [SimpleNamespace(candidates=range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
 
     @property
     def n_activities(self) -> int:

@@ -4,7 +4,9 @@ These are the package's original per-instance loops, kept so the
 vectorized paths can be required to match them exactly. A posterior here
 is one instance's probability array, and the per-instance functions take a
 list of them, in corpus order; `stochastic_solve` and `full_batch_solve`
-take the package's `PosteriorTable`. Posteriors use
+take the package's `PosteriorTable`. A candidate is an (activity id, gender
+letter, score) triple read from its instance's row slice ``offsets[i]:offsets[i + 1]``
+of the corpus columns (`candidates`). Posteriors use
 ``scipy.special.log_softmax`` as the original did. `build_report` works
 out b*, amplification and its mean itself. The ``naive_*`` dual
 functions work one instance and one candidate at a time on the
@@ -54,10 +56,25 @@ PLATEAU_WINDOW = 200
 PLATEAU_SHRINK = 0.5
 
 
+def candidates(corpus):
+    """Each instance's candidates, in corpus order: the (activity id, gender letter,
+    score) triples of its rows ``offsets[i]:offsets[i + 1]``."""
+    rows = list(zip(corpus.activity.tolist(), [GENDER_TAGS[g] for g in corpus.gender.tolist()],
+                    corpus.score.tolist()))
+    bounds = corpus.offsets.tolist()
+    return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def posterior(instance):
-    scores = np.array([c.score for c in instance.candidates], dtype=np.float64)
+    """One instance's posterior, from its candidates' scores."""
+    scores = np.array([score for _, _, score in instance], dtype=np.float64)
     probs = np.exp(log_softmax(scores))
     return probs / probs.sum()
+
+
+def posteriors(corpus):
+    """Every instance's posterior, in corpus order."""
+    return [posterior(instance) for instance in candidates(corpus)]
 
 
 def map_predict(post):
@@ -67,12 +84,12 @@ def map_predict(post):
 def activity_mass(posteriors, corpus, activity_id):
     male = 0.0
     gendered = 0.0
-    for inst, post in zip(corpus.instances, posteriors):
-        for prob, cand in zip(post, inst.candidates):
-            if cand.activity_id != activity_id or not cand.gender != "-":
+    for instance, post in zip(candidates(corpus), posteriors):
+        for prob, (aid, gender, _) in zip(post, instance):
+            if aid != activity_id or not gender != "-":
                 continue
             gendered += float(prob)
-            if cand.gender == "M":
+            if gender == "M":
                 male += float(prob)
     return male, gendered
 
@@ -80,12 +97,12 @@ def activity_mass(posteriors, corpus, activity_id):
 def top_counts(predictions, corpus, activity_id):
     male = 0
     gendered = 0
-    for inst, k in zip(corpus.instances, predictions):
-        cand = inst.candidates[k]
-        if cand.activity_id != activity_id or not cand.gender != "-":
+    for instance, k in zip(candidates(corpus), predictions):
+        aid, gender, _ = instance[k]
+        if aid != activity_id or not gender != "-":
             continue
         gendered += 1
-        if cand.gender == "M":
+        if gender == "M":
             male += 1
     return male, gendered
 
@@ -97,10 +114,10 @@ def bias_in_top_predictions(predictions, corpus, activity_id):
 
 def constrained_activities(stats, corpus):
     has_gendered_mass = set()
-    for inst in corpus.instances:
-        for cand in inst.candidates:
-            if cand.gender != "-":
-                has_gendered_mass.add(cand.activity_id)
+    for instance in candidates(corpus):
+        for aid, gender, _ in instance:
+            if gender != "-":
+                has_gendered_mass.add(aid)
     return sorted(
         aid
         for aid, name in enumerate(corpus.activities)
@@ -143,9 +160,10 @@ def build_report(corpus, stats, posteriors, predictions, gamma_eval):
         )
     top_amps = [e.amp_top for e in entries if e.amp_top is not None]
     accuracy = None
-    if all(inst.gold is not None for inst in corpus.instances):
-        hits = sum(1 for inst, k in zip(corpus.instances, predictions) if k == inst.gold)
-        accuracy = hits / len(corpus.instances)
+    golds = corpus.gold.tolist()
+    if all(gold >= 0 for gold in golds):
+        hits = sum(1 for gold, k in zip(golds, predictions) if k == gold)
+        accuracy = hits / len(golds)
     return bc.BiasReport(
         entries=tuple(entries),
         gamma_eval=gamma_eval,
@@ -160,19 +178,20 @@ def build_report(corpus, stats, posteriors, predictions, gamma_eval):
 
 
 def feature_vector(candidate, cs):
-    if candidate.activity_id not in cs.activity_ids or not candidate.gender != "-":
+    aid, gender, _ = candidate
+    if aid not in cs.activity_ids or not gender != "-":
         return []
-    j = cs.activity_ids.index(candidate.activity_id)
+    j = cs.activity_ids.index(aid)
     r = float(cs.b_star[j])
     g = cs.gamma
-    if candidate.gender == "M":
+    if gender == "M":
         return [(2 * j, 1.0 - r - g), (2 * j + 1, -1.0 + r - g)]
     return [(2 * j, -r - g), (2 * j + 1, r - g)]
 
 
 def instance_expectation(instance, post, cs):
     out = np.zeros(cs.dimension)
-    for prob, cand in zip(post, instance.candidates):
+    for prob, cand in zip(post, instance):
         for idx, value in feature_vector(cand, cs):
             out[idx] += prob * value
     return out
@@ -180,8 +199,8 @@ def instance_expectation(instance, post, cs):
 
 def corpus_expectation(corpus, posteriors, cs):
     out = np.zeros(cs.dimension)
-    for inst, post in zip(corpus.instances, posteriors):
-        out += instance_expectation(inst, post, cs)
+    for instance, post in zip(candidates(corpus), posteriors):
+        out += instance_expectation(instance, post, cs)
     return out
 
 
@@ -212,9 +231,9 @@ def reweighted_posterior(base, penalty):
 
 def calibrate(corpus, posteriors, cs, lam):
     out = []
-    for inst, post in zip(corpus.instances, posteriors):
-        penalty = np.zeros(len(inst.candidates))
-        for k, cand in enumerate(inst.candidates):
+    for instance, post in zip(candidates(corpus), posteriors):
+        penalty = np.zeros(len(instance))
+        for k, cand in enumerate(instance):
             for idx, value in feature_vector(cand, cs):
                 penalty[k] += lam[idx] * value
         out.append(reweighted_posterior(post, penalty) if np.any(penalty) else post)
@@ -224,9 +243,9 @@ def calibrate(corpus, posteriors, cs, lam):
 def dual_hessian(corpus, posteriors, cs, lam):
     """-Hessian of the dual at lam: the summed per-instance feature covariance."""
     out = np.zeros((cs.dimension, cs.dimension))
-    for inst, post in zip(corpus.instances, calibrate(corpus, posteriors, cs, lam)):
-        phi = np.zeros((len(inst.candidates), cs.dimension))
-        for k, cand in enumerate(inst.candidates):
+    for instance, post in zip(candidates(corpus), calibrate(corpus, posteriors, cs, lam)):
+        phi = np.zeros((len(instance), cs.dimension))
+        for k, cand in enumerate(instance):
             for idx, value in feature_vector(cand, cs):
                 phi[k, idx] = value
         mean = post @ phi
@@ -271,7 +290,7 @@ def stochastic_solve(corpus, posteriors, cs, config):
 def _log_weights(instance, post, cs, lam):
     """log p - lam . phi of each candidate of one instance; -inf where p is 0."""
     out = []
-    for prob, cand in zip(post, instance.candidates):
+    for prob, cand in zip(post, instance):
         penalty = sum(lam[idx] * value for idx, value in feature_vector(cand, cs))
         out.append((math.log(prob) if prob > 0.0 else -math.inf) - penalty)
     return out
@@ -284,21 +303,21 @@ def _log_sum_exp(weights):
 
 def naive_dual_objective(corpus, posteriors, cs, lam):
     """-sum_i log Z_i(lam), one instance and one candidate at a time."""
-    return -sum(_log_sum_exp(_log_weights(inst, post, cs, lam))
-                for inst, post in zip(corpus.instances, posteriors))
+    return -sum(_log_sum_exp(_log_weights(instance, post, cs, lam))
+                for instance, post in zip(candidates(corpus), posteriors))
 
 
 def naive_dual_gradient(corpus, posteriors, cs, lam, batch=None):
     """Reweighted feature expectation over ``batch`` (default: every instance),
     scaled by corpus_size / batch_size."""
-    n = len(corpus.instances)
+    instances = candidates(corpus)
+    n = len(instances)
     indices = range(n) if batch is None else batch
     out = np.zeros(cs.dimension)
     for i in indices:
-        inst = corpus.instances[i]
-        weights = _log_weights(inst, posteriors[i], cs, lam)
+        weights = _log_weights(instances[i], posteriors[i], cs, lam)
         log_z = _log_sum_exp(weights)
-        for w, cand in zip(weights, inst.candidates):
+        for w, cand in zip(weights, instances[i]):
             for idx, value in feature_vector(cand, cs):
                 out[idx] += math.exp(w - log_z) * value
     return out if batch is None else (n / len(indices)) * out
@@ -312,7 +331,7 @@ def naive_stochastic_solve(corpus, posteriors, cs, config):
     second = np.zeros(cs.dimension)
     rate = config.initial_lr
     rng = np.random.default_rng(config.seed)
-    n = len(corpus.instances)
+    n = corpus.n_instances
     step = 0
     for _ in range(config.epochs):
         order = rng.permutation(n)

@@ -336,6 +336,25 @@ class TestExitCodes:
                    *flags) == code
         assert not out.exists()
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+    @pytest.mark.parametrize("mode", [("full-batch", "--max-steps", 50), ("stochastic",)],
+                             ids=["full_batch", "stochastic"])
+    def test_an_infeasible_system_exits_two(self, tmp_path, capsys, mode):
+        # b* is 0.25 and the one candidate is male, so no posterior meets the bound
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(
+            '{"id": "a", "candidates": [{"activity": "x", "gender": "M", "score": 0}]}\n')
+        stats_path = tmp_path / "stats.json"
+        stats_path.write_text('{"x": {"male": 1, "female": 3}}\n')
+        out = tmp_path / "cal"
+        code = run("calibrate", "--corpus", corpus_path, "--stats", stats_path, "--out", out,
+                   "--mode", *mode)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "'x'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("error, code", [
         (bc.SolverDivergenceError("boom"), 2),
         (bc.ValidationError("boom"), 1),
@@ -641,6 +660,8 @@ def child_modules(code, *argv):
 # what `report` never runs: the constraint set, the solver, the generator,
 # and the hash modules behind `secrets`
 NOT_FOR_REPORT = ("biascal.constraints", "biascal.solver", "biascal.synth", "secrets", "hashlib")
+# test dependencies: every command runs on numpy alone
+TEST_ONLY = {"scipy", "hypothesis"}
 
 
 class TestProcess:
@@ -659,13 +680,20 @@ class TestProcess:
         loaded = child_modules(run_cli, "report", *argv, "--out", tmp_path / "rep")
         assert [m for m in NOT_FOR_REPORT if m in loaded] == []
         assert (tmp_path / "rep" / "report.json").is_file()
+        runs = [loaded]
         # the same probe sees the solver once a command runs it, and each
         # command loads only its own modules
-        loaded = set(child_modules(run_cli, "calibrate", *argv, "--out", tmp_path / "cal"))
-        assert {"biascal.constraints", "biascal.solver"} <= loaded
-        assert "biascal.synth" not in loaded
+        for mode in ("stochastic", "full-batch"):
+            loaded = set(child_modules(run_cli, "calibrate", *argv, "--out", tmp_path / mode,
+                                       "--mode", mode))
+            assert {"biascal.constraints", "biascal.solver"} <= loaded
+            assert "biascal.synth" not in loaded
+            runs.append(loaded)
         loaded = set(child_modules(run_cli, "synth", "--out", tmp_path / "syn"))
         assert not loaded & {"biascal.constraints", "biascal.solver"}
+        runs.append(loaded)
+        for loaded in runs:
+            assert not {m.split(".")[0] for m in loaded} & TEST_ONLY
 
     def test_deferred_names_are_the_submodules_objects(self):
         from biascal import constraints, solver, synth
@@ -695,12 +723,11 @@ class TestProcess:
             tracer.check_called(subcommand)
 
     def test_synth_report_and_calibrate_build_no_instance_objects(self, tmp_path, monkeypatch):
-        # the CLI runs on the corpus rows; Instance objects are only built on request
-        def forbidden(self, *args, **kwargs):
-            raise AssertionError(f"{type(self).__name__} constructed")
+        # the CLI runs on the corpus rows and never builds the per-instance view
+        def forbidden(self):
+            raise AssertionError("Corpus.instances built")
 
-        monkeypatch.setattr(bc.Instance, "__init__", forbidden)
-        monkeypatch.setattr(bc.CandidateStructure, "__init__", forbidden)
+        monkeypatch.setattr(bc.Corpus, "instances", property(forbidden))
         corpus_path, stats_path = synth_files(
             tmp_path, n_activities=3, instances_per_activity=10, boost=1.0, seed=21
         )

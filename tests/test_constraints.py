@@ -236,7 +236,7 @@ class TestExpectations:
         posteriors = posteriors_of(corpus)
         assert_allclose(
             bc.corpus_expectation(corpus, posteriors, cs),
-            ref.instance_expectation(corpus.instances[0], posteriors.probs, cs),
+            ref.instance_expectation(ref.candidates(corpus)[0], posteriors.probs, cs),
             atol=0,
         )
 

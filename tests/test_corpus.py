@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import biascal as bc
 import biascal.corpus
 import loop_reference as ref
-from biascal.corpus import CHUNK_LINES, _write_records, atomic_write
+from biascal.corpus import CHUNK_LINES, GENDER_TAGS, _write_records, atomic_write
 from biascal.distribution import dump_posteriors
 from conftest import INT64_SHOWN, INT_DIGIT_LIMIT, make_corpus, take_instances
 from test_flat_reference import corpora
@@ -43,14 +43,12 @@ class TestLoadCorpus:
         )
         assert len(corpus) == 1
         assert corpus.activities == ("cooking",)
-        inst = corpus.instances[0]
-        assert inst.id == "a"
-        assert inst.gold is None
-        assert len(inst.candidates) == 1
-        cand = inst.candidates[0]
-        assert cand.activity_id == 0
-        assert cand.gender == "M"
-        assert cand.score == 1.0
+        assert corpus.ids == ("a",)
+        assert corpus.gold.tolist() == [-1]
+        assert corpus.offsets.tolist() == [0, 1]
+        assert corpus.activity.tolist() == [0]
+        assert GENDER_TAGS[corpus.gender[0]] == "M"
+        assert corpus.score.tolist() == [1.0]
 
     def test_nan_score_string_rejected(self):
         with pytest.raises(bc.ValidationError, match="a"):
@@ -103,7 +101,7 @@ class TestLoadCorpus:
             '{"activity":"x","gender":"M","score":1.0},'
             '{"activity":"x","gender":"W","score":0.0}]}'
         )
-        assert corpus.instances[0].gold == 1
+        assert corpus.gold.tolist() == [1]
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(bc.ValidationError, match="candidates"):
@@ -692,26 +690,21 @@ class TestInvariants:
         )
         first, second = bc.load_corpus(io.StringIO(text)), bc.load_corpus(io.StringIO(text))
         assert first == second
-        assert "instances" not in vars(first) and "instances" not in vars(second)
         assert first == bc.Corpus(**fields_of(first))
         renamed = dataclasses.replace(first, activities=("y", "x"))
         assert renamed != first
         assert first != bc.load_corpus(io.StringIO(text.replace("2.0", "2.5")))
         assert first != bc.load_corpus(io.StringIO(text.replace('"gold":0,', "")))
 
-    def test_instances_built_from_rows(self):
-        corpus = corpus_of(
-            '{"id":"a","gold":1,"candidates":[{"activity":"x","gender":"M","score":1},'
-            '{"activity":"y","gender":"W","score":-2.5}]}',
-            '{"id":"b","candidates":[{"activity":"y","gender":"-","score":0.25}]}',
-        )
-        assert corpus.instances == (
-            bc.Instance("a", (bc.CandidateStructure(0, "M", 1.0),
-                              bc.CandidateStructure(1, "W", -2.5)), 1),
-            bc.Instance("b", (bc.CandidateStructure(1, "-", 0.25),)),
-        )
-        assert corpus.instances is corpus.instances
-        assert corpus == bc.Corpus(**two_instances())
+    def test_instances_count_the_rows(self):
+        # the benchmark counts candidates as the lengths of these row ranges
+        for sizes in ([2, 1, 4, 1, 3], []):
+            corpus = make_corpus([(f"i{i}", [(0, "M", 0.0)] * n) for i, n in enumerate(sizes)],
+                                 names=["x"])
+            assert sum(len(inst.candidates) for inst in corpus.instances) == corpus.n_rows
+            bounds = corpus.offsets.tolist()
+            assert [inst.candidates for inst in corpus.instances] == [
+                range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 # Names and ids that json.dumps must escape: quote, backslash, non-ASCII, U+2028.

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biascal as bc
+import loop_reference as ref
 from conftest import make_corpus, rows_of, take_instances
 
 METAMORPHIC = settings(deadline=None, max_examples=25, derandomize=True)
@@ -145,8 +146,7 @@ def test_padding_without_constrained_candidates_moves_nothing(case, pads, seed):
         triples += [(unlabelled, g, float(rng.normal())) for g in "MW"[: int(rng.integers(3))]]
         padding.append((f"pad_{k}", triples))
     at = sorted(rng.integers(0, len(corpus) + 1, pads))
-    specs = [(inst.id, [(c.activity_id, c.gender, c.score) for c in inst.candidates],
-              inst.gold) for inst in corpus.instances]
+    specs = list(zip(corpus.ids, ref.candidates(corpus), corpus.gold.tolist()))
     for offset, (position, pad) in enumerate(zip(at, padding)):
         specs.insert(position + offset, pad)
     padded = make_corpus(specs, names=[*corpus.activities, "unlabelled"])

@@ -12,9 +12,9 @@ import biascal as bc
 
 # The public API, in the order `__all__` lists it.
 PUBLIC = [
-    "ActivityBias", "BiasCalError", "BiasReport", "CandidateStructure", "ConstraintSet",
+    "ActivityBias", "BiasCalError", "BiasReport", "ConstraintSet",
     "Corpus", "CorpusFormatError", "DegenerateDistributionError", "DualState",
-    "EquivalenceCheck", "GenderCount", "Instance", "PosteriorTable",
+    "EquivalenceCheck", "GenderCount", "PosteriorTable",
     "SolverConfig", "SolverDivergenceError", "SynthConfig", "TrainingStats",
     "UndefinedBiasError", "ValidationError", "build_report", "calibrate", "check_equivalence",
     "constrained_activities", "corpus_expectation", "dual_gradient", "dual_objective",

@@ -111,8 +111,8 @@ class TestGenerate:
         )
         assert len(corpus) == 28
         assert corpus.n_activities == 4
-        assert all(len(inst.candidates) == 5 for inst in corpus.instances)
-        assert all(inst.gold in (0, 1) for inst in corpus.instances)
+        assert np.diff(corpus.offsets).tolist() == [5] * 28
+        assert set(corpus.gold.tolist()) <= {0, 1}
         assert len(stats.counts) == 4
 
     def test_deterministic_given_seed(self):
