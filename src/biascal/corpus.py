@@ -11,7 +11,10 @@ Corpus: JSONL, one instance per line::
 ``gold`` is an optional index into ``candidates``. ``gender`` is ``"M"``,
 ``"W"``, or ``"-"`` (no gendered role). Scores are unnormalized
 log-potentials on the model's own scale; the candidate list is treated as
-the full support of the instance. All floats are parsed as 64-bit.
+the full support of the instance. All floats are parsed as 64-bit. A key
+repeated within any object of a line is refused (a CorpusFormatError naming the
+line and the key), and keys other than ``id``, ``gold``, ``candidates``,
+``activity``, ``gender`` and ``score`` are ignored.
 
 Training stats: a JSON object mapping activity name to gendered label
 counts::
@@ -39,9 +42,11 @@ chunk into numpy columns before it reads the next; the columns are joined
 once at the end. So besides the arrays themselves, a load holds one chunk's
 decoded records, never a Python object per row of the corpus. When a chunk
 fails a check, its lines are checked again one record at a time, which
-raises the first bad record's error with its line number. The JSONL writers
-format `CHUNK_LINES` instances at a time, and a path sink is written to a
-temporary file that replaces it only when complete (`atomic_write`).
+raises the first bad record's error with its line number. A chunk whose ``:``
+count shows no room for a repeated key skips a second decode that looks for one.
+The JSONL writers format `CHUNK_LINES` instances at a time, each distinct value
+of a chunk once, and a path sink is written to a temporary file that replaces
+it only when complete (`atomic_write`).
 """
 
 from __future__ import annotations
@@ -355,19 +360,32 @@ def dump_json(payload, sink) -> None:
         stream.write(json.dumps(payload, indent=2) + "\n")
 
 
+def _unique_keys(error: type[ValueError], where: str):
+    """A ``json`` ``object_pairs_hook`` that builds each object as a dict and raises
+    ``error``, ``where`` naming the place, for a key repeated within one object, which
+    ``json`` would keep the last of."""
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            seen: set[str] = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise error(f"{where} repeats key {key!r}")
+                seen.add(key)
+        return obj
+    return unique
+
+
+# `_SCAN_JSON`, raising ValueError for a key repeated within an object.
+_SCAN_UNIQUE_KEYS = make_scanner(json.JSONDecoder(
+    object_pairs_hook=_unique_keys(CorpusFormatError, "a corpus line")))
+
+
 def load_json(stream: IO[str], error: type[ValueError], what: str):
     """The JSON value in ``stream``; ``error`` is raised for invalid JSON and
-    for a key repeated within an object, which ``json.load`` would keep the last of."""
-    def unique(pairs):
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise error(f"{what} file repeats key {key!r}")
-            obj[key] = value
-        return obj
-
+    for a key repeated within an object (`_unique_keys`)."""
     try:
-        return json.load(stream, object_pairs_hook=unique)
+        return json.load(stream, object_pairs_hook=_unique_keys(error, f"{what} file"))
     except json.JSONDecodeError as exc:
         raise error(f"invalid {what} JSON at line {exc.lineno}: {exc.msg}") from None
 
@@ -394,7 +412,10 @@ def _check_candidate(raw, where: str) -> None:
 def _check_record(line: str, lineno: int) -> None:
     """Raise the error of one nonblank corpus line, if it has one."""
     try:
-        record = json.loads(line)
+        record = json.loads(line, object_pairs_hook=_unique_keys(CorpusFormatError,
+                                                                 f"line {lineno}:"))
+    except CorpusFormatError:
+        raise
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         message = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
         raise CorpusFormatError(f"line {lineno}: invalid JSON ({message})") from None
@@ -427,7 +448,7 @@ def _raise_first_error(lines: list[str], first_lineno: int) -> NoReturn:
     raise RuntimeError(f"lines {first_lineno}+: a chunk check failed but no record check did")
 
 
-def _decoded(lines: list[str]) -> list | None:
+def _decoded(lines: list[str], scan=_SCAN_JSON) -> list | None:
     """The JSON value of each nonblank line, or None when a line is not exactly
     one JSON value: what ``json.loads`` accepts, without its per-call cost."""
     values = []
@@ -435,7 +456,7 @@ def _decoded(lines: list[str]) -> list | None:
         text = line.strip(_JSON_WHITESPACE)
         if text and not text.isspace():
             try:
-                value, end = _SCAN_JSON(text, 0)
+                value, end = scan(text, 0)
             # also an integer past the digit limit, or nesting past the recursion limit
             except (StopIteration, ValueError, RecursionError):
                 return None
@@ -474,6 +495,15 @@ def _chunk_columns(lines: list[str], vocab: dict[str, int]) -> tuple | None:
         score = np.array(scores, np.float64)
         gold = np.array(golds, np.float64)  # None becomes NaN, which no range test fails
     except (KeyError, TypeError, OverflowError):  # missing key, bad gender, huge integer
+        return None
+    # Each key/value pair puts one ":" outside strings, and each candidate has at least its
+    # three fields, so this count leaves no room for a repeated key. Any other chunk (a ":"
+    # in a string, an extra key) is decoded again, refusing one. The ":" are counted as
+    # UTF-8 bytes, where no other character holds one, by numpy: str.count is slower.
+    colons = np.count_nonzero(np.frombuffer(
+        "".join(lines).encode("utf-8", "surrogatepass"), np.uint8) == ord(":"))
+    if (colons != sum(map(len, records)) + len(_CANDIDATE_FIELDS) * len(candidates)
+            and _decoded(lines, _SCAN_UNIQUE_KEYS) is None):
         return None
     sizes = np.array(list(map(len, raw_candidates)), np.int64)
     if not np.isfinite(score).all() or ((gold < 0) | (gold >= sizes)).any():
@@ -514,13 +544,13 @@ def _write_records(corpus: Corpus, key: str, values: np.ndarray, sink) -> None:
     (activity, gender) prefix, each name in it escaped once as ``json.dumps`` escapes
     a str, as ids are, then the value's ``float.__repr__``, which is how ``json.dumps``
     writes a finite float (the values were checked finite when built).
-    Most rows repeat the value of the row before them (a synth instance's
-    fillers share one score, and keep one probability after calibration), so
-    each run of repeats within a chunk is formatted once. Runs are runs of
-    equal bits, not of equal values, so that ``-0.0`` next to ``0.0`` keeps
-    its own text. A chunk's text is one ``"".join`` over a (rows, 3) object
-    array of separator, prefix and value text, where an instance's first
-    separator closes the record before it and opens its own.
+    Many rows repeat a value of their chunk (a synth corpus's fillers share one
+    score, and each instance's keep one probability after calibration), so each
+    distinct value of a chunk is formatted once. Values are told apart by their
+    bits, not by ``==``, so that ``-0.0`` keeps its own text beside ``0.0``. A
+    chunk's text is one ``"".join`` over a (rows, 3) object array of separator,
+    prefix and value text, where an instance's first separator closes the record
+    before it and opens its own.
     """
     tails = [f', "gender": {encode_basestring_ascii(tag)}, {encode_basestring_ascii(key)}: '
              for tag in GENDER_TAGS]
@@ -532,19 +562,18 @@ def _write_records(corpus: Corpus, key: str, values: np.ndarray, sink) -> None:
             chunk = slice(start, start + CHUNK_LINES)
             bounds = corpus.offsets[start:start + CHUNK_LINES + 1]
             rows = slice(bounds[0], bounds[-1])
-            bits = values[rows].view(np.int64)
-            new_run = np.concatenate(([True], bits[1:] != bits[:-1]))
-            texts = np.array(list(map(float.__repr__, values[rows][new_run].tolist())), object)
+            bits, where = np.unique(values[rows].view(np.int64), return_inverse=True)
+            texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), object)
             ids = map(encode_basestring_ascii, corpus.ids[chunk])
             heads = np.array([f'{{"id": {inst_id}, "gold": {gold}, "candidates": [' if gold >= 0
                               else f'{{"id": {inst_id}, "candidates": ['
                               for inst_id, gold in zip(ids, corpus.gold[chunk].tolist())], object)
             heads[1:] = "}]}\n" + heads[1:]
-            cells = np.empty((bits.size, 3), object)
+            cells = np.empty((where.size, 3), object)
             cells[:, 0] = "}, "  # one str for the column: np.full would copy it into each cell
             cells[bounds[:-1] - bounds[0], 0] = heads
             cells[:, 1] = prefixes[prefix_of_row[rows]]
-            cells[:, 2] = texts[np.cumsum(new_run) - 1]
+            cells[:, 2] = texts[where]
             stream.write("".join(cells.ravel().tolist()) + "}]}\n")
 
 

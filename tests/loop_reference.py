@@ -458,15 +458,29 @@ def _parse_candidate(raw, vocab, where):
     return vocab[activity], GENDER_CODES[gender], score
 
 
+def _refuse_repeated_keys(lineno):
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise bc.CorpusFormatError(f"line {lineno}: repeats key {key!r}")
+            obj[key] = value
+        return obj
+    return unique
+
+
 def load_corpus(text):
-    """One ``json.loads`` and one candidate parse at a time, line by line."""
+    """One ``json.loads`` and one candidate parse at a time, line by line; a key
+    repeated within any object of a line is refused."""
     vocab = {}
     ids, sizes, golds, rows = [], [], [], []
     for lineno, line in enumerate(io.StringIO(text), start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = json.loads(line, object_pairs_hook=_refuse_repeated_keys(lineno))
+        except bc.CorpusFormatError:
+            raise
         except ValueError as exc:
             message = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
             raise bc.CorpusFormatError(f"line {lineno}: invalid JSON ({message})") from None

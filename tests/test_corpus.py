@@ -50,6 +50,25 @@ class TestLoadCorpus:
         assert GENDER_TAGS[corpus.gender[0]] == "M"
         assert corpus.score.tolist() == [1.0]
 
+    @pytest.mark.parametrize("line, key", [
+        ('{"id":"a","id":"b","candidates":[{"activity":"x","gender":"M","score":1.0}]}', "id"),
+        ('{"id":"a","candidates":[{"activity":"x","gender":"M","score":1.0,"score":2.0}]}',
+         "score"),
+        ('{"id":"a","x":{"k":1,"k":1},"candidates":[{"activity":"x","gender":"M","score":1}]}',
+         "k"),
+    ])
+    def test_repeated_key_refused(self, line, key):
+        # on the second line of a chunk, where json.loads would keep the last value
+        with pytest.raises(bc.CorpusFormatError, match=f"^line 2: repeats key '{key}'$"):
+            corpus_of(VALID % "first", line)
+
+    def test_colon_in_a_string_and_extra_keys_load(self):
+        corpus = corpus_of(VALID % "a:b", '{"id":"c","x":{"k":{"k":1}},"candidates":'
+                           '[{"activity":"x:y","gender":"W","score":2.0,"note":{"k":1}}]}')
+        assert corpus.ids == ("a:b", "c")
+        assert corpus.activities == ("x", "x:y")
+        assert corpus.score.tolist() == [1.0, 2.0]
+
     def test_nan_score_string_rejected(self):
         with pytest.raises(bc.ValidationError, match="a"):
             corpus_of('{"id":"a","candidates":[{"activity":"x","gender":"M","score":"NaN"}]}')
@@ -777,6 +796,8 @@ def line_mutations(draw):
         lambda line: "[]\n" + line,
         lambda line: "﻿" + line,
         lambda line: line.replace('"score": ', '"score": ' + "1" * 5000, 1),
+        lambda line: line.replace('"score": ', '"score": 1.5, "score": ', 1),
+        lambda line: line.replace('"id": "', '"id": ":', 1),
     ]
 
 
@@ -787,9 +808,10 @@ def outcome(load, text):
         return type(exc), str(exc)
 
 
-def run_values(rng, pool, offsets):
-    """Values drawn from ``pool``, with a run over the last two rows of each
-    chunk and the first two of the next, and 0.0, -0.0, -0.0, 0.0 in a row."""
+def repeated_values(rng, pool, offsets):
+    """Values drawn from ``pool``, so each repeats on rows near and apart, with one
+    value over the last two rows of each chunk and the first two of the next, and
+    0.0, -0.0, -0.0, 0.0 in a row."""
     values = np.array(pool)[rng.integers(len(pool), size=offsets[-1])]
     for boundary in offsets[CHUNK_LINES:-1:CHUNK_LINES]:
         values[boundary - 2:boundary + 2] = pool[0]
@@ -833,10 +855,10 @@ class TestChunkedIO:
 
     @settings(deadline=None, max_examples=15, derandomize=True)
     @given(corpus=chunked_corpora(), data=st.data())
-    def test_runs_of_repeated_values_match_the_reference_writer(self, corpus, data):
-        # the writer formats each run of bit-identical values once: runs that
-        # cross chunk boundaries, signed zeros side by side, one value
-        # throughout, one-row instances and no instances at all
+    def test_repeated_values_match_the_reference_writer(self, corpus, data):
+        # the writer formats each distinct bit pattern of a chunk once: a value
+        # on rows apart and on rows across chunk boundaries, signed zeros side by
+        # side, one value throughout, one-row instances and no instances at all
         pool = data.draw(st.lists(st.sampled_from(EDGE_SCORES), min_size=2, max_size=3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         firsts = corpus.offsets[:-1]
@@ -844,9 +866,30 @@ class TestChunkedIO:
                             corpus.activity[firsts], corpus.gender[firsts], corpus.score[firsts],
                             np.minimum(corpus.gold, 0))
         for case in (corpus, singles):
-            assert_writers_match(case, run_values(rng, pool, case.offsets))
+            assert_writers_match(case, repeated_values(rng, pool, case.offsets))
             assert_writers_match(case, np.full(case.n_rows, pool[0]))
         assert_writers_match(bc.Corpus((), (), [0], [], [], [], []), np.zeros(0))
+
+    def test_each_distinct_value_of_a_chunk_is_formatted_once(self, monkeypatch):
+        # the first chunk holds four values, each on rows apart, 0.0 apart from
+        # -0.0; the second chunk's one row repeats a value and is formatted again
+        n = CHUNK_LINES + 1
+        values = np.resize([1.5, 0.0, 2.5, -0.0], n)
+        corpus = bc.Corpus(("x",), [f"i{i}" for i in range(n)], np.arange(n + 1),
+                           np.zeros(n, int), np.zeros(n, int), values, np.full(n, -1))
+        formatted = []
+
+        class CountingFloat(float):
+            def __repr__(self):
+                formatted.append(self)
+                return float.__repr__(self)
+
+        monkeypatch.setattr(biascal.corpus, "float", CountingFloat, raising=False)
+        text = io.StringIO()
+        _write_records(corpus, "prob", values, text)
+        monkeypatch.undo()
+        assert text.getvalue() == ref.write_records(corpus, "prob", values.tolist())
+        assert sorted(map(repr, formatted)) == ["-0.0", "0.0", "1.5", "1.5", "2.5"]
 
     @settings(deadline=None, max_examples=15, derandomize=True)
     @given(corpus=chunked_corpora(), data=st.data())
